@@ -9,6 +9,8 @@ anywhere here.
 
 from __future__ import annotations
 
+import sys
+
 from rodvec._backend import kernels as _k
 from rodvec.core import (
     HalfTurn,
@@ -24,13 +26,7 @@ __all__ = [
     "cayley_inverse_explicit",
     "rodrigues_from_matrix",
     "cayley_residuals",
-    "HALF_TURN_TRACE_TOL",
 ]
-
-#: trace(R) <= -1 + this routes matrix->Rodrigues conversion to the half-turn
-#: branch; beyond it tan(theta/2) stays below ~2e3 and the regular formula is
-#: well conditioned.
-HALF_TURN_TRACE_TOL = 1e-6
 
 
 def cayley_rotation(q: RodriguesVector) -> RotationMatrix:
@@ -52,37 +48,37 @@ def cayley_inverse_explicit(q: RodriguesVector) -> Matrix3:
     return Matrix3(_k.cayley_inv9(q.as_tuple()))
 
 
-def _half_turn_axis(r: RotationMatrix) -> UnitVector:
-    # symmetric part of (R + 1)/2; at theta = pi this is exactly n n^T,
-    # so its largest-norm column points along the axis.
-    e = r.elements
-    s = [0.0] * 9
-    for i in range(3):
-        for j in range(3):
-            s[3 * i + j] = 0.25 * (e[3 * i + j] + e[3 * j + i])
-        s[3 * i + i] += 0.5
-    cols = [(s[j], s[3 + j], s[6 + j]) for j in range(3)]
-    best = max(cols, key=_k.norm3)
-    n = _k.norm3(best)
-    return UnitVector(best[0] / n, best[1] / n, best[2] / n)
-
-
 def rodrigues_from_matrix(r: RotationMatrix | Matrix3) -> RodriguesVector | HalfTurn:
     """Rodrigues vector of R, or the half-turn when R has eigenvalue -1.
 
-    Away from the pole the unique Q with skew(Q) = (R - 1)(R + 1)^-1 is
-    read off as (R - R^T)/(1 + trace R).  When trace R <= -1 + 1e-6 the
-    division is ill-conditioned and the rotation is reported as a
-    :class:`HalfTurn` about the +1-eigenvector instead.
+    Shepperd's rule (Shepperd 1978) picks the largest of 1 + trace R and
+    1 + 2 R_kk - trace R, four times the squares of the Euler parameters,
+    so no threshold is needed.  When 1 + trace R is the largest, Q is read
+    off as unskew(R - R^T)/(1 + trace R).  Otherwise, for the k of largest
+    R_kk and (j, l) the next two indices in cyclic order, Q = w/d with
+    w_k = 1 + 2 R_kk - trace R, w_j = R_jk + R_kj, w_l = R_lk + R_kl and
+    d = R_lj - R_jl; when d is 0, or so small that w/d overflows, R is
+    the :class:`HalfTurn` about w.
 
     Raises:
         NotARotation: if a plain matrix is passed and fails the SO(3) checks.
     """
     if isinstance(r, Matrix3):
         r = RotationMatrix(r)
-    if r.trace() <= -1.0 + HALF_TURN_TRACE_TOL:
-        return HalfTurn(_half_turn_axis(r))
-    return RodriguesVector(*_k.rod_from_rot9(r.elements))
+    e = r.elements
+    t = e[0] + e[4] + e[8]
+    k = max((0, 1, 2), key=lambda i: e[4 * i])
+    w = [0.0, 0.0, 0.0]
+    w[k] = 1.0 + 2.0 * e[4 * k] - t
+    if 1.0 + t >= w[k]:
+        return RodriguesVector(*_k.rod_from_rot9(e))
+    j, l = (k + 1) % 3, (k + 2) % 3
+    w[j] = e[3 * j + k] + e[3 * k + j]
+    w[l] = e[3 * l + k] + e[3 * k + l]
+    d = e[3 * l + j] - e[3 * j + l]
+    if abs(d) * sys.float_info.max < w[k]:  # d = 0, or w/d overflows
+        return HalfTurn(UnitVector.from_vec(Vec3(*w)))
+    return RodriguesVector(w[0] / d, w[1] / d, w[2] / d)
 
 
 def cayley_residuals(q: RodriguesVector, x: Vec3) -> tuple[float, float]:

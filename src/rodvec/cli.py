@@ -14,7 +14,7 @@ import math
 import sys
 from typing import Sequence
 
-from rodvec import checks, geometry, kinematics, svg
+from rodvec import checks, geometry, kinematics
 from rodvec._backend import backend_name
 from rodvec.cayley import rodrigues_from_matrix
 from rodvec.composition import RotationResult, compose_general
@@ -256,6 +256,8 @@ def _parse_vec(text: str, what: str) -> Vec3:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from rodvec import svg  # only this command needs it, and it is slow to import
+
     kind = args.kind
     if kind in ("fig1a", "fig1b", "fig1c", "fig2"):
         if args.q is None:

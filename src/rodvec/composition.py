@@ -4,24 +4,18 @@ Q3 = (Q1 + Q2 + Q2 x Q1) / (1 - Q2.Q1) represents R(Q2) R(Q1): the second
 rotation is the FIRST argument, mirroring matrix-product order.  When the
 denominator vanishes the result is a half-turn about the (never-zero)
 numerator direction; that case is a result variant, not an error.
+Numerator and denominator are the vector and scalar parts of an Euler
+parameter (quaternion) product, which also composes half-turns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
 from rodvec._backend import kernels as _k
-from rodvec.cayley import rodrigues_from_matrix
-from rodvec.core import (
-    HalfTurn,
-    RodriguesVector,
-    RotationMatrix,
-    UnitVector,
-    Vec3,
-    matrix_from_half_turn,
-    matrix_from_rodrigues,
-)
+from rodvec.core import HalfTurn, RodriguesVector, UnitVector, Vec3
 from rodvec.errors import DegenerateComposition, NotPerpendicular
 
 __all__ = [
@@ -39,7 +33,8 @@ RotationResult = Union[RodriguesVector, HalfTurn]
 
 #: |1 - Q2.Q1| <= this, scaled by (1 + ||Q1|| ||Q2||), routes to the
 #: half-turn branch; near the pole the regular formula amplifies round-off
-#: by 1/denominator.
+#: by 1/denominator.  With half-turn operands the scale is
+#: |s1 s2| + ||v1|| ||v2||, the size of the terms that cancel in s.
 DEGENERACY_REL_TOL = 1e-9
 
 
@@ -66,30 +61,35 @@ def compose(q2: RodriguesVector, q1: RodriguesVector) -> RotationResult:
     about the numerator direction when 1 - Q2.Q1 vanishes (within
     1e-9 * (1 + ||Q1|| ||Q2||)).
     """
-    num, den = _k.compose_num_den(q2.as_tuple(), q1.as_tuple())
-    if abs(den) <= DEGENERACY_REL_TOL * (1.0 + q1.norm() * q2.norm()):
-        n = _k.norm3(num)
-        return HalfTurn(UnitVector(num[0] / n, num[1] / n, num[2] / n))
-    return RodriguesVector(num[0] / den, num[1] / den, num[2] / den)
+    return compose_general(q2, q1)
 
 
 def compose_general(b: RotationResult, a: RotationResult) -> RotationResult:
     """Composition with half-turn operands allowed; a is applied first.
 
-    Regular pairs go through :func:`compose`; any half-turn operand falls
-    back to the exact matrix product, converted back afterwards.
+    This is the composition law before its division, read as the product
+    of Euler parameters (s, v): a Rodrigues vector Q lifts to (1, Q) and a
+    half-turn about n to (0, n), and the product
+
+        (s2 s1 - v2.v1,  s2 v1 + s1 v2 + v2 x v1)
+
+    projects back to the Rodrigues vector v/s, or to the half-turn about
+    v/||v|| when |s| <= 1e-9 * (|s1 s2| + ||v1|| ||v2||).  With s1 = s2 = 1,
+    s and v are the denominator and numerator of the law, bit for bit.
     """
-    if isinstance(b, RodriguesVector) and isinstance(a, RodriguesVector):
-        return compose(b, a)
-    mb = _as_matrix(b)
-    ma = _as_matrix(a)
-    return rodrigues_from_matrix(mb @ ma)
-
-
-def _as_matrix(r: RotationResult) -> RotationMatrix:
-    if isinstance(r, HalfTurn):
-        return matrix_from_half_turn(r)
-    return matrix_from_rodrigues(r)
+    s2, (x2, y2, z2) = (0.0, b.axis.as_tuple()) if isinstance(b, HalfTurn) else (1.0, b.as_tuple())
+    s1, (x1, y1, z1) = (0.0, a.axis.as_tuple()) if isinstance(a, HalfTurn) else (1.0, a.as_tuple())
+    # the operation order of _k.compose_num_den, so that s1 = s2 = 1
+    # reproduces its numerator and denominator bit for bit
+    vx = s2 * x1 + s1 * x2 + (y2 * z1 - z2 * y1)
+    vy = s2 * y1 + s1 * y2 + (z2 * x1 - x2 * z1)
+    vz = s2 * z1 + s1 * z2 + (x2 * y1 - y2 * x1)
+    s = s2 * s1 - (x2 * x1 + y2 * y1 + z2 * z1)
+    scale = abs(s1 * s2) + math.hypot(x1, y1, z1) * math.hypot(x2, y2, z2)
+    if abs(s) <= DEGENERACY_REL_TOL * scale:
+        n = math.hypot(vx, vy, vz)
+        return HalfTurn(UnitVector(vx / n, vy / n, vz / n))
+    return RodriguesVector(vx / s, vy / s, vz / s)
 
 
 def composition_diagnostics(

@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * math.pi
+_MIN_NORMAL = 2.2250738585072014e-308  # sys.float_info.min
+_SUBNORMAL_SCALE = 2.0**600
 
 #: |angle - pi| at or below this raises HalfTurnUndefined in Q = tan(angle/2)*n.
 HALF_TURN_ANGLE_TOL = 1e-12
@@ -215,10 +217,6 @@ class Matrix3:
     def identity(cls) -> Matrix3:
         return cls((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
 
-    @classmethod
-    def from_rows(cls, rows) -> Matrix3:
-        return cls(tuple(float(v) for row in rows for v in row))
-
     @property
     def rows(self) -> tuple[tuple[float, float, float], ...]:
         e = self.elements
@@ -252,9 +250,6 @@ class Matrix3:
         return Matrix3(tuple(a * s for a in self.elements))
 
     __rmul__ = __mul__
-
-    def inf_norm(self) -> float:
-        return max(abs(e) for e in self.elements)
 
 
 @dataclass(frozen=True)
@@ -294,10 +289,6 @@ class RotationMatrix:
             raise NotARotation(
                 f"matrix fails SO(3) checks: |R^T R - 1| = {ortho:.3e}, |det - 1| = {det:.3e}"
             )
-
-    @classmethod
-    def from_elements(cls, elements) -> RotationMatrix:
-        return cls(Matrix3(tuple(elements)))
 
     @classmethod
     def identity(cls) -> RotationMatrix:
@@ -382,15 +373,30 @@ def axis_angle_from_rodrigues(q: RodriguesVector) -> AxisAngle:
 
     The zero vector maps to angle 0 about the conventional axis (0, 0, 1).
     """
-    n = q.norm()
+    x, y, z = q.as_tuple()
+    n = math.hypot(x, y, z)
     if n == 0.0:
         return AxisAngle(UnitVector(0.0, 0.0, 1.0), 0.0)
-    return AxisAngle(UnitVector(q.x / n, q.y / n, q.z / n), 2.0 * math.atan(n))
+    m = n
+    if n < _MIN_NORMAL:
+        # a subnormal norm keeps too few bits to divide by; scaling by a
+        # power of two is exact and brings the components into normal range
+        x, y, z = x * _SUBNORMAL_SCALE, y * _SUBNORMAL_SCALE, z * _SUBNORMAL_SCALE
+        m = math.hypot(x, y, z)
+    return AxisAngle(UnitVector(x / m, y / m, z / m), 2.0 * math.atan(n))
 
 
 def matrix_from_rodrigues(q: RodriguesVector) -> RotationMatrix:
-    """R(Q) = 1 + 2*((Q x) + (Q x)^2)/(1 + Q.Q)."""
-    return RotationMatrix(Matrix3(_k.rot_from_rod9(q.as_tuple())))
+    """R(Q) = 1 + 2*((Q x) + (Q x)^2)/(1 + Q.Q).
+
+    When Q.Q overflows, the half-turn about Q is returned: R(Q) is a
+    rotation by pi - 2/||Q||, and 2/||Q|| < 1e-153 there.
+    """
+    x, y, z = q.as_tuple()
+    if x * x + y * y + z * z == math.inf:
+        n = math.hypot(x, y, z)
+        return RotationMatrix(Matrix3(_k.half_turn9((x / n, y / n, z / n))))
+    return RotationMatrix(Matrix3(_k.rot_from_rod9((x, y, z))))
 
 
 def matrix_from_half_turn(h: HalfTurn) -> RotationMatrix:

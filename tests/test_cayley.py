@@ -12,9 +12,11 @@ from rodvec import (
     RotationMatrix,
     UnitVector,
     Vec3,
+    axis_angle_from_rodrigues,
     cayley_inverse_explicit,
     cayley_residuals,
     cayley_rotation,
+    euler_rodrigues_matrix,
     matrix_from_half_turn,
     matrix_from_rodrigues,
     rodrigues_from_matrix,
@@ -97,12 +99,24 @@ class TestRodriguesFromMatrix:
         assert isinstance(h, HalfTurn)
         assert (h.axis.vec - HalfTurn(axis).axis.vec).norm() <= 1e-12
 
+    def test_half_turn_with_subnormal_skew_part(self):
+        # R - R^T = 1e-320: Q would be 4e320, a half-turn to double precision
+        h = rodrigues_from_matrix(Matrix3((-1.0, 1e-320, 0, 0, -1.0, 0, 0, 0, 1.0)))
+        assert h == HalfTurn(UnitVector(0, 0, 1))
+
     def test_near_pi_still_regular(self):
-        # trace just above the -1 + 1e-6 routing threshold stays regular
+        # 1 + trace R is only 4e-6 here, yet the matrix reads back regular
         q = RodriguesVector(0, 0, 1e3)
         back = rodrigues_from_matrix(matrix_from_rodrigues(q))
         assert isinstance(back, RodriguesVector)
         assert abs(back.z - 1e3) <= 1e-9 * (1.0 + q.norm())
+
+    def test_axis_angle_round_trip_near_pi(self):
+        # 5e-4 rad short of a half-turn, inside the zone once snapped to pi
+        axis, angle = UnitVector(0, 0.6, 0.8), math.pi - 5e-4
+        back = axis_angle_from_rodrigues(rodrigues_from_matrix(euler_rodrigues_matrix(axis, angle)))
+        assert back.angle == pytest.approx(angle, abs=1e-12)
+        assert vec_np(back.axis) == pytest.approx(vec_np(axis), abs=1e-12)
 
     def test_round_trip_randomized(self, rng):
         for _ in range(2000):

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -70,6 +71,13 @@ class TestConvert:
         _, out, _ = run(capsys, "--precision", "3", "convert", "rod:1,1,-1", "--to", "aa")
         assert out.strip() == "aa:0.577,0.577,-0.577,2.09"
 
+    def test_overflowing_rodrigues_vector(self, capsys):
+        # Q.Q overflows; the rotation is pi - 2e-200 rad about x
+        assert run(capsys, "convert", "rod:1e200,0,0", "--to", "mat") == (
+            0, "mat:1,0,0,0,-1,0,0,0,-1\n", "")
+        assert run(capsys, "convert", "rod:1e200,0,0", "--to", "aa") == (
+            0, "aa:1,0,0,3.14159265359\n", "")
+
     def test_round_trips(self, capsys):
         for spec, fmt in [
             ("rod:0.25,-0.75,1.5", "rod"),
@@ -123,6 +131,13 @@ class TestCompose:
     def test_non_finite_component_exits_2(self, capsys):
         assert run(capsys, "convert", "rod:nan,0,0", "--to", "aa")[0] == 2
         assert run(capsys, "convert", "rod:inf,0,0", "--to", "aa")[0] == 2
+
+    def test_overflowing_operands_give_half_turn(self, capsys):
+        # ||Q1|| ||Q2|| = 1e308: the numerator's squared norm overflows
+        code, out, _ = run(capsys, "compose", "rod:1e154,0,0", "rod:0,1e154,0")
+        assert code == 0
+        mat = [float(v) for v in out.splitlines()[-1].removeprefix("mat:").split(",")]
+        assert mat == pytest.approx([-1, 0, 0, 0, -1, 0, 0, 0, 1], abs=1e-12)
 
 
 class TestDonkin:
@@ -220,6 +235,14 @@ class TestIntegrate:
         assert code == 0
         assert out.splitlines()[0] == "final rod:0.5,0,0"
 
+    def test_leaves_half_turn_initial_orientation(self, capsys, tmp_path):
+        # 0.01 rad past a half-turn about z: Q = -cot(0.005) z
+        rows = [f"{i / 1000} 0 0 1" for i in range(11)]
+        path = self.write_omega(tmp_path, rows)
+        code, out, _ = run(capsys, "integrate", path, "--initial", "half:0,0,1")
+        assert code == 0
+        assert out.splitlines()[0] == "final rod:0,0,-199.998333331"
+
 
 class TestFigure:
     def test_fig1a_census(self, capsys, tmp_path):
@@ -308,6 +331,15 @@ class TestEntryPoint:
         r2 = subprocess.run(cmd, capture_output=True)
         assert r1.returncode == 0
         assert r1.stdout == r2.stdout
+
+    def test_cli_import_leaves_svg_unloaded(self):
+        src = os.path.dirname(os.path.dirname(rodvec.cayley.__file__))
+        code = "import sys, rodvec.cli; print('rodvec.svg' in sys.modules, 'xml.sax.saxutils' in sys.modules)"
+        r = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "False False\n"
 
     def test_usage_error_exit_2(self):
         cmd = [sys.executable, "-m", "rodvec", "convert", "rod:1,0,0"]  # missing --to

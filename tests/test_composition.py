@@ -112,6 +112,18 @@ class TestComposeGeneral:
             oracle = _mat(h) @ _mat(a)
             assert np.max(np.abs(_mat(r) - oracle)) <= 1e-9
 
+    def test_regular_pairs_match_the_law_bit_for_bit(self, rng):
+        from rodvec._backend import kernels
+
+        for _ in range(1000):
+            q1 = rand_rod(rng, 3.0)
+            q2 = rand_rod(rng, 3.0)
+            r = compose_general(q2, q1)
+            if isinstance(r, HalfTurn):
+                continue
+            num, den = kernels.compose_num_den(q2.as_tuple(), q1.as_tuple())
+            assert r.as_tuple() == (num[0] / den, num[1] / den, num[2] / den)
+
 
 class TestCompositionDiagnostics:
     def test_identity_second_factor(self):

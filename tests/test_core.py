@@ -134,6 +134,17 @@ class TestRodriguesConversions:
         s = 1 / math.sqrt(3)
         assert vec_np(aa.axis) == pytest.approx([s, s, -s])
 
+    def test_axis_angle_from_subnormal_rodrigues(self):
+        # the norm of (0, 5e-324, 5e-324) is itself subnormal and rounds to
+        # 1e-323; dividing by it would give the non-unit (0, 0.5, 0.5)
+        aa = axis_angle_from_rodrigues(RodriguesVector(0.0, 5e-324, 5e-324))
+        s = 1 / math.sqrt(2)
+        assert vec_np(aa.axis) == pytest.approx([0.0, s, s], abs=1e-15)
+        assert aa.angle < 1e-322
+
+        aa = axis_angle_from_rodrigues(RodriguesVector(3e-310, 4e-310, 0.0))
+        assert vec_np(aa.axis) == pytest.approx([0.6, 0.8, 0.0], abs=1e-15)
+
     def test_round_trip_recovers_axis_and_angle(self, rng):
         for _ in range(10_000):
             axis, theta = rand_axis_angle(rng, math.pi - 1e-3)

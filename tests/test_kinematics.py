@@ -236,6 +236,23 @@ class TestIntegrateAttitude:
         assert isinstance(traj.final, HalfTurn)
         assert traj.final.axis == UnitVector(0, 0, 1)
 
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3])
+    def test_trajectory_leaves_half_turn(self, dt):
+        n = round(0.01 / dt)
+        samples = [AngularVelocitySample(i * dt, AngularVelocity(0, 0, 1)) for i in range(n + 1)]
+        traj = integrate_attitude(samples, EXACT_STEP, initial=HalfTurn(UnitVector(0, 0, 1)))
+        want = -1.0 / math.tan(0.005)
+        assert isinstance(traj.final, RodriguesVector)
+        assert traj.final.x == 0.0 and traj.final.y == 0.0
+        assert traj.final.z == pytest.approx(want, rel=1e-12)
+
+    def test_half_turn_then_pi_further_is_identity(self):
+        traj = integrate_attitude(
+            _const_samples(t1=math.pi), EXACT_STEP, initial=HalfTurn(UnitVector(0, 0, 1)), substeps=3142
+        )
+        assert isinstance(traj.final, RodriguesVector)
+        assert traj.final.norm() <= 1e-12
+
     def test_angular_velocity_addition(self):
         # integrating wa + wb approaches the composition of the separate
         # increments at O(dt^2): the defect ratio under halving is ~4
