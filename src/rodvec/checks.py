@@ -142,9 +142,9 @@ def _check_donkin(n: int, seed: int) -> DiagnosticResult:
         c_via_q3 = geometry.half_angle_point(q3, tri.a)
         worst = max(
             worst,
-            (b_hat.vec - tri.b.vec).norm(),
-            (c_hat.vec - tri.c.vec).norm(),
-            (c_via_q3.vec - c_expected).norm(),
+            (b_hat - tri.b).norm(),
+            (c_hat - tri.c).norm(),
+            (c_via_q3 - c_expected).norm(),
         )
     return DiagnosticResult("donkin-closure", n, worst, 1e-10)
 

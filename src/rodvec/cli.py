@@ -128,13 +128,13 @@ def _spec_half(r: RotationResult, digits: int) -> str:
     raise HalfTurnUndefined("rotation angle is not pi; no half-turn form exists")
 
 
-def _print_result_block(r: RotationResult, digits: int, degrees: bool) -> None:
+def _print_result_block(r: RotationResult, digits: int, degrees: bool, prefix: str = "") -> None:
     if isinstance(r, HalfTurn):
-        print(_spec_half(r, digits))
+        print(prefix + _spec_half(r, digits))
     else:
-        print(_spec_rod(r, digits))
-    print(_spec_aa(r, digits, degrees))
-    print(_spec_mat(r, digits))
+        print(prefix + _spec_rod(r, digits))
+    print(prefix + _spec_aa(r, digits, degrees))
+    print(prefix + _spec_mat(r, digits))
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
@@ -241,13 +241,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
         if args.trajectory:
             for line in lines:
                 print(line)
-    final = traj.final
-    if isinstance(final, HalfTurn):
-        print("final " + _spec_half(final, args.precision))
-    else:
-        print("final " + _spec_rod(final, args.precision))
-    print("final " + _spec_aa(final, args.precision, args.degrees))
-    print("final " + _spec_mat(final, args.precision))
+    _print_result_block(traj.final, args.precision, args.degrees, prefix="final ")
     return 0
 
 

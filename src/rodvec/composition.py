@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from rodvec._backend import kernels as _k
-from rodvec.core import HalfTurn, RodriguesVector, UnitVector, Vec3
+from rodvec.core import HalfTurn, RodriguesVector, UnitVector, Vec3, _unit
 from rodvec.errors import DegenerateComposition, NotPerpendicular
 
 __all__ = [
@@ -74,22 +74,35 @@ def compose_general(b: RotationResult, a: RotationResult) -> RotationResult:
         (s2 s1 - v2.v1,  s2 v1 + s1 v2 + v2 x v1)
 
     projects back to the Rodrigues vector v/s, or to the half-turn about
-    v/||v|| when |s| <= 1e-9 * (|s1 s2| + ||v1|| ||v2||).  With s1 = s2 = 1,
-    s and v are the denominator and numerator of the law, bit for bit.
+    v/||v|| when |s| <= 1e-9 * (|s1 s2| + ||v1|| ||v2||) or v/s overflows.
+    With s1 = s2 = 1, s and v are the denominator and numerator of the
+    law, bit for bit.  When a term of the product overflows, the product
+    is taken again from the operands divided by their largest components;
+    a positive factor changes neither v/s, the test nor v/||v||.
     """
     s2, (x2, y2, z2) = (0.0, b.axis.as_tuple()) if isinstance(b, HalfTurn) else (1.0, b.as_tuple())
     s1, (x1, y1, z1) = (0.0, a.axis.as_tuple()) if isinstance(a, HalfTurn) else (1.0, a.as_tuple())
-    # the operation order of _k.compose_num_den, so that s1 = s2 = 1
-    # reproduces its numerator and denominator bit for bit
-    vx = s2 * x1 + s1 * x2 + (y2 * z1 - z2 * y1)
-    vy = s2 * y1 + s1 * y2 + (z2 * x1 - x2 * z1)
-    vz = s2 * z1 + s1 * z2 + (x2 * y1 - y2 * x1)
-    s = s2 * s1 - (x2 * x1 + y2 * y1 + z2 * z1)
-    scale = abs(s1 * s2) + math.hypot(x1, y1, z1) * math.hypot(x2, y2, z2)
-    if abs(s) <= DEGENERACY_REL_TOL * scale:
-        n = math.hypot(vx, vy, vz)
-        return HalfTurn(UnitVector(vx / n, vy / n, vz / n))
-    return RodriguesVector(vx / s, vy / s, vz / s)
+    while True:
+        # the operation order of _k.compose_num_den, so that s1 = s2 = 1
+        # reproduces its numerator and denominator bit for bit
+        vx = s2 * x1 + s1 * x2 + (y2 * z1 - z2 * y1)
+        vy = s2 * y1 + s1 * y2 + (z2 * x1 - x2 * z1)
+        vz = s2 * z1 + s1 * z2 + (x2 * y1 - y2 * x1)
+        s = s2 * s1 - (x2 * x1 + y2 * y1 + z2 * z1)
+        scale = abs(s1 * s2) + math.hypot(x1, y1, z1) * math.hypot(x2, y2, z2)
+        if math.isfinite(s + vx + vy + vz + scale):
+            break
+        # components of at most 1 cannot overflow again
+        m2 = max(abs(s2), abs(x2), abs(y2), abs(z2))
+        m1 = max(abs(s1), abs(x1), abs(y1), abs(z1))
+        s2, x2, y2, z2 = s2 / m2, x2 / m2, y2 / m2, z2 / m2
+        s1, x1, y1, z1 = s1 / m1, x1 / m1, y1 / m1, z1 / m1
+    if abs(s) > DEGENERACY_REL_TOL * scale:
+        try:
+            return RodriguesVector(vx / s, vy / s, vz / s)
+        except ValueError:
+            pass  # v/s overflows: the rotation is pi to within 2/||v/s||
+    return HalfTurn(UnitVector(*_unit(vx, vy, vz)))
 
 
 def composition_diagnostics(
@@ -103,15 +116,14 @@ def composition_diagnostics(
     and stays below 1e-10 for well-scaled inputs.
 
     Raises:
-        NotPerpendicular: if a.Q1 exceeds 1e-9 * ||Q1||.
+        NotPerpendicular: if a.Q1/||Q1|| exceeds 1e-9.
         DegenerateComposition: if the composition lands on the half-turn
             branch, where no finite Q3 exists.
     """
     q1t = q1.as_tuple()
     q2t = q2.as_tuple()
     at = a.as_tuple()
-    n1 = q1.norm()
-    if abs(_k.dot3(at, q1t)) > 1e-9 * max(n1, 1e-300):
+    if any(q1t) and abs(_k.dot3(at, _unit(*q1t))) > 1e-9:
         raise NotPerpendicular("a must be perpendicular to Q1")
     q3 = compose(q2, q1)
     if isinstance(q3, HalfTurn):

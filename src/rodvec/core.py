@@ -40,7 +40,8 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _MIN_NORMAL = 2.2250738585072014e-308  # sys.float_info.min
-_SUBNORMAL_SCALE = 2.0**600
+_SCALE_UP = 2.0**600
+_SCALE_DOWN = 2.0**-600
 
 #: |angle - pi| at or below this raises HalfTurnUndefined in Q = tan(angle/2)*n.
 HALF_TURN_ANGLE_TOL = 1e-12
@@ -58,6 +59,22 @@ def _require_finite(*values: float) -> None:
             raise ValueError(f"non-finite component: {v!r}")
 
 
+def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(x, y, z) divided by its norm, for any finite nonzero vector.
+
+    When the sum of squares overflows, or falls below the smallest normal
+    float and so keeps too few bits to divide by, the components are first
+    scaled by a power of two, which is exact.
+    """
+    ss = x * x + y * y + z * z
+    if ss == math.inf or ss < _MIN_NORMAL:
+        f = _SCALE_DOWN if ss == math.inf else _SCALE_UP
+        x, y, z = x * f, y * f, z * f
+        ss = x * x + y * y + z * z
+    n = math.sqrt(ss)
+    return x / n, y / n, z / n
+
+
 @dataclass(frozen=True)
 class Vec3:
     """A vector in R^3 with finite components."""
@@ -71,6 +88,11 @@ class Vec3:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
+
+    @property
+    def vec(self) -> Vec3:
+        """A plain :class:`Vec3` with the same components."""
+        return Vec3(self.x, self.y, self.z)
 
     def __add__(self, other: Vec3) -> Vec3:
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -96,11 +118,11 @@ class Vec3:
         return Vec3(*_k.cross3(self.as_tuple(), other.as_tuple()))
 
     def norm(self) -> float:
-        return math.sqrt(self.dot(self))
+        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
 
 @dataclass(frozen=True)
-class UnitVector:
+class UnitVector(Vec3):
     """A vector of norm 1 (verified to 1e-12 at construction).
 
     Inputs within 1e-6 of unit norm are renormalized silently; anything
@@ -108,42 +130,26 @@ class UnitVector:
     direction.
     """
 
-    x: float
-    y: float
-    z: float
-
     def __post_init__(self) -> None:
         _require_finite(self.x, self.y, self.z)
         n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
         if abs(n - 1.0) > UNIT_RENORM_TOL:
             raise ValueError(f"not a unit vector (norm {n!r}); use UnitVector.from_vec")
         if abs(n - 1.0) > 1e-12:
-            object.__setattr__(self, "x", self.x / n)
-            object.__setattr__(self, "y", self.y / n)
-            object.__setattr__(self, "z", self.z / n)
+            x, y, z = _unit(self.x, self.y, self.z)
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+            object.__setattr__(self, "z", z)
 
     @classmethod
     def from_vec(cls, v: Vec3) -> UnitVector:
-        n = v.norm()
-        if n < 1e-15:
+        """v/||v|| for any finite v of norm at least 1e-15."""
+        if v.norm() < 1e-15:
             raise ValueError("cannot normalize a (near-)zero vector")
-        return cls(v.x / n, v.y / n, v.z / n)
-
-    @property
-    def vec(self) -> Vec3:
-        return Vec3(self.x, self.y, self.z)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
+        return cls(*_unit(v.x, v.y, v.z))
 
     def __neg__(self) -> UnitVector:
         return UnitVector(-self.x, -self.y, -self.z)
-
-    def dot(self, other: UnitVector | Vec3) -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def cross(self, other: UnitVector | Vec3) -> Vec3:
-        return Vec3(*_k.cross3(self.as_tuple(), (other.x, other.y, other.z)))
 
 
 def _fold_angle(angle: float) -> float:
@@ -165,29 +171,12 @@ class AxisAngle:
 
 
 @dataclass(frozen=True)
-class RodriguesVector:
+class RodriguesVector(Vec3):
     """The rotation vector Q = tan(theta/2)*n.
 
     Any finite magnitude is legal; the encoded angle 2*atan(||Q||) lies in
     [0, pi) automatically, with the axis direction carrying the sign.
     """
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        _require_finite(self.x, self.y, self.z)
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-    @property
-    def vec(self) -> Vec3:
-        return Vec3(self.x, self.y, self.z)
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
     def angle(self) -> float:
         """Rotation angle 2*atan(||Q||), in [0, pi)."""
@@ -373,17 +362,10 @@ def axis_angle_from_rodrigues(q: RodriguesVector) -> AxisAngle:
 
     The zero vector maps to angle 0 about the conventional axis (0, 0, 1).
     """
-    x, y, z = q.as_tuple()
-    n = math.hypot(x, y, z)
+    n = math.hypot(q.x, q.y, q.z)
     if n == 0.0:
         return AxisAngle(UnitVector(0.0, 0.0, 1.0), 0.0)
-    m = n
-    if n < _MIN_NORMAL:
-        # a subnormal norm keeps too few bits to divide by; scaling by a
-        # power of two is exact and brings the components into normal range
-        x, y, z = x * _SUBNORMAL_SCALE, y * _SUBNORMAL_SCALE, z * _SUBNORMAL_SCALE
-        m = math.hypot(x, y, z)
-    return AxisAngle(UnitVector(x / m, y / m, z / m), 2.0 * math.atan(n))
+    return AxisAngle(UnitVector(*_unit(q.x, q.y, q.z)), 2.0 * math.atan(n))
 
 
 def matrix_from_rodrigues(q: RodriguesVector) -> RotationMatrix:
@@ -394,8 +376,7 @@ def matrix_from_rodrigues(q: RodriguesVector) -> RotationMatrix:
     """
     x, y, z = q.as_tuple()
     if x * x + y * y + z * z == math.inf:
-        n = math.hypot(x, y, z)
-        return RotationMatrix(Matrix3(_k.half_turn9((x / n, y / n, z / n))))
+        return RotationMatrix(Matrix3(_k.half_turn9(_unit(x, y, z))))
     return RotationMatrix(Matrix3(_k.rot_from_rod9((x, y, z))))
 
 

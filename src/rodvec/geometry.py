@@ -24,10 +24,12 @@ from rodvec._backend import kernels as _k
 from rodvec.core import (
     Matrix3,
     RodriguesVector,
-    RotationMatrix,
     UnitVector,
     Vec3,
+    _unit,
+    axis_angle_from_rodrigues,
     euler_rodrigues_matrix,
+    matrix_from_rodrigues,
 )
 from rodvec.errors import MissingInput, NotPerpendicular, ParallelAxes
 
@@ -59,8 +61,8 @@ class SphericalTriangle:
     c: UnitVector
 
     def __post_init__(self) -> None:
-        ab = self.b.vec - self.a.vec
-        ac = self.c.vec - self.a.vec
+        ab = self.b - self.a
+        ac = self.c - self.a
         if ab.cross(ac).norm() <= 1e-9:
             raise ValueError("degenerate spherical triangle: vertices are collinear")
 
@@ -74,7 +76,7 @@ def arc_angle(u: UnitVector, v: UnitVector) -> float:
 def plane_basis(axis: UnitVector) -> tuple[Vec3, Vec3]:
     """A deterministic right-handed orthonormal pair (u, v) with u x v = axis."""
     ref = Vec3(0.0, 0.0, 1.0) if abs(axis.z) < 0.9 else Vec3(1.0, 0.0, 0.0)
-    u = UnitVector.from_vec(ref.cross(axis.vec)).vec
+    u = UnitVector.from_vec(ref.cross(axis)).vec
     v = axis.cross(u)
     return u, v
 
@@ -101,15 +103,13 @@ def bisector_intersection(q: RodriguesVector, x: Vec3) -> Vec3:
 def half_angle_point(q: RodriguesVector, a: UnitVector) -> UnitVector:
     """Normalize (1 + Qx) a: the point of the unit arc at angle theta/2 from a.
 
-    Requires ||Q|| > 0 and a perpendicular to Q (|a.Q| <= 1e-9 * ||Q||).
+    Requires ||Q|| > 0 and a perpendicular to Q (|a.Q|/||Q|| <= 1e-9).
     """
-    n = q.norm()
-    if n == 0.0:
+    if not any(q.as_tuple()):
         raise ValueError("half_angle_point needs a nonzero rotation")
-    if abs(a.dot(q.vec)) > 1e-9 * n:
+    if abs(_k.dot3(a.as_tuple(), _unit(q.x, q.y, q.z))) > 1e-9:
         raise NotPerpendicular("a must lie in the plane perpendicular to Q")
-    p = bisector_intersection(q, a.vec)
-    return UnitVector.from_vec(p)
+    return UnitVector.from_vec(bisector_intersection(q, a))
 
 
 def donkin_triangle(q1: RodriguesVector, q2: RodriguesVector) -> SphericalTriangle:
@@ -121,21 +121,22 @@ def donkin_triangle(q1: RodriguesVector, q2: RodriguesVector) -> SphericalTriang
     normalize((1 + Q1x) A) = B and normalize((1 + Q2x) B) = C.
 
     Raises:
-        ParallelAxes: when ||Q1 x Q2|| <= 1e-9 * ||Q1|| * ||Q2|| (the
-            composition is then same-axis and needs no triangle).
+        ParallelAxes: when the unit axes n1, n2 have ||n2 x n1|| <= 1e-9
+            (the composition is then same-axis and needs no triangle).
     """
-    n1 = q1.norm()
-    n2 = q2.norm()
-    if n1 == 0.0 or n2 == 0.0:
+    q1t, q2t = q1.as_tuple(), q2.as_tuple()
+    if not any(q1t) or not any(q2t):
         raise ParallelAxes("both rotations must be nonzero")
-    c = _k.cross3(q2.as_tuple(), q1.as_tuple())
-    cn = _k.norm3(c)
-    if cn <= 1e-9 * n1 * n2:
+    axis1 = _unit(*q1t)
+    axes_cross = _k.cross3(_unit(*q2t), axis1)
+    if _k.norm3(axes_cross) <= 1e-9:
         raise ParallelAxes("rotation axes are parallel; no spherical triangle exists")
-    b = UnitVector(c[0] / cn, c[1] / cn, c[2] / cn)
-    axis1 = UnitVector(q1.x / n1, q1.y / n1, q1.z / n1)
-    half1 = math.atan(n1)  # theta1/2
-    a = UnitVector.from_vec(euler_rodrigues_matrix(axis1, -half1).apply(b.vec))
+    c = _k.cross3(q2t, q1t)
+    if not 0.0 < _k.dot3(c, c) < math.inf:
+        c = axes_cross  # Q2 x Q1 over- or underflows; n2 x n1 has its direction
+    b = UnitVector(*_unit(*c))
+    half1 = math.atan(q1.norm())  # theta1/2
+    a = UnitVector.from_vec(euler_rodrigues_matrix(UnitVector(*axis1), -half1).apply(b))
     cpt = half_angle_point(q2, b)
     return SphericalTriangle(a, b, cpt)
 
@@ -144,10 +145,9 @@ def _double_arc_rotation(u: UnitVector, v: UnitVector) -> Matrix3:
     # rotation by twice the arc angle about u x v; collapsed (parallel or
     # antipodal) pairs give arc 0 or pi, hence angle 0 or 2*pi: identity.
     c = u.cross(v)
-    cn = c.norm()
-    if cn <= 1e-12:
+    if c.norm() <= 1e-12:
         return Matrix3.identity()
-    axis = UnitVector(c.x / cn, c.y / cn, c.z / cn)
+    axis = UnitVector(*_unit(c.x, c.y, c.z))
     return euler_rodrigues_matrix(axis, 2.0 * arc_angle(u, v)).matrix
 
 
@@ -228,17 +228,10 @@ class FigureScene:
         )
 
 
-def _axis_or_convention(q: RodriguesVector) -> UnitVector:
-    n = q.norm()
-    if n == 0.0:
-        return UnitVector(0.0, 0.0, 1.0)
-    return UnitVector(q.x / n, q.y / n, q.z / n)
-
-
 def _scene_fig1a(q: RodriguesVector, x: Vec3) -> FigureScene:
-    axis = _axis_or_convention(q)
+    axis = axis_angle_from_rodrigues(q).axis
     theta = q.angle()
-    center = axis.vec * axis.dot(x)
+    center = axis * axis.dot(x)
     tangent = tangent_to_bisector(q, x)
     meet = bisector_intersection(q, x)
     prims = (
@@ -253,9 +246,9 @@ def _scene_fig1a(q: RodriguesVector, x: Vec3) -> FigureScene:
 
 
 def _scene_fig1b(q: RodriguesVector, x: Vec3) -> FigureScene:
-    axis = _axis_or_convention(q)
+    axis = axis_angle_from_rodrigues(q).axis
     theta = q.angle()
-    center = axis.vec * axis.dot(x)
+    center = axis * axis.dot(x)
     meet = bisector_intersection(q, x)
     origin = Vec3(0.0, 0.0, 0.0)
     prims = (
@@ -270,9 +263,9 @@ def _scene_fig1b(q: RodriguesVector, x: Vec3) -> FigureScene:
 
 
 def _scene_fig1c(q: RodriguesVector, x: Vec3) -> FigureScene:
-    axis = _axis_or_convention(q)
+    axis = axis_angle_from_rodrigues(q).axis
     theta = q.angle()
-    perp = x - axis.vec * axis.dot(x)
+    perp = x - axis * axis.dot(x)
     degenerate = q.norm() == 0.0 or perp.norm() < 1e-12
     origin = Vec3(0.0, 0.0, 0.0)
     if degenerate:
@@ -280,7 +273,7 @@ def _scene_fig1c(q: RodriguesVector, x: Vec3) -> FigureScene:
         a = UnitVector.from_vec(u)
     else:
         a = UnitVector.from_vec(perp)
-    meet = bisector_intersection(q, a.vec)
+    meet = bisector_intersection(q, a)
     h = UnitVector.from_vec(meet) if meet.norm() > 1e-12 else a
     prims = (
         Arc(origin, axis, a.vec, theta, "rotation-arc"),
@@ -293,11 +286,10 @@ def _scene_fig1c(q: RodriguesVector, x: Vec3) -> FigureScene:
 
 
 def _scene_fig2(q: RodriguesVector, x: Vec3) -> FigureScene:
-    axis = _axis_or_convention(q)
+    axis = axis_angle_from_rodrigues(q).axis
     theta = q.angle()
-    center = axis.vec * axis.dot(x)
-    rm = RotationMatrix(Matrix3(_k.rot_from_rod9(q.as_tuple())))
-    rx = rm.apply(x)
+    center = axis * axis.dot(x)
+    rx = matrix_from_rodrigues(q).apply(x)
     meet = bisector_intersection(q, x)
     prims = (
         Arc(center, axis, x, theta, "rotation-arc"),
@@ -315,7 +307,7 @@ def _scene_fig2(q: RodriguesVector, x: Vec3) -> FigureScene:
 
 def _reflect_through(v: UnitVector, w: UnitVector) -> UnitVector:
     s = 2.0 * v.dot(w)
-    return UnitVector.from_vec(w.vec * s - v.vec)
+    return UnitVector.from_vec(w * s - v)
 
 
 def _triangle_arcs(a: UnitVector, b: UnitVector, c: UnitVector, role: str) -> list[Arc]:
@@ -323,17 +315,16 @@ def _triangle_arcs(a: UnitVector, b: UnitVector, c: UnitVector, role: str) -> li
     arcs = []
     for u, v in ((a, b), (b, c), (c, a)):
         w = u.cross(v)
-        wn = w.norm()
-        if wn <= 1e-12:
+        if w.norm() <= 1e-12:
             continue
-        axis = UnitVector(w.x / wn, w.y / wn, w.z / wn)
+        axis = UnitVector(*_unit(w.x, w.y, w.z))
         arcs.append(Arc(origin, axis, u.vec, arc_angle(u, v), role))
     return arcs
 
 
 def _scene_fig4(q1: RodriguesVector, q2: RodriguesVector) -> FigureScene:
     tri = donkin_triangle(q1, q2)
-    view = UnitVector.from_vec(tri.a.vec + tri.b.vec + tri.c.vec)
+    view = UnitVector.from_vec(tri.a + tri.b + tri.c)
     prims: list = []
     prims += _triangle_arcs(tri.a, tri.b, tri.c, "triangle-0")
     for i, vertex in enumerate((tri.a, tri.b, tri.c), start=1):
@@ -347,13 +338,13 @@ def _scene_fig4(q1: RodriguesVector, q2: RodriguesVector) -> FigureScene:
 
 def _scene_fig5(q1: RodriguesVector, q2: RodriguesVector) -> FigureScene:
     tri = donkin_triangle(q1, q2)
-    view = UnitVector.from_vec(tri.a.vec + tri.b.vec + tri.c.vec)
+    view = UnitVector.from_vec(tri.a + tri.b + tri.c)
     u, _ = plane_basis(view)
     offset = -2.6 * u
     # flat "triangle law" panel built from the chord vectors of the arcs
     p0 = offset
-    p1 = offset + (tri.b.vec - tri.a.vec)
-    p2 = offset + (tri.c.vec - tri.a.vec)
+    p1 = offset + (tri.b - tri.a)
+    p2 = offset + (tri.c - tri.a)
     prims: list = [
         Segment(p0, p1, "translation-side"),
         Segment(p1, p2, "translation-side"),

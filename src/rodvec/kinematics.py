@@ -42,27 +42,8 @@ STEP_ANGLE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
-class AngularVelocity:
+class AngularVelocity(Vec3):
     """Instantaneous angular velocity, rad/s, in the fixed frame."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        for v in (self.x, self.y, self.z):
-            if not math.isfinite(v):
-                raise ValueError("non-finite angular velocity component")
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-    @property
-    def vec(self) -> Vec3:
-        return Vec3(self.x, self.y, self.z)
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
 
 @dataclass(frozen=True)
@@ -108,7 +89,7 @@ def infinitesimal_displacement(q: RodriguesVector, x: Vec3) -> Vec3:
     Exactly twice the tangent-to-bisector step: (1 + Qx) x - x = dx/2 is an
     algebraic identity at any magnitude, not an approximation.
     """
-    c = q.vec.cross(x)
+    c = q.cross(x)
     return Vec3(2.0 * c.x, 2.0 * c.y, 2.0 * c.z)
 
 
@@ -119,7 +100,7 @@ def compose_infinitesimal(q1: RodriguesVector, q2: RodriguesVector) -> Rodrigues
 
 def velocity_field(omega: AngularVelocity, x: Vec3) -> Vec3:
     """dx/dt = w x x about a fixed point at the origin."""
-    return omega.vec.cross(x)
+    return omega.cross(x)
 
 
 def rodrigues_increment(omega: AngularVelocity, dt: float, scheme: str = FIRST_ORDER) -> RodriguesVector:

@@ -26,7 +26,7 @@ def _arc_points(arc: Arc) -> list[Vec3]:
     rel = arc.start - arc.center
     a = rel.dot(u)
     b = rel.dot(v)
-    along = rel.dot(arc.axis.vec)
+    along = rel.dot(arc.axis)
     phi0 = math.atan2(b, a)
     r = math.hypot(a, b)
     pts = []
@@ -36,7 +36,7 @@ def _arc_points(arc: Arc) -> list[Vec3]:
             arc.center
             + u * (r * math.cos(phi))
             + v * (r * math.sin(phi))
-            + arc.axis.vec * along
+            + arc.axis * along
         )
     return pts
 

@@ -78,6 +78,12 @@ class TestConvert:
         assert run(capsys, "convert", "rod:1e200,0,0", "--to", "aa") == (
             0, "aa:1,0,0,3.14159265359\n", "")
 
+    def test_overflowing_axis_lengths(self, capsys):
+        assert run(capsys, "convert", "half:1e200,0,0", "--to", "mat") == (
+            0, "mat:1,0,0,0,-1,0,0,0,-1\n", "")
+        assert run(capsys, "convert", "aa:1e200,0,0,1", "--to", "rod") == (
+            0, "rod:0.546302489844,0,0\n", "")
+
     def test_round_trips(self, capsys):
         for spec, fmt in [
             ("rod:0.25,-0.75,1.5", "rod"),
@@ -139,6 +145,18 @@ class TestCompose:
         mat = [float(v) for v in out.splitlines()[-1].removeprefix("mat:").split(",")]
         assert mat == pytest.approx([-1, 0, 0, 0, -1, 0, 0, 0, 1], abs=1e-12)
 
+    def test_overflowing_product_is_rescaled(self, capsys):
+        # the cross term of the Euler-parameter product is 1e400
+        code, out, _ = run(capsys, "compose", "rod:1e200,0,0", "rod:0,1e200,0")
+        assert code == 0
+        mat = [float(v) for v in out.splitlines()[-1].removeprefix("mat:").split(",")]
+        assert mat == pytest.approx([-1, 0, 0, 0, -1, 0, 0, 0, 1], abs=1e-12)
+
+    def test_overflowing_quotient_gives_half_turn(self, capsys):
+        # 1 - Q2.Q1 = 3e-9 passes the half-turn test, but Q1/3e-9 overflows
+        code, out, _ = run(capsys, "compose", "rod:1e300,0,0", "rod:0.999999997e-300,0,0")
+        assert (code, out.splitlines()[1]) == (0, "half:1,0,0")
+
 
 class TestDonkin:
     def test_worked_arcs_and_residual(self, capsys):
@@ -155,6 +173,11 @@ class TestDonkin:
 
     def test_parallel_axes_exit_4(self, capsys):
         assert run(capsys, "donkin", "rod:0,0,1", "rod:0,0,2")[0] == 4
+
+    def test_overflowing_axis_length(self, capsys):
+        code, out, _ = run(capsys, "donkin", "rod:1e200,0,0", "rod:0,1,0")
+        assert code == 0
+        assert float(out.splitlines()[-1].removeprefix("residual = ")) <= 1e-10
 
     def test_half_turn_input_rejected(self, capsys):
         assert run(capsys, "donkin", "half:0,0,1", "rod:1,0,0")[0] == 2
@@ -271,6 +294,14 @@ class TestFigure:
         ns = "{http://www.w3.org/2000/svg}"
         triangles = {el.get("class").split()[1] for el in root.findall(f".//{ns}path")}
         assert len(triangles) == 4
+
+    def test_overflowing_rotation(self, capsys, tmp_path):
+        for kind in ("fig1a", "fig1b", "fig1c", "fig2"):
+            code, _, err = run(
+                capsys, "figure", "--kind", kind, "--q", "1e200,1,0", "--x", "1,0.5,-0.2",
+                "--out", str(tmp_path / f"{kind}.svg"),
+            )
+            assert (kind, code, err) == (kind, 0, "")
 
     def test_missing_x_exit_2(self, capsys, tmp_path):
         code, _, _ = run(

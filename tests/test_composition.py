@@ -153,6 +153,12 @@ class TestCompositionDiagnostics:
                 RodriguesVector(0, 1, 0), RodriguesVector(1, 0, 0), UnitVector(1, 0, 0)
             )
 
+    def test_rejects_non_perpendicular_past_norm_overflow(self):
+        with pytest.raises(NotPerpendicular):
+            composition_diagnostics(
+                RodriguesVector(0, 1, 0), RodriguesVector(1e200, 0, 0), UnitVector(1, 0, 0)
+            )
+
     def test_degenerate_composition_raises(self):
         with pytest.raises(DegenerateComposition):
             composition_diagnostics(

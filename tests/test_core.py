@@ -51,6 +51,28 @@ class TestVecTypes:
         assert aa.angle == pytest.approx(-math.pi / 2.0)
         assert AxisAngle(UnitVector(0, 0, 1), -math.pi).angle == math.pi
 
+    def test_vector_types_are_vec3s(self):
+        u = UnitVector(0.0, 1.0, 0.0)
+        q = RodriguesVector(1.0, 2.0, 3.0)
+        assert isinstance(u, Vec3) and isinstance(q, Vec3)
+        assert q.cross(u) == Vec3(-3.0, 0.0, 1.0)
+        # arithmetic that is not a rotation or a direction gives a plain Vec3
+        assert type(q * 2.0) is Vec3 and type(u - q) is Vec3
+        assert type(-q) is RodriguesVector and type(q + q) is RodriguesVector
+        assert type(-u) is UnitVector
+        assert u != Vec3(0.0, 1.0, 0.0)
+
+    def test_unit_from_vec_any_finite_length(self):
+        for v, want in [
+            (Vec3(1e200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+            (Vec3(1.7e308, -1.7e308, 0.0), (2**-0.5, -(2**-0.5), 0.0)),
+            (Vec3(0.0, 3e-15, -4e-15), (0.0, 0.6, -0.8)),
+        ]:
+            u = UnitVector.from_vec(v)
+            assert (u.x, u.y, u.z) == pytest.approx(want, abs=1e-15)
+        with pytest.raises(ValueError):
+            UnitVector.from_vec(Vec3(1e-16, 0.0, 0.0))
+
     def test_half_turn_axis_canonicalized(self):
         h = HalfTurn(UnitVector(0.0, 0.0, -1.0))
         assert h.axis == UnitVector(0.0, 0.0, 1.0)

@@ -104,6 +104,13 @@ class TestHalfAnglePoint:
         with pytest.raises(NotPerpendicular):
             half_angle_point(RodriguesVector(0, 0, 1), UnitVector(0, 0, 1))
 
+    def test_rejects_non_perpendicular_past_norm_overflow(self):
+        # ||Q||^2 overflows here; the test must not turn into |a.Q| <= inf
+        with pytest.raises(NotPerpendicular):
+            half_angle_point(RodriguesVector(1e200, 0, 0), UnitVector(1, 0, 0))
+        h = half_angle_point(RodriguesVector(1e200, 0, 0), UnitVector(0, 1, 0))
+        assert vec_np(h) == pytest.approx([0.0, 0.0, 1.0], abs=1e-15)
+
     def test_equals_half_angle_rotation(self, rng):
         for _ in range(1000):
             q = rand_rod(rng, 2.8)
@@ -150,6 +157,18 @@ class TestDonkinTriangle:
     def test_parallel_axes_rejected(self):
         with pytest.raises(ParallelAxes):
             donkin_triangle(RodriguesVector(0, 0, 1), RodriguesVector(0, 0, 2))
+
+    def test_axes_of_any_finite_length(self):
+        # ||Q1||^2 overflows in the first pair, Q2 x Q1 itself in the second
+        for q2, half2 in [
+            (RodriguesVector(0, 1, 0), math.pi / 4),
+            (RodriguesVector(0, 1e200, 0), math.pi / 2),
+        ]:
+            tri = donkin_triangle(RodriguesVector(1e200, 0, 0), q2)
+            assert vec_np(tri.b) == pytest.approx([0.0, 0.0, -1.0], abs=1e-15)
+            assert arc_angle(tri.a, tri.b) == pytest.approx(math.pi / 2)
+            assert arc_angle(tri.b, tri.c) == pytest.approx(half2)
+            assert donkin_verify(tri) <= 1e-10
 
     def test_arcs_are_half_angles(self):
         q1 = RodriguesVector(1, 0, 0)
