@@ -26,6 +26,7 @@ from rodvec.core import (
     RotationMatrix,
     UnitVector,
     Vec3,
+    _require_finite,
     axis_angle_from_rodrigues,
     matrix_from_half_turn,
     matrix_from_rodrigues,
@@ -59,7 +60,7 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
     if len(parts) != count:
         raise SpecFormatError(f"{what} needs {count} comma-separated numbers, got {len(parts)}")
     try:
-        return tuple(float(p) for p in parts)
+        return tuple(map(float, parts))
     except ValueError as exc:
         raise SpecFormatError(f"bad number in {what}: {exc}") from None
 
@@ -150,6 +151,23 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
+def _lambda(q2: RodriguesVector, q1: RodriguesVector) -> float:
+    """The conditioning number 1 - Q2.Q1 of the composition law.
+
+    When the dot product overflows it is taken again from the operands
+    divided by their largest components, so that lambda is +-inf past the
+    float range, never nan.
+    """
+    d = q2.x * q1.x + q2.y * q1.y + q2.z * q1.z
+    if not math.isfinite(d):
+        m2 = max(map(abs, q2.as_tuple()))
+        m1 = max(map(abs, q1.as_tuple()))
+        x2, y2, z2 = q2.x / m2, q2.y / m2, q2.z / m2
+        x1, y1, z1 = q1.x / m1, q1.y / m1, q1.z / m1
+        d = m2 * (m1 * (x2 * x1 + y2 * y1 + z2 * z1))
+    return 1.0 - d
+
+
 def _cmd_compose(args: argparse.Namespace) -> int:
     if len(args.specs) < 2:
         raise SpecFormatError("compose needs at least two rotation specs")
@@ -157,8 +175,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     acc = rotations[0]
     for i, nxt in enumerate(rotations[1:], start=1):
         if isinstance(acc, RodriguesVector) and isinstance(nxt, RodriguesVector):
-            lam = 1.0 - (nxt.x * acc.x + nxt.y * acc.y + nxt.z * acc.z)
-            print(f"lambda[{i}] = {_fmt(lam, args.precision)}")
+            print(f"lambda[{i}] = {_fmt(_lambda(nxt, acc), args.precision)}")
         else:
             print(f"lambda[{i}] = n/a (half-turn operand)")
         acc = compose_general(nxt, acc)
@@ -184,38 +201,42 @@ def _cmd_donkin(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_omega_file(path: str) -> list[kinematics.AngularVelocitySample]:
+def _parse_omega_file(path: str) -> tuple[list[float], list[tuple[float, float, float]]]:
+    """Sample times and (wx, wy, wz) rates of a 't wx wy wz' file, all finite."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise SpecFormatError(f"cannot read omega file: {exc}") from None
-    samples = []
+    times, rates = [], []
     for lineno, line in enumerate(lines, start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        parts = line.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = body.split()
         if len(parts) != 4:
             raise SpecFormatError(f"{path}:{lineno}: expected 't wx wy wz', got {len(parts)} fields")
         try:
-            t, wx, wy, wz = (float(p) for p in parts)
+            t, wx, wy, wz = map(float, parts)
         except ValueError as exc:
             raise SpecFormatError(f"{path}:{lineno}: {exc}") from None
-        samples.append(
-            kinematics.AngularVelocitySample(t, kinematics.AngularVelocity(wx, wy, wz))
-        )
-    if len(samples) < 2:
-        raise SpecFormatError(f"{path}: need at least 2 samples, got {len(samples)}")
-    return samples
+        if not math.isfinite(t + wx + wy + wz):  # the sum may also overflow
+            _require_finite(wx, wy, wz)
+            if not math.isfinite(t):
+                raise ValueError("non-finite sample time")
+        times.append(t)
+        rates.append((wx, wy, wz))
+    if len(times) < 2:
+        raise SpecFormatError(f"{path}: need at least 2 samples, got {len(times)}")
+    return times, rates
 
 
 def _trajectory_lines(
-    traj: kinematics.AttitudeTrajectory, digits: int, matrix_cols: bool
+    points: list[tuple[float, RotationResult]], digits: int, matrix_cols: bool
 ) -> list[str]:
     header = "# t qx qy qz" + (" r11 r21 r31 r12 r22 r32" if matrix_cols else "")
+    row = " ".join(["{:.%dg}" % digits] * (10 if matrix_cols else 4))
     out = [header]
-    for t, orient in traj:
+    for t, orient in points:
         if isinstance(orient, HalfTurn):
             cols = [t, math.nan, math.nan, math.nan]
         else:
@@ -223,25 +244,24 @@ def _trajectory_lines(
         if matrix_cols:
             e = _result_matrix(orient).elements
             cols += [e[0], e[3], e[6], e[1], e[4], e[7]]
-        out.append(" ".join(_fmt(c, digits) if c == c else "nan" for c in cols))
+        out.append(row.format(*[c + 0.0 for c in cols]))  # + 0.0 folds -0.0 as _fmt does
     return out
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
-    samples = _parse_omega_file(args.file)
+    times, rates = _parse_omega_file(args.file)
     initial = parse_rotation_spec(args.initial, args.degrees) if args.initial else None
-    traj = kinematics.integrate_attitude(
-        samples, scheme=args.scheme, initial=initial, substeps=args.substeps
-    )
+    points = kinematics._integrate(times, rates, args.scheme, initial, args.substeps)
+    del times, rates  # freed before the trajectory text is built
     if args.out or args.trajectory:
-        lines = _trajectory_lines(traj, args.precision, args.matrix_cols)
+        lines = _trajectory_lines(points, args.precision, args.matrix_cols)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("\n".join(lines) + "\n")
         if args.trajectory:
             for line in lines:
                 print(line)
-    _print_result_block(traj.final, args.precision, args.degrees, prefix="final ")
+    _print_result_block(points[-1][1], args.precision, args.degrees, prefix="final ")
     return 0
 
 

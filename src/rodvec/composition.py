@@ -80,8 +80,31 @@ def compose_general(b: RotationResult, a: RotationResult) -> RotationResult:
     is taken again from the operands divided by their largest components;
     a positive factor changes neither v/s, the test nor v/||v||.
     """
-    s2, (x2, y2, z2) = (0.0, b.axis.as_tuple()) if isinstance(b, HalfTurn) else (1.0, b.as_tuple())
-    s1, (x1, y1, z1) = (0.0, a.axis.as_tuple()) if isinstance(a, HalfTurn) else (1.0, a.as_tuple())
+    s2, x2, y2, z2 = _lift(b)
+    s1, x1, y1, z1 = _lift(a)
+    s, x, y, z = _compose_lifted(s2, x2, y2, z2, s1, x1, y1, z1)
+    return _from_lifted(s, x, y, z)
+
+
+def _lift(r: RotationResult) -> tuple[float, float, float, float]:
+    """Euler parameters (s, v) of a rotation: (1, Q) or (0, n)."""
+    if isinstance(r, HalfTurn):
+        return (0.0, *r.axis.as_tuple())
+    return (1.0, r.x, r.y, r.z)
+
+
+def _from_lifted(s: float, x: float, y: float, z: float) -> RotationResult:
+    """The rotation of a projected product (1, Q) or (0, n)."""
+    if s:
+        return RodriguesVector(x, y, z)
+    return HalfTurn(UnitVector(x, y, z))
+
+
+def _compose_lifted(
+    s2: float, x2: float, y2: float, z2: float, s1: float, x1: float, y1: float, z1: float
+) -> tuple[float, float, float, float]:
+    """compose_general on Euler parameters: (1, Q) for the Rodrigues vector
+    Q = v/s of the product, or (0, n) for the half-turn about the unit n."""
     while True:
         # the operation order of _k.compose_num_den, so that s1 = s2 = 1
         # reproduces its numerator and denominator bit for bit
@@ -98,11 +121,11 @@ def compose_general(b: RotationResult, a: RotationResult) -> RotationResult:
         s2, x2, y2, z2 = s2 / m2, x2 / m2, y2 / m2, z2 / m2
         s1, x1, y1, z1 = s1 / m1, x1 / m1, y1 / m1, z1 / m1
     if abs(s) > DEGENERACY_REL_TOL * scale:
-        try:
-            return RodriguesVector(vx / s, vy / s, vz / s)
-        except ValueError:
-            pass  # v/s overflows: the rotation is pi to within 2/||v/s||
-    return HalfTurn(UnitVector(*_unit(vx, vy, vz)))
+        qx, qy, qz = vx / s, vy / s, vz / s
+        if math.isfinite(qx) and math.isfinite(qy) and math.isfinite(qz):
+            return 1.0, qx, qy, qz
+        # v/s overflows: the rotation is pi to within 2/||v/s||
+    return (0.0, *_unit(vx, vy, vz))
 
 
 def composition_diagnostics(

@@ -59,20 +59,25 @@ def _require_finite(*values: float) -> None:
             raise ValueError(f"non-finite component: {v!r}")
 
 
-def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """(x, y, z) divided by its norm, for any finite nonzero vector.
+def _scaled_norm(x: float, y: float, z: float) -> tuple[float, float]:
+    """(n, f): n is the norm of (f x, f y, f z), for any finite vector.
 
-    When the sum of squares overflows, or falls below the smallest normal
-    float and so keeps too few bits to divide by, the components are first
-    scaled by a power of two, which is exact.
+    f is 1 unless the sum of squares overflows, or falls below the smallest
+    normal float and so keeps too few bits; then f is the power of two
+    2**-600 or 2**600, so that scaling by it is exact.
     """
     ss = x * x + y * y + z * z
     if ss == math.inf or ss < _MIN_NORMAL:
         f = _SCALE_DOWN if ss == math.inf else _SCALE_UP
         x, y, z = x * f, y * f, z * f
-        ss = x * x + y * y + z * z
-    n = math.sqrt(ss)
-    return x / n, y / n, z / n
+        return math.sqrt(x * x + y * y + z * z), f
+    return math.sqrt(ss), 1.0
+
+
+def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(x, y, z) divided by its norm, for any finite nonzero vector."""
+    n, f = _scaled_norm(x, y, z)
+    return x * f / n, y * f / n, z * f / n
 
 
 @dataclass(frozen=True)
@@ -198,7 +203,7 @@ class Matrix3:
     def __post_init__(self) -> None:
         if len(self.elements) != 9:
             raise ValueError("Matrix3 takes exactly 9 elements")
-        elems = tuple(float(e) for e in self.elements)
+        elems = tuple(map(float, self.elements))
         _require_finite(*elems)
         object.__setattr__(self, "elements", elems)
 

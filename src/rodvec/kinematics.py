@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
-from rodvec.composition import RotationResult, compose_general
-from rodvec.core import Matrix3, RodriguesVector, Vec3
+from rodvec.composition import RotationResult, _compose_lifted, _from_lifted, _lift
+from rodvec.core import Matrix3, RodriguesVector, Vec3, _require_finite, _scaled_norm
 from rodvec.errors import NonMonotonicTime, StepTooLarge
 
 __all__ = [
@@ -115,33 +116,35 @@ def rodrigues_increment(omega: AngularVelocity, dt: float, scheme: str = FIRST_O
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    return RodriguesVector(*_increment(omega.x, omega.y, omega.z, dt, scheme == EXACT_STEP))
+
+
+def _increment(wx: float, wy: float, wz: float, dt: float, exact: bool) -> tuple[float, float, float]:
+    """rodrigues_increment on floats; a non-finite Q raises ValueError.
+
+    |w| is the plain square root of the sum of squares wherever that sum
+    is a finite normal float, and is taken from a power-of-two scaled
+    copy of w elsewhere, so that no |w| overflows or underflows.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    w = omega.norm()
-    if scheme == FIRST_ORDER:
-        s = 0.5 * dt
-        return RodriguesVector(omega.x * s, omega.y * s, omega.z * s)
-    if w == 0.0:
-        return RodriguesVector(0.0, 0.0, 0.0)
-    angle = w * dt
-    if angle >= math.pi - STEP_ANGLE_MARGIN:
-        raise StepTooLarge(
-            f"step spans {angle:.6g} rad, at/over the half-angle tangent pole; "
-            "reduce dt or add substeps"
-        )
-    t = math.tan(0.5 * angle) / w
-    return RodriguesVector(omega.x * t, omega.y * t, omega.z * t)
-
-
-def _lerp_omega(
-    s0: AngularVelocitySample, s1: AngularVelocitySample, t: float
-) -> AngularVelocity:
-    u = (t - s0.t) / (s1.t - s0.t)
-    return AngularVelocity(
-        s0.omega.x + u * (s1.omega.x - s0.omega.x),
-        s0.omega.y + u * (s1.omega.y - s0.omega.y),
-        s0.omega.z + u * (s1.omega.z - s0.omega.z),
-    )
+    if exact:
+        n, f = _scaled_norm(wx, wy, wz)
+        w = n / f
+        if w == 0.0:
+            return 0.0, 0.0, 0.0
+        angle = w * dt
+        if angle >= math.pi - STEP_ANGLE_MARGIN:
+            raise StepTooLarge(
+                f"step spans {angle:.6g} rad, at/over the half-angle tangent pole; "
+                "reduce dt or add substeps"
+            )
+        c = math.tan(0.5 * angle) / w
+    else:
+        c = 0.5 * dt
+    q = (wx * c, wy * c, wz * c)
+    _require_finite(*q)
+    return q
 
 
 def integrate_attitude(
@@ -163,22 +166,46 @@ def integrate_attitude(
         NonMonotonicTime: if sample times are not strictly increasing.
         StepTooLarge: propagated from the exact-step increment.
     """
-    if len(samples) < 2:
+    times = [s.t for s in samples]
+    rates = [s.omega.as_tuple() for s in samples]
+    return AttitudeTrajectory(tuple(_integrate(times, rates, scheme, initial, substeps)))
+
+
+def _integrate(
+    times: list[float],
+    rates: list[tuple[float, float, float]],
+    scheme: str,
+    initial: RotationResult | None,
+    substeps: int,
+) -> list[tuple[float, RotationResult]]:
+    """integrate_attitude on finite sample times and (wx, wy, wz) rates.
+
+    The orientation is carried as the Euler parameters of the composition
+    law, (1, Q) or (0, n), and becomes a RodriguesVector or HalfTurn only
+    at the sample times; the points are returned as a list.
+    """
+    if len(times) < 2:
         raise ValueError("need at least two samples")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    for s0, s1 in zip(samples, samples[1:]):
-        if not s1.t > s0.t:
-            raise NonMonotonicTime(f"sample times must increase: {s0.t} -> {s1.t}")
+    for t0, t1 in pairwise(times):
+        if not t1 > t0:
+            raise NonMonotonicTime(f"sample times must increase: {t0} -> {t1}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    exact = scheme == EXACT_STEP
 
-    orientation: RotationResult = initial if initial is not None else RodriguesVector(0.0, 0.0, 0.0)
-    points = [(samples[0].t, orientation)]
-    for s0, s1 in zip(samples, samples[1:]):
-        dt = (s1.t - s0.t) / substeps
+    orientation = initial if initial is not None else RodriguesVector(0.0, 0.0, 0.0)
+    s, x, y, z = _lift(orientation)
+    points = [(times[0], orientation)]
+    for (t0, t1), ((ax, ay, az), (bx, by, bz)) in zip(pairwise(times), pairwise(rates)):
+        dt = (t1 - t0) / substeps
         for i in range(substeps):
-            mid = s0.t + (i + 0.5) * dt
-            w = _lerp_omega(s0, s1, mid)
-            step = rodrigues_increment(w, dt, scheme)
-            orientation = compose_general(step, orientation)
-        points.append((s1.t, orientation))
-    return AttitudeTrajectory(tuple(points))
+            # omega at the step midpoint, linear between the samples
+            u = (t0 + (i + 0.5) * dt - t0) / (t1 - t0)
+            wx, wy, wz = ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az)
+            _require_finite(wx, wy, wz)
+            qx, qy, qz = _increment(wx, wy, wz, dt, exact)
+            s, x, y, z = _compose_lifted(1.0, qx, qy, qz, s, x, y, z)
+        points.append((t1, _from_lifted(s, x, y, z)))
+    return points

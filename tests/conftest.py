@@ -8,12 +8,20 @@ inv) so each check has two routes.
 from __future__ import annotations
 
 import math
+import os
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rodvec import RodriguesVector, UnitVector, Vec3
+
+# ``python -m rodvec`` subprocesses import the package from src/ as well,
+# also in a checkout where it is not installed
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+if _SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def to_np(m) -> np.ndarray:

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -157,6 +159,17 @@ class TestCompose:
         code, out, _ = run(capsys, "compose", "rod:1e300,0,0", "rod:0.999999997e-300,0,0")
         assert (code, out.splitlines()[1]) == (0, "half:1,0,0")
 
+    def test_overflowing_lambda_is_rescaled(self, capsys):
+        # Q2.Q1 = 1e400 - 1e400 overflows to inf - inf; the true lambda is 1
+        code, out, _ = run(capsys, "compose", "rod:1e200,1e200,0", "rod:1e200,-1e200,0")
+        assert (code, out.splitlines()[0]) == (0, "lambda[1] = 1")
+
+    def test_lambda_past_the_float_range_is_infinite(self, capsys):
+        # the true lambda is 1 - 1e400
+        code, out, _ = run(capsys, "compose", "rod:1e200,0,0", "rod:1e200,0,0")
+        assert (code, out.splitlines()[0]) == (0, "lambda[1] = -inf")
+        assert "nan" not in out
+
 
 class TestDonkin:
     def test_worked_arcs_and_residual(self, capsys):
@@ -265,6 +278,86 @@ class TestIntegrate:
         code, out, _ = run(capsys, "integrate", path, "--initial", "half:0,0,1")
         assert code == 0
         assert out.splitlines()[0] == "final rod:0,0,-199.998333331"
+
+    def test_non_finite_sample_time_exit_2(self, capsys, tmp_path):
+        path = self.write_omega(tmp_path, ["0 0 0 1", "nan 0 0 1"])
+        assert run(capsys, "integrate", path) == (2, "", "error: non-finite sample time\n")
+
+    def test_non_finite_rate_exit_2(self, capsys, tmp_path):
+        path = self.write_omega(tmp_path, ["0 0 0 1", "1 0 inf 1"])
+        assert run(capsys, "integrate", path) == (2, "", "error: non-finite component: inf\n")
+
+    def test_overflowing_interpolated_rate_exit_2(self, capsys, tmp_path):
+        # the step midpoint rate is 1e308 + 0.5 * (-1e308 - 1e308) = -inf
+        path = self.write_omega(tmp_path, ["0 1e308 0 0", "1 -1e308 0 0"])
+        assert run(capsys, "integrate", path) == (2, "", "error: non-finite component: -inf\n")
+
+    def test_overflowing_first_order_increment_exit_2(self, capsys, tmp_path):
+        # Q = w dt / 2 = 5e308
+        path = self.write_omega(tmp_path, ["0 1e308 0 0", "10 1e308 0 0"])
+        assert run(capsys, "integrate", path, "--scheme", "first-order") == (
+            2,
+            "",
+            "error: non-finite component: inf\n",
+        )
+
+    def test_half_turn_trajectory_rows(self, capsys, tmp_path):
+        path = self.write_omega(tmp_path, ["0 0 0 0", "0.5 0 0 0", "1 0 0 0"])
+        code, out, _ = run(
+            capsys, "integrate", path, "--initial", "half:0,0,1", "--trajectory", "--matrix-cols"
+        )
+        assert code == 0
+        rows = out.splitlines()[1:4]
+        assert rows == [f"{t} nan nan nan -1 0 0 0 -1 0" for t in ("0", "0.5", "1")]
+
+
+def _spin_log(tmp_path):
+    """500 samples with jittered times of a spin of about 3 rad/s, which
+    passes theta = pi twice."""
+    rng = random.Random(0)
+    t = 0.0
+    rows = []
+    for _ in range(500):
+        w = (
+            0.4 + 0.2 * rng.uniform(-1, 1),
+            -0.3 + 0.2 * rng.uniform(-1, 1),
+            2.9 + 0.2 * rng.uniform(-1, 1),
+        )
+        rows.append(" ".join(repr(v) for v in (t, *w)))
+        t += 0.01 * rng.uniform(0.9, 1.1)
+    path = tmp_path / "spin.txt"
+    path.write_text("# t wx wy wz\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+class TestIntegrateOutputDigests:
+    """The sha256 of the printed trajectory, pinned so that a change to the
+    integrator or to the formatting cannot move a single byte unnoticed."""
+
+    @pytest.mark.parametrize(
+        "options, sub_options, digest",
+        [
+            ([], [], "d094fc471f68122d509fd2e8448d8a2cbd503c2eb9ea920282592e04de7f7bdc"),
+            (
+                [],
+                ["--substeps", "3", "--scheme", "first-order"],
+                "39a03baa9150a9efa1a33427db64de7c6cf1892ed16db239fce084e6926ba809",
+            ),
+            (
+                ["--precision", "17", "--degrees"],
+                ["--initial", "aa:0,0.6,0.8,1"],
+                "0f2a404f0c323fdc1e86b1d484f5fabbee130638414c6724c23fc9fa90207a06",
+            ),
+        ],
+    )
+    def test_trajectory_digest(self, capsys, tmp_path, options, sub_options, digest):
+        path = _spin_log(tmp_path)
+        code, out, err = run(
+            capsys, *options, "integrate", path, "--trajectory", "--matrix-cols", *sub_options
+        )
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 504
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestFigure:

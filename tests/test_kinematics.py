@@ -182,6 +182,18 @@ class TestRodriguesIncrement:
         with pytest.raises(ValueError):
             rodrigues_increment(AngularVelocity(0, 0, 1), 1.0, "midpoint")
 
+    def test_exact_step_rate_past_square_overflow(self):
+        # |w| = 1e200 over 1e-300 s is a 1e-100 rad step; |w|^2 overflows
+        q = rodrigues_increment(AngularVelocity(1e200, 0, 0), 1e-300, EXACT_STEP)
+        assert q.x == pytest.approx(5e-101, rel=1e-15, abs=0.0)
+        assert (q.y, q.z) == (0.0, 0.0)
+
+    def test_exact_step_rate_past_square_underflow(self):
+        # |w|^2 = 1e-340 is below the smallest normal float
+        q = rodrigues_increment(AngularVelocity(1e-170, 0, 0), 1.0, EXACT_STEP)
+        assert q.x == pytest.approx(5e-171, rel=1e-15, abs=0.0)
+        assert (q.y, q.z) == (0.0, 0.0)
+
 
 class TestIntegrateAttitude:
     def test_constant_omega_exact_any_step_count(self):
