@@ -9,6 +9,7 @@ anywhere here.
 
 from __future__ import annotations
 
+import math
 import sys
 
 from rodvec._backend import kernels as _k
@@ -28,6 +29,10 @@ __all__ = [
     "cayley_residuals",
 ]
 
+#: Largest |component| of Q for which 1 + Q.Q fits in double-double, the
+#: precision of the product route in ``cayley_rot9``
+_DD_LIMIT = 2.0**53
+
 
 def cayley_rotation(q: RodriguesVector) -> RotationMatrix:
     """R = (1 - Qx)^-1 (1 + Qx), the inverse taken from its explicit form.
@@ -35,17 +40,61 @@ def cayley_rotation(q: RodriguesVector) -> RotationMatrix:
     This is a route to the rotation matrix independent of
     :func:`rodvec.core.matrix_from_rodrigues`; the two agree to ~1e-15
     elementwise, which is itself one of the package's standing checks.
+
+    The product cancels terms of size ||Q||^3 down to ||Q||^2, so it loses
+    accuracy once 1 + Q.Q no longer fits in double-double, and overflows
+    from ||Q|| ~ 6e102.  When a component of Q exceeds 2**53 (rotations
+    within 2e-16 rad of pi), R is taken as 2 (1 - Qx)^-1 - 1, the same
+    product rearranged, with the inverse evaluated on Q scaled by its
+    largest component.
     """
-    return RotationMatrix(Matrix3(_k.cayley_rot9(q.as_tuple())))
+    x, y, z = q.as_tuple()
+    if max(abs(x), abs(y), abs(z)) > _DD_LIMIT:
+        m = [2.0 * v for v in _inverse_scaled(x, y, z)]
+        for i in (0, 4, 8):
+            m[i] -= 1.0
+        return RotationMatrix(Matrix3(m))
+    return RotationMatrix(Matrix3(_k.cayley_rot9((x, y, z))))
 
 
 def cayley_inverse_explicit(q: RodriguesVector) -> Matrix3:
     """(1 - Qx)^-1 = 1 + ((Qx) + (Qx)^2)/(1 + Q.Q).
 
     Returned as a plain matrix (it is not a rotation).  Multiplying by
-    (1 - Qx) on either side reproduces the identity to ~1e-15.
+    (1 - Qx) on either side reproduces the identity to ~1e-15.  Where the
+    double-double evaluation overflows (||Q|| beyond about 1e150), the
+    same closed form is evaluated on Q scaled by its largest component.
     """
-    return Matrix3(_k.cayley_inv9(q.as_tuple()))
+    t = q.as_tuple()
+    m = _k.cayley_inv9(t)
+    if not math.isfinite(sum(m)):  # entries are at most 1: the sum is finite iff they are
+        m = _inverse_scaled(*t)
+    return Matrix3(m)
+
+
+def _inverse_scaled(x: float, y: float, z: float) -> tuple[float, ...]:
+    """(1 - Qx)^-1 for a nonzero Q, from P = Q/c with c its largest |component|.
+
+    Numerator and denominator of the explicit inverse divided by c^2 give
+    (e^2 1 + e (Px) + P P^T)/(e^2 + P.P) with e = 1/c: no term overflows,
+    and P.P >= 1 keeps the denominator away from 0.
+    """
+    c = max(abs(x), abs(y), abs(z))
+    e = 1.0 / c
+    x, y, z = x / c, y / c, z / c
+    e2 = e * e
+    d = e2 + (x * x + y * y + z * z)
+    return (
+        (e2 + x * x) / d,
+        (x * y - e * z) / d,
+        (x * z + e * y) / d,
+        (x * y + e * z) / d,
+        (e2 + y * y) / d,
+        (y * z - e * x) / d,
+        (x * z - e * y) / d,
+        (y * z + e * x) / d,
+        (e2 + z * z) / d,
+    )
 
 
 def rodrigues_from_matrix(r: RotationMatrix | Matrix3) -> RodriguesVector | HalfTurn:

@@ -200,7 +200,9 @@ def _integrate(
     points = [(times[0], orientation)]
     for (t0, t1), ((ax, ay, az), (bx, by, bz)) in zip(pairwise(times), pairwise(rates)):
         dt = (t1 - t0) / substeps
-        for i in range(substeps):
+        # an interval shorter than substeps * 5e-324 has steps of dt = 0,
+        # which are the identity
+        for i in range(substeps if dt > 0.0 else 0):
             # omega at the step midpoint, linear between the samples
             u = (t0 + (i + 0.5) * dt - t0) / (t1 - t0)
             wx, wy, wz = ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az)

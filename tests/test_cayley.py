@@ -21,6 +21,7 @@ from rodvec import (
     matrix_from_rodrigues,
     rodrigues_from_matrix,
 )
+from rodvec._backend import kernels as _k
 from conftest import np_skew, rand_rod, rand_vec, to_np, vec_np
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
@@ -54,6 +55,13 @@ class TestCayleyRotation:
             expected = np.linalg.solve(np.eye(3) - k, np.eye(3) + k)
             assert np.max(np.abs(to_np(cayley_rotation(q)) - expected)) <= 1e-12
 
+    def test_kernel_bits_up_to_the_limit(self, rng):
+        # below 2**53 in every component the product route is taken unchanged
+        for scale in (1.0, 1e8, 2.0**53):
+            for _ in range(50):
+                q = RodriguesVector(*(rng.uniform(-scale, scale) for _ in range(3)))
+                assert cayley_rotation(q).elements == _k.cayley_rot9(q.as_tuple())
+
 
 class TestCayleyInverseExplicit:
     def test_zero_is_identity(self):
@@ -76,6 +84,21 @@ class TestCayleyInverseExplicit:
             m = to_np(cayley_inverse_explicit(q))
             expected = np.linalg.inv(np.eye(3) - np_skew(vec_np(q)))
             assert np.max(np.abs(m - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("q", [(1e154, 5e153, 0.0), (1.7e308, -1e308, 1.0), (0.0, 3e200, 0.0)])
+    def test_past_overflow(self, q):
+        # 1 + Q.Q overflows; the closed form on Q/max|q_i| stays finite
+        qv = RodriguesVector(*q)
+        m = to_np(cayley_inverse_explicit(qv))
+        v = vec_np(qv) / np.max(np.abs(vec_np(qv)))
+        n = v / np.linalg.norm(v)
+        assert np.max(np.abs(m - np.outer(n, n))) <= 1e-15
+
+    def test_kernel_bits_where_finite(self, rng):
+        for scale in (1.0, 1e8, 1e100, 6e149):
+            for _ in range(50):
+                q = RodriguesVector(*(rng.uniform(-scale, scale) for _ in range(3)))
+                assert cayley_inverse_explicit(q).elements == _k.cayley_inv9(q.as_tuple())
 
 
 class TestRodriguesFromMatrix:

@@ -279,6 +279,15 @@ class TestIntegrate:
         assert code == 0
         assert out.splitlines()[0] == "final rod:0,0,-199.998333331"
 
+    def test_steps_underflowing_to_zero_are_the_identity(self, capsys, tmp_path):
+        # (5e-324 - 0)/3 rounds to 0: the first interval does not rotate
+        path = self.write_omega(tmp_path, ["0 0 0 1", "5e-324 0 0 1", "1 0 0 1"])
+        code, out, err = run(capsys, "integrate", path, "--substeps", "3", "--trajectory")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()
+        assert rows[1:3] == ["0 0 0 0", "4.94065645841e-324 0 0 0"]
+        assert rows[4] == "final rod:0,0,0.546302489844"
+
     def test_non_finite_sample_time_exit_2(self, capsys, tmp_path):
         path = self.write_omega(tmp_path, ["0 0 0 1", "nan 0 0 1"])
         assert run(capsys, "integrate", path) == (2, "", "error: non-finite sample time\n")

@@ -1,21 +1,224 @@
-"""Backend parity and exact-arithmetic checks for the scalar kernels."""
+"""Exact-arithmetic, reference and backend-parity checks for the scalar kernels.
 
+The reference below is the double-double pipeline composed from one helper
+per step (two_sum, two_prod, dd_add, dd_div, ...).  The pure-Python kernels
+write the same steps out inline, and must give the same bits.
+"""
+
+import inspect
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from rodvec import _kernels_py as kp
+from test_acceptance import _q_of, _rand_axis_angle
 
-kc = pytest.importorskip("rodvec._kernels_cy")
+# ------------------------------------------------------------ the reference
+
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
+
+
+def _two_sum(a, b):
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _quick_two_sum(a, b):
+    # requires |a| >= |b| or a == 0
+    s = a + b
+    return s, b - (s - a)
+
+
+def _two_prod(a, b):
+    p = a * b
+    ta = _SPLIT * a
+    ahi = ta - (ta - a)
+    alo = a - ahi
+    tb = _SPLIT * b
+    bhi = tb - (tb - b)
+    blo = b - bhi
+    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
+
+
+def _dd_add(x, y):
+    s, e = _two_sum(x[0], y[0])
+    e += x[1] + y[1]
+    return _quick_two_sum(s, e)
+
+
+def _dd_add_d(x, a):
+    s, e = _two_sum(x[0], a)
+    e += x[1]
+    return _quick_two_sum(s, e)
+
+
+def _dd_mul_d(x, a):
+    p, e = _two_prod(x[0], a)
+    e += x[1] * a
+    return _quick_two_sum(p, e)
+
+
+def _dd_div(x, y):
+    q1 = x[0] / y[0]
+    r = _dd_add(x, _dd_mul_d(y, -q1))
+    q2 = r[0] / y[0]
+    r = _dd_add(r, _dd_mul_d(y, -q2))
+    q3 = r[0] / y[0]
+    q, e = _quick_two_sum(q1, q2)
+    return _dd_add_d((q, e), q3)
+
+
+def _den_dd(x, y, z):
+    s = _dd_add(_dd_add(_two_prod(x, x), _two_prod(y, y)), _two_prod(z, z))
+    return s, _dd_add_d(s, 1.0)
+
+
+def ref_matmul_comp(a, b):
+    out = []
+    for i in (0, 3, 6):
+        for j in (0, 1, 2):
+            parts = []
+            for k in (0, 1, 2):
+                p, e = _two_prod(a[i + k], b[3 * k + j])
+                parts.append(p)
+                parts.append(e)
+            out.append(math.fsum(parts))
+    return tuple(out)
+
+
+def ref_cayley_inv9(q):
+    x, y, z = q
+    _, den = _den_dd(x, y, z)
+    qv = (x, y, z)
+    k = kp.skew9(qv)
+    out = []
+    for i in range(3):
+        for j in range(3):
+            num = _two_prod(qv[i], qv[j])
+            if i == j:
+                num = _dd_add_d(num, 1.0)
+            else:
+                num = _dd_add_d(num, k[3 * i + j])
+            r = _dd_div(num, den)
+            out.append(r[0] + r[1])
+    return tuple(out)
+
+
+def ref_cayley_rot9(q):
+    x, y, z = q
+    qv = (x, y, z)
+    s, den = _den_dd(x, y, z)
+    neg_s = (-s[0], -s[1])
+    k = kp.skew9(qv)
+    b = (1.0, k[1], k[2], k[3], 1.0, k[5], k[6], k[7], 1.0)
+    n = []
+    for i in range(3):
+        for j in range(3):
+            acc = _two_prod(qv[i], qv[j])
+            if i == j:
+                acc = _dd_add(acc, neg_s)
+                acc = _dd_add(acc, den)
+            else:
+                acc = _dd_add_d(acc, k[3 * i + j])
+            n.append(acc)
+    out = []
+    for i in range(3):
+        for j in range(3):
+            acc = (0.0, 0.0)
+            for kk in range(3):
+                bkj = b[3 * kk + j]
+                if bkj != 0.0:
+                    acc = _dd_add(acc, _dd_mul_d(n[3 * i + kk], bkj))
+            r = _dd_div(acc, den)
+            out.append(r[0] + r[1])
+    return tuple(out)
+
+
+def ref_rot_residuals9(m):
+    g = kp.matmul(kp.transpose9(m), m)
+    r = max(
+        abs(g[0] - 1.0),
+        abs(g[4] - 1.0),
+        abs(g[8] - 1.0),
+        abs(g[1]),
+        abs(g[2]),
+        abs(g[3]),
+        abs(g[5]),
+        abs(g[6]),
+        abs(g[7]),
+    )
+    det = (
+        m[0] * (m[4] * m[8] - m[5] * m[7])
+        - m[1] * (m[3] * m[8] - m[5] * m[6])
+        + m[2] * (m[3] * m[7] - m[4] * m[6])
+    )
+    return r, abs(det - 1.0)
+
+
+# ------------------------------------------------------------------ inputs
 
 
 def _rand_tuple(rng, n=3, scale=3.0):
     return tuple(rng.uniform(-scale, scale) for _ in range(n))
+
+
+def _wide_q(rng):
+    """Q of random direction and ||Q|| log-uniform in [1e-300, 1e300], with
+    components set to +0.0 or -0.0 one time in ten each."""
+    v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+    scale = 10.0 ** rng.uniform(-300.0, 300.0) / math.sqrt(sum(c * c for c in v))
+    v = [c * scale for c in v]
+    for i in range(3):
+        if rng.random() < 0.1:
+            v[i] = rng.choice((0.0, -0.0))
+    return tuple(v)
+
+
+def _near_pi_q(rng, i):
+    # the draws of the explicit-inverse acceptance test: every tenth angle
+    # is within 6e-3 rad of pi
+    q = _q_of(*_rand_axis_angle(rng, i=i, near_pole_every=10))
+    return q.as_tuple()
+
+
+def _qs(seed, n):
+    rng = random.Random(seed)
+    qs = [_wide_q(rng) for _ in range(n)]
+    qs += [_near_pi_q(rng, i) for i in range(n)]
+    qs += [
+        (0.0, 0.0, 0.0),
+        (-0.0, 0.0, -0.0),
+        (1.0, 0.0, 0.0),
+        (0.0, -1.0, 0.0),
+        (0.0, 0.0, 5e-324),
+        (1e300, 0.0, -1e300),
+        (1e150, 5e149, 0.0),
+        (1.7e308, 0.0, 0.0),
+    ]
+    return qs
+
+
+def _same_bits(a, b):
+    """Equal tuples of floats: NaN in the same places, and the same sign of zero elsewhere."""
+    assert len(a) == len(b)
+    for u, v in zip(a, b):
+        if math.isnan(u) or math.isnan(v):
+            if not (math.isnan(u) and math.isnan(v)):
+                return False
+        elif u != v or math.copysign(1.0, u) != math.copysign(1.0, v):
+            return False
+    return True
+
+
+# ---------------------------------------------------- exactness, bit identity
 
 
 def test_two_prod_is_exact():
@@ -23,7 +226,7 @@ def test_two_prod_is_exact():
     for _ in range(500):
         a = rng.uniform(-1e3, 1e3)
         b = rng.uniform(-1e3, 1e3)
-        p, e = kp._two_prod(a, b)
+        p, e = _two_prod(a, b)
         assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b)
 
 
@@ -32,11 +235,84 @@ def test_two_sum_is_exact():
     for _ in range(500):
         a = rng.uniform(-1e6, 1e6)
         b = rng.uniform(-1e-6, 1e-6)
-        s, e = kp._two_sum(a, b)
+        s, e = _two_sum(a, b)
         assert Fraction(s) + Fraction(e) == Fraction(a) + Fraction(b)
 
 
-def test_backends_report_names():
+def test_cayley_kernels_match_reference_bitwise():
+    for q in _qs(11, 1500):
+        assert _same_bits(kp.cayley_rot9(q), ref_cayley_rot9(q)), q
+        assert _same_bits(kp.cayley_inv9(q), ref_cayley_inv9(q)), q
+
+
+def test_matmul_comp_matches_reference_bitwise():
+    rng = random.Random(12)
+    for q in _qs(13, 500):
+        m = ref_cayley_inv9(q)
+        k = kp.skew9(q)
+        one_minus_k = tuple((1.0 if i % 4 == 0 else 0.0) - k[i] for i in range(9))
+        wide = tuple(rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(-200.0, 200.0) for _ in range(9))
+        for a, b in ((one_minus_k, m), (m, one_minus_k), (kp.rot_from_rod9(q), wide), (wide, m)):
+            assert _same_bits(kp.matmul_comp(a, b), ref_matmul_comp(a, b)), (a, b)
+
+
+def test_rot_residuals9_matches_reference_bitwise():
+    rng = random.Random(14)
+    for q in _qs(15, 500):
+        wide = tuple(rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(-200.0, 200.0) for _ in range(9))
+        for m in (kp.rot_from_rod9(q), ref_cayley_rot9(q), ref_cayley_inv9(q), wide):
+            assert _same_bits(kp.rot_residuals9(m), ref_rot_residuals9(m)), m
+
+
+def test_matmul_comp_entries_are_correctly_rounded():
+    # each entry is the fsum of three exact products, so it is the exact dot
+    # product rounded once; exponents are kept where no product underflows
+    rng = random.Random(16)
+    for _ in range(300):
+        a = tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-60.0, 60.0) for _ in range(9))
+        b = tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-60.0, 60.0) for _ in range(9))
+        got = kp.matmul_comp(a, b)
+        for i in range(3):
+            for j in range(3):
+                exact = sum(Fraction(a[3 * i + k]) * Fraction(b[3 * k + j]) for k in range(3))
+                assert got[3 * i + j] == float(exact)
+
+
+# ---------------------------------------------------------------- lock-step
+
+
+def test_backends_define_the_same_kernels():
+    # checked from the source, so that it also runs where Cython is absent
+    pyx = Path(kp.__file__).with_name("_kernels_cy.pyx").read_text()
+    compiled = set(re.findall(r"^(?:def|cpdef)\s+(?:\w+\s+)?(\w+)\s*\(", pyx, re.MULTILINE))
+    python = {
+        name
+        for name, f in inspect.getmembers(kp, inspect.isfunction)
+        if f.__module__ == kp.__name__ and not name.startswith("_")
+    }
+    assert compiled == python
+
+
+def test_env_var_forces_pure_python():
+    env = dict(os.environ, RODVEC_PURE_PYTHON="1")
+    out = subprocess.run(
+        [sys.executable, "-c", "import rodvec; print(rodvec.backend_name())"],
+        capture_output=True,
+        env=env,
+        text=True,
+    )
+    assert out.stdout.strip() == "python"
+
+
+# ---------------------------------------- parity with the compiled backend
+
+
+@pytest.fixture(scope="module")
+def kc():
+    return pytest.importorskip("rodvec._kernels_cy")
+
+
+def test_backends_report_names(kc):
     assert kp.BACKEND == "python"
     assert kc.BACKEND == "compiled"
 
@@ -51,14 +327,14 @@ def test_backends_report_names():
         ("compose_num_den", 2),
     ],
 )
-def test_vector_kernel_parity_bitwise(name, args):
+def test_vector_kernel_parity_bitwise(kc, name, args):
     rng = random.Random(hash(name) & 0xFFFF)
     for _ in range(200):
         vs = [_rand_tuple(rng) for _ in range(args)]
         assert getattr(kp, name)(*vs) == getattr(kc, name)(*vs)
 
 
-def test_matrix_kernel_parity_bitwise():
+def test_matrix_kernel_parity_bitwise(kc):
     rng = random.Random(4)
     for _ in range(200):
         q = _rand_tuple(rng)
@@ -78,7 +354,7 @@ def test_matrix_kernel_parity_bitwise():
         assert kp.rot_residuals9(m) == kc.rot_residuals9(m)
 
 
-def test_compensated_kernel_parity():
+def test_compensated_kernel_parity(kc):
     # fma-based and split-based two_prod are both exact, so the dd pipeline
     # must agree bit for bit
     rng = random.Random(5)
@@ -98,18 +374,7 @@ def test_compensated_kernel_parity():
         assert kp.matmul_comp(a, b) == kc.matmul_comp(a, b)
 
 
-def test_env_var_forces_pure_python():
-    env = dict(os.environ, RODVEC_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import rodvec; print(rodvec.backend_name())"],
-        capture_output=True,
-        env=env,
-        text=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-def test_default_prefers_compiled():
+def test_default_prefers_compiled(kc):
     env = {k: v for k, v in os.environ.items() if k != "RODVEC_PURE_PYTHON"}
     out = subprocess.run(
         [sys.executable, "-c", "import rodvec; print(rodvec.backend_name())"],

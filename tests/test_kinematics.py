@@ -234,6 +234,18 @@ class TestIntegrateAttitude:
         assert [t for t, _ in traj] == [0.0, 0.5, 1.5]
         assert traj.points[0][1] == RodriguesVector(0, 0, 0)
 
+    @pytest.mark.parametrize("scheme", [FIRST_ORDER, EXACT_STEP])
+    def test_steps_underflowing_to_zero_are_the_identity(self, scheme):
+        # (5e-324 - 0)/3 rounds to 0; the log still increases strictly
+        w = AngularVelocity(0, 0, 1)
+        samples = [AngularVelocitySample(t, w) for t in (0.0, 5e-324, 1.0)]
+        init = RodriguesVector(0.2, -0.4, 0.8)
+        traj = integrate_attitude(samples, scheme, initial=init, substeps=3)
+        assert [t for t, _ in traj] == [0.0, 5e-324, 1.0]
+        assert traj.points[1][1] == init
+        direct = integrate_attitude([samples[0], samples[2]], scheme, initial=init, substeps=3)
+        assert traj.final == direct.final
+
     def test_non_monotonic_time(self):
         samples = [
             AngularVelocitySample(0.0, AngularVelocity(0, 0, 1)),

@@ -11,7 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rodvec import (
     HalfTurn,
@@ -19,10 +19,13 @@ from rodvec import (
     UnitVector,
     Vec3,
     axis_angle_from_rodrigues,
+    cayley_inverse_explicit,
+    cayley_rotation,
     compose_general,
     matrix_from_half_turn,
     matrix_from_rodrigues,
 )
+from rodvec._backend import kernels as _k
 from rodvec.cli import main
 from conftest import to_np
 
@@ -77,6 +80,29 @@ def test_axis_angle_from_rodrigues(v):
         assert aa.axis == UnitVector(0.0, 0.0, 1.0)
     else:
         assert aa.axis.as_tuple() == pytest.approx(direction, abs=1e-12)
+
+
+@given(vectors)
+@example((1e150, 5e149, 0.0))  # the product route overflows to NaN
+@example((1e30, 5e29, 0.0))  # the product route is finite but off by 1e-2
+def test_cayley_rotation(v):
+    q = RodriguesVector(*v)
+    r = to_np(cayley_rotation(q))
+    assert_so3(r)
+    assert np.max(np.abs(r - to_np(matrix_from_rodrigues(q)))) <= 1e-12
+
+
+@given(vectors)
+@example((1e154, 5e153, 0.0))  # 1 + Q.Q overflows
+def test_cayley_inverse_explicit(v):
+    m = cayley_inverse_explicit(RodriguesVector(*v)).elements
+    assert all(map(math.isfinite, m))
+    if scaled_norm(v)[0] <= 1e3:
+        k = _k.skew9(v)
+        one_minus_k = tuple((1.0 if i % 4 == 0 else 0.0) - k[i] for i in range(9))
+        ident = np.eye(3)
+        assert np.max(np.abs(to_np(_k.matmul_comp(one_minus_k, m)) - ident)) <= 1e-12
+        assert np.max(np.abs(to_np(_k.matmul_comp(m, one_minus_k)) - ident)) <= 1e-12
 
 
 rotations = st.one_of(
