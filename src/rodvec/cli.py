@@ -17,7 +17,7 @@ from typing import Sequence
 from rodvec import checks, geometry, kinematics
 from rodvec._backend import backend_name
 from rodvec.cayley import rodrigues_from_matrix
-from rodvec.composition import RotationResult, compose_general
+from rodvec.composition import RotationResult, _from_lifted, _lift, compose_general
 from rodvec.core import (
     AxisAngle,
     HalfTurn,
@@ -27,9 +27,8 @@ from rodvec.core import (
     UnitVector,
     Vec3,
     _require_finite,
+    _rotation9,
     axis_angle_from_rodrigues,
-    matrix_from_half_turn,
-    matrix_from_rodrigues,
     rodrigues_from_axis_angle,
 )
 from rodvec.errors import (
@@ -93,12 +92,6 @@ def parse_rotation_spec(text: str, degrees: bool = False) -> RotationResult:
     raise SpecFormatError(f"unknown rotation kind {kind!r} (use aa, rod, mat or half)")
 
 
-def _result_matrix(r: RotationResult) -> RotationMatrix:
-    if isinstance(r, HalfTurn):
-        return matrix_from_half_turn(r)
-    return matrix_from_rodrigues(r)
-
-
 def _spec_rod(r: RotationResult, digits: int) -> str:
     if isinstance(r, HalfTurn):
         raise HalfTurnUndefined(
@@ -120,7 +113,7 @@ def _spec_aa(r: RotationResult, digits: int, degrees: bool) -> str:
 
 
 def _spec_mat(r: RotationResult, digits: int) -> str:
-    return "mat:" + _fmt_list(_result_matrix(r).elements, digits)
+    return "mat:" + _fmt_list(_rotation9(*_lift(r)), digits)
 
 
 def _spec_half(r: RotationResult, digits: int) -> str:
@@ -231,37 +224,37 @@ def _parse_omega_file(path: str) -> tuple[list[float], list[tuple[float, float, 
 
 
 def _trajectory_lines(
-    points: list[tuple[float, RotationResult]], digits: int, matrix_cols: bool
+    rows: list[tuple[float, float, float, float, float]], digits: int, matrix_cols: bool
 ) -> list[str]:
-    header = "# t qx qy qz" + (" r11 r21 r31 r12 r22 r32" if matrix_cols else "")
-    row = " ".join(["{:.%dg}" % digits] * (10 if matrix_cols else 4))
+    """The lines of the trajectory table of the integrator's (t, s, x, y, z)
+    rows, each ended by a newline; a half-turn row (s = 0) prints nan for Q."""
+    header = "# t qx qy qz" + (" r11 r21 r31 r12 r22 r32\n" if matrix_cols else "\n")
+    row = " ".join(["%%.%dg" % digits] * (10 if matrix_cols else 4)) + "\n"
+    nan = math.nan
     out = [header]
-    for t, orient in points:
-        if isinstance(orient, HalfTurn):
-            cols = [t, math.nan, math.nan, math.nan]
-        else:
-            cols = [t, orient.x, orient.y, orient.z]
+    for t, s, x, y, z in rows:
+        # + 0.0 folds -0.0 as _fmt does
+        cols = (t + 0.0, x + 0.0, y + 0.0, z + 0.0) if s else (t + 0.0, nan, nan, nan)
         if matrix_cols:
-            e = _result_matrix(orient).elements
-            cols += [e[0], e[3], e[6], e[1], e[4], e[7]]
-        out.append(row.format(*[c + 0.0 for c in cols]))  # + 0.0 folds -0.0 as _fmt does
+            e = _rotation9(s, x, y, z)
+            cols += (e[0] + 0.0, e[3] + 0.0, e[6] + 0.0, e[1] + 0.0, e[4] + 0.0, e[7] + 0.0)
+        out.append(row % cols)
     return out
 
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
     times, rates = _parse_omega_file(args.file)
     initial = parse_rotation_spec(args.initial, args.degrees) if args.initial else None
-    points = kinematics._integrate(times, rates, args.scheme, initial, args.substeps)
+    rows = kinematics._integrate(times, rates, args.scheme, initial, args.substeps)
     del times, rates  # freed before the trajectory text is built
     if args.out or args.trajectory:
-        lines = _trajectory_lines(points, args.precision, args.matrix_cols)
+        lines = _trajectory_lines(rows, args.precision, args.matrix_cols)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("\n".join(lines) + "\n")
+                fh.writelines(lines)
         if args.trajectory:
-            for line in lines:
-                print(line)
-    _print_result_block(points[-1][1], args.precision, args.degrees, prefix="final ")
+            sys.stdout.writelines(lines)
+    _print_result_block(_from_lifted(*rows[-1][1:]), args.precision, args.degrees, prefix="final ")
     return 0
 
 

@@ -59,6 +59,25 @@ def _require_finite(*values: float) -> None:
             raise ValueError(f"non-finite component: {v!r}")
 
 
+def _require_so3(e) -> None:
+    """Raise NotARotation unless the row-major 3x3 matrix e has
+    R^T R = 1 and det R = 1 to ROTATION_MATRIX_TOL."""
+    ortho, det = _k.rot_residuals9(e)
+    if ortho > ROTATION_MATRIX_TOL or det > ROTATION_MATRIX_TOL:
+        raise NotARotation(
+            f"matrix fails SO(3) checks: |R^T R - 1| = {ortho:.3e}, |det - 1| = {det:.3e}"
+        )
+
+
+def _checked9(e):
+    """e, a kernel's tuple of nine floats, after the checks that
+    RotationMatrix(Matrix3(e)) runs, in the same order: finite, then SO(3)."""
+    if not math.isfinite(sum(e)):  # the sum may also overflow
+        _require_finite(*e)
+    _require_so3(e)
+    return e
+
+
 def _scaled_norm(x: float, y: float, z: float) -> tuple[float, float]:
     """(n, f): n is the norm of (f x, f y, f z), for any finite vector.
 
@@ -278,11 +297,7 @@ class RotationMatrix:
     matrix: Matrix3
 
     def __post_init__(self) -> None:
-        ortho, det = _k.rot_residuals9(self.matrix.elements)
-        if ortho > ROTATION_MATRIX_TOL or det > ROTATION_MATRIX_TOL:
-            raise NotARotation(
-                f"matrix fails SO(3) checks: |R^T R - 1| = {ortho:.3e}, |det - 1| = {det:.3e}"
-            )
+        _require_so3(self.matrix.elements)
 
     @classmethod
     def identity(cls) -> RotationMatrix:
@@ -330,6 +345,27 @@ class HalfTurn:
         object.__setattr__(self, "axis", _canonical_half_axis(self.axis))
 
 
+def _rotation9(s: float, x: float, y: float, z: float):
+    """The checked matrix of the Euler parameters (1, Q) or (0, n) that the
+    composition law carries, from the kernels of matrix_from_rodrigues and
+    matrix_from_half_turn."""
+    if not s:
+        return _checked9(_k.half_turn9(HalfTurn(UnitVector(x, y, z)).axis.as_tuple()))
+    if x * x + y * y + z * z == math.inf:
+        return _checked9(_k.half_turn9(_unit(x, y, z)))
+    return _checked9(_k.rot_from_rod9((x, y, z)))
+
+
+def _rotation_matrix(e) -> RotationMatrix:
+    """The RotationMatrix of nine floats that passed _checked9, built
+    without converting or checking them again."""
+    m = object.__new__(Matrix3)
+    object.__setattr__(m, "elements", e)
+    r = object.__new__(RotationMatrix)
+    object.__setattr__(r, "matrix", m)
+    return r
+
+
 def skew(v: Vec3) -> SkewMatrix:
     """The matrix operator (v x), mapping x to v cross x."""
     return SkewMatrix(v)
@@ -343,7 +379,7 @@ def unskew(m: SkewMatrix) -> Vec3:
 def euler_rodrigues_matrix(n: UnitVector, theta: float) -> RotationMatrix:
     """R(n, theta) = cos(theta)*1 + sin(theta)*(n x) + (1 - cos(theta))*n n^T."""
     _require_finite(theta)
-    return RotationMatrix(Matrix3(_k.euler_rodrigues9(n.as_tuple(), theta)))
+    return _rotation_matrix(_checked9(_k.euler_rodrigues9(n.as_tuple(), theta)))
 
 
 def rodrigues_from_axis_angle(aa: AxisAngle) -> RodriguesVector:
@@ -379,15 +415,12 @@ def matrix_from_rodrigues(q: RodriguesVector) -> RotationMatrix:
     When Q.Q overflows, the half-turn about Q is returned: R(Q) is a
     rotation by pi - 2/||Q||, and 2/||Q|| < 1e-153 there.
     """
-    x, y, z = q.as_tuple()
-    if x * x + y * y + z * z == math.inf:
-        return RotationMatrix(Matrix3(_k.half_turn9(_unit(x, y, z))))
-    return RotationMatrix(Matrix3(_k.rot_from_rod9((x, y, z))))
+    return _rotation_matrix(_rotation9(1.0, q.x, q.y, q.z))
 
 
 def matrix_from_half_turn(h: HalfTurn) -> RotationMatrix:
     """R = 2 n n^T - 1: symmetric, eigenvalues (+1, -1, -1)."""
-    return RotationMatrix(Matrix3(_k.half_turn9(h.axis.as_tuple())))
+    return _rotation_matrix(_checked9(_k.half_turn9(h.axis.as_tuple())))
 
 
 def apply_rotation(r: RotationMatrix, x: Vec3) -> Vec3:

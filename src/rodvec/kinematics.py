@@ -143,7 +143,8 @@ def _increment(wx: float, wy: float, wz: float, dt: float, exact: bool) -> tuple
     else:
         c = 0.5 * dt
     q = (wx * c, wy * c, wz * c)
-    _require_finite(*q)
+    if not math.isfinite(q[0] + q[1] + q[2]):  # the sum may also overflow
+        _require_finite(*q)
     return q
 
 
@@ -168,7 +169,8 @@ def integrate_attitude(
     """
     times = [s.t for s in samples]
     rates = [s.omega.as_tuple() for s in samples]
-    return AttitudeTrajectory(tuple(_integrate(times, rates, scheme, initial, substeps)))
+    rows = _integrate(times, rates, scheme, initial, substeps)
+    return AttitudeTrajectory(tuple((t, _from_lifted(s, x, y, z)) for t, s, x, y, z in rows))
 
 
 def _integrate(
@@ -177,12 +179,12 @@ def _integrate(
     scheme: str,
     initial: RotationResult | None,
     substeps: int,
-) -> list[tuple[float, RotationResult]]:
+) -> list[tuple[float, float, float, float, float]]:
     """integrate_attitude on finite sample times and (wx, wy, wz) rates.
 
     The orientation is carried as the Euler parameters of the composition
-    law, (1, Q) or (0, n), and becomes a RodriguesVector or HalfTurn only
-    at the sample times; the points are returned as a list.
+    law, (1, Q) or (0, n), and is returned as such: one (t, s, x, y, z)
+    row per sample time, in a list.
     """
     if len(times) < 2:
         raise ValueError("need at least two samples")
@@ -195,9 +197,8 @@ def _integrate(
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     exact = scheme == EXACT_STEP
 
-    orientation = initial if initial is not None else RodriguesVector(0.0, 0.0, 0.0)
-    s, x, y, z = _lift(orientation)
-    points = [(times[0], orientation)]
+    s, x, y, z = _lift(initial) if initial is not None else (1.0, 0.0, 0.0, 0.0)
+    rows = [(times[0], s, x, y, z)]
     for (t0, t1), ((ax, ay, az), (bx, by, bz)) in zip(pairwise(times), pairwise(rates)):
         dt = (t1 - t0) / substeps
         # an interval shorter than substeps * 5e-324 has steps of dt = 0,
@@ -206,8 +207,9 @@ def _integrate(
             # omega at the step midpoint, linear between the samples
             u = (t0 + (i + 0.5) * dt - t0) / (t1 - t0)
             wx, wy, wz = ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az)
-            _require_finite(wx, wy, wz)
+            if not math.isfinite(wx + wy + wz):  # the sum may also overflow
+                _require_finite(wx, wy, wz)
             qx, qy, qz = _increment(wx, wy, wz, dt, exact)
             s, x, y, z = _compose_lifted(1.0, qx, qy, qz, s, x, y, z)
-        points.append((t1, _from_lifted(s, x, y, z)))
-    return points
+        rows.append((t1, s, x, y, z))
+    return rows

@@ -9,6 +9,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import rodvec.cayley
+import rodvec.core
 from rodvec.cli import main, parse_rotation_spec
 from rodvec.core import Matrix3, RodriguesVector
 
@@ -310,6 +311,28 @@ class TestIntegrate:
             "error: non-finite component: inf\n",
         )
 
+    def test_overflowing_rodrigues_row_is_the_half_turn_matrix(self, capsys, tmp_path):
+        # Q.Q overflows: the row's matrix is the half-turn about Q
+        path = self.write_omega(tmp_path, ["0 0 0 0", "1 0 0 0"])
+        code, out, err = run(
+            capsys, "integrate", path, "--initial", "rod:1e200,0,0", "--trajectory", "--matrix-cols"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:3] == ["0 1e+200 0 0 1 0 0 0 -1 0", "1 1e+200 0 0 1 0 0 0 -1 0"]
+
+    def test_row_landing_on_a_half_turn(self, capsys, tmp_path):
+        # pi rad about -z ends on the half-turn branch, about the canonical +z
+        path = self.write_omega(tmp_path, ["0 0 0 -1", f"{math.pi!r} 0 0 -1"])
+        code, out, err = run(
+            capsys, "integrate", path, "--substeps", "2", "--trajectory", "--matrix-cols"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:4] == [
+            "0 0 0 0 1 0 0 0 1 0",
+            "3.14159265359 nan nan nan -1 0 0 0 -1 0",
+            "final half:0,0,1",
+        ]
+
     def test_half_turn_trajectory_rows(self, capsys, tmp_path):
         path = self.write_omega(tmp_path, ["0 0 0 0", "0.5 0 0 0", "1 0 0 0"])
         code, out, _ = run(
@@ -337,6 +360,34 @@ def _spin_log(tmp_path):
     path = tmp_path / "spin.txt"
     path.write_text("# t wx wy wz\n" + "\n".join(rows) + "\n")
     return str(path)
+
+
+class TestIntegrateRowChecks:
+    """Every trajectory row's matrix is finite-checked and SO(3)-checked: a
+    kernel that returns a bad matrix fails the run with the exit code and
+    the message of RotationMatrix(Matrix3(...)), and prints no row."""
+
+    def run_corrupted(self, capsys, monkeypatch, tmp_path, change):
+        real = rodvec.core._k.rot_from_rod9
+        monkeypatch.setattr(rodvec.core._k, "rot_from_rod9", lambda q: change(real(q)))
+        path = tmp_path / "omega.txt"
+        path.write_text("# t wx wy wz\n0 0.3 -0.2 1\n0.5 0.3 -0.2 1\n1 0.3 -0.2 1\n")
+        return run(capsys, "integrate", str(path), "--trajectory", "--matrix-cols")
+
+    def test_flipped_sign_fails_the_so3_check(self, capsys, monkeypatch, tmp_path):
+        # the identity row survives the flip (0.0 -> -0.0); the next one does not
+        result = self.run_corrupted(capsys, monkeypatch, tmp_path, lambda m: (m[0], -m[1], *m[2:]))
+        assert result == (
+            2,
+            "",
+            "error: matrix fails SO(3) checks: |R^T R - 1| = 8.453e-01, |det - 1| = 4.687e-01\n",
+        )
+
+    def test_nan_entry_fails_the_finite_check(self, capsys, monkeypatch, tmp_path):
+        result = self.run_corrupted(
+            capsys, monkeypatch, tmp_path, lambda m: (*m[:4], math.nan, *m[5:])
+        )
+        assert result == (2, "", "error: non-finite component: nan\n")
 
 
 class TestIntegrateOutputDigests:

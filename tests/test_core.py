@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import rodvec.core
+
 from rodvec import (
     AxisAngle,
     HalfTurn,
@@ -199,6 +201,40 @@ class TestMatrixFromRodrigues:
             aa = axis_angle_from_rodrigues(q)
             diff = np.abs(to_np(matrix_from_rodrigues(q)) - to_np(euler_rodrigues_matrix(aa.axis, aa.angle)))
             assert np.max(diff) <= 1e-12
+
+
+class TestKernelOutputChecks:
+    """The typed constructors check each kernel result as
+    RotationMatrix(Matrix3(...)) does, and build the same value."""
+
+    def corrupt(self, monkeypatch, change):
+        real = rodvec.core._k.rot_from_rod9
+        monkeypatch.setattr(rodvec.core._k, "rot_from_rod9", lambda q: change(real(q)))
+
+    def test_flipped_sign_raises_not_a_rotation(self, monkeypatch):
+        self.corrupt(monkeypatch, lambda m: (m[0], -m[1], *m[2:]))
+        with pytest.raises(NotARotation, match=r"\|R\^T R - 1\| = 7\.584e-01, \|det - 1\| = 4\.826e-01"):
+            matrix_from_rodrigues(RodriguesVector(0.1, 0.2, 0.3))
+
+    def test_nan_entry_raises_value_error(self, monkeypatch):
+        self.corrupt(monkeypatch, lambda m: (*m[:4], math.nan, *m[5:]))
+        with pytest.raises(ValueError, match="non-finite component: nan"):
+            matrix_from_rodrigues(RodriguesVector(0.1, 0.2, 0.3))
+
+    def test_results_equal_the_checked_construction(self, rng):
+        k = rodvec.core._k
+        for _ in range(200):
+            q = rand_rod(rng, 3.0)
+            want = RotationMatrix(Matrix3(k.rot_from_rod9(q.as_tuple())))
+            got = matrix_from_rodrigues(q)
+            assert got == want and type(got.matrix) is Matrix3 and type(got.elements) is tuple
+            aa = axis_angle_from_rodrigues(q)
+            want = RotationMatrix(Matrix3(k.euler_rodrigues9(aa.axis.as_tuple(), aa.angle)))
+            assert euler_rodrigues_matrix(aa.axis, aa.angle) == want
+            h = HalfTurn(aa.axis)
+            assert matrix_from_half_turn(h) == RotationMatrix(Matrix3(k.half_turn9(h.axis.as_tuple())))
+        want = RotationMatrix(Matrix3(k.half_turn9((-1.0, 0.0, 0.0))))
+        assert matrix_from_rodrigues(RodriguesVector(-1e200, 0.0, 0.0)) == want
 
 
 class TestHalfTurnMatrix:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -294,3 +296,53 @@ class TestIntegrateAttitude:
             separate = compose_general(qb, qa)
             defects.append((combined.vec - separate.vec).norm())
         assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.25)
+
+
+def _spin_samples():
+    """The log of test_cli._spin_log: 500 samples of a spin of about 3 rad/s."""
+    rng = random.Random(0)
+    t = 0.0
+    samples = []
+    for _ in range(500):
+        w = (
+            0.4 + 0.2 * rng.uniform(-1, 1),
+            -0.3 + 0.2 * rng.uniform(-1, 1),
+            2.9 + 0.2 * rng.uniform(-1, 1),
+        )
+        samples.append(AngularVelocitySample(t, AngularVelocity(*w)))
+        t += 0.01 * rng.uniform(0.9, 1.1)
+    return samples
+
+
+def _points_key(traj):
+    return repr(
+        [
+            (t, type(p).__name__, p.axis.as_tuple() if isinstance(p, HalfTurn) else p.as_tuple())
+            for t, p in traj
+        ]
+    )
+
+
+class TestIntegrateAttitudePoints:
+    """The typed points, pinned by the sha256 of their types and exact values."""
+
+    def test_spin_log(self):
+        traj = integrate_attitude(_spin_samples())
+        assert {type(p) for _, p in traj} == {RodriguesVector}
+        digest = hashlib.sha256(_points_key(traj).encode()).hexdigest()
+        assert digest == "55055739cd7b14469f77bef2066bd46c646613df527b934bb29575d4d3fb07ee"
+
+    def test_spin_log_from_a_half_turn(self):
+        initial = HalfTurn(UnitVector(0.0, -0.6, 0.8))
+        traj = integrate_attitude(_spin_samples(), FIRST_ORDER, initial=initial, substeps=3)
+        assert type(traj.points[0][1]) is HalfTurn
+        assert traj.points[0][1].axis.as_tuple() == (-0.0, 0.6, -0.8)  # canonical: first nonzero > 0
+        assert {type(p) for _, p in traj.points[1:]} == {RodriguesVector}
+        digest = hashlib.sha256(_points_key(traj).encode()).hexdigest()
+        assert digest == "9e530c7e8717d859c602fc61ad97cdafbe27731967ca0119fd41bcb4de35e87e"
+
+    def test_landing_on_a_half_turn_gives_the_canonical_axis(self):
+        traj = integrate_attitude(_const_samples(w=(0.0, 0.0, -1.0), t1=math.pi), EXACT_STEP, substeps=2)
+        assert _points_key(traj) == repr(
+            [(0.0, "RodriguesVector", (0.0, 0.0, 0.0)), (math.pi, "HalfTurn", (-0.0, -0.0, 1.0))]
+        )
