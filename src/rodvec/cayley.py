@@ -13,13 +13,16 @@ import math
 import sys
 
 from rodvec._backend import kernels as _k
+from rodvec.composition import _from_lifted
 from rodvec.core import (
     HalfTurn,
     Matrix3,
     RodriguesVector,
     RotationMatrix,
-    UnitVector,
     Vec3,
+    _direction,
+    _half_turn_axis,
+    _require_finite,
 )
 
 __all__ = [
@@ -114,20 +117,34 @@ def rodrigues_from_matrix(r: RotationMatrix | Matrix3) -> RodriguesVector | Half
     """
     if isinstance(r, Matrix3):
         r = RotationMatrix(r)
-    e = r.elements
+    return _from_lifted(*_lift_matrix9(r.elements))
+
+
+def _lift_matrix9(e) -> tuple[float, float, float, float]:
+    """rodrigues_from_matrix on the nine floats of a checked rotation
+    matrix, as Euler parameters: (1, Q), or (0, n) as a HalfTurn stores it."""
     t = e[0] + e[4] + e[8]
-    k = max((0, 1, 2), key=lambda i: e[4 * i])
-    w = [0.0, 0.0, 0.0]
-    w[k] = 1.0 + 2.0 * e[4 * k] - t
-    if 1.0 + t >= w[k]:
-        return RodriguesVector(*_k.rod_from_rot9(e))
-    j, l = (k + 1) % 3, (k + 2) % 3
-    w[j] = e[3 * j + k] + e[3 * k + j]
-    w[l] = e[3 * l + k] + e[3 * k + l]
-    d = e[3 * l + j] - e[3 * j + l]
-    if abs(d) * sys.float_info.max < w[k]:  # d = 0, or w/d overflows
-        return HalfTurn(UnitVector.from_vec(Vec3(*w)))
-    return RodriguesVector(w[0] / d, w[1] / d, w[2] / d)
+    k = 0  # the first index of the largest diagonal entry
+    if e[4] > e[0]:
+        k = 1
+    if e[8] > e[4 * k]:
+        k = 2
+    wk = 1.0 + 2.0 * e[4 * k] - t
+    if 1.0 + t >= wk:
+        x, y, z = _k.rod_from_rot9(e)
+    else:
+        w = [0.0, 0.0, 0.0]
+        w[k] = wk
+        j, l = (k + 1) % 3, (k + 2) % 3
+        w[j] = e[3 * j + k] + e[3 * k + j]
+        w[l] = e[3 * l + k] + e[3 * k + l]
+        d = e[3 * l + j] - e[3 * j + l]
+        if abs(d) * sys.float_info.max < wk:  # d = 0, or w/d overflows
+            return (0.0, *_half_turn_axis(*_direction(*w)))
+        x, y, z = w[0] / d, w[1] / d, w[2] / d
+    if not math.isfinite(x + y + z):  # the sum may also overflow
+        _require_finite(x, y, z)
+    return 1.0, x, y, z
 
 
 def cayley_residuals(q: RodriguesVector, x: Vec3) -> tuple[float, float]:

@@ -10,26 +10,27 @@ significant digits unless --precision overrides.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Sequence
 
 from rodvec import checks, geometry, kinematics
 from rodvec._backend import backend_name
-from rodvec.cayley import rodrigues_from_matrix
-from rodvec.composition import RotationResult, _from_lifted, _lift, compose_general
+from rodvec.cayley import _lift_matrix9
+from rodvec.composition import RotationResult, _compose_lifted, _from_lifted
 from rodvec.core import (
-    AxisAngle,
-    HalfTurn,
-    Matrix3,
     RodriguesVector,
-    RotationMatrix,
     UnitVector,
     Vec3,
+    _checked9,
+    _direction,
+    _fold_angle,
+    _half_turn_axis,
+    _lift_axis_angle,
     _require_finite,
     _rotation9,
     axis_angle_from_rodrigues,
-    rodrigues_from_axis_angle,
 )
 from rodvec.errors import (
     HalfTurnUndefined,
@@ -66,97 +67,102 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
 
 def parse_rotation_spec(text: str, degrees: bool = False) -> RotationResult:
     """Parse ``aa:...``, ``rod:...``, ``mat:...`` or ``half:...`` to a rotation."""
+    return _from_lifted(*_parse_lifted(text, degrees))
+
+
+def _parse_lifted(text: str, degrees: bool) -> tuple[float, float, float, float]:
+    """parse_rotation_spec as the Euler parameters of the composition law:
+    (1, Q), or (0, n) with the axis a HalfTurn stores."""
     kind, sep, payload = text.partition(":")
     if not sep:
         raise SpecFormatError(f"rotation spec needs a 'kind:' prefix: {text!r}")
     try:
         if kind == "rod":
-            return RodriguesVector(*_parse_floats(payload, 3, "rod spec"))
+            x, y, z = _parse_floats(payload, 3, "rod spec")
+            if not math.isfinite(x + y + z):  # the sum may also overflow
+                _require_finite(x, y, z)
+            return 1.0, x, y, z
         if kind == "half":
             x, y, z = _parse_floats(payload, 3, "half spec")
-            return HalfTurn(UnitVector.from_vec(Vec3(x, y, z)))
+            return (0.0, *_half_turn_axis(*_direction(x, y, z)))
         if kind == "aa":
             nx, ny, nz, theta = _parse_floats(payload, 4, "aa spec")
             if degrees:
                 theta = math.radians(theta)
-            aa = AxisAngle(UnitVector.from_vec(Vec3(nx, ny, nz)), theta)
-            try:
-                return rodrigues_from_axis_angle(aa)
-            except HalfTurnUndefined:
-                return HalfTurn(aa.axis)
+            axis = _direction(nx, ny, nz)
+            _require_finite(theta)
+            return _lift_axis_angle(*axis, _fold_angle(theta))
         if kind == "mat":
-            elements = _parse_floats(payload, 9, "mat spec")
-            return rodrigues_from_matrix(RotationMatrix(Matrix3(elements)))
+            return _lift_matrix9(_checked9(_parse_floats(payload, 9, "mat spec")))
     except (ValueError, NotARotation) as exc:
         raise SpecFormatError(f"invalid {kind} spec: {exc}") from None
     raise SpecFormatError(f"unknown rotation kind {kind!r} (use aa, rod, mat or half)")
 
 
-def _spec_rod(r: RotationResult, digits: int) -> str:
-    if isinstance(r, HalfTurn):
+def _spec_rod(s: float, x: float, y: float, z: float, digits: int) -> str:
+    if not s:
         raise HalfTurnUndefined(
             "this rotation's angle is pi: tan(theta/2) has a pole there and no "
             "Rodrigues vector exists; convert to aa, mat or half instead"
         )
-    return "rod:" + _fmt_list(r.as_tuple(), digits)
+    return "rod:" + _fmt_list((x, y, z), digits)
 
 
-def _spec_aa(r: RotationResult, digits: int, degrees: bool) -> str:
-    if isinstance(r, HalfTurn):
-        axis, angle = r.axis, math.pi
+def _spec_aa(s: float, x: float, y: float, z: float, digits: int, degrees: bool) -> str:
+    if s:
+        aa = axis_angle_from_rodrigues(RodriguesVector(x, y, z))
+        axis, angle = aa.axis.as_tuple(), aa.angle
     else:
-        aa = axis_angle_from_rodrigues(r)
-        axis, angle = aa.axis, aa.angle
+        axis, angle = _half_turn_axis(x, y, z), math.pi
     if degrees:
         angle = math.degrees(angle)
-    return "aa:" + _fmt_list((*axis.as_tuple(), angle), digits)
+    return "aa:" + _fmt_list((*axis, angle), digits)
 
 
-def _spec_mat(r: RotationResult, digits: int) -> str:
-    return "mat:" + _fmt_list(_rotation9(*_lift(r)), digits)
+def _spec_mat(s: float, x: float, y: float, z: float, digits: int) -> str:
+    return "mat:" + _fmt_list(_rotation9(s, x, y, z), digits)
 
 
-def _spec_half(r: RotationResult, digits: int) -> str:
-    if isinstance(r, HalfTurn):
-        return "half:" + _fmt_list(r.axis.as_tuple(), digits)
-    raise HalfTurnUndefined("rotation angle is not pi; no half-turn form exists")
+def _spec_half(s: float, x: float, y: float, z: float, digits: int) -> str:
+    if s:
+        raise HalfTurnUndefined("rotation angle is not pi; no half-turn form exists")
+    return "half:" + _fmt_list(_half_turn_axis(x, y, z), digits)
 
 
-def _print_result_block(r: RotationResult, digits: int, degrees: bool, prefix: str = "") -> None:
-    if isinstance(r, HalfTurn):
-        print(prefix + _spec_half(r, digits))
-    else:
-        print(prefix + _spec_rod(r, digits))
-    print(prefix + _spec_aa(r, digits, degrees))
-    print(prefix + _spec_mat(r, digits))
+def _print_result_block(
+    s: float, x: float, y: float, z: float, digits: int, degrees: bool, prefix: str = ""
+) -> None:
+    print(prefix + (_spec_rod if s else _spec_half)(s, x, y, z, digits))
+    print(prefix + _spec_aa(s, x, y, z, digits, degrees))
+    print(prefix + _spec_mat(s, x, y, z, digits))
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    r = parse_rotation_spec(args.spec, args.degrees)
+    r = _parse_lifted(args.spec, args.degrees)
     if args.to == "rod":
-        print(_spec_rod(r, args.precision))
+        print(_spec_rod(*r, args.precision))
     elif args.to == "aa":
-        print(_spec_aa(r, args.precision, args.degrees))
+        print(_spec_aa(*r, args.precision, args.degrees))
     elif args.to == "mat":
-        print(_spec_mat(r, args.precision))
+        print(_spec_mat(*r, args.precision))
     else:
-        print(_spec_half(r, args.precision))
+        print(_spec_half(*r, args.precision))
     return 0
 
 
-def _lambda(q2: RodriguesVector, q1: RodriguesVector) -> float:
+def _lambda(x2: float, y2: float, z2: float, x1: float, y1: float, z1: float) -> float:
     """The conditioning number 1 - Q2.Q1 of the composition law.
 
     When the dot product overflows it is taken again from the operands
     divided by their largest components, so that lambda is +-inf past the
     float range, never nan.
     """
-    d = q2.x * q1.x + q2.y * q1.y + q2.z * q1.z
+    d = x2 * x1 + y2 * y1 + z2 * z1
     if not math.isfinite(d):
-        m2 = max(map(abs, q2.as_tuple()))
-        m1 = max(map(abs, q1.as_tuple()))
-        x2, y2, z2 = q2.x / m2, q2.y / m2, q2.z / m2
-        x1, y1, z1 = q1.x / m1, q1.y / m1, q1.z / m1
+        m2 = max(abs(x2), abs(y2), abs(z2))
+        m1 = max(abs(x1), abs(y1), abs(z1))
+        x2, y2, z2 = x2 / m2, y2 / m2, z2 / m2
+        x1, y1, z1 = x1 / m1, y1 / m1, z1 / m1
         d = m2 * (m1 * (x2 * x1 + y2 * y1 + z2 * z1))
     return 1.0 - d
 
@@ -164,24 +170,27 @@ def _lambda(q2: RodriguesVector, q1: RodriguesVector) -> float:
 def _cmd_compose(args: argparse.Namespace) -> int:
     if len(args.specs) < 2:
         raise SpecFormatError("compose needs at least two rotation specs")
-    rotations = [parse_rotation_spec(s, args.degrees) for s in args.specs]
-    acc = rotations[0]
-    for i, nxt in enumerate(rotations[1:], start=1):
-        if isinstance(acc, RodriguesVector) and isinstance(nxt, RodriguesVector):
-            print(f"lambda[{i}] = {_fmt(_lambda(nxt, acc), args.precision)}")
+    digits = args.precision
+    rotations = [_parse_lifted(text, args.degrees) for text in args.specs]
+    s1, x1, y1, z1 = rotations[0]
+    lines = []
+    for i, (s2, x2, y2, z2) in enumerate(rotations[1:], start=1):
+        if s1 and s2:
+            lines.append(f"lambda[{i}] = {_fmt(_lambda(x2, y2, z2, x1, y1, z1), digits)}\n")
         else:
-            print(f"lambda[{i}] = n/a (half-turn operand)")
-        acc = compose_general(nxt, acc)
-    _print_result_block(acc, args.precision, args.degrees)
+            lines.append(f"lambda[{i}] = n/a (half-turn operand)\n")
+        s1, x1, y1, z1 = _compose_lifted(s2, x2, y2, z2, s1, x1, y1, z1)
+    sys.stdout.writelines(lines)
+    _print_result_block(s1, x1, y1, z1, digits, args.degrees)
     return 0
 
 
 def _cmd_donkin(args: argparse.Namespace) -> int:
-    r1 = parse_rotation_spec(args.q1, args.degrees)
-    r2 = parse_rotation_spec(args.q2, args.degrees)
-    if isinstance(r1, HalfTurn) or isinstance(r2, HalfTurn):
+    s1, *q1 = _parse_lifted(args.q1, args.degrees)
+    s2, *q2 = _parse_lifted(args.q2, args.degrees)
+    if not (s1 and s2):
         raise SpecFormatError("donkin needs two regular (non-half-turn) rotations")
-    tri = geometry.donkin_triangle(r1, r2)
+    tri = geometry.donkin_triangle(RodriguesVector(*q1), RodriguesVector(*q2))
     d = args.precision
     conv = math.degrees if args.degrees else (lambda a: a)
     print("A:" + _fmt_list(tri.a.as_tuple(), d))
@@ -244,8 +253,8 @@ def _trajectory_lines(
 
 def _cmd_integrate(args: argparse.Namespace) -> int:
     times, rates = _parse_omega_file(args.file)
-    initial = parse_rotation_spec(args.initial, args.degrees) if args.initial else None
-    rows = kinematics._integrate(times, rates, args.scheme, initial, args.substeps)
+    start = _parse_lifted(args.initial, args.degrees) if args.initial else None
+    rows = kinematics._integrate(times, rates, args.scheme, start, args.substeps)
     del times, rates  # freed before the trajectory text is built
     if args.out or args.trajectory:
         lines = _trajectory_lines(rows, args.precision, args.matrix_cols)
@@ -254,7 +263,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
                 fh.writelines(lines)
         if args.trajectory:
             sys.stdout.writelines(lines)
-    _print_result_block(_from_lifted(*rows[-1][1:]), args.precision, args.degrees, prefix="final ")
+    _print_result_block(*rows[-1][1:], args.precision, args.degrees, prefix="final ")
     return 0
 
 
@@ -309,7 +318,10 @@ def _positive_int(text: str) -> int:
     return v
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then kept: parsing leaves
+    it unchanged, and building it costs more than a typical command."""
     parser = argparse.ArgumentParser(
         prog="rodvec",
         description="Rotation algebra on Rodrigues vectors: convert, compose, "

@@ -99,6 +99,28 @@ def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
     return x * f / n, y * f / n, z * f / n
 
 
+def _unit_components(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The components that UnitVector(x, y, z) stores: (x, y, z) itself at
+    unit norm to 1e-12, renormalized within UNIT_RENORM_TOL, else rejected."""
+    n = math.sqrt(x * x + y * y + z * z)
+    if abs(n - 1.0) <= 1e-12:
+        return x, y, z
+    _require_finite(x, y, z)
+    if abs(n - 1.0) > UNIT_RENORM_TOL:
+        raise ValueError(f"not a unit vector (norm {n!r}); use UnitVector.from_vec")
+    return _unit(x, y, z)
+
+
+def _direction(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The components of UnitVector.from_vec(Vec3(x, y, z)): v/||v|| for
+    any finite v of norm at least 1e-15."""
+    if not math.isfinite(x + y + z):  # the sum may also overflow
+        _require_finite(x, y, z)
+    if math.sqrt(x * x + y * y + z * z) < 1e-15:
+        raise ValueError("cannot normalize a (near-)zero vector")
+    return _unit_components(*_unit(x, y, z))
+
+
 @dataclass(frozen=True)
 class Vec3:
     """A vector in R^3 with finite components."""
@@ -155,22 +177,16 @@ class UnitVector(Vec3):
     """
 
     def __post_init__(self) -> None:
-        _require_finite(self.x, self.y, self.z)
-        n = math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-        if abs(n - 1.0) > UNIT_RENORM_TOL:
-            raise ValueError(f"not a unit vector (norm {n!r}); use UnitVector.from_vec")
-        if abs(n - 1.0) > 1e-12:
-            x, y, z = _unit(self.x, self.y, self.z)
-            object.__setattr__(self, "x", x)
-            object.__setattr__(self, "y", y)
-            object.__setattr__(self, "z", z)
+        u = _unit_components(self.x, self.y, self.z)
+        if u != (self.x, self.y, self.z):  # renormalized
+            object.__setattr__(self, "x", u[0])
+            object.__setattr__(self, "y", u[1])
+            object.__setattr__(self, "z", u[2])
 
     @classmethod
     def from_vec(cls, v: Vec3) -> UnitVector:
         """v/||v|| for any finite v of norm at least 1e-15."""
-        if v.norm() < 1e-15:
-            raise ValueError("cannot normalize a (near-)zero vector")
-        return cls(*_unit(v.x, v.y, v.z))
+        return cls(*_direction(v.x, v.y, v.z))
 
     def __neg__(self) -> UnitVector:
         return UnitVector(-self.x, -self.y, -self.z)
@@ -324,13 +340,6 @@ class RotationMatrix:
         return NotImplemented
 
 
-def _canonical_half_axis(axis: UnitVector) -> UnitVector:
-    for c in (axis.x, axis.y, axis.z):
-        if c != 0.0:
-            return -axis if c < 0.0 else axis
-    return axis
-
-
 @dataclass(frozen=True)
 class HalfTurn:
     """A rotation by exactly pi about ``axis``.
@@ -342,7 +351,35 @@ class HalfTurn:
     axis: UnitVector
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axis", _canonical_half_axis(self.axis))
+        a = self.axis
+        if _flip_half_axis(a.x, a.y, a.z):
+            object.__setattr__(self, "axis", -a)
+
+
+def _flip_half_axis(x: float, y: float, z: float) -> bool:
+    """Whether a half-turn axis must be negated to be canonical: its first
+    nonzero component is negative."""
+    return (x or y or z) < 0.0
+
+
+def _half_turn_axis(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The components of HalfTurn(UnitVector(x, y, z)).axis."""
+    x, y, z = _unit_components(x, y, z)
+    if _flip_half_axis(x, y, z):
+        return -x, -y, -z
+    return x, y, z
+
+
+def _lift_axis_angle(
+    nx: float, ny: float, nz: float, angle: float
+) -> tuple[float, float, float, float]:
+    """Euler parameters of the rotation by the folded angle about the unit
+    axis n: (1, tan(angle/2) n), or (0, n) as a HalfTurn stores it when the
+    angle is pi to within HALF_TURN_ANGLE_TOL."""
+    if abs(abs(angle) - math.pi) <= HALF_TURN_ANGLE_TOL:
+        return (0.0, *_half_turn_axis(nx, ny, nz))
+    t = math.tan(0.5 * angle)
+    return 1.0, t * nx, t * ny, t * nz
 
 
 def _rotation9(s: float, x: float, y: float, z: float):
@@ -350,7 +387,7 @@ def _rotation9(s: float, x: float, y: float, z: float):
     composition law carries, from the kernels of matrix_from_rodrigues and
     matrix_from_half_turn."""
     if not s:
-        return _checked9(_k.half_turn9(HalfTurn(UnitVector(x, y, z)).axis.as_tuple()))
+        return _checked9(_k.half_turn9(_half_turn_axis(x, y, z)))
     if x * x + y * y + z * z == math.inf:
         return _checked9(_k.half_turn9(_unit(x, y, z)))
     return _checked9(_k.rot_from_rod9((x, y, z)))
@@ -389,13 +426,13 @@ def rodrigues_from_axis_angle(aa: AxisAngle) -> RodriguesVector:
         HalfTurnUndefined: when the angle is pi (to 1e-12); tan(angle/2)
             has a pole there and the rotation has no Rodrigues vector.
     """
-    if abs(abs(aa.angle) - math.pi) <= HALF_TURN_ANGLE_TOL:
+    s, x, y, z = _lift_axis_angle(*aa.axis.as_tuple(), aa.angle)
+    if not s:
         raise HalfTurnUndefined(
             "the Rodrigues vector tan(theta/2)*n has no value at theta = pi; "
             "use a HalfTurn or the matrix representation"
         )
-    t = math.tan(0.5 * aa.angle)
-    return RodriguesVector(t * aa.axis.x, t * aa.axis.y, t * aa.axis.z)
+    return RodriguesVector(x, y, z)
 
 
 def axis_angle_from_rodrigues(q: RodriguesVector) -> AxisAngle:

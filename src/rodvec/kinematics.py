@@ -169,7 +169,7 @@ def integrate_attitude(
     """
     times = [s.t for s in samples]
     rates = [s.omega.as_tuple() for s in samples]
-    rows = _integrate(times, rates, scheme, initial, substeps)
+    rows = _integrate(times, rates, scheme, None if initial is None else _lift(initial), substeps)
     return AttitudeTrajectory(tuple((t, _from_lifted(s, x, y, z)) for t, s, x, y, z in rows))
 
 
@@ -177,14 +177,14 @@ def _integrate(
     times: list[float],
     rates: list[tuple[float, float, float]],
     scheme: str,
-    initial: RotationResult | None,
+    start: tuple[float, float, float, float] | None,
     substeps: int,
 ) -> list[tuple[float, float, float, float, float]]:
     """integrate_attitude on finite sample times and (wx, wy, wz) rates.
 
     The orientation is carried as the Euler parameters of the composition
-    law, (1, Q) or (0, n), and is returned as such: one (t, s, x, y, z)
-    row per sample time, in a list.
+    law, (1, Q) or (0, n), from ``start`` (the identity when None), and is
+    returned as such: one (t, s, x, y, z) row per sample time, in a list.
     """
     if len(times) < 2:
         raise ValueError("need at least two samples")
@@ -197,7 +197,7 @@ def _integrate(
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     exact = scheme == EXACT_STEP
 
-    s, x, y, z = _lift(initial) if initial is not None else (1.0, 0.0, 0.0, 0.0)
+    s, x, y, z = (1.0, 0.0, 0.0, 0.0) if start is None else start
     rows = [(times[0], s, x, y, z)]
     for (t0, t1), ((ax, ay, az), (bx, by, bz)) in zip(pairwise(times), pairwise(rates)):
         dt = (t1 - t0) / substeps

@@ -1,8 +1,9 @@
 """The benchmark's own oracle accepts the program's output.
 
-Builds the ``integrate-log`` round of ``perfbench/workloads.py`` for one
-fixed seed and runs its first operations through ``rodvec.cli.main``, so
-that a change which breaks the benchmark's check fails here first.  The
+Builds the ``integrate-log`` and ``compose-chain`` rounds of
+``perfbench/workloads.py`` for one fixed seed and runs their first
+operations through ``rodvec.cli.main``, so that a change which breaks the
+benchmark's check fails here first.  The
 benchmark's files are only imported, without writing bytecode next to them.
 """
 
@@ -35,6 +36,17 @@ def test_integrate_log_operations_pass_the_oracle(workloads, capsys, tmp_path):
     ops = workloads.integrate_log(7, tmp_path)
     for op in ops[:2]:
         assert op.argv[0] == "integrate" and "--matrix-cols" in op.argv
+        code = main(op.argv)
+        out = capsys.readouterr().out
+        assert op.check(code, out) is None
+
+
+def test_compose_chain_operations_pass_the_oracle(workloads, capsys):
+    ops = workloads.compose_chain(7)
+    # ops[0] is the fixed chain with a mat: spec 5e-4 rad short of a half-turn
+    assert ops[0].known_fault and not any(op.known_fault for op in ops[1:3])
+    for op in ops[:3]:
+        assert op.argv[0] == "compose" and len(op.argv) == 1 + workloads.CHAIN_SPECS
         code = main(op.argv)
         out = capsys.readouterr().out
         assert op.check(code, out) is None

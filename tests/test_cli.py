@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import os
@@ -390,6 +391,17 @@ class TestIntegrateRowChecks:
         assert result == (2, "", "error: non-finite component: nan\n")
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [((math.nan, 0.0, 0.0), "nan"), ((0.1, math.inf, 0.2), "inf")],
+)
+def test_mat_spec_checks_the_rodrigues_kernel_output(capsys, monkeypatch, bad, message):
+    # the regular branch of Shepperd's rule reads Q from rod_from_rot9
+    monkeypatch.setattr(rodvec.cayley._k, "rod_from_rot9", lambda e: bad)
+    result = run(capsys, "convert", "mat:0.36,0.48,-0.8,-0.8,0.6,0,0.48,0.64,0.6", "--to", "rod")
+    assert result == (2, "", f"error: invalid mat spec: non-finite component: {message}\n")
+
+
 class TestIntegrateOutputDigests:
     """The sha256 of the printed trajectory, pinned so that a change to the
     integrator or to the formatting cannot move a single byte unnoticed."""
@@ -527,4 +539,184 @@ class TestEntryPoint:
 
     def test_usage_error_exit_2(self):
         cmd = [sys.executable, "-m", "rodvec", "convert", "rod:1,0,0"]  # missing --to
-        assert subprocess.run(cmd, capture_output=True).returncode == 2
+        r = subprocess.run(cmd, capture_output=True)
+        assert r.returncode == 2
+        assert r.stderr.splitlines()[0] == b"usage: rodvec convert [-h] --to {aa,rod,mat,half} spec"
+
+
+class TestParserBuiltOnce:
+    """main builds its argument parser on the first call, not at import, and
+    keeps it: no call's arguments reach the next call."""
+
+    def test_import_builds_no_parser(self):
+        code = (
+            "import argparse, io, contextlib\n"
+            "made = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def counting(self, *a, **k):\n"
+            "    made.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = counting\n"
+            "import rodvec.cli\n"
+            "counts = [len(made)]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for to in ('rod', 'aa'):\n"
+            "        rodvec.cli.main(['convert', 'rod:1,0,0', '--to', to])\n"
+            "        counts.append(len(made))\n"
+            "print(counts)\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        # the root parser and one per subcommand, built by the first call only
+        assert r.stdout == "[0, 7, 7]\n"
+
+    def test_usage_error_same_before_and_after_a_call(self):
+        code = (
+            "import io, contextlib, rodvec.cli\n"
+            "def run(argv):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+            "        code = rodvec.cli.main(argv)\n"
+            "    return code, out.getvalue(), err.getvalue()\n"
+            "bad = ['--precision', '3', 'convert', 'rod:1,0,0']\n"
+            "first = run(bad)\n"
+            "ok = run(['--degrees', 'convert', 'aa:0,0,1,90', '--to', 'rod'])\n"
+            "print(repr((first, ok, run(bad))))\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        first, ok, again = ast.literal_eval(r.stdout)
+        assert ok == (0, "rod:0,0,1\n", "")
+        assert first == again
+        assert first[:2] == (2, "")
+        assert first[2].splitlines() == [
+            "usage: rodvec convert [-h] --to {aa,rod,mat,half} spec",
+            "rodvec convert: error: the following arguments are required: --to",
+        ]
+
+    def test_options_do_not_leak_into_the_next_call(self, capsys):
+        spec = "rod:0.123456789123456,0,0"
+        assert run(capsys, "--precision", "5", "convert", spec, "--to", "rod") == (
+            0, "rod:0.12346,0,0\n", "")
+        assert run(capsys, "convert", spec, "--to", "rod") == (0, "rod:0.123456789123,0,0\n", "")
+        assert run(capsys, "--degrees", "convert", "rod:0,0,1", "--to", "aa") == (0, "aa:0,0,1,90\n", "")
+        assert run(capsys, "convert", "rod:0,0,1", "--to", "aa") == (0, "aa:0,0,1,1.57079632679\n", "")
+
+
+#: Magnitudes of spec components, from the smallest subnormal to 1e300.
+_MAGNITUDES = (0.0, 5e-324, 1e-300, 1e-160, 1e-20, 1e-8, 1.0, 1e8, 1e20, 1e154, 1e200, 1e300)
+
+#: Specs that are malformed, not finite or not rotations.
+_BAD_SPECS = (
+    "rod:1,2", "rod:1,2,3,4", "blah:1,2,3", "rod1,2,3", "rod:1,,3", "ROD:1,2,3", "",
+    "rod:nan,0,0", "rod:1e400,0,0", "rod:0,-inf,0", "aa:0,0,1", "aa:0,0,0,1",
+    "aa:1e-200,0,0,1", "aa:1,0,0,nan", "aa:inf,0,0,1", "half:0,0,0", "half:nan,0,1",
+    "half:1e-300,0,0", "mat:1,0,0,0,1,0,0,0", "mat:2,0,0,0,1,0,0,0,1",
+    "mat:1,0,0,0,1,0,0,0,nan", "mat:1,0,0,0,1,0,0,0,-inf", "mat:1,0,0,0,0,1,0,1,0",
+)
+
+
+def _component(rng):
+    v = rng.uniform(-3.0, 3.0) if rng.random() < 0.5 else rng.choice(_MAGNITUDES) * rng.uniform(0.5, 2.0)
+    return -v if rng.random() < 0.5 else v
+
+
+def _unit_axis(rng):
+    while True:
+        v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        n = math.sqrt(sum(c * c for c in v))
+        if n > 1e-3:
+            return [c / n for c in v]
+
+
+def _matrix(axis, angle):
+    x, y, z = axis
+    c, s = math.cos(angle), math.sin(angle)
+    t = 1.0 - c
+    return [
+        c + t * x * x, t * x * y - s * z, t * x * z + s * y,
+        t * x * y + s * z, c + t * y * y, t * y * z - s * x,
+        t * x * z - s * y, t * y * z + s * x, c + t * z * z,
+    ]
+
+
+def _digest_spec(rng, bad=0.15):
+    """One rotation spec of a random kind: exact half-turns, aa at and near
+    +-pi and at 180 (pi with --degrees), mat within 1e-4 rad of pi,
+    components from 5e-324 to 1e300, and now and then a malformed one."""
+    if rng.random() < bad:
+        return rng.choice(_BAD_SPECS)
+    kind = rng.choice(("rod", "aa", "mat", "half"))
+    if kind == "rod":
+        return "rod:" + ",".join(repr(_component(rng)) for _ in range(3))
+    if kind == "half":
+        axis = [_component(rng) for _ in range(3)] if rng.random() < 0.5 else _unit_axis(rng)
+        return "half:" + ",".join(map(repr, axis))
+    if kind == "aa":
+        axis = [_component(rng) for _ in range(3)] if rng.random() < 0.3 else _unit_axis(rng)
+        angle = rng.choice((
+            rng.uniform(-4.0, 4.0), rng.uniform(-400.0, 400.0), math.pi, -math.pi,
+            math.pi - 1e-13, math.pi - 1e-11, 180.0, -180.0, 540.0, 3 * math.pi, 1e300, 0.0,
+        ))
+        return "aa:" + ",".join(map(repr, (*axis, angle)))
+    axis = _unit_axis(rng)
+    angle = rng.choice((math.pi - rng.uniform(0.0, 1e-4), math.pi, rng.uniform(-math.pi, math.pi), 1e-9))
+    e = _matrix(axis, angle)
+    if angle == math.pi and rng.random() < 0.5:
+        e = [2.0 * a * b - (i == j) for i, a in enumerate(axis) for j, b in enumerate(axis)]
+    if rng.random() < 0.1:
+        e[rng.randrange(9)] *= 1.0 + rng.choice((1e-11, 1e-6))
+    return "mat:" + ",".join(map(repr, e))
+
+
+def _digest_runs(command, rng):
+    """The argument lists of one digest: 40 seeded runs of one command."""
+    if command == "compose":
+        chains = [["rod:0,0,1", "rod:0,0,1", "half:1,0,0"], ["half:0,0,-1", "aa:0,0,1,180", "rod:1e300,0,0"]]
+        while len(chains) < 40:
+            chains.append([_digest_spec(rng, bad=0.03) for _ in range(rng.choice((1, 2, 2, 3, 4, 6)))])
+        return [["compose", *c] for c in chains]
+    if command == "donkin":
+        return [["donkin", _digest_spec(rng, bad=0.05), _digest_spec(rng, bad=0.05)] for _ in range(40)]
+    to = command.removeprefix("convert-")
+    return [["convert", _digest_spec(rng), "--to", to] for _ in range(40)]
+
+
+class TestComposeOutputDigests:
+    """The sha256 of exit code, stdout and stderr of seeded compose, convert
+    and donkin runs, pinned so that a change to spec parsing, composition
+    or formatting cannot move a single byte unnoticed."""
+
+    DIGESTS = {
+        # "global options command": digest
+        "compose": "37506e04b9b42762f7d5e51d429997e8b8f461834e954ea45712b9db9b458ad9",
+        "--degrees compose": "c290cfceed78690380d3556cdccf2e704a0cec1799bcec79305ca4f13f010153",
+        "--precision 17 compose": "a98922ea934d4f55d595a3ada56281b59a12f9d8d810e194925d6574ebe70641",
+        "convert-rod": "5c23a3c25cc423ff350da6c4004e2d60727cfa6663823c770c107756650d3596",
+        "--degrees convert-rod": "3e217da0ae82e636385ac0c6a4fb96df78b46414f8e46c0244639f9f1dc45f8f",
+        "--precision 17 convert-rod": "351591af5afadfd644e304b294b13da0867e2c0608a95ab44175eb64124f973f",
+        "convert-aa": "829dbc292bbd3e55ab444c04c30b92d314648e38d3543c8d5a3f9634ee820a50",
+        "--degrees convert-aa": "ae13634c32ab87542e2985458be6e93efe218a1a47ebd84449a468654cdf92eb",
+        "--precision 17 convert-aa": "b48fa7f51edf60e330ec4ba4544cb6c92f02e3445a736bee0442ca314bee81ed",
+        "convert-mat": "7c7b98ee4391169431b2cf242d6081430645c8f14cd26896e44b6a98545fb74a",
+        "--degrees convert-mat": "b6d5d57f26a6990b0468789fc363b852e5b9dd83f7a0de022e080538745dc9a3",
+        "--precision 17 convert-mat": "e12330a323f1143e71e20ca58c1694d6492675463a0e8b7bc9fb7bacbfed8ac7",
+        "convert-half": "f628ab113bb8226223684e8064b9df02ad291c85ed74acfc1f5ba37325601e15",
+        "--degrees convert-half": "908d695f08c54d849deba4267dd84c49e4886a89507ef15d0e99afe7ecda365f",
+        "--precision 17 convert-half": "537d5449c2030b0f5d41b6db358aa2102122abc6a4176774344f7d29226aae8a",
+        "donkin": "f28bef779cdf00dd81532012b611f8ad4848e41ad3d442bfdaacf4a38a11c783",
+        "--degrees donkin": "8e0ebec7365c74e9585bfa207ee43285a06cd96d128744f5e78c487a39b01bfb",
+        "--precision 17 donkin": "7c61c4e1d4b63e4c83795da12ce2ff83c56bd73b5f81ddbcad0b125b6176c9ae",
+    }
+
+    @pytest.mark.parametrize("options", [(), ("--degrees",), ("--precision", "17")])
+    @pytest.mark.parametrize(
+        "command",
+        ["compose", "convert-rod", "convert-aa", "convert-mat", "convert-half", "donkin"],
+    )
+    def test_digest(self, capsys, options, command):
+        h = hashlib.sha256()
+        for argv in _digest_runs(command, random.Random(command)):
+            code, out, err = run(capsys, *options, *argv)
+            h.update(f"{code}\n{out}\0{err}\0".encode())
+        assert h.hexdigest() == self.DIGESTS[" ".join((*options, command))]
