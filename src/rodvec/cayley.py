@@ -20,9 +20,12 @@ from rodvec.core import (
     RodriguesVector,
     RotationMatrix,
     Vec3,
+    _checked9,
     _direction,
     _half_turn_axis,
+    _matrix3,
     _require_finite,
+    _rotation_matrix,
 )
 
 __all__ = [
@@ -51,13 +54,17 @@ def cayley_rotation(q: RodriguesVector) -> RotationMatrix:
     product rearranged, with the inverse evaluated on Q scaled by its
     largest component.
     """
-    x, y, z = q.as_tuple()
+    return _rotation_matrix(_cayley_rot9(*q.as_tuple()))
+
+
+def _cayley_rot9(x: float, y: float, z: float):
+    """cayley_rotation on the components of Q: its checked nine floats."""
     if max(abs(x), abs(y), abs(z)) > _DD_LIMIT:
         m = [2.0 * v for v in _inverse_scaled(x, y, z)]
         for i in (0, 4, 8):
             m[i] -= 1.0
-        return RotationMatrix(Matrix3(m))
-    return RotationMatrix(Matrix3(_k.cayley_rot9((x, y, z))))
+        return _checked9(tuple(m))
+    return _checked9(_k.cayley_rot9((x, y, z)))
 
 
 def cayley_inverse_explicit(q: RodriguesVector) -> Matrix3:
@@ -68,11 +75,16 @@ def cayley_inverse_explicit(q: RodriguesVector) -> Matrix3:
     double-double evaluation overflows (||Q|| beyond about 1e150), the
     same closed form is evaluated on Q scaled by its largest component.
     """
-    t = q.as_tuple()
-    m = _k.cayley_inv9(t)
+    return _matrix3(_cayley_inv9(*q.as_tuple()))
+
+
+def _cayley_inv9(x: float, y: float, z: float):
+    """cayley_inverse_explicit on the components of Q: its nine finite floats."""
+    m = _k.cayley_inv9((x, y, z))
     if not math.isfinite(sum(m)):  # entries are at most 1: the sum is finite iff they are
-        m = _inverse_scaled(*t)
-    return Matrix3(m)
+        m = _inverse_scaled(x, y, z)
+        _require_finite(*m)
+    return m
 
 
 def _inverse_scaled(x: float, y: float, z: float) -> tuple[float, ...]:
@@ -156,8 +168,11 @@ def cayley_residuals(q: RodriguesVector, x: Vec3) -> tuple[float, float]:
     Both vanish identically; the returned values are floating-point noise,
     bounded by ~1e-15 * (1 + ||Q||) * ||x|| in practice.
     """
-    qt = q.as_tuple()
-    xt = x.as_tuple()
+    return _cayley_residuals(q.as_tuple(), x.as_tuple())
+
+
+def _cayley_residuals(qt, xt) -> tuple[float, float]:
+    """cayley_residuals on the triples of Q and x."""
     rm = _k.rot_from_rod9(qt)
     rx = _k.matvec(rm, xt)
     qxx = _k.cross3(qt, xt)

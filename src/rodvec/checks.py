@@ -10,6 +10,7 @@ given (n, seed) pair always produces identical output.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -31,25 +32,41 @@ class DiagnosticResult:
         return self.max_residual <= self.tolerance
 
 
-def _rand_unit(rng: random.Random) -> core.UnitVector:
+def _vec3(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(x, y, z) after the finite check of Vec3(x, y, z)."""
+    if not math.isfinite(x + y + z):  # the sum may also overflow
+        core._require_finite(x, y, z)
+    return x, y, z
+
+
+def _rand_unit(rng: random.Random) -> tuple[float, float, float]:
     while True:
-        v = core.Vec3(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        if v.norm() > 1e-3:
-            return core.UnitVector.from_vec(v)
+        v = _vec3(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        if geometry._norm(v) > 1e-3:
+            return core._direction(*v)
 
 
-def _rand_axis_angle(rng: random.Random, max_angle: float) -> tuple[core.UnitVector, float]:
+def _rand_axis_angle(rng: random.Random, max_angle: float):
     return _rand_unit(rng), rng.uniform(-max_angle, max_angle)
 
 
-def _rand_rodrigues(rng: random.Random, max_angle: float) -> core.RodriguesVector:
-    n, theta = _rand_axis_angle(rng, max_angle)
+def _rodrigues(axis, theta: float) -> tuple[float, float, float]:
+    """The components of the Rodrigues vector tan(theta/2) axis."""
     t = math.tan(0.5 * theta)
-    return core.RodriguesVector(t * n.x, t * n.y, t * n.z)
+    return _vec3(t * axis[0], t * axis[1], t * axis[2])
+
+
+def _rand_rodrigues(rng: random.Random, max_angle: float) -> tuple[float, float, float]:
+    return _rodrigues(*_rand_axis_angle(rng, max_angle))
 
 
 def _max_diff9(a, b) -> float:
-    return max(abs(x - y) for x, y in zip(a, b))
+    return max(map(abs, map(operator.sub, a, b)))
+
+
+def _dist(u, v) -> float:
+    """||u - v|| as Vec3.norm computes it."""
+    return geometry._norm((u[0] - v[0], u[1] - v[1], u[2] - v[2]))
 
 
 def _check_formula_agreement(n: int, seed: int) -> DiagnosticResult:
@@ -57,30 +74,30 @@ def _check_formula_agreement(n: int, seed: int) -> DiagnosticResult:
     worst = 0.0
     for _ in range(n):
         axis, theta = _rand_axis_angle(rng, math.pi - 1e-3)
-        t = math.tan(0.5 * theta)
-        q = core.RodriguesVector(t * axis.x, t * axis.y, t * axis.z)
-        r1 = core.euler_rodrigues_matrix(axis, theta).elements
-        r2 = core.matrix_from_rodrigues(q).elements
-        r3 = cayley.cayley_rotation(q).elements
+        q = _rodrigues(axis, theta)
+        r1 = core._euler_rodrigues9(axis, theta)
+        r2 = core._rotation9(1.0, *q)
+        r3 = cayley._cayley_rot9(*q)
         worst = max(worst, _max_diff9(r1, r2), _max_diff9(r2, r3), _max_diff9(r1, r3))
     return DiagnosticResult("formula-agreement", n, worst, 1e-12)
 
 
 def _check_explicit_inverse(n: int, seed: int) -> DiagnosticResult:
     rng = random.Random(seed * 7 + 2)
-    ident = core.Matrix3.identity().elements
     worst = 0.0
     for _ in range(n):
         q = _rand_rodrigues(rng, math.pi - 1e-3)
-        m = cayley.cayley_inverse_explicit(q).elements
-        k = _k.skew9(q.as_tuple())
-        one_minus_k = tuple(
-            (1.0 if i % 4 == 0 else 0.0) - k[i] for i in range(9)
+        m = cayley._cayley_inv9(*q)
+        k = _k.skew9(q)
+        one_minus_k = (
+            1.0 - k[0], 0.0 - k[1], 0.0 - k[2],
+            0.0 - k[3], 1.0 - k[4], 0.0 - k[5],
+            0.0 - k[6], 0.0 - k[7], 1.0 - k[8],
         )
         worst = max(
             worst,
-            _max_diff9(_k.matmul_comp(one_minus_k, m), ident),
-            _max_diff9(_k.matmul_comp(m, one_minus_k), ident),
+            _max_diff9(_k.matmul_comp(one_minus_k, m), core._IDENTITY9),
+            _max_diff9(_k.matmul_comp(m, one_minus_k), core._IDENTITY9),
         )
     return DiagnosticResult("explicit-inverse", n, worst, 1e-12)
 
@@ -90,38 +107,39 @@ def _check_bridge_residuals(n: int, seed: int) -> DiagnosticResult:
     worst = 0.0
     for _ in range(n):
         q = _rand_rodrigues(rng, math.pi - 1e-3)
-        x = core.Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-        r1, r2 = cayley.cayley_residuals(q, x)
-        scale = (1.0 + q.norm()) * max(x.norm(), 1e-300)
+        x = _vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
+        r1, r2 = cayley._cayley_residuals(q, x)
+        scale = (1.0 + geometry._norm(q)) * max(geometry._norm(x), 1e-300)
         worst = max(worst, r1 / scale, r2 / scale)
     return DiagnosticResult("bridge-residuals", n, worst, 1e-12)
 
 
-def _rand_nondegenerate_pair(
-    rng: random.Random,
-) -> tuple[core.RodriguesVector, core.RodriguesVector]:
+def _rand_nondegenerate_pair(rng: random.Random):
+    """Q1, Q2 and the Rodrigues vector Q3 of their composition, for
+    Q1 and Q2 of norm at least 1e-2, not parallel and composing to no
+    half-turn."""
     while True:
         q1 = _rand_rodrigues(rng, 2.7)
         q2 = _rand_rodrigues(rng, 2.7)
-        n1 = q1.norm()
-        n2 = q2.norm()
+        n1 = geometry._norm(q1)
+        n2 = geometry._norm(q2)
         if n1 < 1e-2 or n2 < 1e-2:
             continue
-        if _k.norm3(_k.cross3(q1.as_tuple(), q2.as_tuple())) <= 1e-6 * n1 * n2:
+        if _k.norm3(_k.cross3(q1, q2)) <= 1e-6 * n1 * n2:
             continue
-        if isinstance(composition.compose(q2, q1), core.HalfTurn):
+        s, x, y, z = composition._compose_lifted(1.0, *q2, 1.0, *q1)
+        if s == 0:
             continue
-        return q1, q2
+        return q1, q2, (x, y, z)
 
 
 def _check_lambda_residual(n: int, seed: int) -> DiagnosticResult:
     rng = random.Random(seed * 7 + 4)
     worst = 0.0
     for _ in range(n):
-        q1, q2 = _rand_nondegenerate_pair(rng)
-        tri = geometry.donkin_triangle(q1, q2)
-        diag = composition.composition_diagnostics(q2, q1, tri.a)
-        worst = max(worst, diag.residual)
+        q1, q2, _ = _rand_nondegenerate_pair(rng)
+        a = geometry._donkin_triangle(q1, q2)[0]
+        worst = max(worst, composition._composition_diagnostics(q2, q1, a)[2])
     return DiagnosticResult("lambda-residual", n, worst, 1e-10)
 
 
@@ -129,22 +147,21 @@ def _check_donkin(n: int, seed: int) -> DiagnosticResult:
     rng = random.Random(seed * 7 + 5)
     worst = 0.0
     for _ in range(n):
-        q1, q2 = _rand_nondegenerate_pair(rng)
-        tri = geometry.donkin_triangle(q1, q2)
-        worst = max(worst, geometry.donkin_verify(tri))
-        b_hat = geometry.half_angle_point(q1, tri.a)
-        c_hat = geometry.half_angle_point(q2, tri.b)
+        q1, q2, q3 = _rand_nondegenerate_pair(rng)
+        a, b, c = geometry._donkin_triangle(q1, q2)
+        worst = max(worst, geometry._donkin_residual(a, b, c))
+        b_hat = geometry._half_angle_point(q1, a)
+        c_hat = geometry._half_angle_point(q2, b)
         # (1 + Q3x) A is proportional to C with the sign of 1 - Q2.Q1: the
         # exact relation is (1 - Q2.Q1)(1 + Q3x) A = mu C with mu > 0
-        q3 = composition.compose(q2, q1)
-        lam = 1.0 - _k.dot3(q2.as_tuple(), q1.as_tuple())
-        c_expected = tri.c.vec if lam > 0.0 else -tri.c.vec
-        c_via_q3 = geometry.half_angle_point(q3, tri.a)
+        lam = 1.0 - _k.dot3(q2, q1)
+        c_expected = c if lam > 0.0 else (-c[0], -c[1], -c[2])
+        c_via_q3 = geometry._half_angle_point(q3, a)
         worst = max(
             worst,
-            (b_hat - tri.b).norm(),
-            (c_hat - tri.c).norm(),
-            (c_via_q3 - c_expected).norm(),
+            _dist(b_hat, b),
+            _dist(c_hat, c),
+            _dist(c_via_q3, c_expected),
         )
     return DiagnosticResult("donkin-closure", n, worst, 1e-10)
 

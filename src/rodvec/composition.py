@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from rodvec._backend import kernels as _k
-from rodvec.core import HalfTurn, RodriguesVector, UnitVector, Vec3, _unit
+from rodvec.core import HalfTurn, RodriguesVector, UnitVector, Vec3, _require_finite, _unit
 from rodvec.errors import DegenerateComposition, NotPerpendicular
 
 __all__ = [
@@ -143,19 +143,24 @@ def composition_diagnostics(
         DegenerateComposition: if the composition lands on the half-turn
             branch, where no finite Q3 exists.
     """
-    q1t = q1.as_tuple()
-    q2t = q2.as_tuple()
-    at = a.as_tuple()
+    num, den, residual = _composition_diagnostics(q2.as_tuple(), q1.as_tuple(), a.as_tuple())
+    return CompositionDiagnostics(
+        lam=den, numerator=Vec3(*num), denominator=den, residual=residual
+    )
+
+
+def _composition_diagnostics(q2t, q1t, at):
+    """composition_diagnostics on the triples of Q2, Q1 and a: the
+    numerator, the denominator lambda and the residual."""
     if any(q1t) and abs(_k.dot3(at, _unit(*q1t))) > 1e-9:
         raise NotPerpendicular("a must be perpendicular to Q1")
-    q3 = compose(q2, q1)
-    if isinstance(q3, HalfTurn):
+    # a regular Q3 from _compose_lifted is finite, a half-turn axis unit
+    s, x, y, z = _compose_lifted(1.0, *q2t, 1.0, *q1t)
+    if not s:
         raise DegenerateComposition("composition is a half-turn; lambda residual undefined")
-    num, den = _k.compose_num_den(q2t, q1t)
-    lam = den
+    num, lam = _k.compose_num_den(q2t, q1t)
 
-    q3t = q3.as_tuple()
-    lhs = _k.cross3(q3t, at)
+    lhs = _k.cross3((x, y, z), at)
     lhs = (lam * (at[0] + lhs[0]), lam * (at[1] + lhs[1]), lam * (at[2] + lhs[2]))
 
     c1 = _k.cross3(q1t, at)
@@ -167,6 +172,6 @@ def composition_diagnostics(
         at[2] + c1[2] + c2[2] + c21[2],
     )
     residual = _k.norm3((lhs[0] - rhs[0], lhs[1] - rhs[1], lhs[2] - rhs[2]))
-    return CompositionDiagnostics(
-        lam=lam, numerator=Vec3(*num), denominator=den, residual=residual
-    )
+    if not math.isfinite(num[0] + num[1] + num[2]):  # the sum may also overflow
+        _require_finite(*num)  # the check of Vec3(*num)
+    return num, lam, residual

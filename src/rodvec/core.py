@@ -52,6 +52,8 @@ ROTATION_MATRIX_TOL = 1e-9
 #: Unit vectors are renormalized when within this of unit norm, rejected beyond.
 UNIT_RENORM_TOL = 1e-6
 
+_IDENTITY9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+
 
 def _require_finite(*values: float) -> None:
     for v in values:
@@ -112,13 +114,21 @@ def _unit_components(x: float, y: float, z: float) -> tuple[float, float, float]
 
 
 def _direction(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """The components of UnitVector.from_vec(Vec3(x, y, z)): v/||v|| for
-    any finite v of norm at least 1e-15."""
+    """The components of UnitVector(v/||v||) for any finite nonzero v."""
     if not math.isfinite(x + y + z):  # the sum may also overflow
         _require_finite(x, y, z)
-    if math.sqrt(x * x + y * y + z * z) < 1e-15:
+    if not (x or y or z):
         raise ValueError("cannot normalize a (near-)zero vector")
     return _unit_components(*_unit(x, y, z))
+
+
+def _from_vec(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The components of UnitVector.from_vec(Vec3(x, y, z)): _direction
+    with from_vec's floor of 1e-15 on the norm."""
+    # nan and inf fail the floor test, and _direction's finite check next
+    if math.sqrt(x * x + y * y + z * z) < 1e-15:
+        raise ValueError("cannot normalize a (near-)zero vector")
+    return _direction(x, y, z)
 
 
 @dataclass(frozen=True)
@@ -186,7 +196,7 @@ class UnitVector(Vec3):
     @classmethod
     def from_vec(cls, v: Vec3) -> UnitVector:
         """v/||v|| for any finite v of norm at least 1e-15."""
-        return cls(*_direction(v.x, v.y, v.z))
+        return cls(*_from_vec(v.x, v.y, v.z))
 
     def __neg__(self) -> UnitVector:
         return UnitVector(-self.x, -self.y, -self.z)
@@ -244,7 +254,7 @@ class Matrix3:
 
     @classmethod
     def identity(cls) -> Matrix3:
-        return cls((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+        return cls(_IDENTITY9)
 
     @property
     def rows(self) -> tuple[tuple[float, float, float], ...]:
@@ -393,13 +403,19 @@ def _rotation9(s: float, x: float, y: float, z: float):
     return _checked9(_k.rot_from_rod9((x, y, z)))
 
 
+def _matrix3(e) -> Matrix3:
+    """The Matrix3 of a tuple of nine finite floats, built without
+    converting or checking them again."""
+    m = object.__new__(Matrix3)
+    object.__setattr__(m, "elements", e)
+    return m
+
+
 def _rotation_matrix(e) -> RotationMatrix:
     """The RotationMatrix of nine floats that passed _checked9, built
     without converting or checking them again."""
-    m = object.__new__(Matrix3)
-    object.__setattr__(m, "elements", e)
     r = object.__new__(RotationMatrix)
-    object.__setattr__(r, "matrix", m)
+    object.__setattr__(r, "matrix", _matrix3(e))
     return r
 
 
@@ -415,8 +431,13 @@ def unskew(m: SkewMatrix) -> Vec3:
 
 def euler_rodrigues_matrix(n: UnitVector, theta: float) -> RotationMatrix:
     """R(n, theta) = cos(theta)*1 + sin(theta)*(n x) + (1 - cos(theta))*n n^T."""
+    return _rotation_matrix(_euler_rodrigues9(n.as_tuple(), theta))
+
+
+def _euler_rodrigues9(n, theta: float):
+    """euler_rodrigues_matrix on the unit triple n: its checked nine floats."""
     _require_finite(theta)
-    return _rotation_matrix(_checked9(_k.euler_rodrigues9(n.as_tuple(), theta)))
+    return _checked9(_k.euler_rodrigues9(n, theta))
 
 
 def rodrigues_from_axis_angle(aa: AxisAngle) -> RodriguesVector:

@@ -1,7 +1,7 @@
 """The benchmark's own oracle accepts the program's output.
 
-Builds the ``integrate-log`` and ``compose-chain`` rounds of
-``perfbench/workloads.py`` for one fixed seed and runs their first
+Builds the ``integrate-log``, ``compose-chain`` and ``check-selftest``
+rounds of ``perfbench/workloads.py`` for one fixed seed and runs their first
 operations through ``rodvec.cli.main``, so that a change which breaks the
 benchmark's check fails here first.  The
 benchmark's files are only imported, without writing bytecode next to them.
@@ -47,6 +47,15 @@ def test_compose_chain_operations_pass_the_oracle(workloads, capsys):
     assert ops[0].known_fault and not any(op.known_fault for op in ops[1:3])
     for op in ops[:3]:
         assert op.argv[0] == "compose" and len(op.argv) == 1 + workloads.CHAIN_SPECS
+        code = main(op.argv)
+        out = capsys.readouterr().out
+        assert op.check(code, out) is None
+
+
+def test_check_selftest_operations_pass_the_oracle(workloads, capsys):
+    ops = workloads.CheckRounds(7).next_round()
+    for op in ops[:2]:
+        assert op.argv[:3] == ["check", "--n", str(workloads.CHECK_N)]
         code = main(op.argv)
         out = capsys.readouterr().out
         assert op.check(code, out) is None

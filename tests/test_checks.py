@@ -1,0 +1,326 @@
+"""Pins of ``rodvec check`` and of the public routines it drives.
+
+The residuals of ``checks.run_diagnostics``, the values returned by the
+public Donkin, half-angle, composition, Cayley and Euler-Rodrigues
+functions, and the class and text of each of their errors are pinned
+exactly, so that a change to how they are computed cannot move a bit
+unnoticed.
+"""
+
+import hashlib
+import math
+import random
+from pathlib import Path
+
+import pytest
+
+import rodvec.core
+from conftest import rand_axis_angle, rand_rod
+from rodvec import checks
+from rodvec._backend import backend_name
+from rodvec.cayley import cayley_inverse_explicit, cayley_rotation
+from rodvec.cli import main
+from rodvec.composition import CompositionDiagnostics, composition_diagnostics
+from rodvec.core import (
+    Matrix3,
+    RodriguesVector,
+    RotationMatrix,
+    UnitVector,
+    Vec3,
+    euler_rodrigues_matrix,
+)
+from rodvec.errors import DegenerateComposition, NotPerpendicular, ParallelAxes
+from rodvec.geometry import (
+    SphericalTriangle,
+    donkin_residual,
+    donkin_triangle,
+    donkin_verify,
+    half_angle_point,
+)
+
+RESIDUALS = Path(__file__).resolve().parent / "data" / "check_residuals.txt"
+
+#: explicit-inverse residuals where the compiled kernels differ from the
+#: pure-Python ones in the last bit: their ``matmul_comp`` rounds a
+#: double-double sum where the Python kernel takes an ``fsum``
+COMPILED_EXPLICIT_INVERSE = {
+    (1, 16): "0x1.42abe30f1c0ccp-55",
+    (1, 22): "0x1.08ac9763d5480p-55",
+    (1, 28): "0x1.4680408f23c26p-58",
+}
+
+
+def _pinned_residuals():
+    rows = {}
+    for line in RESIDUALS.read_text().splitlines():
+        if line and not line.startswith("#"):
+            n, seed, *hexes = line.split()
+            rows[int(n), int(seed)] = hexes
+    if backend_name() == "compiled":
+        for key, value in COMPILED_EXPLICIT_INVERSE.items():
+            rows[key][1] = value
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_residuals_are_pinned(n):
+    runs = [(seed, hexes) for (m, seed), hexes in _pinned_residuals().items() if m == n]
+    assert len(runs) == 50
+    for seed, hexes in runs:
+        results = checks.run_diagnostics(n, seed)
+        assert [r.max_residual.hex() for r in results] == hexes, f"n={n} seed={seed}"
+        assert [(r.name, r.samples, r.tolerance) for r in results] == [
+            ("formula-agreement", n, 1e-12),
+            ("explicit-inverse", n, 1e-12),
+            ("bridge-residuals", n, 1e-12),
+            ("lambda-residual", n, 1e-10),
+            ("donkin-closure", n, 1e-10),
+        ]
+
+
+# --- the public wrappers -------------------------------------------------
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or the class and text of what it raises."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:  # the error is the pinned value
+        return f"{type(exc).__name__}: {exc}"
+
+
+#: rotations past the double-double limit of cayley_rot9, past the
+#: overflow of cayley_inv9 and of Q2 x Q1, and below the underflow of Q.Q
+EDGE_ROTATIONS = [
+    RodriguesVector(0.0, 0.0, 0.0),
+    RodriguesVector(1e17, 2e16, -3e16),
+    RodriguesVector(-4e160, 1e150, 2e160),
+    RodriguesVector(1e300, -1e300, 1e299),
+    RodriguesVector(1e-170, 0.0, 0.0),
+    RodriguesVector(0.0, 1e-170, 3e-171),
+    RodriguesVector(1e200, 0.0, 0.0),
+    RodriguesVector(0.0, 1e200, -1e199),
+    RodriguesVector(5e-324, 0.0, 0.0),
+]
+
+
+def _wrapper_outcomes():
+    """The outcome of every public wrapper on 60 seeded samples and on the
+    edge rotations, one line each."""
+    rng = random.Random(20261018)
+    lines = []
+    pairs = [(rand_rod(rng, 2.7), rand_rod(rng, 2.7)) for _ in range(60)]
+    pairs += [(a, b) for a in EDGE_ROTATIONS for b in EDGE_ROTATIONS]
+    for q1, q2 in pairs:
+        axis, theta = rand_axis_angle(rng, math.pi - 1e-3)
+        lines.append(_outcome(euler_rodrigues_matrix, axis, theta))
+        lines.append(_outcome(cayley_rotation, q1))
+        lines.append(_outcome(cayley_inverse_explicit, q1))
+        lines.append(_outcome(donkin_triangle, q1, q2))
+        try:
+            tri = donkin_triangle(q1, q2)
+        except Exception:  # pinned above
+            continue
+        lines.append(_outcome(donkin_verify, tri))
+        lines.append(_outcome(donkin_residual, tri.c, tri.a, tri.b))
+        lines.append(_outcome(half_angle_point, q1, tri.a))
+        lines.append(_outcome(half_angle_point, q2, tri.b))
+        lines.append(_outcome(composition_diagnostics, q2, q1, tri.a))
+    for theta in (0.0, math.pi, -math.pi, 7.0, 1e300, 5e-324):
+        lines.append(_outcome(euler_rodrigues_matrix, UnitVector(0.6, 0.0, -0.8), theta))
+    return lines
+
+
+WRAPPER_DIGEST = "1587a75945a660247892f4ea92fcdb2091b7fedf1950305e91c8020d143251c5"
+
+
+def test_wrapper_outcomes_are_pinned():
+    lines = _wrapper_outcomes()
+    assert len(lines) == 970
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WRAPPER_DIGEST
+
+
+def test_wrapper_result_types():
+    q1, q2 = RodriguesVector(0.3, -0.2, 1.1), RodriguesVector(-0.7, 0.4, 0.25)
+    tri = donkin_triangle(q1, q2)
+    assert type(tri) is SphericalTriangle
+    assert all(type(v) is UnitVector for v in (tri.a, tri.b, tri.c))
+    assert type(half_angle_point(q1, tri.a)) is UnitVector
+    assert type(donkin_verify(tri)) is float
+    diag = composition_diagnostics(q2, q1, tri.a)
+    assert type(diag) is CompositionDiagnostics
+    assert type(diag.numerator) is Vec3
+    assert all(type(v) is float for v in (diag.lam, diag.denominator, diag.residual))
+    for r in (
+        cayley_rotation(q1),
+        cayley_rotation(RodriguesVector(1e17, 0.0, 0.0)),
+        euler_rodrigues_matrix(tri.b, 2.0),
+    ):
+        assert type(r) is RotationMatrix and type(r.matrix) is Matrix3
+        assert type(r.elements) is tuple and all(type(v) is float for v in r.elements)
+    for m in (cayley_inverse_explicit(q1), cayley_inverse_explicit(RodriguesVector(1e200, 0.0, 0.0))):
+        assert type(m) is Matrix3
+        assert type(m.elements) is tuple and all(type(v) is float for v in m.elements)
+
+
+def test_worked_triangle_and_diagnostics():
+    q1, q2 = RodriguesVector(1.0, 0.0, 0.0), RodriguesVector(0.0, 1.0, 0.0)
+    tri = donkin_triangle(q1, q2)
+    assert repr(tri) == (
+        "SphericalTriangle(a=UnitVector(x=0.0, y=-0.7071067811865475, z=-0.7071067811865476), "
+        "b=UnitVector(x=0.0, y=0.0, z=-1.0), "
+        "c=UnitVector(x=-0.7071067811865475, y=0.0, z=-0.7071067811865475))"
+    )
+    assert repr(composition_diagnostics(q2, q1, tri.a)) == (
+        "CompositionDiagnostics(lam=1.0, numerator=Vec3(x=1.0, y=1.0, z=-1.0), "
+        "denominator=1.0, residual=0.0)"
+    )
+    assert donkin_verify(tri).hex() == "0x1.72cece675d1fcp-53"
+
+
+# --- the error paths -----------------------------------------------------
+
+S = math.sqrt(0.5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: half_angle_point(RodriguesVector(0.0, 0.0, 0.0), UnitVector(1.0, 0.0, 0.0)),
+            ValueError,
+            "half_angle_point needs a nonzero rotation",
+        ),
+        (
+            lambda: half_angle_point(RodriguesVector(0.0, 0.0, 1.0), UnitVector(0.6, 0.0, 0.8)),
+            NotPerpendicular,
+            "a must lie in the plane perpendicular to Q",
+        ),
+        (
+            lambda: half_angle_point(RodriguesVector(0.0, 1.7e308, -1.7e308), UnitVector(0.0, S, S)),
+            ValueError,
+            "non-finite component: inf",
+        ),
+        (
+            lambda: composition_diagnostics(
+                RodriguesVector(0.2, 0.0, 0.0), RodriguesVector(0.0, 0.0, 1.0), UnitVector(0.0, 0.6, 0.8)
+            ),
+            NotPerpendicular,
+            "a must be perpendicular to Q1",
+        ),
+        (
+            # not perpendicular and degenerate: the perpendicularity test comes first
+            lambda: composition_diagnostics(
+                RodriguesVector(1.0, 1.0, 0.0), RodriguesVector(1.0, 0.0, 0.0), UnitVector(0.6, 0.8, 0.0)
+            ),
+            NotPerpendicular,
+            "a must be perpendicular to Q1",
+        ),
+        (
+            lambda: composition_diagnostics(
+                RodriguesVector(1.0, 1.0, 0.0), RodriguesVector(1.0, 0.0, 0.0), UnitVector(0.0, 0.0, 1.0)
+            ),
+            DegenerateComposition,
+            "composition is a half-turn; lambda residual undefined",
+        ),
+        (
+            # a regular composition whose unscaled numerator overflows
+            lambda: composition_diagnostics(
+                RodriguesVector(-1e160, 1e160, 0.0), RodriguesVector(1e160, 0.0, 0.0), UnitVector(0.0, 0.0, 1.0)
+            ),
+            ValueError,
+            "non-finite component: -inf",
+        ),
+        (
+            lambda: donkin_triangle(RodriguesVector(0.0, 0.0, 0.0), RodriguesVector(0.0, 1.0, 0.0)),
+            ParallelAxes,
+            "both rotations must be nonzero",
+        ),
+        (
+            lambda: donkin_triangle(RodriguesVector(0.0, 1.0, 0.0), RodriguesVector(0.0, 0.0, 0.0)),
+            ParallelAxes,
+            "both rotations must be nonzero",
+        ),
+        (
+            lambda: donkin_triangle(RodriguesVector(1.0, 0.0, 0.0), RodriguesVector(-2.0, 0.0, 0.0)),
+            ParallelAxes,
+            "rotation axes are parallel; no spherical triangle exists",
+        ),
+        (
+            lambda: donkin_triangle(RodriguesVector(1e-6, 0.0, 0.0), RodriguesVector(0.0, 1e-6, 0.0)),
+            ValueError,
+            "degenerate spherical triangle: vertices are collinear",
+        ),
+        (
+            lambda: SphericalTriangle(
+                UnitVector(1.0, 0.0, 0.0), UnitVector(0.0, 1.0, 0.0), UnitVector(1.0, 0.0, 0.0)
+            ),
+            ValueError,
+            "degenerate spherical triangle: vertices are collinear",
+        ),
+        (
+            lambda: SphericalTriangle(Vec3(1e308, 0.0, 0.0), Vec3(-1e308, 0.0, 0.0), Vec3(0.0, 1.0, 0.0)),
+            ValueError,
+            "non-finite component: -inf",
+        ),
+        (
+            # the sides are finite, their cross product is not
+            lambda: SphericalTriangle(Vec3(1e200, 0.0, 0.0), Vec3(0.0, 1e200, 0.0), Vec3(0.0, 0.0, 1e200)),
+            ValueError,
+            "non-finite component: inf",
+        ),
+        (
+            lambda: euler_rodrigues_matrix(UnitVector(0.0, 0.0, 1.0), math.nan),
+            ValueError,
+            "non-finite component: nan",
+        ),
+        (
+            lambda: euler_rodrigues_matrix(UnitVector(0.0, 0.0, 1.0), -math.inf),
+            ValueError,
+            "non-finite component: -inf",
+        ),
+    ],
+)
+def test_error_class_and_message(call, error, message):
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+# --- the kernel output checks on the check path ---------------------------
+
+
+class TestKernelOutputChecks:
+    """``rodvec check`` finite-checks and SO(3)-checks the matrices of the
+    Euler-Rodrigues and Cayley kernels: a kernel that returns a bad matrix
+    fails the run at that matrix, with exit code 2 and the message of
+    RotationMatrix(Matrix3(...))."""
+
+    def run_corrupted(self, capsys, monkeypatch, kernel, change):
+        real = getattr(rodvec.core._k, kernel)
+        calls = []
+
+        def corrupted(*args):
+            calls.append(args)
+            return change(real(*args))
+
+        monkeypatch.setattr(rodvec.core._k, kernel, corrupted)
+        code = main(["check", "--n", "3"])
+        out = capsys.readouterr()
+        assert out.out == f"backend: {backend_name()}\n"
+        assert len(calls) == 1
+        return code, out.err
+
+    @pytest.mark.parametrize("kernel", ["euler_rodrigues9", "cayley_rot9"])
+    def test_flipped_sign_fails_the_so3_check(self, capsys, monkeypatch, kernel):
+        result = self.run_corrupted(capsys, monkeypatch, kernel, lambda m: (m[0], -m[1], *m[2:]))
+        assert result == (
+            2,
+            "error: matrix fails SO(3) checks: |R^T R - 1| = 9.703e-01, |det - 1| = 1.103e+00\n",
+        )
+
+    @pytest.mark.parametrize("kernel", ["euler_rodrigues9", "cayley_rot9"])
+    def test_nan_entry_fails_the_finite_check(self, capsys, monkeypatch, kernel):
+        result = self.run_corrupted(capsys, monkeypatch, kernel, lambda m: (*m[:4], math.nan, *m[5:]))
+        assert result == (2, "error: non-finite component: nan\n")

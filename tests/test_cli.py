@@ -12,7 +12,7 @@ import pytest
 import rodvec.cayley
 import rodvec.core
 from rodvec.cli import main, parse_rotation_spec
-from rodvec.core import Matrix3, RodriguesVector
+from rodvec.core import RodriguesVector
 
 
 def run(capsys, *argv):
@@ -87,6 +87,21 @@ class TestConvert:
             0, "mat:1,0,0,0,-1,0,0,0,-1\n", "")
         assert run(capsys, "convert", "aa:1e200,0,0,1", "--to", "rod") == (
             0, "rod:0.546302489844,0,0\n", "")
+
+    def test_tiny_axis_lengths(self, capsys):
+        for spec in ("half:1e-16,0,0", "half:5e-324,0,0", "half:-5e-324,0,0"):
+            assert run(capsys, "convert", spec, "--to", "mat") == (
+                0, "mat:1,0,0,0,-1,0,0,0,-1\n", "")
+        assert run(capsys, "convert", "aa:1e-300,0,0,1", "--to", "mat") == run(
+            capsys, "convert", "aa:1,0,0,1", "--to", "mat")
+        assert run(capsys, "convert", "aa:0,5e-324,0,1", "--to", "rod") == (
+            0, "rod:0,0.546302489844,0\n", "")
+
+    def test_zero_axis_exit_2(self, capsys):
+        assert run(capsys, "convert", "half:0,0,0", "--to", "mat") == (
+            2, "", "error: invalid half spec: cannot normalize a (near-)zero vector\n")
+        assert run(capsys, "convert", "aa:0,-0,0,1", "--to", "mat") == (
+            2, "", "error: invalid aa spec: cannot normalize a (near-)zero vector\n")
 
     def test_round_trips(self, capsys):
         for spec, fmt in [
@@ -508,13 +523,13 @@ class TestCheck:
 
     def test_corrupted_build_fails(self, capsys, monkeypatch):
         # negative control: flip a sign inside the explicit inverse
-        real = rodvec.cayley.cayley_inverse_explicit
+        real = rodvec.cayley._cayley_inv9
 
-        def corrupted(q):
-            m = real(q).elements
-            return Matrix3((m[0], -m[1], m[2], m[3], m[4], m[5], m[6], m[7], m[8]))
+        def corrupted(*q):
+            m = real(*q)
+            return (m[0], -m[1], m[2], m[3], m[4], m[5], m[6], m[7], m[8])
 
-        monkeypatch.setattr(rodvec.cayley, "cayley_inverse_explicit", corrupted)
+        monkeypatch.setattr(rodvec.cayley, "_cayley_inv9", corrupted)
         code, out, _ = run(capsys, "check", "--n", "5", "--seed", "7")
         assert code == 1
         assert "FAIL" in out
@@ -606,7 +621,8 @@ class TestParserBuiltOnce:
 #: Magnitudes of spec components, from the smallest subnormal to 1e300.
 _MAGNITUDES = (0.0, 5e-324, 1e-300, 1e-160, 1e-20, 1e-8, 1.0, 1e8, 1e20, 1e154, 1e200, 1e300)
 
-#: Specs that are malformed, not finite or not rotations.
+#: Specs that are malformed, not finite or not rotations, and two with
+#: tiny axes ("aa:1e-200,0,0,1", "half:1e-300,0,0"), which parse.
 _BAD_SPECS = (
     "rod:1,2", "rod:1,2,3,4", "blah:1,2,3", "rod1,2,3", "rod:1,,3", "ROD:1,2,3", "",
     "rod:nan,0,0", "rod:1e400,0,0", "rod:0,-inf,0", "aa:0,0,1", "aa:0,0,0,1",
@@ -701,9 +717,9 @@ class TestComposeOutputDigests:
         "convert-mat": "7c7b98ee4391169431b2cf242d6081430645c8f14cd26896e44b6a98545fb74a",
         "--degrees convert-mat": "b6d5d57f26a6990b0468789fc363b852e5b9dd83f7a0de022e080538745dc9a3",
         "--precision 17 convert-mat": "e12330a323f1143e71e20ca58c1694d6492675463a0e8b7bc9fb7bacbfed8ac7",
-        "convert-half": "f628ab113bb8226223684e8064b9df02ad291c85ed74acfc1f5ba37325601e15",
-        "--degrees convert-half": "908d695f08c54d849deba4267dd84c49e4886a89507ef15d0e99afe7ecda365f",
-        "--precision 17 convert-half": "537d5449c2030b0f5d41b6db358aa2102122abc6a4176774344f7d29226aae8a",
+        "convert-half": "d065b5507beebd3a58a2f7372de148fa858565d79a3675b067e0db157ac325ce",
+        "--degrees convert-half": "220fb7a02c09c6792bd800284d714cfb3a8f30f943b1689e27a10b594ca8afcc",
+        "--precision 17 convert-half": "312a89dea643f1e58a356969b177e6f7d8d52d05e4aad1eee0f14bba63b9c754",
         "donkin": "f28bef779cdf00dd81532012b611f8ad4848e41ad3d442bfdaacf4a38a11c783",
         "--degrees donkin": "8e0ebec7365c74e9585bfa207ee43285a06cd96d128744f5e78c487a39b01bfb",
         "--precision 17 donkin": "7c61c4e1d4b63e4c83795da12ce2ff83c56bd73b5f81ddbcad0b125b6176c9ae",

@@ -26,7 +26,7 @@ from rodvec import (
     matrix_from_rodrigues,
 )
 from rodvec._backend import kernels as _k
-from rodvec.cli import main
+from rodvec.cli import main, parse_rotation_spec
 from conftest import to_np
 
 anyfloat = st.floats(allow_nan=False, allow_infinity=False)
@@ -142,10 +142,30 @@ def test_convert_specs(spec_parts):
     spec = f"{kind}:" + ",".join(repr(x) for x in numbers)
     code, out = run_cli("--precision", "17", "convert", spec, "--to", "mat")
     if code == 2:
-        # only an axis too short to normalise is refused
+        # only the zero axis is refused
         assert kind != "rod"
-        assert scaled_norm(numbers[:3])[0] < 1e-15 * (1.0 + 1e-12)
+        assert not any(numbers[:3])
         return
     assert code == 0
     elements = [float(x) for x in out.strip().removeprefix("mat:").split(",")]
     assert_so3(np.array(elements).reshape(3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors.filter(any))
+@example((5e-324, 0.0, 0.0))
+@example((-5e-324, 1e-323, -5e-324))
+@example((1e-16, 0.0, 0.0))
+@example((1.7e308, -1.7e308, 1.7e308))
+@example((0.0, -4.192937160936226e-151, 1.3407807929942597e154))
+def test_every_nonzero_half_axis_parses(v):
+    h = parse_rotation_spec("half:" + ",".join(map(repr, v)))
+    assert type(h) is HalfTurn
+    axis = h.axis.as_tuple()
+    assert next(c for c in axis if c) > 0.0
+    # n and -n are the same half-turn; which one is canonical can turn on
+    # a component far below the others' rounding error
+    _, unit = scaled_norm(v)
+    if sum(a * u for a, u in zip(axis, unit)) < 0.0:
+        unit = tuple(-c for c in unit)
+    assert axis == pytest.approx(unit, abs=1e-15)
