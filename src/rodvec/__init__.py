@@ -8,8 +8,8 @@ the spherical-triangle (Donkin) construction behind that law, infinitesimal
 and kinematic limits with an attitude integrator, and a CLI with an SVG
 figure emitter.
 
-Hot numeric kernels live in a compiled extension when available; set
-RODVEC_PURE_PYTHON=1 to force the pure-Python fallback.
+Hot numeric kernels live in a compiled extension when it is built and
+imports, and in pure Python otherwise; backend_name() says which is used.
 """
 
 from rodvec._backend import backend_name

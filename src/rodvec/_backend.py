@@ -1,21 +1,17 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when it imports; set the environment
-variable ``RODVEC_PURE_PYTHON=1`` (before first import) to force the
-pure-Python fallback.
+The compiled extension ``_kernels_cy`` is used when it imports, the
+pure-Python ``_kernels_py`` otherwise.  ``python setup.py build_ext
+--inplace`` builds the extension; deleting the built ``.so`` brings back
+the fallback.
 """
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("RODVEC_PURE_PYTHON"):
-    from rodvec import _kernels_py as kernels
-else:
-    try:
-        from rodvec import _kernels_cy as kernels  # type: ignore[no-redef]
-    except ImportError:
-        from rodvec import _kernels_py as kernels  # type: ignore[no-redef]
+try:
+    from rodvec import _kernels_cy as kernels
+except ImportError:
+    from rodvec import _kernels_py as kernels  # type: ignore[no-redef]
 
 
 def backend_name() -> str:

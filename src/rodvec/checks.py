@@ -42,7 +42,7 @@ def _vec3(x: float, y: float, z: float) -> tuple[float, float, float]:
 def _rand_unit(rng: random.Random) -> tuple[float, float, float]:
     while True:
         v = _vec3(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        if geometry._norm(v) > 1e-3:
+        if _k.norm3(v) > 1e-3:
             return core._direction(*v)
 
 
@@ -66,7 +66,7 @@ def _max_diff9(a, b) -> float:
 
 def _dist(u, v) -> float:
     """||u - v|| as Vec3.norm computes it."""
-    return geometry._norm((u[0] - v[0], u[1] - v[1], u[2] - v[2]))
+    return _k.norm3((u[0] - v[0], u[1] - v[1], u[2] - v[2]))
 
 
 def _check_formula_agreement(n: int, seed: int) -> DiagnosticResult:
@@ -109,7 +109,7 @@ def _check_bridge_residuals(n: int, seed: int) -> DiagnosticResult:
         q = _rand_rodrigues(rng, math.pi - 1e-3)
         x = _vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
         r1, r2 = cayley._cayley_residuals(q, x)
-        scale = (1.0 + geometry._norm(q)) * max(geometry._norm(x), 1e-300)
+        scale = (1.0 + _k.norm3(q)) * max(_k.norm3(x), 1e-300)
         worst = max(worst, r1 / scale, r2 / scale)
     return DiagnosticResult("bridge-residuals", n, worst, 1e-12)
 
@@ -121,8 +121,8 @@ def _rand_nondegenerate_pair(rng: random.Random):
     while True:
         q1 = _rand_rodrigues(rng, 2.7)
         q2 = _rand_rodrigues(rng, 2.7)
-        n1 = geometry._norm(q1)
-        n2 = geometry._norm(q2)
+        n1 = _k.norm3(q1)
+        n2 = _k.norm3(q2)
         if n1 < 1e-2 or n2 < 1e-2:
             continue
         if _k.norm3(_k.cross3(q1, q2)) <= 1e-6 * n1 * n2:

@@ -119,7 +119,7 @@ def _direction(x: float, y: float, z: float) -> tuple[float, float, float]:
         _require_finite(x, y, z)
     if not (x or y or z):
         raise ValueError("cannot normalize a (near-)zero vector")
-    return _unit_components(*_unit(x, y, z))
+    return _unit(x, y, z)
 
 
 def _from_vec(x: float, y: float, z: float) -> tuple[float, float, float]:

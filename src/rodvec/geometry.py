@@ -31,7 +31,6 @@ from rodvec.core import (
     _from_vec,
     _require_finite,
     _unit,
-    _unit_components,
     axis_angle_from_rodrigues,
     matrix_from_rodrigues,
 )
@@ -75,7 +74,7 @@ def _require_triangle(a, b, c) -> None:
     ac = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
     if not math.isfinite(ab[0] + ab[1] + ab[2] + ac[0] + ac[1] + ac[2]):
         _require_finite(*ab, *ac)  # the sum may also overflow
-    if _norm(_cross(ab, ac)) <= 1e-9:
+    if _k.norm3(_cross(ab, ac)) <= 1e-9:
         raise ValueError("degenerate spherical triangle: vertices are collinear")
 
 
@@ -87,11 +86,6 @@ def _cross(u, v) -> tuple[float, float, float]:
     return w
 
 
-def _norm(v) -> float:
-    """Vec3.norm of a triple."""
-    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-
-
 def arc_angle(u: UnitVector, v: UnitVector) -> float:
     """Great-arc angle between unit vectors, atan2-stable near 0 and pi."""
     return _arc_angle(u.as_tuple(), v.as_tuple())
@@ -99,7 +93,7 @@ def arc_angle(u: UnitVector, v: UnitVector) -> float:
 
 def _arc_angle(u, v) -> float:
     """arc_angle on the triples of u and v."""
-    return math.atan2(_norm(_cross(u, v)), u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
+    return math.atan2(_k.norm3(_cross(u, v)), u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
 
 
 def plane_basis(axis: UnitVector) -> tuple[Vec3, Vec3]:
@@ -179,9 +173,9 @@ def _donkin_triangle(q1, q2):
     c = _k.cross3(q2, q1)
     if not 0.0 < _k.dot3(c, c) < math.inf:
         c = axes_cross  # Q2 x Q1 over- or underflows; n2 x n1 has its direction
-    b = _unit_components(*_unit(*c))
-    half1 = math.atan(_norm(q1))  # theta1/2
-    r = _euler_rodrigues9(_unit_components(*axis1), -half1)
+    b = _unit(*c)
+    half1 = math.atan(_k.norm3(q1))  # theta1/2
+    r = _euler_rodrigues9(axis1, -half1)
     # from_vec's checks include the finite check of Vec3(R b)
     a = _from_vec(*_k.matvec(r, b))
     cpt = _half_angle_point(q2, b)
@@ -193,9 +187,9 @@ def _double_arc_rotation9(u, v):
     # rotation by twice the arc angle about u x v; collapsed (parallel or
     # antipodal) pairs give arc 0 or pi, hence angle 0 or 2*pi: identity.
     c = _cross(u, v)
-    if _norm(c) <= 1e-12:
+    if _k.norm3(c) <= 1e-12:
         return _IDENTITY9
-    return _euler_rodrigues9(_unit_components(*_unit(*c)), 2.0 * _arc_angle(u, v))
+    return _euler_rodrigues9(_unit(*c), 2.0 * _arc_angle(u, v))
 
 
 def donkin_residual(a: UnitVector, b: UnitVector, c: UnitVector) -> float:

@@ -7,7 +7,6 @@ write the same steps out inline, and must give the same bits.
 
 import inspect
 import math
-import os
 import random
 import re
 import subprocess
@@ -294,15 +293,31 @@ def test_backends_define_the_same_kernels():
     assert compiled == python
 
 
-def test_env_var_forces_pure_python():
-    env = dict(os.environ, RODVEC_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import rodvec; print(rodvec.backend_name())"],
-        capture_output=True,
-        env=env,
-        text=True,
-    )
-    assert out.stdout.strip() == "python"
+def test_generated_c_matches_pyx():
+    # Cython quotes each .pyx line it compiles above the C it emits, the
+    # line itself marked with "# <<<<<<<<<<<<<<"; a .pyx edited after the
+    # tracked .c was generated differs from those quotes
+    src = Path(kp.__file__).parent
+    pyx = (src / "_kernels_cy.pyx").read_text().splitlines()
+    c = (src / "_kernels_cy.c").read_text().splitlines()
+    block = re.compile(r'^\s*/\* "rodvec/_kernels_cy\.pyx":(\d+)$')
+    mark = "             # <<<<<<<<<<<<<<"
+    quoted = 0
+    for i, line in enumerate(c):
+        m = block.match(line)
+        if not m:
+            continue
+        j = i + 1
+        while not c[j].endswith(mark):
+            assert c[j] != "*/", f"no marked line in the block at C line {i + 1}"
+            j += 1
+        n = int(m.group(1))
+        assert c[j][len(" * ") : -len(mark)].rstrip() == pyx[n - 1].rstrip(), (
+            f"_kernels_cy.pyx line {n} changed since _kernels_cy.c was generated; "
+            "run cython -3 src/rodvec/_kernels_cy.pyx"
+        )
+        quoted += 1
+    assert quoted > 0
 
 
 # ---------------------------------------- parity with the compiled backend
@@ -376,11 +391,9 @@ def test_compensated_kernel_parity(kc):
 
 
 def test_default_prefers_compiled(kc):
-    env = {k: v for k, v in os.environ.items() if k != "RODVEC_PURE_PYTHON"}
     out = subprocess.run(
         [sys.executable, "-c", "import rodvec; print(rodvec.backend_name())"],
         capture_output=True,
-        env=env,
         text=True,
     )
     assert out.stdout.strip() == "compiled"

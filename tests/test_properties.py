@@ -26,6 +26,7 @@ from rodvec import (
     matrix_from_rodrigues,
 )
 from rodvec._backend import kernels as _k
+from rodvec.core import _unit, _unit_components
 from rodvec.cli import main, parse_rotation_spec
 from conftest import to_np
 
@@ -68,6 +69,17 @@ def test_unit_from_vec(v):
     assert n >= 1e-15 * (1.0 - 1e-12)
     assert abs(math.hypot(u.x, u.y, u.z) - 1.0) <= 1e-12
     assert u.as_tuple() == pytest.approx(direction, abs=1e-12)
+
+
+@given(vectors.filter(any))
+@example((5e-324, 0.0, 0.0))
+@example((1.7e308, -1.7e308, 1.7e308))
+def test_unit_is_within_the_unit_vector_tolerance(v):
+    # UnitVector keeps _unit's output as it is, so the library may use it
+    # as UnitVector components without renormalising again
+    u = _unit(*v)
+    assert _unit_components(*u) == u
+    assert abs(math.hypot(*u) - 1.0) <= 1e-12
 
 
 @given(vectors)
