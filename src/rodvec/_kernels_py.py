@@ -1,8 +1,10 @@
 """Pure-Python scalar kernels.
 
 Vectors are 3-tuples of floats, matrices 9-tuples in row-major order.
-This module is the fallback backend; ``_kernels_cy`` provides the same
-functions compiled with Cython.  Keep the two implementations in lock-step.
+This module is the reference and the fallback backend.  ``_kernels_c.c``
+implements the same functions in C, each performing the same IEEE
+operations in the same order, with no contraction into fused multiply-adds,
+so that both backends give the same bits; a change here is made there too.
 
 The Cayley-route kernels (``cayley_rot9``, ``cayley_inv9``) and
 ``matmul_comp`` use compensated (double-double) arithmetic: the explicit
@@ -16,8 +18,6 @@ helper calls, since in CPython the calls, not the flops, would dominate.
 Each operand is Dekker-split once per call: a = ah + al with ah holding
 at most 26 significant bits, so p = a*b and its exact error
 ((ah*bh - p) + ah*bl + al*bh) + al*bl come from plain float products.
-The ``_kernels_cy`` versions take that error from C ``fma`` instead; both
-are exact.
 """
 
 from __future__ import annotations

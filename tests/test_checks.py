@@ -40,25 +40,12 @@ from rodvec.geometry import (
 
 RESIDUALS = Path(__file__).resolve().parent / "data" / "check_residuals.txt"
 
-#: explicit-inverse residuals where the compiled kernels differ from the
-#: pure-Python ones in the last bit: their ``matmul_comp`` rounds a
-#: double-double sum where the Python kernel takes an ``fsum``
-COMPILED_EXPLICIT_INVERSE = {
-    (1, 16): "0x1.42abe30f1c0ccp-55",
-    (1, 22): "0x1.08ac9763d5480p-55",
-    (1, 28): "0x1.4680408f23c26p-58",
-}
-
-
 def _pinned_residuals():
     rows = {}
     for line in RESIDUALS.read_text().splitlines():
         if line and not line.startswith("#"):
             n, seed, *hexes = line.split()
             rows[int(n), int(seed)] = hexes
-    if backend_name() == "compiled":
-        for key, value in COMPILED_EXPLICIT_INVERSE.items():
-            rows[key][1] = value
     return rows
 
 

@@ -7,6 +7,7 @@ write the same steps out inline, and must give the same bits.
 
 import inspect
 import math
+import os
 import random
 import re
 import subprocess
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from rodvec import _kernels_py as kp
+from rodvec import cayley, checks
 from test_acceptance import _q_of, _rand_axis_angle
 
 # ------------------------------------------------------------ the reference
@@ -166,10 +168,6 @@ def ref_rot_residuals9(m):
 # ------------------------------------------------------------------ inputs
 
 
-def _rand_tuple(rng, n=3, scale=3.0):
-    return tuple(rng.uniform(-scale, scale) for _ in range(n))
-
-
 def _wide_q(rng):
     """Q of random direction and ||Q|| log-uniform in [1e-300, 1e300], with
     components set to +0.0 or -0.0 one time in ten each."""
@@ -282,42 +280,17 @@ def test_matmul_comp_entries_are_correctly_rounded():
 
 
 def test_backends_define_the_same_kernels():
-    # checked from the source, so that it also runs where Cython is absent
-    pyx = Path(kp.__file__).with_name("_kernels_cy.pyx").read_text()
-    compiled = set(re.findall(r"^(?:def|cpdef)\s+(?:\w+\s+)?(\w+)\s*\(", pyx, re.MULTILINE))
+    # read from the C source's method table, so that it also runs unbuilt
+    c = Path(kp.__file__).with_name("_kernels_c.c").read_text()
+    table = re.search(r"PyMethodDef kernel_methods\[\] = \{(.*?)\n\};", c, re.DOTALL)
+    compiled = re.findall(r"KERNEL\((\w+)\)", table.group(1))
     python = {
         name
         for name, f in inspect.getmembers(kp, inspect.isfunction)
         if f.__module__ == kp.__name__ and not name.startswith("_")
     }
-    assert compiled == python
-
-
-def test_generated_c_matches_pyx():
-    # Cython quotes each .pyx line it compiles above the C it emits, the
-    # line itself marked with "# <<<<<<<<<<<<<<"; a .pyx edited after the
-    # tracked .c was generated differs from those quotes
-    src = Path(kp.__file__).parent
-    pyx = (src / "_kernels_cy.pyx").read_text().splitlines()
-    c = (src / "_kernels_cy.c").read_text().splitlines()
-    block = re.compile(r'^\s*/\* "rodvec/_kernels_cy\.pyx":(\d+)$')
-    mark = "             # <<<<<<<<<<<<<<"
-    quoted = 0
-    for i, line in enumerate(c):
-        m = block.match(line)
-        if not m:
-            continue
-        j = i + 1
-        while not c[j].endswith(mark):
-            assert c[j] != "*/", f"no marked line in the block at C line {i + 1}"
-            j += 1
-        n = int(m.group(1))
-        assert c[j][len(" * ") : -len(mark)].rstrip() == pyx[n - 1].rstrip(), (
-            f"_kernels_cy.pyx line {n} changed since _kernels_cy.c was generated; "
-            "run cython -3 src/rodvec/_kernels_cy.pyx"
-        )
-        quoted += 1
-    assert quoted > 0
+    assert len(compiled) == len(set(compiled))
+    assert set(compiled) == python
 
 
 # ---------------------------------------- parity with the compiled backend
@@ -325,7 +298,7 @@ def test_generated_c_matches_pyx():
 
 @pytest.fixture(scope="module")
 def kc():
-    return pytest.importorskip("rodvec._kernels_cy")
+    return pytest.importorskip("rodvec._kernels_c")
 
 
 def test_backends_report_names(kc):
@@ -333,61 +306,134 @@ def test_backends_report_names(kc):
     assert kc.BACKEND == "compiled"
 
 
-@pytest.mark.parametrize(
-    "name,args",
-    [
-        ("dot3", 2),
-        ("cross3", 2),
-        ("norm3", 1),
-        ("skew9", 1),
-        ("compose_num_den", 2),
-    ],
-)
-def test_vector_kernel_parity_bitwise(kc, name, args):
-    rng = random.Random(zlib.crc32(name.encode()))
-    for _ in range(200):
-        vs = [_rand_tuple(rng) for _ in range(args)]
-        assert getattr(kp, name)(*vs) == getattr(kc, name)(*vs)
+def _outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except (ArithmeticError, LookupError, ValueError) as e:
+        return type(e)
 
 
-def test_matrix_kernel_parity_bitwise(kc):
-    rng = random.Random(4)
-    for _ in range(200):
-        q = _rand_tuple(rng)
-        n = _rand_tuple(rng)
-        nn = math.sqrt(sum(x * x for x in n))
-        n = tuple(x / nn for x in n)
-        theta = rng.uniform(-3, 3)
-        assert kp.euler_rodrigues9(n, theta) == kc.euler_rodrigues9(n, theta)
-        assert kp.rot_from_rod9(q) == kc.rot_from_rod9(q)
-        assert kp.half_turn9(n) == kc.half_turn9(n)
-        m = kp.rot_from_rod9(q)
-        assert kp.transpose9(m) == kc.transpose9(m)
-        assert kp.matvec(m, q) == kc.matvec(m, q)
-        m2 = kp.euler_rodrigues9(n, theta)
-        assert kp.matmul(m, m2) == kc.matmul(m, m2)
-        assert kp.rod_from_rot9(m) == kc.rod_from_rot9(m)
-        assert kp.rot_residuals9(m) == kc.rot_residuals9(m)
+def _same_outcome(kc, name, *args):
+    """Both backends raise the same exception type, or return the same bits."""
+    a = _outcome(getattr(kp, name), *args)
+    b = _outcome(getattr(kc, name), *args)
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return _same_bits(_flat(a), _flat(b))
+
+
+def _flat(result):
+    """A kernel result as one tuple of floats."""
+    if isinstance(result, float):
+        return (result,)
+    return tuple(x for r in result for x in _flat(r))
 
 
 def test_compensated_kernel_parity(kc):
-    # fma-based and split-based two_prod are both exact, so the dd pipeline
-    # must agree bit for bit
-    rng = random.Random(5)
-    for _ in range(200):
-        while True:
-            v = tuple(rng.gauss(0, 1) for _ in range(3))
-            nn = math.sqrt(sum(x * x for x in v))
-            if nn > 1e-3:
-                break
-        theta = rng.uniform(-(math.pi - 1e-3), math.pi - 1e-3)
-        t = math.tan(theta / 2)
-        q = tuple(t * x / nn for x in v)
-        assert kp.cayley_rot9(q) == kc.cayley_rot9(q)
-        assert kp.cayley_inv9(q) == kc.cayley_inv9(q)
-        a = kp.rot_from_rod9(q)
-        b = kp.cayley_inv9(q)
-        assert kp.matmul_comp(a, b) == kc.matmul_comp(a, b)
+    # the compiled kernels perform the operations of the Python ones in the
+    # same order, so they agree bit for bit over the whole float range: Q of
+    # random sign and ||Q|| log-uniform in [1e-300, 1e300], Q near pi, and
+    # the edge cases of _qs
+    for q in _qs(5, 1000):
+        assert _same_outcome(kc, "cayley_rot9", q), q
+        assert _same_outcome(kc, "cayley_inv9", q), q
+        assert _same_outcome(kc, "matmul_comp", kp.rot_from_rod9(q), kp.cayley_inv9(q)), q
+
+
+def test_matmul_comp_parity_on_explicit_inverse_products(kc):
+    # the (1 - Qx)·M products of check's explicit-inverse diagnostic, drawn
+    # as it draws them
+    rng = random.Random(6)
+    for _ in range(2000):
+        q = checks._rand_rodrigues(rng, math.pi - 1e-3)
+        m = cayley._cayley_inv9(*q)
+        k = kp.skew9(q)
+        one_minus_k = tuple((1.0 if i % 4 == 0 else 0.0) - k[i] for i in range(9))
+        assert _same_outcome(kc, "matmul_comp", one_minus_k, m), q
+        assert _same_outcome(kc, "matmul_comp", m, one_minus_k), q
+
+
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan)
+
+#: the length of each kernel argument, 0 for a scalar
+_ARGS = {
+    "dot3": (3, 3),
+    "cross3": (3, 3),
+    "norm3": (3,),
+    "matvec": (9, 3),
+    "matmul": (9, 9),
+    "matmul_comp": (9, 9),
+    "transpose9": (9,),
+    "skew9": (3,),
+    "euler_rodrigues9": (3, 0),
+    "rot_from_rod9": (3,),
+    "half_turn9": (3,),
+    "cayley_inv9": (3,),
+    "cayley_rot9": (3,),
+    "rod_from_rot9": (9,),
+    "rot_residuals9": (9,),
+    "compose_num_den": (3, 3),
+}
+
+
+def _any_float(rng, wide):
+    r = rng.random()
+    if not wide or r < 0.35:
+        return rng.uniform(-3.0, 3.0)
+    if r < 0.5:
+        return rng.choice(_SPECIAL)
+    return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320.0, 308.0)
+
+
+@pytest.mark.parametrize("name", sorted(_ARGS))
+def test_kernel_parity_over_the_float_range(kc, name):
+    # draws of moderate components alternate with draws that mix moderate,
+    # special and log-uniform components from subnormal to near overflow
+    rng = random.Random(zlib.crc32(name.encode()))
+    for i in range(1000):
+        wide = i % 2 == 1
+        args = [
+            tuple(_any_float(rng, wide) for _ in range(n)) if n else _any_float(rng, wide)
+            for n in _ARGS[name]
+        ]
+        assert _same_outcome(kc, name, *args), args
+
+
+@pytest.mark.parametrize(
+    "name,args,error",
+    [
+        ("rod_from_rot9", ((-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),), ZeroDivisionError),
+        ("euler_rodrigues9", ((0.0, 0.0, 1.0), math.inf), ValueError),
+        ("matmul_comp", ((1e300,) * 9, (1e8,) * 9), OverflowError),
+        ("matmul_comp", ((math.inf, -math.inf, 0.0) * 3, (1.0,) * 9), ValueError),
+        ("dot3", ((1.0, 2.0), (1.0, 2.0, 3.0)), IndexError),
+        ("skew9", ((1.0, 2.0, 3.0, 4.0),), ValueError),
+    ],
+)
+def test_backends_raise_alike(kc, name, args, error):
+    assert _outcome(getattr(kp, name), *args) is error
+    assert _outcome(getattr(kc, name), *args) is error
+
+
+def _check_stdout(*prelude):
+    code = [*prelude, "import sys", "from rodvec.cli import main"]
+    code.append("sys.exit(main(['check', '--n', '2000', '--seed', '42']))")
+    env = {**os.environ, "PYTHONPATH": str(Path(kp.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", "\n".join(code)], capture_output=True, text=True, env=env, check=True
+    )
+    return out.stdout
+
+
+def test_check_output_is_the_same_on_both_backends(kc):
+    # a None entry in sys.modules makes the import of the extension fail, so
+    # rodvec falls back to the Python kernels
+    compiled = _check_stdout()
+    pure = _check_stdout("import sys", "sys.modules['rodvec._kernels_c'] = None")
+    assert compiled.startswith("backend: compiled\n")
+    assert pure.startswith("backend: python\n")
+    assert compiled.split("\n", 1)[1] == pure.split("\n", 1)[1]
 
 
 def test_default_prefers_compiled(kc):
