@@ -1,0 +1,313 @@
+"""The float core: the rotation routines behind the command line, on plain floats.
+
+A rotation is carried as the Euler parameters of the composition law,
+(1, Q) for the Rodrigues vector Q or (0, n) for the half-turn about the
+unit axis n, with n as :class:`rodvec.core.HalfTurn` stores it; vectors
+are float triples and matrices tuples of nine floats, row-major.  Each
+routine runs the checks of the typed path it stands for, in the same
+order, and raises the same errors.
+
+The typed modules (``core``, ``cayley``, ``composition``, ``kinematics``,
+``geometry``) import their arithmetic from here and never the reverse, so
+this module imports nothing but ``math``, ``sys``, the kernels and the
+error types: ``import rodvec.cli`` loads no typed class.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+
+from rodvec._backend import kernels as _k
+from rodvec.errors import NonMonotonicTime, NotARotation, StepTooLarge
+
+_TWO_PI = 2.0 * math.pi
+_MIN_NORMAL = 2.2250738585072014e-308  # sys.float_info.min
+_SCALE_UP = 2.0**600
+_SCALE_DOWN = 2.0**-600
+
+#: |angle - pi| at or below this raises HalfTurnUndefined in Q = tan(angle/2)*n.
+HALF_TURN_ANGLE_TOL = 1e-12
+
+#: RotationMatrix construction tolerance for R^T R = 1 and det R = 1.
+ROTATION_MATRIX_TOL = 1e-9
+
+#: Unit vectors are renormalized when within this of unit norm, rejected beyond.
+UNIT_RENORM_TOL = 1e-6
+
+#: |1 - Q2.Q1| <= this, scaled by (1 + ||Q1|| ||Q2||), routes to the
+#: half-turn branch; near the pole the regular formula amplifies round-off
+#: by 1/denominator.  With half-turn operands the scale is
+#: |s1 s2| + ||v1|| ||v2||, the size of the terms that cancel in s.
+DEGENERACY_REL_TOL = 1e-9
+
+FIRST_ORDER = "first-order"
+EXACT_STEP = "exact-step"
+SCHEMES = (FIRST_ORDER, EXACT_STEP)
+
+#: exact-step pole guard: |w|*dt must stay below pi - this
+STEP_ANGLE_MARGIN = 1e-3
+
+#: The constructions geometry.figure_scene draws, by name.
+FIGURE_KINDS = ("fig1a", "fig1b", "fig1c", "fig2", "fig4", "fig5")
+
+
+# --- checks and directions ------------------------------------------------
+
+
+def _require_finite(*values: float) -> None:
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite component: {v!r}")
+
+
+def _require_so3(e) -> None:
+    """Raise NotARotation unless the row-major 3x3 matrix e has
+    R^T R = 1 and det R = 1 to ROTATION_MATRIX_TOL."""
+    ortho, det = _k.rot_residuals9(e)
+    if ortho > ROTATION_MATRIX_TOL or det > ROTATION_MATRIX_TOL:
+        raise NotARotation(
+            f"matrix fails SO(3) checks: |R^T R - 1| = {ortho:.3e}, |det - 1| = {det:.3e}"
+        )
+
+
+def _checked9(e):
+    """e, a kernel's tuple of nine floats, after the checks that
+    RotationMatrix(Matrix3(e)) runs, in the same order: finite, then SO(3)."""
+    if not math.isfinite(sum(e)):  # the sum may also overflow
+        _require_finite(*e)
+    _require_so3(e)
+    return e
+
+
+def _scaled_norm(x: float, y: float, z: float) -> tuple[float, float]:
+    """(n, f): n is the norm of (f x, f y, f z), for any finite vector.
+
+    f is 1 unless the sum of squares overflows, or falls below the smallest
+    normal float and so keeps too few bits; then f is the power of two
+    2**-600 or 2**600, so that scaling by it is exact.
+    """
+    ss = x * x + y * y + z * z
+    if ss == math.inf or ss < _MIN_NORMAL:
+        f = _SCALE_DOWN if ss == math.inf else _SCALE_UP
+        x, y, z = x * f, y * f, z * f
+        return math.sqrt(x * x + y * y + z * z), f
+    return math.sqrt(ss), 1.0
+
+
+def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(x, y, z) divided by its norm, for any finite nonzero vector."""
+    n, f = _scaled_norm(x, y, z)
+    return x * f / n, y * f / n, z * f / n
+
+
+def _unit_components(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The components that UnitVector(x, y, z) stores: (x, y, z) itself at
+    unit norm to 1e-12, renormalized within UNIT_RENORM_TOL, else rejected."""
+    n = math.sqrt(x * x + y * y + z * z)
+    if abs(n - 1.0) <= 1e-12:
+        return x, y, z
+    _require_finite(x, y, z)
+    if abs(n - 1.0) > UNIT_RENORM_TOL:
+        raise ValueError(f"not a unit vector (norm {n!r}); use UnitVector.from_vec")
+    return _unit(x, y, z)
+
+
+def _direction(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The components of UnitVector(v/||v||) for any finite nonzero v."""
+    if not math.isfinite(x + y + z):  # the sum may also overflow
+        _require_finite(x, y, z)
+    if not (x or y or z):
+        raise ValueError("cannot normalize a (near-)zero vector")
+    return _unit(x, y, z)
+
+
+# --- rotations as Euler parameters ----------------------------------------
+
+
+def _fold_angle(angle: float) -> float:
+    # into (-pi, pi]; remainder returns [-pi, pi] with ties to even
+    a = math.remainder(angle, _TWO_PI)
+    return math.pi if a == -math.pi else a
+
+
+def _flip_half_axis(x: float, y: float, z: float) -> bool:
+    """Whether a half-turn axis must be negated to be canonical: its first
+    nonzero component is negative."""
+    return (x or y or z) < 0.0
+
+
+def _half_turn_axis(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The components of HalfTurn(UnitVector(x, y, z)).axis."""
+    x, y, z = _unit_components(x, y, z)
+    if _flip_half_axis(x, y, z):
+        return -x, -y, -z
+    return x, y, z
+
+
+def _lift_axis_angle(
+    nx: float, ny: float, nz: float, angle: float
+) -> tuple[float, float, float, float]:
+    """Euler parameters of the rotation by the folded angle about the unit
+    axis n: (1, tan(angle/2) n), or (0, n) as a HalfTurn stores it when the
+    angle is pi to within HALF_TURN_ANGLE_TOL."""
+    if abs(abs(angle) - math.pi) <= HALF_TURN_ANGLE_TOL:
+        return (0.0, *_half_turn_axis(nx, ny, nz))
+    t = math.tan(0.5 * angle)
+    return 1.0, t * nx, t * ny, t * nz
+
+
+def _axis_angle(x: float, y: float, z: float) -> tuple[tuple[float, float, float], float]:
+    """The axis components and the angle in [0, pi] that
+    axis_angle_from_rodrigues gives for the finite Q = (x, y, z)."""
+    n = math.hypot(x, y, z)
+    if n == 0.0:
+        return (0.0, 0.0, 1.0), 0.0
+    return _unit_components(*_unit(x, y, z)), 2.0 * math.atan(n)
+
+
+def _rotation9(s: float, x: float, y: float, z: float):
+    """The checked matrix of the Euler parameters (1, Q) or (0, n) that the
+    composition law carries, from the kernels of matrix_from_rodrigues and
+    matrix_from_half_turn."""
+    if not s:
+        return _checked9(_k.half_turn9(_half_turn_axis(x, y, z)))
+    if x * x + y * y + z * z == math.inf:
+        return _checked9(_k.half_turn9(_unit(x, y, z)))
+    return _checked9(_k.rot_from_rod9((x, y, z)))
+
+
+def _compose_lifted(
+    s2: float, x2: float, y2: float, z2: float, s1: float, x1: float, y1: float, z1: float
+) -> tuple[float, float, float, float]:
+    """compose_general on Euler parameters: (1, Q) for the Rodrigues vector
+    Q = v/s of the product, or (0, n) for the half-turn about the unit n."""
+    while True:
+        # the operation order of _k.compose_num_den, so that s1 = s2 = 1
+        # reproduces its numerator and denominator bit for bit
+        vx = s2 * x1 + s1 * x2 + (y2 * z1 - z2 * y1)
+        vy = s2 * y1 + s1 * y2 + (z2 * x1 - x2 * z1)
+        vz = s2 * z1 + s1 * z2 + (x2 * y1 - y2 * x1)
+        s = s2 * s1 - (x2 * x1 + y2 * y1 + z2 * z1)
+        scale = abs(s1 * s2) + math.hypot(x1, y1, z1) * math.hypot(x2, y2, z2)
+        if math.isfinite(s + vx + vy + vz + scale):
+            break
+        # components of at most 1 cannot overflow again
+        m2 = max(abs(s2), abs(x2), abs(y2), abs(z2))
+        m1 = max(abs(s1), abs(x1), abs(y1), abs(z1))
+        s2, x2, y2, z2 = s2 / m2, x2 / m2, y2 / m2, z2 / m2
+        s1, x1, y1, z1 = s1 / m1, x1 / m1, y1 / m1, z1 / m1
+    if abs(s) > DEGENERACY_REL_TOL * scale:
+        qx, qy, qz = vx / s, vy / s, vz / s
+        if math.isfinite(qx) and math.isfinite(qy) and math.isfinite(qz):
+            return 1.0, qx, qy, qz
+        # v/s overflows: the rotation is pi to within 2/||v/s||
+    return (0.0, *_unit(vx, vy, vz))
+
+
+def _lift_matrix9(e) -> tuple[float, float, float, float]:
+    """rodrigues_from_matrix on the nine floats of a checked rotation
+    matrix, as Euler parameters: (1, Q), or (0, n) as a HalfTurn stores it."""
+    t = e[0] + e[4] + e[8]
+    k = 0  # the first index of the largest diagonal entry
+    if e[4] > e[0]:
+        k = 1
+    if e[8] > e[4 * k]:
+        k = 2
+    wk = 1.0 + 2.0 * e[4 * k] - t
+    if 1.0 + t >= wk:
+        x, y, z = _k.rod_from_rot9(e)
+    else:
+        w = [0.0, 0.0, 0.0]
+        w[k] = wk
+        j, l = (k + 1) % 3, (k + 2) % 3
+        w[j] = e[3 * j + k] + e[3 * k + j]
+        w[l] = e[3 * l + k] + e[3 * k + l]
+        d = e[3 * l + j] - e[3 * j + l]
+        if abs(d) * sys.float_info.max < wk:  # d = 0, or w/d overflows
+            return (0.0, *_half_turn_axis(*_direction(*w)))
+        x, y, z = w[0] / d, w[1] / d, w[2] / d
+    if not math.isfinite(x + y + z):  # the sum may also overflow
+        _require_finite(x, y, z)
+    return 1.0, x, y, z
+
+
+# --- attitude integration -------------------------------------------------
+
+
+def _increment(wx: float, wy: float, wz: float, dt: float, exact: bool) -> tuple[float, float, float]:
+    """rodrigues_increment on floats; a non-finite Q raises ValueError.
+
+    |w| is the plain square root of the sum of squares wherever that sum
+    is a finite normal float, and is taken from a power-of-two scaled
+    copy of w elsewhere, so that no |w| overflows or underflows.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if exact:
+        n, f = _scaled_norm(wx, wy, wz)
+        w = n / f
+        if w == 0.0:
+            return 0.0, 0.0, 0.0
+        angle = w * dt
+        if angle >= math.pi - STEP_ANGLE_MARGIN:
+            raise StepTooLarge(
+                f"step spans {angle:.6g} rad, at/over the half-angle tangent pole; "
+                "reduce dt or add substeps"
+            )
+        c = math.tan(0.5 * angle) / w
+    else:
+        c = 0.5 * dt
+    q = (wx * c, wy * c, wz * c)
+    if not math.isfinite(q[0] + q[1] + q[2]):  # the sum may also overflow
+        _require_finite(*q)
+    return q
+
+
+def _pairs(seq):
+    """Each item of seq with the next one, as itertools.pairwise pairs them."""
+    later = iter(seq)
+    next(later, None)
+    return zip(seq, later)
+
+
+def _integrate(
+    times: list[float],
+    rates: list[tuple[float, float, float]],
+    scheme: str,
+    start: tuple[float, float, float, float] | None,
+    substeps: int,
+) -> list[tuple[float, float, float, float, float]]:
+    """integrate_attitude on finite sample times and (wx, wy, wz) rates.
+
+    The orientation is carried as the Euler parameters of the composition
+    law, (1, Q) or (0, n), from ``start`` (the identity when None), and is
+    returned as such: one (t, s, x, y, z) row per sample time, in a list.
+    """
+    if len(times) < 2:
+        raise ValueError("need at least two samples")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    for t0, t1 in _pairs(times):
+        if not t1 > t0:
+            raise NonMonotonicTime(f"sample times must increase: {t0} -> {t1}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    exact = scheme == EXACT_STEP
+
+    s, x, y, z = (1.0, 0.0, 0.0, 0.0) if start is None else start
+    rows = [(times[0], s, x, y, z)]
+    for (t0, t1), ((ax, ay, az), (bx, by, bz)) in zip(_pairs(times), _pairs(rates)):
+        dt = (t1 - t0) / substeps
+        # an interval shorter than substeps * 5e-324 has steps of dt = 0,
+        # which are the identity
+        for i in range(substeps if dt > 0.0 else 0):
+            # omega at the step midpoint, linear between the samples
+            u = (t0 + (i + 0.5) * dt - t0) / (t1 - t0)
+            wx, wy, wz = ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az)
+            if not math.isfinite(wx + wy + wz):  # the sum may also overflow
+                _require_finite(wx, wy, wz)
+            qx, qy, qz = _increment(wx, wy, wz, dt, exact)
+            s, x, y, z = _compose_lifted(1.0, qx, qy, qz, s, x, y, z)
+        rows.append((t1, s, x, y, z))
+    return rows

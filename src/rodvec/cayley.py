@@ -4,15 +4,16 @@ R = (1 - Qx)^-1 (1 + Qx) parametrizes every rotation without eigenvalue -1
 by the skew-symmetric operator (Qx) of a Rodrigues vector Q, and the
 reciprocal map recovers (Qx) = (R - 1)(R + 1)^-1.  The inverse of (1 - Qx)
 always exists and is written in closed form, so no linear solve appears
-anywhere here.
+anywhere here.  Matrix-to-Rodrigues extraction runs on the nine floats
+of a checked matrix in ``rodvec._lifted._lift_matrix9``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 from rodvec._backend import kernels as _k
+from rodvec._lifted import _checked9, _lift_matrix9, _require_finite
 from rodvec.composition import _from_lifted
 from rodvec.core import (
     HalfTurn,
@@ -20,11 +21,7 @@ from rodvec.core import (
     RodriguesVector,
     RotationMatrix,
     Vec3,
-    _checked9,
-    _direction,
-    _half_turn_axis,
     _matrix3,
-    _require_finite,
     _rotation_matrix,
 )
 
@@ -130,33 +127,6 @@ def rodrigues_from_matrix(r: RotationMatrix | Matrix3) -> RodriguesVector | Half
     if isinstance(r, Matrix3):
         r = RotationMatrix(r)
     return _from_lifted(*_lift_matrix9(r.elements))
-
-
-def _lift_matrix9(e) -> tuple[float, float, float, float]:
-    """rodrigues_from_matrix on the nine floats of a checked rotation
-    matrix, as Euler parameters: (1, Q), or (0, n) as a HalfTurn stores it."""
-    t = e[0] + e[4] + e[8]
-    k = 0  # the first index of the largest diagonal entry
-    if e[4] > e[0]:
-        k = 1
-    if e[8] > e[4 * k]:
-        k = 2
-    wk = 1.0 + 2.0 * e[4 * k] - t
-    if 1.0 + t >= wk:
-        x, y, z = _k.rod_from_rot9(e)
-    else:
-        w = [0.0, 0.0, 0.0]
-        w[k] = wk
-        j, l = (k + 1) % 3, (k + 2) % 3
-        w[j] = e[3 * j + k] + e[3 * k + j]
-        w[l] = e[3 * l + k] + e[3 * k + l]
-        d = e[3 * l + j] - e[3 * j + l]
-        if abs(d) * sys.float_info.max < wk:  # d = 0, or w/d overflows
-            return (0.0, *_half_turn_axis(*_direction(*w)))
-        x, y, z = w[0] / d, w[1] / d, w[2] / d
-    if not math.isfinite(x + y + z):  # the sum may also overflow
-        _require_finite(x, y, z)
-    return 1.0, x, y, z
 
 
 def cayley_residuals(q: RodriguesVector, x: Vec3) -> tuple[float, float]:

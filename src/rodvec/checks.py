@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from rodvec import cayley, composition, core, geometry
 from rodvec._backend import kernels as _k
+from rodvec._lifted import _compose_lifted, _direction, _require_finite, _rotation9
 
 __all__ = ["DiagnosticResult", "run_diagnostics"]
 
@@ -35,7 +36,7 @@ class DiagnosticResult:
 def _vec3(x: float, y: float, z: float) -> tuple[float, float, float]:
     """(x, y, z) after the finite check of Vec3(x, y, z)."""
     if not math.isfinite(x + y + z):  # the sum may also overflow
-        core._require_finite(x, y, z)
+        _require_finite(x, y, z)
     return x, y, z
 
 
@@ -43,7 +44,7 @@ def _rand_unit(rng: random.Random) -> tuple[float, float, float]:
     while True:
         v = _vec3(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
         if _k.norm3(v) > 1e-3:
-            return core._direction(*v)
+            return _direction(*v)
 
 
 def _rand_axis_angle(rng: random.Random, max_angle: float):
@@ -76,7 +77,7 @@ def _check_formula_agreement(n: int, seed: int) -> DiagnosticResult:
         axis, theta = _rand_axis_angle(rng, math.pi - 1e-3)
         q = _rodrigues(axis, theta)
         r1 = core._euler_rodrigues9(axis, theta)
-        r2 = core._rotation9(1.0, *q)
+        r2 = _rotation9(1.0, *q)
         r3 = cayley._cayley_rot9(*q)
         worst = max(worst, _max_diff9(r1, r2), _max_diff9(r2, r3), _max_diff9(r1, r3))
     return DiagnosticResult("formula-agreement", n, worst, 1e-12)
@@ -127,7 +128,7 @@ def _rand_nondegenerate_pair(rng: random.Random):
             continue
         if _k.norm3(_k.cross3(q1, q2)) <= 1e-6 * n1 * n2:
             continue
-        s, x, y, z = composition._compose_lifted(1.0, *q2, 1.0, *q1)
+        s, x, y, z = _compose_lifted(1.0, *q2, 1.0, *q1)
         if s == 0:
             continue
         return q1, q2, (x, y, z)

@@ -5,6 +5,11 @@ Angles are radians unless --degrees is given; numbers print with 12
 significant digits unless --precision overrides.  Exit codes: 0 ok,
 1 check failure, 2 parse/bad args, 3 half-turn has no Rodrigues vector,
 4 parallel axes, 5 non-monotonic time, 6 step too large, 7 io failure.
+
+``convert``, ``compose`` and ``integrate`` run on the float core
+``rodvec._lifted`` alone; ``donkin``, ``figure`` and ``check`` import the
+typed modules they use when they run, so importing this module loads no
+typed class.
 """
 
 from __future__ import annotations
@@ -13,24 +18,24 @@ import argparse
 import functools
 import math
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
-from rodvec import checks, geometry, kinematics
 from rodvec._backend import backend_name
-from rodvec.cayley import _lift_matrix9
-from rodvec.composition import RotationResult, _compose_lifted, _from_lifted
-from rodvec.core import (
-    RodriguesVector,
-    UnitVector,
-    Vec3,
+from rodvec._lifted import (
+    EXACT_STEP,
+    FIGURE_KINDS,
+    SCHEMES,
+    _axis_angle,
     _checked9,
+    _compose_lifted,
     _direction,
     _fold_angle,
     _half_turn_axis,
+    _integrate,
     _lift_axis_angle,
+    _lift_matrix9,
     _require_finite,
     _rotation9,
-    axis_angle_from_rodrigues,
 )
 from rodvec.errors import (
     HalfTurnUndefined,
@@ -65,8 +70,11 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
         raise SpecFormatError(f"bad number in {what}: {exc}") from None
 
 
-def parse_rotation_spec(text: str, degrees: bool = False) -> RotationResult:
-    """Parse ``aa:...``, ``rod:...``, ``mat:...`` or ``half:...`` to a rotation."""
+def parse_rotation_spec(text: str, degrees: bool = False):
+    """Parse ``aa:...``, ``rod:...``, ``mat:...`` or ``half:...`` to a rotation,
+    a ``RodriguesVector`` or a ``HalfTurn`` (``composition.RotationResult``)."""
+    from rodvec.composition import _from_lifted
+
     return _from_lifted(*_parse_lifted(text, degrees))
 
 
@@ -110,8 +118,7 @@ def _spec_rod(s: float, x: float, y: float, z: float, digits: int) -> str:
 
 def _spec_aa(s: float, x: float, y: float, z: float, digits: int, degrees: bool) -> str:
     if s:
-        aa = axis_angle_from_rodrigues(RodriguesVector(x, y, z))
-        axis, angle = aa.axis.as_tuple(), aa.angle
+        axis, angle = _axis_angle(x, y, z)
     else:
         axis, angle = _half_turn_axis(x, y, z), math.pi
     if degrees:
@@ -186,6 +193,9 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 
 def _cmd_donkin(args: argparse.Namespace) -> int:
+    from rodvec import geometry
+    from rodvec.core import RodriguesVector
+
     s1, *q1 = _parse_lifted(args.q1, args.degrees)
     s2, *q2 = _parse_lifted(args.q2, args.degrees)
     if not (s1 and s2):
@@ -254,7 +264,7 @@ def _trajectory_lines(
 def _cmd_integrate(args: argparse.Namespace) -> int:
     times, rates = _parse_omega_file(args.file)
     start = _parse_lifted(args.initial, args.degrees) if args.initial else None
-    rows = kinematics._integrate(times, rates, args.scheme, start, args.substeps)
+    rows = _integrate(times, rates, args.scheme, start, args.substeps)
     del times, rates  # freed before the trajectory text is built
     if args.out or args.trajectory:
         lines = _trajectory_lines(rows, args.precision, args.matrix_cols)
@@ -267,12 +277,9 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_vec(text: str, what: str) -> Vec3:
-    return Vec3(*_parse_floats(text, 3, what))
-
-
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from rodvec import svg  # only this command needs it, and it is slow to import
+    from rodvec import geometry, svg  # svg is slow to import
+    from rodvec.core import RodriguesVector, UnitVector, Vec3
 
     kind = args.kind
     if kind in ("fig1a", "fig1b", "fig1c", "fig2"):
@@ -281,7 +288,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         if args.x is None:
             raise MissingInput(f"{kind} needs --x")
         q = RodriguesVector(*_parse_floats(args.q, 3, "--q"))
-        scene = geometry.figure_scene(kind, q, x=_parse_vec(args.x, "--x"))
+        scene = geometry.figure_scene(kind, q, x=Vec3(*_parse_floats(args.x, 3, "--x")))
     else:
         if args.q1 is None or args.q2 is None:
             raise MissingInput(f"{kind} needs --q1 and --q2")
@@ -290,7 +297,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         scene = geometry.figure_scene(kind, q1, q2=q2)
     view = None
     if args.view:
-        view = UnitVector.from_vec(_parse_vec(args.view, "--view"))
+        view = UnitVector.from_vec(Vec3(*_parse_floats(args.view, 3, "--view")))
     svg.write_scene(scene, args.out, view_axis=view)
     return 0
 
@@ -298,6 +305,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise SpecFormatError("--n must be >= 1")
+    from rodvec import checks
+
     print(f"backend: {backend_name()}")
     results = checks.run_diagnostics(args.n, args.seed)
     failed = False
@@ -353,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("integrate", help="propagate attitude from sampled angular velocity")
     p.add_argument("file", help="text file: 't wx wy wz' per line, '#' comments")
-    p.add_argument("--scheme", choices=kinematics.SCHEMES, default=kinematics.EXACT_STEP)
+    p.add_argument("--scheme", choices=SCHEMES, default=EXACT_STEP)
     p.add_argument("--substeps", type=_positive_int, default=1, metavar="N",
                    help="integration steps per sample interval (default 1)")
     p.add_argument("--initial", default=None, metavar="SPEC", help="initial orientation spec")
@@ -364,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("figure", help="emit an SVG of a geometric construction")
-    p.add_argument("--kind", required=True, choices=geometry.FIGURE_KINDS)
+    p.add_argument("--kind", required=True, choices=FIGURE_KINDS)
     p.add_argument("--q", default=None, metavar="QX,QY,QZ", help="rotation (fig1a/fig1b/fig1c/fig2)")
     p.add_argument("--x", default=None, metavar="X,Y,Z", help="tracked point (fig1a/fig1b/fig1c/fig2)")
     p.add_argument("--q1", default=None, metavar="QX,QY,QZ", help="first rotation (fig4/fig5)")

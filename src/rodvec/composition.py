@@ -5,7 +5,9 @@ rotation is the FIRST argument, mirroring matrix-product order.  When the
 denominator vanishes the result is a half-turn about the (never-zero)
 numerator direction; that case is a result variant, not an error.
 Numerator and denominator are the vector and scalar parts of an Euler
-parameter (quaternion) product, which also composes half-turns.
+parameter (quaternion) product, which also composes half-turns.  That
+product is ``rodvec._lifted._compose_lifted``; the functions here lift
+their typed operands to it and build the typed result.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from rodvec._backend import kernels as _k
-from rodvec.core import HalfTurn, RodriguesVector, UnitVector, Vec3, _require_finite, _unit
+from rodvec._lifted import DEGENERACY_REL_TOL, _compose_lifted, _require_finite, _unit
+from rodvec.core import HalfTurn, RodriguesVector, UnitVector, Vec3
 from rodvec.errors import DegenerateComposition, NotPerpendicular
 
 __all__ = [
@@ -30,12 +33,6 @@ __all__ = [
 #: A composition result: either a Rodrigues vector or the half-turn the
 #: formula cannot represent.  Discriminate with isinstance().
 RotationResult = Union[RodriguesVector, HalfTurn]
-
-#: |1 - Q2.Q1| <= this, scaled by (1 + ||Q1|| ||Q2||), routes to the
-#: half-turn branch; near the pole the regular formula amplifies round-off
-#: by 1/denominator.  With half-turn operands the scale is
-#: |s1 s2| + ||v1|| ||v2||, the size of the terms that cancel in s.
-DEGENERACY_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -98,34 +95,6 @@ def _from_lifted(s: float, x: float, y: float, z: float) -> RotationResult:
     if s:
         return RodriguesVector(x, y, z)
     return HalfTurn(UnitVector(x, y, z))
-
-
-def _compose_lifted(
-    s2: float, x2: float, y2: float, z2: float, s1: float, x1: float, y1: float, z1: float
-) -> tuple[float, float, float, float]:
-    """compose_general on Euler parameters: (1, Q) for the Rodrigues vector
-    Q = v/s of the product, or (0, n) for the half-turn about the unit n."""
-    while True:
-        # the operation order of _k.compose_num_den, so that s1 = s2 = 1
-        # reproduces its numerator and denominator bit for bit
-        vx = s2 * x1 + s1 * x2 + (y2 * z1 - z2 * y1)
-        vy = s2 * y1 + s1 * y2 + (z2 * x1 - x2 * z1)
-        vz = s2 * z1 + s1 * z2 + (x2 * y1 - y2 * x1)
-        s = s2 * s1 - (x2 * x1 + y2 * y1 + z2 * z1)
-        scale = abs(s1 * s2) + math.hypot(x1, y1, z1) * math.hypot(x2, y2, z2)
-        if math.isfinite(s + vx + vy + vz + scale):
-            break
-        # components of at most 1 cannot overflow again
-        m2 = max(abs(s2), abs(x2), abs(y2), abs(z2))
-        m1 = max(abs(s1), abs(x1), abs(y1), abs(z1))
-        s2, x2, y2, z2 = s2 / m2, x2 / m2, y2 / m2, z2 / m2
-        s1, x1, y1, z1 = s1 / m1, x1 / m1, y1 / m1, z1 / m1
-    if abs(s) > DEGENERACY_REL_TOL * scale:
-        qx, qy, qz = vx / s, vy / s, vz / s
-        if math.isfinite(qx) and math.isfinite(qy) and math.isfinite(qz):
-            return 1.0, qx, qy, qz
-        # v/s overflows: the rotation is pi to within 2/||v/s||
-    return (0.0, *_unit(vx, vy, vz))
 
 
 def composition_diagnostics(

@@ -7,7 +7,9 @@ dextro-rotations: they move vectors, axes stay fixed, and the sense follows
 the right-hand rule about the oriented axis.
 
 All types are immutable values and all operations are pure functions, so
-everything here is safe to share between threads.
+everything here is safe to share between threads.  The types are a facade:
+their checks and conversions are the float routines of ``rodvec._lifted``,
+applied to their components.
 """
 
 from __future__ import annotations
@@ -16,7 +18,22 @@ import math
 from dataclasses import dataclass
 
 from rodvec._backend import kernels as _k
-from rodvec.errors import HalfTurnUndefined, NotARotation
+from rodvec._lifted import (
+    HALF_TURN_ANGLE_TOL,
+    ROTATION_MATRIX_TOL,
+    UNIT_RENORM_TOL,
+    _axis_angle,
+    _checked9,
+    _direction,
+    _flip_half_axis,
+    _fold_angle,
+    _lift_axis_angle,
+    _require_finite,
+    _require_so3,
+    _rotation9,
+    _unit_components,
+)
+from rodvec.errors import HalfTurnUndefined
 
 __all__ = [
     "Vec3",
@@ -38,88 +55,7 @@ __all__ = [
     "invert_rotation",
 ]
 
-_TWO_PI = 2.0 * math.pi
-_MIN_NORMAL = 2.2250738585072014e-308  # sys.float_info.min
-_SCALE_UP = 2.0**600
-_SCALE_DOWN = 2.0**-600
-
-#: |angle - pi| at or below this raises HalfTurnUndefined in Q = tan(angle/2)*n.
-HALF_TURN_ANGLE_TOL = 1e-12
-
-#: RotationMatrix construction tolerance for R^T R = 1 and det R = 1.
-ROTATION_MATRIX_TOL = 1e-9
-
-#: Unit vectors are renormalized when within this of unit norm, rejected beyond.
-UNIT_RENORM_TOL = 1e-6
-
 _IDENTITY9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-
-
-def _require_finite(*values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite component: {v!r}")
-
-
-def _require_so3(e) -> None:
-    """Raise NotARotation unless the row-major 3x3 matrix e has
-    R^T R = 1 and det R = 1 to ROTATION_MATRIX_TOL."""
-    ortho, det = _k.rot_residuals9(e)
-    if ortho > ROTATION_MATRIX_TOL or det > ROTATION_MATRIX_TOL:
-        raise NotARotation(
-            f"matrix fails SO(3) checks: |R^T R - 1| = {ortho:.3e}, |det - 1| = {det:.3e}"
-        )
-
-
-def _checked9(e):
-    """e, a kernel's tuple of nine floats, after the checks that
-    RotationMatrix(Matrix3(e)) runs, in the same order: finite, then SO(3)."""
-    if not math.isfinite(sum(e)):  # the sum may also overflow
-        _require_finite(*e)
-    _require_so3(e)
-    return e
-
-
-def _scaled_norm(x: float, y: float, z: float) -> tuple[float, float]:
-    """(n, f): n is the norm of (f x, f y, f z), for any finite vector.
-
-    f is 1 unless the sum of squares overflows, or falls below the smallest
-    normal float and so keeps too few bits; then f is the power of two
-    2**-600 or 2**600, so that scaling by it is exact.
-    """
-    ss = x * x + y * y + z * z
-    if ss == math.inf or ss < _MIN_NORMAL:
-        f = _SCALE_DOWN if ss == math.inf else _SCALE_UP
-        x, y, z = x * f, y * f, z * f
-        return math.sqrt(x * x + y * y + z * z), f
-    return math.sqrt(ss), 1.0
-
-
-def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """(x, y, z) divided by its norm, for any finite nonzero vector."""
-    n, f = _scaled_norm(x, y, z)
-    return x * f / n, y * f / n, z * f / n
-
-
-def _unit_components(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """The components that UnitVector(x, y, z) stores: (x, y, z) itself at
-    unit norm to 1e-12, renormalized within UNIT_RENORM_TOL, else rejected."""
-    n = math.sqrt(x * x + y * y + z * z)
-    if abs(n - 1.0) <= 1e-12:
-        return x, y, z
-    _require_finite(x, y, z)
-    if abs(n - 1.0) > UNIT_RENORM_TOL:
-        raise ValueError(f"not a unit vector (norm {n!r}); use UnitVector.from_vec")
-    return _unit(x, y, z)
-
-
-def _direction(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """The components of UnitVector(v/||v||) for any finite nonzero v."""
-    if not math.isfinite(x + y + z):  # the sum may also overflow
-        _require_finite(x, y, z)
-    if not (x or y or z):
-        raise ValueError("cannot normalize a (near-)zero vector")
-    return _unit(x, y, z)
 
 
 def _from_vec(x: float, y: float, z: float) -> tuple[float, float, float]:
@@ -200,12 +136,6 @@ class UnitVector(Vec3):
 
     def __neg__(self) -> UnitVector:
         return UnitVector(-self.x, -self.y, -self.z)
-
-
-def _fold_angle(angle: float) -> float:
-    # into (-pi, pi]; remainder returns [-pi, pi] with ties to even
-    a = math.remainder(angle, _TWO_PI)
-    return math.pi if a == -math.pi else a
 
 
 @dataclass(frozen=True)
@@ -366,43 +296,6 @@ class HalfTurn:
             object.__setattr__(self, "axis", -a)
 
 
-def _flip_half_axis(x: float, y: float, z: float) -> bool:
-    """Whether a half-turn axis must be negated to be canonical: its first
-    nonzero component is negative."""
-    return (x or y or z) < 0.0
-
-
-def _half_turn_axis(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """The components of HalfTurn(UnitVector(x, y, z)).axis."""
-    x, y, z = _unit_components(x, y, z)
-    if _flip_half_axis(x, y, z):
-        return -x, -y, -z
-    return x, y, z
-
-
-def _lift_axis_angle(
-    nx: float, ny: float, nz: float, angle: float
-) -> tuple[float, float, float, float]:
-    """Euler parameters of the rotation by the folded angle about the unit
-    axis n: (1, tan(angle/2) n), or (0, n) as a HalfTurn stores it when the
-    angle is pi to within HALF_TURN_ANGLE_TOL."""
-    if abs(abs(angle) - math.pi) <= HALF_TURN_ANGLE_TOL:
-        return (0.0, *_half_turn_axis(nx, ny, nz))
-    t = math.tan(0.5 * angle)
-    return 1.0, t * nx, t * ny, t * nz
-
-
-def _rotation9(s: float, x: float, y: float, z: float):
-    """The checked matrix of the Euler parameters (1, Q) or (0, n) that the
-    composition law carries, from the kernels of matrix_from_rodrigues and
-    matrix_from_half_turn."""
-    if not s:
-        return _checked9(_k.half_turn9(_half_turn_axis(x, y, z)))
-    if x * x + y * y + z * z == math.inf:
-        return _checked9(_k.half_turn9(_unit(x, y, z)))
-    return _checked9(_k.rot_from_rod9((x, y, z)))
-
-
 def _matrix3(e) -> Matrix3:
     """The Matrix3 of a tuple of nine finite floats, built without
     converting or checking them again."""
@@ -461,10 +354,8 @@ def axis_angle_from_rodrigues(q: RodriguesVector) -> AxisAngle:
 
     The zero vector maps to angle 0 about the conventional axis (0, 0, 1).
     """
-    n = math.hypot(q.x, q.y, q.z)
-    if n == 0.0:
-        return AxisAngle(UnitVector(0.0, 0.0, 1.0), 0.0)
-    return AxisAngle(UnitVector(*_unit(q.x, q.y, q.z)), 2.0 * math.atan(n))
+    axis, angle = _axis_angle(q.x, q.y, q.z)
+    return AxisAngle(UnitVector(*axis), angle)
 
 
 def matrix_from_rodrigues(q: RodriguesVector) -> RotationMatrix:

@@ -12,7 +12,9 @@ about axis n = Q/||Q|| by theta = 2*atan(||Q||):
 Fact (c) turns rotation composition into a spherical triangle: a triangle
 ABC with arcs theta1/2 = AB, theta2/2 = BC realizes "twice AB then twice BC
 equals twice AC" (Donkin's theorem), which this module constructs and
-verifies numerically.
+verifies numerically.  The half-angle point, the triangle and the Donkin
+residual run on plain coordinate triples in private routines; the public
+functions build the typed values only at the boundary.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import operator
 from dataclasses import dataclass
 
 from rodvec._backend import kernels as _k
+from rodvec._lifted import FIGURE_KINDS, _require_finite, _unit
 from rodvec.core import (
     RodriguesVector,
     UnitVector,
@@ -29,8 +32,6 @@ from rodvec.core import (
     _IDENTITY9,
     _euler_rodrigues9,
     _from_vec,
-    _require_finite,
-    _unit,
     axis_angle_from_rodrigues,
     matrix_from_rodrigues,
 )
@@ -217,8 +218,6 @@ def donkin_verify(tri: SphericalTriangle) -> float:
 
 
 # --- figure scenes -------------------------------------------------------
-
-FIGURE_KINDS = ("fig1a", "fig1b", "fig1c", "fig2", "fig4", "fig5")
 
 
 @dataclass(frozen=True)

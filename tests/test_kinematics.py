@@ -346,3 +346,60 @@ class TestIntegrateAttitudePoints:
         assert _points_key(traj) == repr(
             [(0.0, "RodriguesVector", (0.0, 0.0, 0.0)), (math.pi, "HalfTurn", (-0.0, -0.0, 1.0))]
         )
+
+
+# --- observed order on coning motion ---------------------------------------
+
+# Classical coning, R(t) = Rz(Wt) Rx(beta) Rz(-Wt): the axis of the tilt
+# circles e_z, and the fixed-frame rate is w = W (e_z - R e_z).
+_CONE_W, _CONE_BETA, _CONE_T = 2.0, 0.4, 2.0
+
+#: |p - 2| allowed for an observed order; the measured values lie within
+#: 0.01 of 2, while the next order a scheme could show is 3 or 4.
+_ORDER_TOL = 0.05
+
+
+def _cone_rotation(t):
+    c, s = math.cos(_CONE_W * t), math.sin(_CONE_W * t)
+    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    cb, sb = math.cos(_CONE_BETA), math.sin(_CONE_BETA)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cb, -sb], [0.0, sb, cb]])
+    return rz @ rx @ rz.T
+
+
+def _cone_samples(intervals):
+    samples = []
+    for k in range(intervals + 1):
+        t = _CONE_T * k / intervals
+        w = _CONE_W * (np.array([0.0, 0.0, 1.0]) - _cone_rotation(t)[:, 2])
+        samples.append(AngularVelocitySample(t, AngularVelocity(*map(float, w))))
+    return samples
+
+
+def _cone_final(intervals, scheme, substeps):
+    q = integrate_attitude(_cone_samples(intervals), scheme=scheme, substeps=substeps).final
+    return to_np(matrix_from_rodrigues(q))
+
+
+def _orders(errors):
+    return [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+
+
+@pytest.mark.parametrize("scheme", [FIRST_ORDER, EXACT_STEP])
+class TestIntegratorOrder:
+    """Both schemes are second order: in the step on a fixed log (the
+    midpoint rate), and in the sample rate against the closed form (the
+    linear rate model between samples)."""
+
+    def test_halving_the_substep_on_a_fixed_log(self, scheme):
+        finals = [_cone_final(8, scheme, n) for n in (1, 2, 4, 8)]
+        changes = [np.abs(a - b).max() for a, b in zip(finals, finals[1:])]
+        for p in _orders(changes):
+            assert abs(p - 2.0) < _ORDER_TOL, (changes, p)
+
+    def test_sample_rate_against_the_closed_form(self, scheme):
+        exact = _cone_rotation(_CONE_T) @ _cone_rotation(0.0).T
+        errors = [np.abs(_cone_final(n, scheme, 1) - exact).max() for n in (16, 32, 64, 128)]
+        assert errors[-1] < 2e-4
+        for p in _orders(errors):
+            assert abs(p - 2.0) < _ORDER_TOL, (errors, p)

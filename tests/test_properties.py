@@ -26,7 +26,7 @@ from rodvec import (
     matrix_from_rodrigues,
 )
 from rodvec._backend import kernels as _k
-from rodvec.core import _unit, _unit_components
+from rodvec._lifted import _unit, _unit_components
 from rodvec.cli import main, parse_rotation_spec
 from conftest import to_np
 
