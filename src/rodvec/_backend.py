@@ -7,8 +7,6 @@ build_ext --inplace`` builds the extension; deleting the built ``.so``
 brings back the fallback.
 """
 
-from __future__ import annotations
-
 try:
     from rodvec import _kernels_c as kernels
 except ImportError:

@@ -20,8 +20,6 @@ at most 26 significant bits, so p = a*b and its exact error
 ((ah*bh - p) + ah*bl + al*bh) + al*bl come from plain float products.
 """
 
-from __future__ import annotations
-
 import math
 
 BACKEND = "python"

@@ -13,8 +13,6 @@ this module imports nothing but ``math``, ``sys``, the kernels and the
 error types: ``import rodvec.cli`` loads no typed class.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 

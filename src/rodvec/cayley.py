@@ -8,8 +8,6 @@ anywhere here.  Matrix-to-Rodrigues extraction runs on the nine floats
 of a checked matrix in ``rodvec._lifted._lift_matrix9``.
 """
 
-from __future__ import annotations
-
 import math
 
 from rodvec._backend import kernels as _k

@@ -7,8 +7,6 @@ All randomness comes from ``random.Random`` seeded per diagnostic, so a
 given (n, seed) pair always produces identical output.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import random

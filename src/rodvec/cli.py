@@ -10,15 +10,18 @@ significant digits unless --precision overrides.  Exit codes: 0 ok,
 ``rodvec._lifted`` alone; ``donkin``, ``figure`` and ``check`` import the
 typed modules they use when they run, so importing this module loads no
 typed class.
+
+The command line is declared once, in ``_ROOT_ARGUMENTS`` and
+``_COMMANDS``.  A direct parser reads every well-formed command line from
+that table; argparse, built from the same table, is imported only for
+what the direct parser declines: help and usage errors.
 """
 
-from __future__ import annotations
-
-import argparse
 import functools
 import math
 import sys
 from collections.abc import Sequence
+from types import SimpleNamespace
 
 from rodvec._backend import backend_name
 from rodvec._lifted import (
@@ -144,7 +147,7 @@ def _print_result_block(
     print(prefix + _spec_mat(s, x, y, z, digits))
 
 
-def _cmd_convert(args: argparse.Namespace) -> int:
+def _cmd_convert(args) -> int:
     r = _parse_lifted(args.spec, args.degrees)
     if args.to == "rod":
         print(_spec_rod(*r, args.precision))
@@ -174,7 +177,7 @@ def _lambda(x2: float, y2: float, z2: float, x1: float, y1: float, z1: float) ->
     return 1.0 - d
 
 
-def _cmd_compose(args: argparse.Namespace) -> int:
+def _cmd_compose(args) -> int:
     if len(args.specs) < 2:
         raise SpecFormatError("compose needs at least two rotation specs")
     digits = args.precision
@@ -192,7 +195,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_donkin(args: argparse.Namespace) -> int:
+def _cmd_donkin(args) -> int:
     from rodvec import geometry
     from rodvec.core import RodriguesVector
 
@@ -261,7 +264,7 @@ def _trajectory_lines(
     return out
 
 
-def _cmd_integrate(args: argparse.Namespace) -> int:
+def _cmd_integrate(args) -> int:
     times, rates = _parse_omega_file(args.file)
     start = _parse_lifted(args.initial, args.degrees) if args.initial else None
     rows = _integrate(times, rates, args.scheme, start, args.substeps)
@@ -277,7 +280,7 @@ def _cmd_integrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(args: argparse.Namespace) -> int:
+def _cmd_figure(args) -> int:
     from rodvec import geometry, svg  # svg is slow to import
     from rodvec.core import RodriguesVector, UnitVector, Vec3
 
@@ -302,7 +305,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args) -> int:
     if args.n < 1:
         raise SpecFormatError("--n must be >= 1")
     from rodvec import checks
@@ -323,82 +326,200 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _positive_int(text: str) -> int:
     v = int(text)
     if v < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
+        from argparse import ArgumentTypeError  # imported on this error path only
+
+        raise ArgumentTypeError("must be >= 1")
     return v
 
 
+#: The command line, declared once.  Each argument is the name and keywords
+#: of its ``add_argument`` call: ``_build_parser`` hands them to argparse,
+#: and ``_parse_direct`` reads ``action``, ``type``, ``choices``,
+#: ``default``, ``required`` and ``nargs`` and ignores the rest.
+_ROOT_ARGUMENTS = (
+    ("--degrees", {"action": "store_true", "help": "angles in degrees at the CLI boundary"}),
+    ("--precision", {"type": _positive_int, "default": 12, "metavar": "DIGITS",
+                     "help": "significant digits in output (default 12)"}),
+)
+
+#: Each subcommand: its handler, its help line and its arguments.
+_COMMANDS = {
+    "convert": (_cmd_convert, "convert between rotation representations", (
+        ("spec", {"help": "aa:nx,ny,nz,theta | rod:qx,qy,qz | mat:r11,...,r33 | half:nx,ny,nz"}),
+        ("--to", {"required": True, "choices": ("aa", "rod", "mat", "half")}),
+    )),
+    "compose": (
+        _cmd_compose,
+        "compose rotations; the FIRST listed spec is applied FIRST "
+        "(chronological order, the reverse of matrix-product notation)",
+        (("specs", {"nargs": "+", "help": "two or more rotation specs, application order"}),),
+    ),
+    "donkin": (_cmd_donkin, "spherical triangle realizing a composition", (
+        ("q1", {"help": "first rotation (applied first)"}),
+        ("q2", {"help": "second rotation"}),
+    )),
+    "integrate": (_cmd_integrate, "propagate attitude from sampled angular velocity", (
+        ("file", {"help": "text file: 't wx wy wz' per line, '#' comments"}),
+        ("--scheme", {"choices": SCHEMES, "default": EXACT_STEP}),
+        ("--substeps", {"type": _positive_int, "default": 1, "metavar": "N",
+                        "help": "integration steps per sample interval (default 1)"}),
+        ("--initial", {"default": None, "metavar": "SPEC", "help": "initial orientation spec"}),
+        ("--out", {"default": None, "metavar": "PATH", "help": "write trajectory to file"}),
+        ("--trajectory", {"action": "store_true", "help": "print the full trajectory"}),
+        ("--matrix-cols", {"action": "store_true",
+                           "help": "append the first two rotation-matrix columns to trajectory rows"}),
+    )),
+    "figure": (_cmd_figure, "emit an SVG of a geometric construction", (
+        ("--kind", {"required": True, "choices": FIGURE_KINDS}),
+        ("--q", {"default": None, "metavar": "QX,QY,QZ", "help": "rotation (fig1a/fig1b/fig1c/fig2)"}),
+        ("--x", {"default": None, "metavar": "X,Y,Z", "help": "tracked point (fig1a/fig1b/fig1c/fig2)"}),
+        ("--q1", {"default": None, "metavar": "QX,QY,QZ", "help": "first rotation (fig4/fig5)"}),
+        ("--q2", {"default": None, "metavar": "QX,QY,QZ", "help": "second rotation (fig4/fig5)"}),
+        ("--view", {"default": None, "metavar": "X,Y,Z", "help": "override the projection axis"}),
+        ("--out", {"required": True, "metavar": "PATH", "help": "output SVG path"}),
+    )),
+    "check": (_cmd_check, "run the seeded residual diagnostics", (
+        ("--n", {"type": int, "default": 1000, "help": "samples per diagnostic (default 1000)"}),
+        ("--seed", {"type": int, "default": 42, "help": "RNG seed (default 42)"}),
+    )),
+}
+
+
+def _grammar(arguments):
+    """What _parse_direct reads of one argument table: the options by name as
+    (dest, is_flag, type, choices), the dests of the required options, the
+    defaults of the options, the one-token positionals, and the
+    ``nargs="+"`` positional, which comes last, or None."""
+    options, required, defaults, positionals, rest = {}, set(), {}, [], None
+    for name, kw in arguments:
+        if name.startswith("-"):
+            dest = name.lstrip("-").replace("-", "_")
+            flag = kw.get("action") == "store_true"
+            options[name] = (dest, flag, kw.get("type"), kw.get("choices"))
+            defaults[dest] = False if flag else kw.get("default")
+            if kw.get("required"):
+                required.add(dest)
+        elif kw.get("nargs") == "+":
+            rest = name
+        else:
+            positionals.append(name)
+    return options, required, defaults, positionals, rest
+
+
+_ROOT = _grammar(_ROOT_ARGUMENTS)
+_GRAMMARS = {name: (func, _grammar(arguments)) for name, (func, _, arguments) in _COMMANDS.items()}
+
+
+def _read(argv: Sequence[str], i: int, grammar, values: dict, stop: bool):
+    """Read argv[i:] as the options and positionals of one grammar into values,
+    after its defaults, and stop after the first positional if stop: the
+    positionals and the index after them, or None for anything argparse
+    might read otherwise or reject."""
+    options, required, defaults = grammar[:3]
+    values.update(defaults)
+    seen = set()
+    positionals = []
+    n = len(argv)
+    while i < n:
+        token = argv[i]
+        i += 1
+        if not token.startswith("-"):
+            positionals.append(token)
+            if stop:
+                break
+            continue
+        option = options.get(token)
+        if option is None:  # -h, --help, --, --opt=value, abbreviations, negative numbers
+            return None
+        dest, flag, convert, choices = option
+        if flag:
+            value = True
+        else:
+            if i == n or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+            i += 1
+            if convert is not None:
+                try:
+                    value = convert(value)
+                except Exception:  # int's ValueError or _positive_int's ArgumentTypeError
+                    return None
+            if choices is not None and value not in choices:
+                return None
+        values[dest] = value
+        seen.add(dest)
+    if not required <= seen:
+        return None
+    return positionals, i
+
+
+def _parse_direct(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of a well-formed command line, or None.
+
+    None for anything else: help, every usage error, and the spellings that
+    only argparse reads (``--opt=value``, abbreviations, ``--``, values that
+    start with '-').  Prints nothing and raises nothing, so that argparse
+    alone words help and usage errors.
+    """
+    values = {}
+    read = _read(argv, 0, _ROOT, values, stop=True)
+    command = read[0][0] if read and read[0] else None
+    if command not in _GRAMMARS:
+        return None
+    func, grammar = _GRAMMARS[command]
+    read = _read(argv, read[1], grammar, values, stop=False)
+    if read is None:
+        return None
+    args, positionals, rest = read[0], grammar[3], grammar[4]
+    if rest is None:
+        if len(args) != len(positionals):
+            return None
+    elif len(args) > len(positionals):
+        values[rest] = args[len(positionals):]
+    else:
+        return None
+    values.update(zip(positionals, args))
+    values["command"] = command
+    values["func"] = func
+    return SimpleNamespace(**values)
+
+
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then kept: parsing leaves
-    it unchanged, and building it costs more than a typical command."""
+def _build_parser():
+    """The argparse parser of the same table, for help and usage errors: built
+    when _parse_direct first declines and then kept, as parsing leaves it
+    unchanged."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rodvec",
         description="Rotation algebra on Rodrigues vectors: convert, compose, "
         "inspect the spherical-triangle construction, integrate attitude, "
         "emit figures, self-check.",
     )
-    parser.add_argument("--degrees", action="store_true", help="angles in degrees at the CLI boundary")
-    parser.add_argument("--precision", type=_positive_int, default=12, metavar="DIGITS",
-                        help="significant digits in output (default 12)")
+    for name, kw in _ROOT_ARGUMENTS:
+        parser.add_argument(name, **kw)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convert", help="convert between rotation representations")
-    p.add_argument("spec", help="aa:nx,ny,nz,theta | rod:qx,qy,qz | mat:r11,...,r33 | half:nx,ny,nz")
-    p.add_argument("--to", required=True, choices=("aa", "rod", "mat", "half"))
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser(
-        "compose",
-        help="compose rotations; the FIRST listed spec is applied FIRST "
-        "(chronological order, the reverse of matrix-product notation)",
-    )
-    p.add_argument("specs", nargs="+", help="two or more rotation specs, application order")
-    p.set_defaults(func=_cmd_compose)
-
-    p = sub.add_parser("donkin", help="spherical triangle realizing a composition")
-    p.add_argument("q1", help="first rotation (applied first)")
-    p.add_argument("q2", help="second rotation")
-    p.set_defaults(func=_cmd_donkin)
-
-    p = sub.add_parser("integrate", help="propagate attitude from sampled angular velocity")
-    p.add_argument("file", help="text file: 't wx wy wz' per line, '#' comments")
-    p.add_argument("--scheme", choices=SCHEMES, default=EXACT_STEP)
-    p.add_argument("--substeps", type=_positive_int, default=1, metavar="N",
-                   help="integration steps per sample interval (default 1)")
-    p.add_argument("--initial", default=None, metavar="SPEC", help="initial orientation spec")
-    p.add_argument("--out", default=None, metavar="PATH", help="write trajectory to file")
-    p.add_argument("--trajectory", action="store_true", help="print the full trajectory")
-    p.add_argument("--matrix-cols", action="store_true",
-                   help="append the first two rotation-matrix columns to trajectory rows")
-    p.set_defaults(func=_cmd_integrate)
-
-    p = sub.add_parser("figure", help="emit an SVG of a geometric construction")
-    p.add_argument("--kind", required=True, choices=FIGURE_KINDS)
-    p.add_argument("--q", default=None, metavar="QX,QY,QZ", help="rotation (fig1a/fig1b/fig1c/fig2)")
-    p.add_argument("--x", default=None, metavar="X,Y,Z", help="tracked point (fig1a/fig1b/fig1c/fig2)")
-    p.add_argument("--q1", default=None, metavar="QX,QY,QZ", help="first rotation (fig4/fig5)")
-    p.add_argument("--q2", default=None, metavar="QX,QY,QZ", help="second rotation (fig4/fig5)")
-    p.add_argument("--view", default=None, metavar="X,Y,Z", help="override the projection axis")
-    p.add_argument("--out", required=True, metavar="PATH", help="output SVG path")
-    p.set_defaults(func=_cmd_figure)
-
-    p = sub.add_parser("check", help="run the seeded residual diagnostics")
-    p.add_argument("--n", type=int, default=1000, help="samples per diagnostic (default 1000)")
-    p.add_argument("--seed", type=int, default=42, help="RNG seed (default 42)")
-    p.set_defaults(func=_cmd_check)
-
+    for command, (func, help_line, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for name, kw in arguments:
+            p.add_argument(name, **kw)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_direct(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+            if code is None:
+                return 0
+            return code if isinstance(code, int) else 2
     try:
         return args.func(args)
     except (SpecFormatError, MissingInput, NotARotation, ValueError, UnicodeDecodeError) as exc:

@@ -10,8 +10,6 @@ product is ``rodvec._lifted._compose_lifted``; the functions here lift
 their typed operands to it and build the typed result.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 from typing import Union

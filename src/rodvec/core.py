@@ -12,8 +12,6 @@ their checks and conversions are the float routines of ``rodvec._lifted``,
 applied to their components.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 
@@ -82,31 +80,31 @@ class Vec3:
         return (self.x, self.y, self.z)
 
     @property
-    def vec(self) -> Vec3:
+    def vec(self) -> "Vec3":
         """A plain :class:`Vec3` with the same components."""
         return Vec3(self.x, self.y, self.z)
 
-    def __add__(self, other: Vec3) -> Vec3:
+    def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
 
-    def __sub__(self, other: Vec3) -> Vec3:
+    def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
 
-    def __neg__(self) -> Vec3:
+    def __neg__(self) -> "Vec3":
         return Vec3(-self.x, -self.y, -self.z)
 
-    def __mul__(self, s: float) -> Vec3:
+    def __mul__(self, s: float) -> "Vec3":
         return Vec3(self.x * s, self.y * s, self.z * s)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, s: float) -> Vec3:
+    def __truediv__(self, s: float) -> "Vec3":
         return Vec3(self.x / s, self.y / s, self.z / s)
 
-    def dot(self, other: Vec3) -> float:
+    def dot(self, other: "Vec3") -> float:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
-    def cross(self, other: Vec3) -> Vec3:
+    def cross(self, other: "Vec3") -> "Vec3":
         return Vec3(*_k.cross3(self.as_tuple(), other.as_tuple()))
 
     def norm(self) -> float:
@@ -130,11 +128,11 @@ class UnitVector(Vec3):
             object.__setattr__(self, "z", u[2])
 
     @classmethod
-    def from_vec(cls, v: Vec3) -> UnitVector:
+    def from_vec(cls, v: Vec3) -> "UnitVector":
         """v/||v|| for any finite v of norm at least 1e-15."""
         return cls(*_from_vec(v.x, v.y, v.z))
 
-    def __neg__(self) -> UnitVector:
+    def __neg__(self) -> "UnitVector":
         return UnitVector(-self.x, -self.y, -self.z)
 
 
@@ -162,10 +160,10 @@ class RodriguesVector(Vec3):
         """Rotation angle 2*atan(||Q||), in [0, pi)."""
         return 2.0 * math.atan(self.norm())
 
-    def __neg__(self) -> RodriguesVector:
+    def __neg__(self) -> "RodriguesVector":
         return RodriguesVector(-self.x, -self.y, -self.z)
 
-    def __add__(self, other: RodriguesVector) -> RodriguesVector:
+    def __add__(self, other: "RodriguesVector") -> "RodriguesVector":
         return RodriguesVector(self.x + other.x, self.y + other.y, self.z + other.z)
 
 
@@ -183,7 +181,7 @@ class Matrix3:
         object.__setattr__(self, "elements", elems)
 
     @classmethod
-    def identity(cls) -> Matrix3:
+    def identity(cls) -> "Matrix3":
         return cls(_IDENTITY9)
 
     @property
@@ -195,7 +193,7 @@ class Matrix3:
         i, j = ij
         return self.elements[3 * i + j]
 
-    def transpose(self) -> Matrix3:
+    def transpose(self) -> "Matrix3":
         return Matrix3(_k.transpose9(self.elements))
 
     def trace(self) -> float:
@@ -209,13 +207,13 @@ class Matrix3:
             return Vec3(*_k.matvec(self.elements, other.as_tuple()))
         return NotImplemented
 
-    def __add__(self, other: Matrix3) -> Matrix3:
+    def __add__(self, other: "Matrix3") -> "Matrix3":
         return Matrix3(tuple(a + b for a, b in zip(self.elements, other.elements)))
 
-    def __sub__(self, other: Matrix3) -> Matrix3:
+    def __sub__(self, other: "Matrix3") -> "Matrix3":
         return Matrix3(tuple(a - b for a, b in zip(self.elements, other.elements)))
 
-    def __mul__(self, s: float) -> Matrix3:
+    def __mul__(self, s: float) -> "Matrix3":
         return Matrix3(tuple(a * s for a in self.elements))
 
     __rmul__ = __mul__
@@ -238,7 +236,7 @@ class SkewMatrix:
     def apply(self, x: Vec3) -> Vec3:
         return self.generator.cross(x)
 
-    def transpose(self) -> SkewMatrix:
+    def transpose(self) -> "SkewMatrix":
         return SkewMatrix(-self.generator)
 
 
@@ -256,7 +254,7 @@ class RotationMatrix:
         _require_so3(self.matrix.elements)
 
     @classmethod
-    def identity(cls) -> RotationMatrix:
+    def identity(cls) -> "RotationMatrix":
         return cls(Matrix3.identity())
 
     @property
@@ -266,7 +264,7 @@ class RotationMatrix:
     def apply(self, x: Vec3) -> Vec3:
         return Vec3(*_k.matvec(self.matrix.elements, x.as_tuple()))
 
-    def transpose(self) -> RotationMatrix:
+    def transpose(self) -> "RotationMatrix":
         return RotationMatrix(self.matrix.transpose())
 
     def trace(self) -> float:

@@ -17,8 +17,6 @@ residual run on plain coordinate triples in private routines; the public
 functions build the typed values only at the boundary.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 from dataclasses import dataclass

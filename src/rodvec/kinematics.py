@@ -11,8 +11,6 @@ float routines ``rodvec._lifted._increment`` and ``_integrate``; the
 functions here convert the typed values at their boundary.
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

@@ -6,8 +6,6 @@ projection.  Output bytes depend only on the scene, so identical inputs give
 identical files.
 """
 
-from __future__ import annotations
-
 import math
 from xml.sax.saxutils import escape
 

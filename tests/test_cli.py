@@ -1,5 +1,7 @@
 import ast
+import contextlib
 import hashlib
+import io
 import math
 import os
 import random
@@ -8,10 +10,11 @@ import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rodvec.cayley
 import rodvec.core
-from rodvec.cli import main, parse_rotation_spec
+from rodvec.cli import _build_parser, _parse_direct, main, parse_rotation_spec
 from rodvec.core import RodriguesVector
 
 
@@ -560,30 +563,38 @@ class TestEntryPoint:
 
 
 class TestParserBuiltOnce:
-    """main builds its argument parser on the first call, not at import, and
-    keeps it: no call's arguments reach the next call."""
+    """A well-formed command line is read without argparse.  argparse builds
+    its parser on the first usage error, not at import, and keeps it: no
+    call's arguments reach the next call."""
 
     def test_import_builds_no_parser(self):
         code = (
-            "import argparse, io, contextlib\n"
+            "import sys, io, contextlib\n"
+            "at_start = 'argparse' in sys.modules\n"
+            "import rodvec.cli\n"
+            "imported = ['argparse' in sys.modules]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for to in ('rod', 'aa'):\n"
+            "        assert rodvec.cli.main(['convert', 'rod:1,0,0', '--to', to]) == 0\n"
+            "        imported.append('argparse' in sys.modules)\n"
+            "import argparse\n"
             "made = []\n"
             "init = argparse.ArgumentParser.__init__\n"
             "def counting(self, *a, **k):\n"
             "    made.append(1)\n"
             "    init(self, *a, **k)\n"
             "argparse.ArgumentParser.__init__ = counting\n"
-            "import rodvec.cli\n"
-            "counts = [len(made)]\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    for to in ('rod', 'aa'):\n"
-            "        rodvec.cli.main(['convert', 'rod:1,0,0', '--to', to])\n"
+            "counts = []\n"
+            "with contextlib.redirect_stderr(io.StringIO()):\n"
+            "    for _ in range(2):\n"
+            "        assert rodvec.cli.main(['convert', 'rod:1,0,0']) == 2\n"  # missing --to
             "        counts.append(len(made))\n"
-            "print(counts)\n"
+            "print(at_start, imported, counts)\n"
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
-        # the root parser and one per subcommand, built by the first call only
-        assert r.stdout == "[0, 7, 7]\n"
+        # the root parser and one per subcommand, built by the first usage error only
+        assert r.stdout == "False [False, False, False] [7, 7]\n"
 
     def test_usage_error_same_before_and_after_a_call(self):
         code = (
@@ -736,3 +747,179 @@ class TestComposeOutputDigests:
             code, out, err = run(capsys, *options, *argv)
             h.update(f"{code}\n{out}\0{err}\0".encode())
         assert h.hexdigest() == self.DIGESTS[" ".join((*options, command))]
+
+
+class TestHelpText:
+    """The sha256 of the stdout of ``rodvec [command] --help`` at 80 columns,
+    recorded while the parser was still written out call by call (the same
+    on Python 3.10 to 3.13), so that building it from the argument table
+    cannot move a byte."""
+
+    DIGESTS = {
+        "": "a3e616045b271df189ee3100c142fef73b2a9f4c66cf9385963fd37dcc0b6de4",
+        "convert": "304034b405ddefc8b2e5da5efcad57f3b84d7027d937600f944660a8bf68147b",
+        "compose": "5f9f9172b37806ccc8142e5e82ed3c59d81bcf102e3cba7dd958f15e4f558bb0",
+        "donkin": "fdcf812dfc32434778e8d2bc1f17ffdf3e513970fa2b6c6496606b0cd9ae243b",
+        "integrate": "1527e0b9c8d740b99525a60193c20212076972a29e060a1aaa3eb26c6f2eef9e",
+        "figure": "16c2182d4a0c6337e5b95689389e92652bd54d8aeef704703366f59a4357a36c",
+        "check": "6fce7538ae38a9545340cbb9429018ae6785c8b6a6ccf7c7da623c792ff16e07",
+    }
+
+    @pytest.mark.parametrize("command", list(DIGESTS), ids=lambda c: c or "rodvec")
+    def test_digest(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *filter(None, [command, "--help"]))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[command]
+
+
+#: Spec strings, well-formed or not, as positionals and option values.
+_SPECS = ("rod:1,0,0", "aa:0,0,1,90", "half:0,1,0", "mat:1,0,0,0,1,0,0,0,1", "1,0,0", "rod:1,2", "")
+
+#: Integers, and strings argparse reads differently from a digit string or rejects.
+_INTS = ("1", "3", "17", "-5", "0", "1_0", " 3", "3 ", "+2", "1e3", "x", "")
+
+#: Tokens out of place anywhere: help, "--", a lone "-", the global
+#: options after the subcommand, a subcommand name where none belongs.
+_JUNK = (("-h",), ("--help",), ("--",), ("-",), ("--degrees",), ("--precision", "3"), ("check",))
+
+#: Pieces of the global part: each option spelling (exact, abbreviated,
+#: --x=v) with a value where it takes one.
+_GLOBAL_PIECES = (("--degrees",), *(("--precision", v) for v in _INTS), ("--deg",), ("--prec", "3"),
+                  ("--precision=5",), ("-h",))
+
+#: Per subcommand: the pieces of each required option, the pieces of the
+#: other options, the positionals to draw from and how many it takes.
+_COMMAND_PIECES = {
+    "convert": (
+        [[("--to", v) for v in ("aa", "rod", "mat", "half", "quat", "")] + [("--t", "aa"), ("--to=rod",)]],
+        [], _SPECS, 1,
+    ),
+    "compose": ([], [], _SPECS, 2),
+    "donkin": ([], [], _SPECS, 2),
+    "integrate": (
+        [],
+        [*(("--scheme", v) for v in ("first-order", "exact-step", "euler", "")),
+         *(("--substeps", v) for v in _INTS), *(("--initial", v) for v in _SPECS), ("--initial", "-x"),
+         ("--out", "out.txt"), ("--out", "check"), ("--trajectory",), ("--matrix-cols",),
+         ("--matrix_cols",), ("--traj",), ("--sub", "2"), ("--scheme=first-order",)],
+        ("log.txt", ""), 1,
+    ),
+    "figure": (
+        [[("--kind", v) for v in ("fig1a", "fig2", "fig4", "fig5", "fig3")] + [("--k", "fig4"), ("--kind=fig4",)],
+         [("--out", "o.svg"), ("--out", ""), ("--o", "o.svg")]],
+        [(option, v) for option in ("--q", "--x", "--q1", "--q2", "--view") for v in ("1,0,0", "-1,0,0")],
+        ("o.svg",), 0,
+    ),
+    "check": (
+        [],
+        [*(("--n", v) for v in _INTS), *(("--seed", v) for v in _INTS), ("--n=3",), ("--se", "3")],
+        ("extra",), 0,
+    ),
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """Command lines close to well-formed: the global options, a subcommand
+    and its options and positionals, shuffled, now and then with a piece
+    missing, a positional too many or too few, or a token out of place."""
+    mostly = st.sampled_from((True, True, True, True, False))
+    command = draw(st.sampled_from(sorted(_COMMAND_PIECES)))
+    required, optional, positionals, count = _COMMAND_PIECES[command]
+    pieces = [draw(st.sampled_from(choices)) for choices in required if draw(mostly)]
+    pieces += draw(st.lists(st.sampled_from(optional), max_size=4)) if optional else []
+    count = count if draw(mostly) else draw(st.sampled_from((count - 1, count + 1)))
+    pieces += [(draw(st.sampled_from(positionals)),) for _ in range(max(count, 0))]
+    pieces += draw(st.lists(st.sampled_from(_JUNK), max_size=1))
+    pieces = draw(st.permutations(pieces))
+    name = command if draw(mostly) else draw(st.sampled_from(("conv", "bogus", "", "-h")))
+    pre = draw(st.lists(st.sampled_from(_GLOBAL_PIECES), max_size=2))
+    return [token for piece in (*pre, (name,), *pieces) for token in piece]
+
+
+#: Every token of the pieces above, for argument lists drawn token by token.
+_TOKENS = sorted({
+    *_COMMAND_PIECES, *_SPECS, *_INTS,
+    *(token for pieces in (_JUNK, _GLOBAL_PIECES) for piece in pieces for token in piece),
+    *(token for required, optional, _, _ in _COMMAND_PIECES.values()
+      for piece in (*optional, *(p for choices in required for p in choices)) for token in piece),
+})
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace of argv, or None where parse_args exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _direct_agrees(argv):
+    """Whether the direct parser read argv; when it did, argparse must read
+    the same namespace, and where argparse exits the direct parser declines."""
+    direct = _parse_direct(argv)
+    expected = _argparse_vars(argv)
+    if direct is None:
+        return False
+    assert expected is not None, argv
+    assert vars(direct) == expected, argv
+    return True
+
+
+class TestDirectParser:
+    """The parser in front of argparse returns argparse's namespace or None."""
+
+    WELL_FORMED = [
+        ["convert", "rod:1,0,0", "--to", "aa"],
+        ["--degrees", "--precision", "5", "convert", "--to", "half", "half:0,0,1"],
+        ["--precision", "3", "--precision", "1_0", "convert", "x", "--to", "rod", "--to", "mat"],
+        ["--precision", " 3", "compose", "rod:1,0,0"],
+        ["compose", "rod:1,0,0", "", "aa:0,0,1,90", "rod:1,2"],
+        ["donkin", "rod:1,0,0", "rod:0,1,0"],
+        ["integrate", "log.txt"],
+        ["integrate", "--trajectory", "log.txt", "--matrix-cols", "--scheme", "first-order",
+         "--substeps", "4", "--initial", "", "--out", "check"],
+        ["figure", "--kind", "fig4", "--out", "out.svg", "--q1", "1,0,0", "--q2", "0,1,0"],
+        ["figure", "--out", "o.svg", "--kind", "fig1a", "--q", "1,0,0", "--x", "0,1,0", "--view", "0,0,1"],
+        ["check"],
+        ["check", "--n", "0", "--seed", "+7", "--n", "1_000"],
+        ["--degrees", "--degrees", "check", "--seed", "3"],
+    ]
+
+    DECLINED = [
+        [], ["--degrees"], ["bogus"], ["conv", "rod:1,0,0", "--to", "aa"],
+        ["-h"], ["--help"], ["convert", "--help"], ["check", "-h"],
+        ["convert", "rod:1,0,0"], ["convert", "--to", "aa"], ["convert", "a", "b", "--to", "aa"],
+        ["convert", "rod:1,0,0", "--to", "quat"], ["convert", "rod:1,0,0", "--to"],
+        ["convert", "rod:1,0,0", "--to=aa"], ["convert", "rod:1,0,0", "--t", "aa"],
+        ["--prec", "3", "convert", "rod:1,0,0", "--to", "aa"],
+        ["--precision", "0", "check"], ["--precision", "-5", "check"], ["--precision", "x", "check"],
+        ["--precision=5", "check"], ["--precision", "check"],
+        ["check", "--n", "-5"], ["check", "--n", "1e3"], ["check", "--n=3"], ["check", "--degrees"],
+        ["check", "extra"], ["compose"], ["compose", "--", "rod:1,0,0"], ["compose", "-", "rod:1,0,0"],
+        ["donkin", "rod:1,0,0"], ["donkin", "a", "b", "c"], ["integrate"], ["integrate", "a", "b"],
+        ["integrate", "log.txt", "--substeps", "0"], ["integrate", "log.txt", "--scheme", "euler"],
+        ["integrate", "log.txt", "--initial", "-x"], ["integrate", "log.txt", "--traj"],
+        ["figure", "--kind", "fig4"], ["figure", "--out", "o.svg"], ["figure", "--kind", "fig3", "--out", "o"],
+        ["figure", "--kind", "fig1a", "--out", "o", "--q", "-1,0,0"],
+    ]
+
+    @pytest.mark.parametrize("argv", WELL_FORMED, ids=" ".join)
+    def test_reads_well_formed_command_lines(self, argv):
+        assert _direct_agrees(argv)
+
+    @pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
+    def test_declines_the_rest(self, argv):
+        assert _parse_direct(argv) is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(_command_lines())
+    def test_agrees_with_argparse(self, argv):
+        _direct_agrees(argv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_TOKENS), max_size=10))
+    def test_agrees_with_argparse_on_any_tokens(self, argv):
+        _direct_agrees(argv)

@@ -97,6 +97,30 @@ class TestImportBudget:
         )
         assert json.loads(out) == {"import": [], "convert": [], "compose": []}
 
+    def test_well_formed_commands_load_no_argparse(self, tmp_path):
+        """argparse (with gettext) is only for help and usage errors, and no
+        module of the package asks for ``from __future__ import annotations``."""
+        runs = {
+            "convert": ["convert", "rod:0.1,0.2,0.3", "--to", "mat"],
+            "compose": ["--degrees", "compose", "aa:1,1,0,60", "half:0,1,1", "rod:-1,0.5,2"],
+            "integrate": ["integrate", _omega_log(tmp_path / "omega.txt"), "--trajectory"],
+            "check": ["--precision", "5", "check", "--n", "3", "--seed", "7"],
+        }
+        out = _fresh(
+            "import contextlib, io, json\n"
+            "def loaded():\n"
+            "    return [m for m in ('argparse', 'gettext', '__future__')\n"
+            "            if m in sys.modules and m not in at_start]\n"
+            "import rodvec.cli\n"
+            "seen = {'import': loaded()}\n"
+            f"for name, argv in {runs!r}.items():\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert rodvec.cli.main(argv) == 0, argv\n"
+            "    seen[name] = loaded()\n"
+            "print(json.dumps(seen))\n"
+        )
+        assert json.loads(out) == {"import": [], **{name: [] for name in runs}}
+
     def test_package_import_loads_no_submodule(self):
         out = _fresh(
             "import rodvec\n"
