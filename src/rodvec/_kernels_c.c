@@ -395,30 +395,6 @@ matmul_comp(PyObject *Py_UNUSED(module), PyObject *const *args,
 }
 
 static PyObject *
-transpose9(PyObject *Py_UNUSED(module), PyObject *const *args,
-           Py_ssize_t nargs)
-{
-    double m[9];
-    if (check_nargs("transpose9", nargs, 1) || load(args[0], m, 9, 0)) {
-        return NULL;
-    }
-    double out[9] = {m[0], m[3], m[6], m[1], m[4], m[7], m[2], m[5], m[8]};
-    return tuple_of(out, 9);
-}
-
-static PyObject *
-skew9(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    double v[3];
-    if (check_nargs("skew9", nargs, 1) || load(args[0], v, 3, 1)) {
-        return NULL;
-    }
-    double x = v[0], y = v[1], z = v[2];
-    double out[9] = {0.0, -z, y, z, 0.0, -x, -y, x, 0.0};
-    return tuple_of(out, 9);
-}
-
-static PyObject *
 euler_rodrigues9(PyObject *Py_UNUSED(module), PyObject *const *args,
                  Py_ssize_t nargs)
 {
@@ -678,28 +654,6 @@ rot_residuals9(PyObject *Py_UNUSED(module), PyObject *const *args,
     return tuple_of(out, 2);
 }
 
-static PyObject *
-compose_num_den(PyObject *Py_UNUSED(module), PyObject *const *args,
-                Py_ssize_t nargs)
-{
-    double a[3], b[3];
-    if (check_nargs("compose_num_den", nargs, 2) || load(args[0], a, 3, 0) ||
-        load(args[1], b, 3, 0)) {
-        return NULL;
-    }
-    /* a = Q2, b = Q1 */
-    double cx = a[1] * b[2] - a[2] * b[1];
-    double cy = a[2] * b[0] - a[0] * b[2];
-    double cz = a[0] * b[1] - a[1] * b[0];
-    double num[3] = {b[0] + a[0] + cx, b[1] + a[1] + cy, b[2] + a[2] + cz};
-    PyObject *n = tuple_of(num, 3);
-    if (n == NULL) {
-        return NULL;
-    }
-    return Py_BuildValue("(Nd)", n,
-                         1.0 - (a[0] * b[0] + a[1] * b[1] + a[2] * b[2]));
-}
-
 /* ----------------------------------------------------------------- module */
 
 #define KERNEL(name)                                                  \
@@ -714,8 +668,6 @@ static PyMethodDef kernel_methods[] = {
     KERNEL(matvec),
     KERNEL(matmul),
     KERNEL(matmul_comp),
-    KERNEL(transpose9),
-    KERNEL(skew9),
     KERNEL(euler_rodrigues9),
     KERNEL(rot_from_rod9),
     KERNEL(half_turn9),
@@ -723,7 +675,6 @@ static PyMethodDef kernel_methods[] = {
     KERNEL(cayley_rot9),
     KERNEL(rod_from_rot9),
     KERNEL(rot_residuals9),
-    KERNEL(compose_num_den),
     {NULL, NULL, 0, NULL},
 };
 

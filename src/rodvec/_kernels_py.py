@@ -102,15 +102,6 @@ def matmul_comp(a, b):
     return tuple(out)
 
 
-def transpose9(m):
-    return (m[0], m[3], m[6], m[1], m[4], m[7], m[2], m[5], m[8])
-
-
-def skew9(v):
-    x, y, z = v
-    return (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
-
-
 def euler_rodrigues9(n, theta):
     """cos(t)*1 + sin(t)*(n x) + (1 - cos(t))*n n^T for a unit axis n."""
     x, y, z = n
@@ -457,10 +448,3 @@ def rot_residuals9(m):
     )
     det = m0 * (m4 * m8 - m5 * m7) - m1 * (m3 * m8 - m5 * m6) + m2 * (m3 * m7 - m4 * m6)
     return r, abs(det - 1.0)
-
-
-def compose_num_den(q2, q1):
-    """Numerator Q1 + Q2 + Q2 x Q1 and denominator 1 - Q2.Q1 of the composition law."""
-    cx, cy, cz = cross3(q2, q1)
-    num = (q1[0] + q2[0] + cx, q1[1] + q2[1] + cy, q1[2] + q2[2] + cz)
-    return num, 1.0 - dot3(q2, q1)

@@ -1,4 +1,4 @@
-"""The float core: the rotation routines behind the command line, on plain floats.
+"""The float core: every rotation routine of the package, on plain floats.
 
 A rotation is carried as the Euler parameters of the composition law,
 (1, Q) for the Rodrigues vector Q or (0, n) for the half-turn about the
@@ -7,22 +7,38 @@ are float triples and matrices tuples of nine floats, row-major.  Each
 routine runs the checks of the typed path it stands for, in the same
 order, and raises the same errors.
 
-The typed modules (``core``, ``cayley``, ``composition``, ``kinematics``,
-``geometry``) import their arithmetic from here and never the reverse, so
-this module imports nothing but ``math``, ``sys``, the kernels and the
-error types: ``import rodvec.cli`` loads no typed class.
+Here live the conversions, the Cayley pair, the composition law and its
+diagnostics, Donkin's triangle and the attitude integrator.  The typed
+modules (``core``, ``cayley``, ``composition``, ``kinematics``,
+``geometry``) import their arithmetic from here and never the reverse,
+and so do the command line and ``checks``.  This module imports nothing
+but ``math``, ``sys``, the kernels and the error types, so that
+``rodvec.cli`` and ``rodvec.checks`` load no typed class.
 """
 
 import math
 import sys
 
 from rodvec._backend import kernels as _k
-from rodvec.errors import NonMonotonicTime, NotARotation, StepTooLarge
+from rodvec.errors import (
+    DegenerateComposition,
+    NonMonotonicTime,
+    NotARotation,
+    NotPerpendicular,
+    ParallelAxes,
+    StepTooLarge,
+)
 
 _TWO_PI = 2.0 * math.pi
 _MIN_NORMAL = 2.2250738585072014e-308  # sys.float_info.min
 _SCALE_UP = 2.0**600
 _SCALE_DOWN = 2.0**-600
+
+_IDENTITY9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+
+#: Largest |component| of Q for which 1 + Q.Q fits in double-double, the
+#: precision of the product route in ``cayley_rot9``
+_DD_LIMIT = 2.0**53
 
 #: |angle - pi| at or below this raises HalfTurnUndefined in Q = tan(angle/2)*n.
 HALF_TURN_ANGLE_TOL = 1e-12
@@ -120,6 +136,23 @@ def _direction(x: float, y: float, z: float) -> tuple[float, float, float]:
     return _unit(x, y, z)
 
 
+def _from_vec(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """The components of UnitVector.from_vec(Vec3(x, y, z)): _direction
+    with from_vec's floor of 1e-15 on the norm."""
+    # nan and inf fail the floor test, and _direction's finite check next
+    if math.sqrt(x * x + y * y + z * z) < 1e-15:
+        raise ValueError("cannot normalize a (near-)zero vector")
+    return _direction(x, y, z)
+
+
+def _cross(u, v) -> tuple[float, float, float]:
+    """u x v with the finite check of Vec3.cross."""
+    w = _k.cross3(u, v)
+    if not math.isfinite(w[0] + w[1] + w[2]):  # the sum may also overflow
+        _require_finite(*w)
+    return w
+
+
 # --- rotations as Euler parameters ----------------------------------------
 
 
@@ -175,14 +208,20 @@ def _rotation9(s: float, x: float, y: float, z: float):
     return _checked9(_k.rot_from_rod9((x, y, z)))
 
 
+def _euler_rodrigues9(n, theta: float):
+    """euler_rodrigues_matrix on the unit triple n: its checked nine floats."""
+    _require_finite(theta)
+    return _checked9(_k.euler_rodrigues9(n, theta))
+
+
 def _compose_lifted(
     s2: float, x2: float, y2: float, z2: float, s1: float, x1: float, y1: float, z1: float
 ) -> tuple[float, float, float, float]:
     """compose_general on Euler parameters: (1, Q) for the Rodrigues vector
     Q = v/s of the product, or (0, n) for the half-turn about the unit n."""
     while True:
-        # the operation order of _k.compose_num_den, so that s1 = s2 = 1
-        # reproduces its numerator and denominator bit for bit
+        # the operation order of _composition_diagnostics, so that
+        # s1 = s2 = 1 gives its numerator and denominator bit for bit
         vx = s2 * x1 + s1 * x2 + (y2 * z1 - z2 * y1)
         vy = s2 * y1 + s1 * y2 + (z2 * x1 - x2 * z1)
         vz = s2 * z1 + s1 * z2 + (x2 * y1 - y2 * x1)
@@ -228,6 +267,182 @@ def _lift_matrix9(e) -> tuple[float, float, float, float]:
     if not math.isfinite(x + y + z):  # the sum may also overflow
         _require_finite(x, y, z)
     return 1.0, x, y, z
+
+
+# --- the Cayley transform -------------------------------------------------
+
+
+def _cayley_rot9(x: float, y: float, z: float):
+    """cayley_rotation on the components of Q: its checked nine floats."""
+    if max(abs(x), abs(y), abs(z)) > _DD_LIMIT:
+        m = [2.0 * v for v in _inverse_scaled(x, y, z)]
+        for i in (0, 4, 8):
+            m[i] -= 1.0
+        return _checked9(tuple(m))
+    return _checked9(_k.cayley_rot9((x, y, z)))
+
+
+def _cayley_inv9(x: float, y: float, z: float):
+    """cayley_inverse_explicit on the components of Q: its nine finite floats."""
+    m = _k.cayley_inv9((x, y, z))
+    if not math.isfinite(sum(m)):  # entries are at most 1: the sum is finite iff they are
+        m = _inverse_scaled(x, y, z)
+        _require_finite(*m)
+    return m
+
+
+def _inverse_scaled(x: float, y: float, z: float) -> tuple[float, ...]:
+    """(1 - Qx)^-1 for a nonzero Q, from P = Q/c with c its largest |component|.
+
+    Numerator and denominator of the explicit inverse divided by c^2 give
+    (e^2 1 + e (Px) + P P^T)/(e^2 + P.P) with e = 1/c: no term overflows,
+    and P.P >= 1 keeps the denominator away from 0.
+    """
+    c = max(abs(x), abs(y), abs(z))
+    e = 1.0 / c
+    x, y, z = x / c, y / c, z / c
+    e2 = e * e
+    d = e2 + (x * x + y * y + z * z)
+    return (
+        (e2 + x * x) / d,
+        (x * y - e * z) / d,
+        (x * z + e * y) / d,
+        (x * y + e * z) / d,
+        (e2 + y * y) / d,
+        (y * z - e * x) / d,
+        (x * z - e * y) / d,
+        (y * z + e * x) / d,
+        (e2 + z * z) / d,
+    )
+
+
+def _cayley_residuals(qt, xt) -> tuple[float, float]:
+    """cayley_residuals on the triples of Q and x."""
+    rm = _k.rot_from_rod9(qt)
+    rx = _k.matvec(rm, xt)
+    qxx = _k.cross3(qt, xt)
+    qxrx = _k.cross3(qt, rx)
+    r1 = _k.norm3(
+        (
+            xt[0] + qxx[0] - (rx[0] - qxrx[0]),
+            xt[1] + qxx[1] - (rx[1] - qxrx[1]),
+            xt[2] + qxx[2] - (rx[2] - qxrx[2]),
+        )
+    )
+    # (Qx)(R+1)x vs (R-1)x
+    rx_plus_x = (rx[0] + xt[0], rx[1] + xt[1], rx[2] + xt[2])
+    lhs = _k.cross3(qt, rx_plus_x)
+    r2 = _k.norm3((lhs[0] - (rx[0] - xt[0]), lhs[1] - (rx[1] - xt[1]), lhs[2] - (rx[2] - xt[2])))
+    return r1, r2
+
+
+# --- the composition law's proportionality constant -----------------------
+
+
+def _composition_diagnostics(q2t, q1t, at):
+    """composition_diagnostics on the triples of Q2, Q1 and a: the
+    numerator, the denominator lambda and the residual."""
+    if any(q1t) and abs(_k.dot3(at, _unit(*q1t))) > 1e-9:
+        raise NotPerpendicular("a must be perpendicular to Q1")
+    # a regular Q3 from _compose_lifted is finite, a half-turn axis unit
+    s, x, y, z = _compose_lifted(1.0, *q2t, 1.0, *q1t)
+    if not s:
+        raise DegenerateComposition("composition is a half-turn; lambda residual undefined")
+    # numerator Q1 + Q2 + Q2 x Q1 and denominator 1 - Q2.Q1 of the law
+    num = _k.cross3(q2t, q1t)
+    num = (q1t[0] + q2t[0] + num[0], q1t[1] + q2t[1] + num[1], q1t[2] + q2t[2] + num[2])
+    lam = 1.0 - _k.dot3(q2t, q1t)
+
+    lhs = _k.cross3((x, y, z), at)
+    lhs = (lam * (at[0] + lhs[0]), lam * (at[1] + lhs[1]), lam * (at[2] + lhs[2]))
+
+    c1 = _k.cross3(q1t, at)
+    c2 = _k.cross3(q2t, at)
+    c21 = _k.cross3(q2t, c1)
+    rhs = (
+        at[0] + c1[0] + c2[0] + c21[0],
+        at[1] + c1[1] + c2[1] + c21[1],
+        at[2] + c1[2] + c2[2] + c21[2],
+    )
+    residual = _k.norm3((lhs[0] - rhs[0], lhs[1] - rhs[1], lhs[2] - rhs[2]))
+    if not math.isfinite(num[0] + num[1] + num[2]):  # the sum may also overflow
+        _require_finite(*num)  # the check of Vec3(*num)
+    return num, lam, residual
+
+
+# --- Donkin's spherical triangle ------------------------------------------
+
+
+def _require_triangle(a, b, c) -> None:
+    """Raise ValueError when the points a, b, c are collinear, with the
+    finite checks of the Vec3 values b - a, c - a and their cross product."""
+    ab = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+    ac = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
+    if not math.isfinite(ab[0] + ab[1] + ab[2] + ac[0] + ac[1] + ac[2]):
+        _require_finite(*ab, *ac)  # the sum may also overflow
+    if _k.norm3(_cross(ab, ac)) <= 1e-9:
+        raise ValueError("degenerate spherical triangle: vertices are collinear")
+
+
+def _arc_angle(u, v) -> float:
+    """arc_angle on the triples of u and v."""
+    return math.atan2(_k.norm3(_cross(u, v)), u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
+
+
+def _bisector(q, x) -> tuple[float, float, float]:
+    """bisector_intersection on the triples of Q and x."""
+    t = _k.cross3(q, x)
+    return x[0] + t[0], x[1] + t[1], x[2] + t[2]
+
+
+def _half_angle_point(q, a) -> tuple[float, float, float]:
+    """half_angle_point on the triples of Q and a."""
+    if not any(q):
+        raise ValueError("half_angle_point needs a nonzero rotation")
+    if abs(_k.dot3(a, _unit(*q))) > 1e-9:
+        raise NotPerpendicular("a must lie in the plane perpendicular to Q")
+    # from_vec's checks include the finite check of Vec3((1 + Qx) a)
+    return _from_vec(*_bisector(q, a))
+
+
+def _donkin_triangle(q1, q2):
+    """donkin_triangle on the triples of Q1 and Q2: the vertices A, B, C."""
+    if not any(q1) or not any(q2):
+        raise ParallelAxes("both rotations must be nonzero")
+    axis1 = _unit(*q1)
+    axes_cross = _k.cross3(_unit(*q2), axis1)
+    if _k.norm3(axes_cross) <= 1e-9:
+        raise ParallelAxes("rotation axes are parallel; no spherical triangle exists")
+    c = _k.cross3(q2, q1)
+    if not 0.0 < _k.dot3(c, c) < math.inf:
+        c = axes_cross  # Q2 x Q1 over- or underflows; n2 x n1 has its direction
+    b = _unit(*c)
+    half1 = math.atan(_k.norm3(q1))  # theta1/2
+    r = _euler_rodrigues9(axis1, -half1)
+    # from_vec's checks include the finite check of Vec3(R b)
+    a = _from_vec(*_k.matvec(r, b))
+    cpt = _half_angle_point(q2, b)
+    _require_triangle(a, b, cpt)
+    return a, b, cpt
+
+
+def _double_arc_rotation9(u, v):
+    # rotation by twice the arc angle about u x v; collapsed (parallel or
+    # antipodal) pairs give arc 0 or pi, hence angle 0 or 2*pi: identity.
+    c = _cross(u, v)
+    if _k.norm3(c) <= 1e-12:
+        return _IDENTITY9
+    return _euler_rodrigues9(_unit(*c), 2.0 * _arc_angle(u, v))
+
+
+def _donkin_residual(a, b, c) -> float:
+    """donkin_residual on the triples of the vertices."""
+    r_ab = _double_arc_rotation9(a, b)
+    r_bc = _double_arc_rotation9(b, c)
+    r_ac = _double_arc_rotation9(a, c)
+    # maps, not a generator, whose frame would raise a check's peak memory;
+    # float.__sub__ spares the import of operator
+    return max(map(abs, map(float.__sub__, _k.matmul(r_bc, r_ab), r_ac)))
 
 
 # --- attitude integration -------------------------------------------------

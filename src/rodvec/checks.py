@@ -5,6 +5,10 @@ route, algebraic law vs matrix product, triangle construction vs theorem)
 is exercised on pseudo-random inputs and the worst residual reported.
 All randomness comes from ``random.Random`` seeded per diagnostic, so a
 given (n, seed) pair always produces identical output.
+
+The diagnostics run the float routines of ``rodvec._lifted`` on plain
+triples and tuples of nine floats, the routines behind the typed API, so
+that this module loads none of the typed modules.
 """
 
 import math
@@ -12,9 +16,22 @@ import operator
 import random
 from dataclasses import dataclass
 
-from rodvec import cayley, composition, core, geometry
 from rodvec._backend import kernels as _k
-from rodvec._lifted import _compose_lifted, _direction, _require_finite, _rotation9
+from rodvec._lifted import (
+    _IDENTITY9,
+    _cayley_inv9,
+    _cayley_residuals,
+    _cayley_rot9,
+    _compose_lifted,
+    _composition_diagnostics,
+    _direction,
+    _donkin_residual,
+    _donkin_triangle,
+    _euler_rodrigues9,
+    _half_angle_point,
+    _require_finite,
+    _rotation9,
+)
 
 __all__ = ["DiagnosticResult", "run_diagnostics"]
 
@@ -74,9 +91,9 @@ def _check_formula_agreement(n: int, seed: int) -> DiagnosticResult:
     for _ in range(n):
         axis, theta = _rand_axis_angle(rng, math.pi - 1e-3)
         q = _rodrigues(axis, theta)
-        r1 = core._euler_rodrigues9(axis, theta)
+        r1 = _euler_rodrigues9(axis, theta)
         r2 = _rotation9(1.0, *q)
-        r3 = cayley._cayley_rot9(*q)
+        r3 = _cayley_rot9(*q)
         worst = max(worst, _max_diff9(r1, r2), _max_diff9(r2, r3), _max_diff9(r1, r3))
     return DiagnosticResult("formula-agreement", n, worst, 1e-12)
 
@@ -86,17 +103,19 @@ def _check_explicit_inverse(n: int, seed: int) -> DiagnosticResult:
     worst = 0.0
     for _ in range(n):
         q = _rand_rodrigues(rng, math.pi - 1e-3)
-        m = cayley._cayley_inv9(*q)
-        k = _k.skew9(q)
+        m = _cayley_inv9(*q)
+        x, y, z = q
+        # 1 - (Qx), each off-diagonal entry formed as 0.0 minus that of (Qx),
+        # so that a zero component of Q gives +0.0
         one_minus_k = (
-            1.0 - k[0], 0.0 - k[1], 0.0 - k[2],
-            0.0 - k[3], 1.0 - k[4], 0.0 - k[5],
-            0.0 - k[6], 0.0 - k[7], 1.0 - k[8],
+            1.0, 0.0 - -z, 0.0 - y,
+            0.0 - z, 1.0, 0.0 - -x,
+            0.0 - -y, 0.0 - x, 1.0,
         )
         worst = max(
             worst,
-            _max_diff9(_k.matmul_comp(one_minus_k, m), core._IDENTITY9),
-            _max_diff9(_k.matmul_comp(m, one_minus_k), core._IDENTITY9),
+            _max_diff9(_k.matmul_comp(one_minus_k, m), _IDENTITY9),
+            _max_diff9(_k.matmul_comp(m, one_minus_k), _IDENTITY9),
         )
     return DiagnosticResult("explicit-inverse", n, worst, 1e-12)
 
@@ -107,7 +126,7 @@ def _check_bridge_residuals(n: int, seed: int) -> DiagnosticResult:
     for _ in range(n):
         q = _rand_rodrigues(rng, math.pi - 1e-3)
         x = _vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
-        r1, r2 = cayley._cayley_residuals(q, x)
+        r1, r2 = _cayley_residuals(q, x)
         scale = (1.0 + _k.norm3(q)) * max(_k.norm3(x), 1e-300)
         worst = max(worst, r1 / scale, r2 / scale)
     return DiagnosticResult("bridge-residuals", n, worst, 1e-12)
@@ -137,8 +156,8 @@ def _check_lambda_residual(n: int, seed: int) -> DiagnosticResult:
     worst = 0.0
     for _ in range(n):
         q1, q2, _ = _rand_nondegenerate_pair(rng)
-        a = geometry._donkin_triangle(q1, q2)[0]
-        worst = max(worst, composition._composition_diagnostics(q2, q1, a)[2])
+        a = _donkin_triangle(q1, q2)[0]
+        worst = max(worst, _composition_diagnostics(q2, q1, a)[2])
     return DiagnosticResult("lambda-residual", n, worst, 1e-10)
 
 
@@ -147,15 +166,15 @@ def _check_donkin(n: int, seed: int) -> DiagnosticResult:
     worst = 0.0
     for _ in range(n):
         q1, q2, q3 = _rand_nondegenerate_pair(rng)
-        a, b, c = geometry._donkin_triangle(q1, q2)
-        worst = max(worst, geometry._donkin_residual(a, b, c))
-        b_hat = geometry._half_angle_point(q1, a)
-        c_hat = geometry._half_angle_point(q2, b)
+        a, b, c = _donkin_triangle(q1, q2)
+        worst = max(worst, _donkin_residual(a, b, c))
+        b_hat = _half_angle_point(q1, a)
+        c_hat = _half_angle_point(q2, b)
         # (1 + Q3x) A is proportional to C with the sign of 1 - Q2.Q1: the
         # exact relation is (1 - Q2.Q1)(1 + Q3x) A = mu C with mu > 0
         lam = 1.0 - _k.dot3(q2, q1)
         c_expected = c if lam > 0.0 else (-c[0], -c[1], -c[2])
-        c_via_q3 = geometry._half_angle_point(q3, a)
+        c_via_q3 = _half_angle_point(q3, a)
         worst = max(
             worst,
             _dist(b_hat, b),

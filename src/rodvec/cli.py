@@ -6,10 +6,11 @@ significant digits unless --precision overrides.  Exit codes: 0 ok,
 1 check failure, 2 parse/bad args, 3 half-turn has no Rodrigues vector,
 4 parallel axes, 5 non-monotonic time, 6 step too large, 7 io failure.
 
-``convert``, ``compose`` and ``integrate`` run on the float core
-``rodvec._lifted`` alone; ``donkin``, ``figure`` and ``check`` import the
-typed modules they use when they run, so importing this module loads no
-typed class.
+``convert``, ``compose``, ``donkin`` and ``integrate`` run on the float
+core ``rodvec._lifted`` alone, and ``check`` on ``rodvec.checks``, which
+runs on that core too.  Only ``figure``, and ``parse_rotation_spec`` for
+its typed result, import typed modules, when they run, so importing this
+module loads no typed class.
 
 The command line is declared once, in ``_ROOT_ARGUMENTS`` and
 ``_COMMANDS``.  A direct parser reads every well-formed command line from
@@ -17,10 +18,8 @@ that table; argparse, built from the same table, is imported only for
 what the direct parser declines: help and usage errors.
 """
 
-import functools
 import math
 import sys
-from collections.abc import Sequence
 from types import SimpleNamespace
 
 from rodvec._backend import backend_name
@@ -28,10 +27,13 @@ from rodvec._lifted import (
     EXACT_STEP,
     FIGURE_KINDS,
     SCHEMES,
+    _arc_angle,
     _axis_angle,
     _checked9,
     _compose_lifted,
     _direction,
+    _donkin_residual,
+    _donkin_triangle,
     _fold_angle,
     _half_turn_axis,
     _integrate,
@@ -76,7 +78,7 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
 def parse_rotation_spec(text: str, degrees: bool = False):
     """Parse ``aa:...``, ``rod:...``, ``mat:...`` or ``half:...`` to a rotation,
     a ``RodriguesVector`` or a ``HalfTurn`` (``composition.RotationResult``)."""
-    from rodvec.composition import _from_lifted
+    from rodvec.core import _from_lifted
 
     return _from_lifted(*_parse_lifted(text, degrees))
 
@@ -196,23 +198,20 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_donkin(args) -> int:
-    from rodvec import geometry
-    from rodvec.core import RodriguesVector
-
     s1, *q1 = _parse_lifted(args.q1, args.degrees)
     s2, *q2 = _parse_lifted(args.q2, args.degrees)
     if not (s1 and s2):
         raise SpecFormatError("donkin needs two regular (non-half-turn) rotations")
-    tri = geometry.donkin_triangle(RodriguesVector(*q1), RodriguesVector(*q2))
+    a, b, c = _donkin_triangle(q1, q2)
     d = args.precision
-    conv = math.degrees if args.degrees else (lambda a: a)
-    print("A:" + _fmt_list(tri.a.as_tuple(), d))
-    print("B:" + _fmt_list(tri.b.as_tuple(), d))
-    print("C:" + _fmt_list(tri.c.as_tuple(), d))
-    print(f"arc(A,B) = {_fmt(conv(geometry.arc_angle(tri.a, tri.b)), d)}")
-    print(f"arc(B,C) = {_fmt(conv(geometry.arc_angle(tri.b, tri.c)), d)}")
-    print(f"arc(A,C) = {_fmt(conv(geometry.arc_angle(tri.a, tri.c)), d)}")
-    print(f"residual = {_fmt(geometry.donkin_verify(tri), 3)}")
+    conv = math.degrees if args.degrees else (lambda x: x)
+    print("A:" + _fmt_list(a, d))
+    print("B:" + _fmt_list(b, d))
+    print("C:" + _fmt_list(c, d))
+    print(f"arc(A,B) = {_fmt(conv(_arc_angle(a, b)), d)}")
+    print(f"arc(B,C) = {_fmt(conv(_arc_angle(b, c)), d)}")
+    print(f"arc(A,C) = {_fmt(conv(_arc_angle(a, c)), d)}")
+    print(f"residual = {_fmt(_donkin_residual(a, b, c), 3)}")
     return 0
 
 
@@ -410,7 +409,7 @@ _ROOT = _grammar(_ROOT_ARGUMENTS)
 _GRAMMARS = {name: (func, _grammar(arguments)) for name, (func, _, arguments) in _COMMANDS.items()}
 
 
-def _read(argv: Sequence[str], i: int, grammar, values: dict, stop: bool):
+def _read(argv: list[str], i: int, grammar, values: dict, stop: bool):
     """Read argv[i:] as the options and positionals of one grammar into values,
     after its defaults, and stop after the first positional if stop: the
     positionals and the index after them, or None for anything argparse
@@ -453,7 +452,7 @@ def _read(argv: Sequence[str], i: int, grammar, values: dict, stop: bool):
     return positionals, i
 
 
-def _parse_direct(argv: Sequence[str]) -> SimpleNamespace | None:
+def _parse_direct(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse makes of a well-formed command line, or None.
 
     None for anything else: help, every usage error, and the spellings that
@@ -484,11 +483,17 @@ def _parse_direct(argv: Sequence[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-@functools.cache
+#: The parser _build_parser makes, once it has made it.
+_parser = None
+
+
 def _build_parser():
     """The argparse parser of the same table, for help and usage errors: built
     when _parse_direct first declines and then kept, as parsing leaves it
     unchanged."""
+    global _parser
+    if _parser is not None:
+        return _parser
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -505,10 +510,26 @@ def _build_parser():
         for name, kw in arguments:
             p.add_argument(name, **kw)
         p.set_defaults(func=func)
+    _parser = parser
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+#: The exit code of each error a command may raise; an error takes the code
+#: of the first entry it is an instance of.
+_EXIT_CODES = {
+    SpecFormatError: 2,
+    MissingInput: 2,
+    NotARotation: 2,
+    ValueError: 2,
+    HalfTurnUndefined: 3,
+    ParallelAxes: 4,
+    NonMonotonicTime: 5,
+    StepTooLarge: 6,
+    OSError: 7,
+}
+
+
+def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_direct(argv)
@@ -522,24 +543,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (SpecFormatError, MissingInput, NotARotation, ValueError, UnicodeDecodeError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HalfTurnUndefined as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ParallelAxes as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except NonMonotonicTime as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except StepTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 7
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
 
 
 if __name__ == "__main__":

@@ -6,18 +6,15 @@ denominator vanishes the result is a half-turn about the (never-zero)
 numerator direction; that case is a result variant, not an error.
 Numerator and denominator are the vector and scalar parts of an Euler
 parameter (quaternion) product, which also composes half-turns.  That
-product is ``rodvec._lifted._compose_lifted``; the functions here lift
-their typed operands to it and build the typed result.
+product is ``rodvec._lifted._compose_lifted`` and the diagnostics are
+``_lifted._composition_diagnostics``; the functions here lift their typed
+operands with ``core._lift`` and build the typed result.
 """
 
-import math
 from dataclasses import dataclass
-from typing import Union
 
-from rodvec._backend import kernels as _k
-from rodvec._lifted import DEGENERACY_REL_TOL, _compose_lifted, _require_finite, _unit
-from rodvec.core import HalfTurn, RodriguesVector, UnitVector, Vec3
-from rodvec.errors import DegenerateComposition, NotPerpendicular
+from rodvec._lifted import DEGENERACY_REL_TOL, _composition_diagnostics, _compose_lifted
+from rodvec.core import HalfTurn, RodriguesVector, UnitVector, Vec3, _from_lifted, _lift
 
 __all__ = [
     "RotationResult",
@@ -30,7 +27,7 @@ __all__ = [
 
 #: A composition result: either a Rodrigues vector or the half-turn the
 #: formula cannot represent.  Discriminate with isinstance().
-RotationResult = Union[RodriguesVector, HalfTurn]
+RotationResult = RodriguesVector | HalfTurn
 
 
 @dataclass(frozen=True)
@@ -81,20 +78,6 @@ def compose_general(b: RotationResult, a: RotationResult) -> RotationResult:
     return _from_lifted(s, x, y, z)
 
 
-def _lift(r: RotationResult) -> tuple[float, float, float, float]:
-    """Euler parameters (s, v) of a rotation: (1, Q) or (0, n)."""
-    if isinstance(r, HalfTurn):
-        return (0.0, *r.axis.as_tuple())
-    return (1.0, r.x, r.y, r.z)
-
-
-def _from_lifted(s: float, x: float, y: float, z: float) -> RotationResult:
-    """The rotation of a projected product (1, Q) or (0, n)."""
-    if s:
-        return RodriguesVector(x, y, z)
-    return HalfTurn(UnitVector(x, y, z))
-
-
 def composition_diagnostics(
     q2: RodriguesVector, q1: RodriguesVector, a: UnitVector
 ) -> CompositionDiagnostics:
@@ -114,31 +97,3 @@ def composition_diagnostics(
     return CompositionDiagnostics(
         lam=den, numerator=Vec3(*num), denominator=den, residual=residual
     )
-
-
-def _composition_diagnostics(q2t, q1t, at):
-    """composition_diagnostics on the triples of Q2, Q1 and a: the
-    numerator, the denominator lambda and the residual."""
-    if any(q1t) and abs(_k.dot3(at, _unit(*q1t))) > 1e-9:
-        raise NotPerpendicular("a must be perpendicular to Q1")
-    # a regular Q3 from _compose_lifted is finite, a half-turn axis unit
-    s, x, y, z = _compose_lifted(1.0, *q2t, 1.0, *q1t)
-    if not s:
-        raise DegenerateComposition("composition is a half-turn; lambda residual undefined")
-    num, lam = _k.compose_num_den(q2t, q1t)
-
-    lhs = _k.cross3((x, y, z), at)
-    lhs = (lam * (at[0] + lhs[0]), lam * (at[1] + lhs[1]), lam * (at[2] + lhs[2]))
-
-    c1 = _k.cross3(q1t, at)
-    c2 = _k.cross3(q2t, at)
-    c21 = _k.cross3(q2t, c1)
-    rhs = (
-        at[0] + c1[0] + c2[0] + c21[0],
-        at[1] + c1[1] + c2[1] + c21[1],
-        at[2] + c1[2] + c2[2] + c21[2],
-    )
-    residual = _k.norm3((lhs[0] - rhs[0], lhs[1] - rhs[1], lhs[2] - rhs[2]))
-    if not math.isfinite(num[0] + num[1] + num[2]):  # the sum may also overflow
-        _require_finite(*num)  # the check of Vec3(*num)
-    return num, lam, residual

@@ -9,7 +9,9 @@ the right-hand rule about the oriented axis.
 All types are immutable values and all operations are pure functions, so
 everything here is safe to share between threads.  The types are a facade:
 their checks and conversions are the float routines of ``rodvec._lifted``,
-applied to their components.
+applied to their components.  ``_lift`` and ``_from_lifted`` carry a
+rotation to the Euler parameters of those routines and back, and
+``_matrix3`` and ``_rotation_matrix`` wrap their checked nine floats.
 """
 
 import math
@@ -20,11 +22,13 @@ from rodvec._lifted import (
     HALF_TURN_ANGLE_TOL,
     ROTATION_MATRIX_TOL,
     UNIT_RENORM_TOL,
+    _IDENTITY9,
     _axis_angle,
     _checked9,
-    _direction,
+    _euler_rodrigues9,
     _flip_half_axis,
     _fold_angle,
+    _from_vec,
     _lift_axis_angle,
     _require_finite,
     _require_so3,
@@ -52,18 +56,6 @@ __all__ = [
     "apply_rotation",
     "invert_rotation",
 ]
-
-_IDENTITY9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-
-
-def _from_vec(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """The components of UnitVector.from_vec(Vec3(x, y, z)): _direction
-    with from_vec's floor of 1e-15 on the norm."""
-    # nan and inf fail the floor test, and _direction's finite check next
-    if math.sqrt(x * x + y * y + z * z) < 1e-15:
-        raise ValueError("cannot normalize a (near-)zero vector")
-    return _direction(x, y, z)
-
 
 @dataclass(frozen=True)
 class Vec3:
@@ -194,7 +186,8 @@ class Matrix3:
         return self.elements[3 * i + j]
 
     def transpose(self) -> "Matrix3":
-        return Matrix3(_k.transpose9(self.elements))
+        e = self.elements
+        return Matrix3((e[0], e[3], e[6], e[1], e[4], e[7], e[2], e[5], e[8]))
 
     def trace(self) -> float:
         e = self.elements
@@ -231,7 +224,8 @@ class SkewMatrix:
 
     @property
     def matrix(self) -> Matrix3:
-        return Matrix3(_k.skew9(self.generator.as_tuple()))
+        x, y, z = self.generator.as_tuple()
+        return Matrix3((0.0, -z, y, z, 0.0, -x, -y, x, 0.0))
 
     def apply(self, x: Vec3) -> Vec3:
         return self.generator.cross(x)
@@ -310,6 +304,20 @@ def _rotation_matrix(e) -> RotationMatrix:
     return r
 
 
+def _lift(r: RodriguesVector | HalfTurn) -> tuple[float, float, float, float]:
+    """Euler parameters (s, v) of a rotation: (1, Q) or (0, n)."""
+    if isinstance(r, HalfTurn):
+        return (0.0, *r.axis.as_tuple())
+    return (1.0, r.x, r.y, r.z)
+
+
+def _from_lifted(s: float, x: float, y: float, z: float) -> RodriguesVector | HalfTurn:
+    """The rotation of Euler parameters (1, Q) or (0, n)."""
+    if s:
+        return RodriguesVector(x, y, z)
+    return HalfTurn(UnitVector(x, y, z))
+
+
 def skew(v: Vec3) -> SkewMatrix:
     """The matrix operator (v x), mapping x to v cross x."""
     return SkewMatrix(v)
@@ -323,12 +331,6 @@ def unskew(m: SkewMatrix) -> Vec3:
 def euler_rodrigues_matrix(n: UnitVector, theta: float) -> RotationMatrix:
     """R(n, theta) = cos(theta)*1 + sin(theta)*(n x) + (1 - cos(theta))*n n^T."""
     return _rotation_matrix(_euler_rodrigues9(n.as_tuple(), theta))
-
-
-def _euler_rodrigues9(n, theta: float):
-    """euler_rodrigues_matrix on the unit triple n: its checked nine floats."""
-    _require_finite(theta)
-    return _checked9(_k.euler_rodrigues9(n, theta))
 
 
 def rodrigues_from_axis_angle(aa: AxisAngle) -> RodriguesVector:

@@ -13,27 +13,33 @@ Fact (c) turns rotation composition into a spherical triangle: a triangle
 ABC with arcs theta1/2 = AB, theta2/2 = BC realizes "twice AB then twice BC
 equals twice AC" (Donkin's theorem), which this module constructs and
 verifies numerically.  The half-angle point, the triangle and the Donkin
-residual run on plain coordinate triples in private routines; the public
-functions build the typed values only at the boundary.
+residual are float routines of ``rodvec._lifted`` on plain coordinate
+triples; the public functions here build the typed values only at the
+boundary, and the figure scenes are built from them.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 from rodvec._backend import kernels as _k
-from rodvec._lifted import FIGURE_KINDS, _require_finite, _unit
+from rodvec._lifted import (
+    FIGURE_KINDS,
+    _arc_angle,
+    _bisector,
+    _donkin_residual,
+    _donkin_triangle,
+    _half_angle_point,
+    _require_triangle,
+    _unit,
+)
 from rodvec.core import (
     RodriguesVector,
     UnitVector,
     Vec3,
-    _IDENTITY9,
-    _euler_rodrigues9,
-    _from_vec,
     axis_angle_from_rodrigues,
     matrix_from_rodrigues,
 )
-from rodvec.errors import MissingInput, NotPerpendicular, ParallelAxes
+from rodvec.errors import MissingInput
 
 __all__ = [
     "SphericalTriangle",
@@ -66,33 +72,9 @@ class SphericalTriangle:
         _require_triangle(self.a.as_tuple(), self.b.as_tuple(), self.c.as_tuple())
 
 
-def _require_triangle(a, b, c) -> None:
-    """Raise ValueError when the points a, b, c are collinear, with the
-    finite checks of the Vec3 values b - a, c - a and their cross product."""
-    ab = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-    ac = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-    if not math.isfinite(ab[0] + ab[1] + ab[2] + ac[0] + ac[1] + ac[2]):
-        _require_finite(*ab, *ac)  # the sum may also overflow
-    if _k.norm3(_cross(ab, ac)) <= 1e-9:
-        raise ValueError("degenerate spherical triangle: vertices are collinear")
-
-
-def _cross(u, v) -> tuple[float, float, float]:
-    """u x v with the finite check of Vec3.cross."""
-    w = _k.cross3(u, v)
-    if not math.isfinite(w[0] + w[1] + w[2]):  # the sum may also overflow
-        _require_finite(*w)
-    return w
-
-
 def arc_angle(u: UnitVector, v: UnitVector) -> float:
     """Great-arc angle between unit vectors, atan2-stable near 0 and pi."""
     return _arc_angle(u.as_tuple(), v.as_tuple())
-
-
-def _arc_angle(u, v) -> float:
-    """arc_angle on the triples of u and v."""
-    return math.atan2(_k.norm3(_cross(u, v)), u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
 
 
 def plane_basis(axis: UnitVector) -> tuple[Vec3, Vec3]:
@@ -121,28 +103,12 @@ def bisector_intersection(q: RodriguesVector, x: Vec3) -> Vec3:
     return Vec3(*_bisector(q.as_tuple(), x.as_tuple()))
 
 
-def _bisector(q, x) -> tuple[float, float, float]:
-    """bisector_intersection on the triples of Q and x."""
-    t = _k.cross3(q, x)
-    return x[0] + t[0], x[1] + t[1], x[2] + t[2]
-
-
 def half_angle_point(q: RodriguesVector, a: UnitVector) -> UnitVector:
     """Normalize (1 + Qx) a: the point of the unit arc at angle theta/2 from a.
 
     Requires ||Q|| > 0 and a perpendicular to Q (|a.Q|/||Q|| <= 1e-9).
     """
     return UnitVector(*_half_angle_point(q.as_tuple(), a.as_tuple()))
-
-
-def _half_angle_point(q, a) -> tuple[float, float, float]:
-    """half_angle_point on the triples of Q and a."""
-    if not any(q):
-        raise ValueError("half_angle_point needs a nonzero rotation")
-    if abs(_k.dot3(a, _unit(*q))) > 1e-9:
-        raise NotPerpendicular("a must lie in the plane perpendicular to Q")
-    # from_vec's checks include the finite check of Vec3((1 + Qx) a)
-    return _from_vec(*_bisector(q, a))
 
 
 def donkin_triangle(q1: RodriguesVector, q2: RodriguesVector) -> SphericalTriangle:
@@ -161,36 +127,6 @@ def donkin_triangle(q1: RodriguesVector, q2: RodriguesVector) -> SphericalTriang
     return SphericalTriangle(UnitVector(*a), UnitVector(*b), UnitVector(*c))
 
 
-def _donkin_triangle(q1, q2):
-    """donkin_triangle on the triples of Q1 and Q2: the vertices A, B, C."""
-    if not any(q1) or not any(q2):
-        raise ParallelAxes("both rotations must be nonzero")
-    axis1 = _unit(*q1)
-    axes_cross = _k.cross3(_unit(*q2), axis1)
-    if _k.norm3(axes_cross) <= 1e-9:
-        raise ParallelAxes("rotation axes are parallel; no spherical triangle exists")
-    c = _k.cross3(q2, q1)
-    if not 0.0 < _k.dot3(c, c) < math.inf:
-        c = axes_cross  # Q2 x Q1 over- or underflows; n2 x n1 has its direction
-    b = _unit(*c)
-    half1 = math.atan(_k.norm3(q1))  # theta1/2
-    r = _euler_rodrigues9(axis1, -half1)
-    # from_vec's checks include the finite check of Vec3(R b)
-    a = _from_vec(*_k.matvec(r, b))
-    cpt = _half_angle_point(q2, b)
-    _require_triangle(a, b, cpt)
-    return a, b, cpt
-
-
-def _double_arc_rotation9(u, v):
-    # rotation by twice the arc angle about u x v; collapsed (parallel or
-    # antipodal) pairs give arc 0 or pi, hence angle 0 or 2*pi: identity.
-    c = _cross(u, v)
-    if _k.norm3(c) <= 1e-12:
-        return _IDENTITY9
-    return _euler_rodrigues9(_unit(*c), 2.0 * _arc_angle(u, v))
-
-
 def donkin_residual(a: UnitVector, b: UnitVector, c: UnitVector) -> float:
     """||R_2bc R_2ab - R_2ac||_inf for arbitrary unit vertices.
 
@@ -198,13 +134,6 @@ def donkin_residual(a: UnitVector, b: UnitVector, c: UnitVector) -> float:
     identity), unlike :class:`SphericalTriangle`.
     """
     return _donkin_residual(a.as_tuple(), b.as_tuple(), c.as_tuple())
-
-
-def _donkin_residual(a, b, c) -> float:
-    r_ab = _double_arc_rotation9(a, b)
-    r_bc = _double_arc_rotation9(b, c)
-    r_ac = _double_arc_rotation9(a, c)
-    return max(map(abs, map(operator.sub, _k.matmul(r_bc, r_ab), r_ac)))
 
 
 def donkin_verify(tri: SphericalTriangle) -> float:

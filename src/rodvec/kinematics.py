@@ -22,8 +22,8 @@ from rodvec._lifted import (
     _increment,
     _integrate,
 )
-from rodvec.composition import RotationResult, _from_lifted, _lift
-from rodvec.core import Matrix3, RodriguesVector, Vec3
+from rodvec.composition import RotationResult
+from rodvec.core import Matrix3, RodriguesVector, Vec3, _from_lifted, _lift
 
 __all__ = [
     "AngularVelocity",

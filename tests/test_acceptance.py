@@ -38,6 +38,7 @@ from rodvec import (
     integrate_attitude,
     matrix_from_half_turn,
     matrix_from_rodrigues,
+    skew,
     small_rotation_matrix,
     tangent_to_bisector,
 )
@@ -111,7 +112,7 @@ def test_c02_explicit_inverse():
         q = _q_of(axis, theta)
         seen_large = max(seen_large, q.norm())
         m = cayley_inverse_explicit(q).elements
-        k = _k.skew9(q.as_tuple())
+        k = skew(q).matrix.elements
         b = tuple((1.0 if j in (0, 4, 8) else 0.0) - k[j] for j in range(9))
         worst = max(
             worst,

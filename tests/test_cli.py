@@ -12,7 +12,8 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import rodvec.cayley
+import rodvec._backend
+import rodvec.checks
 import rodvec.core
 from rodvec.cli import _build_parser, _parse_direct, main, parse_rotation_spec
 from rodvec.core import RodriguesVector
@@ -415,7 +416,7 @@ class TestIntegrateRowChecks:
 )
 def test_mat_spec_checks_the_rodrigues_kernel_output(capsys, monkeypatch, bad, message):
     # the regular branch of Shepperd's rule reads Q from rod_from_rot9
-    monkeypatch.setattr(rodvec.cayley._k, "rod_from_rot9", lambda e: bad)
+    monkeypatch.setattr(rodvec._backend.kernels, "rod_from_rot9", lambda e: bad)
     result = run(capsys, "convert", "mat:0.36,0.48,-0.8,-0.8,0.6,0,0.48,0.64,0.6", "--to", "rod")
     assert result == (2, "", f"error: invalid mat spec: non-finite component: {message}\n")
 
@@ -526,13 +527,13 @@ class TestCheck:
 
     def test_corrupted_build_fails(self, capsys, monkeypatch):
         # negative control: flip a sign inside the explicit inverse
-        real = rodvec.cayley._cayley_inv9
+        real = rodvec.checks._cayley_inv9
 
         def corrupted(*q):
             m = real(*q)
             return (m[0], -m[1], m[2], m[3], m[4], m[5], m[6], m[7], m[8])
 
-        monkeypatch.setattr(rodvec.cayley, "_cayley_inv9", corrupted)
+        monkeypatch.setattr(rodvec.checks, "_cayley_inv9", corrupted)
         code, out, _ = run(capsys, "check", "--n", "5", "--seed", "7")
         assert code == 1
         assert "FAIL" in out
@@ -547,7 +548,7 @@ class TestEntryPoint:
         assert r1.stdout == r2.stdout
 
     def test_cli_import_leaves_svg_unloaded(self):
-        src = os.path.dirname(os.path.dirname(rodvec.cayley.__file__))
+        src = os.path.dirname(os.path.dirname(rodvec.core.__file__))
         code = "import sys, rodvec.cli; print('rodvec.svg' in sys.modules, 'xml.sax.saxutils' in sys.modules)"
         r = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}

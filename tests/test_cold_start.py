@@ -5,6 +5,7 @@ runs, collection has imported every rodvec module into this one, so an
 in-process test cannot see an import that a command path is missing.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -18,17 +19,19 @@ from rodvec.cli import main
 
 SRC = str(Path(rodvec.__file__).resolve().parent.parent)
 
-#: Modules the command line must not load for convert, compose or integrate.
+#: Modules no command but ``figure`` may load.
 TYPED = (
-    "dataclasses",
+    "typing",
     "rodvec.core",
     "rodvec.composition",
     "rodvec.cayley",
     "rodvec.kinematics",
     "rodvec.geometry",
-    "rodvec.checks",
     "rodvec.svg",
 )
+
+#: Modules that only ``check`` may load besides: its results are dataclasses.
+CHECK_ONLY = ("dataclasses", "functools", "collections", "rodvec.checks")
 
 #: The public names of the package, by the module that provides them, in __all__ order.
 EXPORTS = {
@@ -65,37 +68,47 @@ EXPORTS = {
 
 
 def _fresh(body: str) -> str:
-    """stdout of ``body`` run by ``python -E -s`` with only ``src`` put on
+    """stdout of ``body`` run by ``python -E -s -S`` with only ``src`` put on
     sys.path, after ``at_start`` records the modules the interpreter began
-    with."""
+    with.  Without ``site`` no ``.pth`` file can load a module before the
+    body runs."""
     code = f"import sys\nat_start = set(sys.modules)\nsys.path.insert(0, {SRC!r})\n{body}"
-    r = subprocess.run([sys.executable, "-E", "-s", "-c", code], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-E", "-s", "-S", "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     return r.stdout
 
 
 class TestImportBudget:
-    def test_cli_loads_no_typed_module(self):
+    def test_cli_loads_no_typed_module(self, tmp_path):
+        """Only ``figure`` loads typed modules; ``check`` alone loads
+        dataclasses and what they import."""
+        runs = {
+            "convert": ["convert", "rod:0.1,0.2,0.3", "--to", "aa"],
+            "compose": ["compose", "rod:0.1,0.2,0.3", "aa:1,1,0,2.5",
+                        "mat:0,-1,0,1,0,0,0,0,1", "half:0,1,1", "rod:-1,0.5,2"],
+            "integrate": ["integrate", _omega_log(tmp_path / "omega.txt"), "--trajectory",
+                          "--matrix-cols", "--initial", "half:0,1,1"],
+            "donkin": ["--degrees", "donkin", "rod:1,0.2,0", "aa:0,1,0.3,70"],
+            "check": ["check", "--n", "3"],  # last: what it loads stays loaded
+        }
+        # io is loaded at startup; contextlib and json would load functools
         out = _fresh(
-            "import contextlib, io, json\n"
-            f"typed = {TYPED!r}\n"
-            "def loaded():\n"
-            "    return [m for m in typed if m in sys.modules and m not in at_start]\n"
-            "seen = {}\n"
+            "import io\n"
+            f"typed, check_only = {TYPED!r}, {CHECK_ONLY!r}\n"
+            "def loaded(name):\n"
+            "    barred = typed if name == 'check' else typed + check_only\n"
+            "    return [m for m in barred if m in sys.modules and m not in at_start]\n"
             "import rodvec.cli\n"
-            "seen['import'] = loaded()\n"
-            "runs = {\n"
-            "    'convert': ['convert', 'rod:0.1,0.2,0.3', '--to', 'aa'],\n"
-            "    'compose': ['compose', 'rod:0.1,0.2,0.3', 'aa:1,1,0,2.5',\n"
-            "                'mat:0,-1,0,1,0,0,0,0,1', 'half:0,1,1', 'rod:-1,0.5,2'],\n"
-            "}\n"
-            "for name, argv in runs.items():\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert rodvec.cli.main(argv) == 0, argv\n"
-            "    seen[name] = loaded()\n"
-            "print(json.dumps(seen))\n"
+            "seen = {'import': loaded('import')}\n"
+            f"for name, argv in {runs!r}.items():\n"
+            "    sys.stdout = io.StringIO()\n"
+            "    code = rodvec.cli.main(argv)\n"
+            "    sys.stdout = sys.__stdout__\n"
+            "    assert code == 0, argv\n"
+            "    seen[name] = loaded(name)\n"
+            "print(repr(seen))\n"
         )
-        assert json.loads(out) == {"import": [], "convert": [], "compose": []}
+        assert ast.literal_eval(out) == {"import": [], **{name: [] for name in runs}}
 
     def test_well_formed_commands_load_no_argparse(self, tmp_path):
         """argparse (with gettext) is only for help and usage errors, and no

@@ -3,6 +3,10 @@
 The reference below is the double-double pipeline composed from one helper
 per step (two_sum, two_prod, dd_add, dd_div, ...).  The pure-Python kernels
 write the same steps out inline, and must give the same bits.
+
+``transpose9``, ``skew9`` and ``compose_num_den`` were kernels once; their
+callers now write the tuples out.  Their formulas are kept here as the
+reference those callers must match bit for bit.
 """
 
 import inspect
@@ -19,7 +23,11 @@ from pathlib import Path
 import pytest
 
 from rodvec import _kernels_py as kp
-from rodvec import cayley, checks
+from rodvec import _lifted, checks
+from rodvec.composition import composition_diagnostics
+from rodvec.core import Matrix3, RodriguesVector, SkewMatrix, UnitVector, Vec3
+from rodvec.errors import DegenerateComposition, NotPerpendicular, RodvecError
+from rodvec.geometry import donkin_triangle
 from test_acceptance import _q_of, _rand_axis_angle
 
 # ------------------------------------------------------------ the reference
@@ -83,6 +91,47 @@ def _den_dd(x, y, z):
     return s, _dd_add_d(s, 1.0)
 
 
+def ref_transpose9(m):
+    return (m[0], m[3], m[6], m[1], m[4], m[7], m[2], m[5], m[8])
+
+
+def ref_skew9(v):
+    x, y, z = v
+    return (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
+
+
+def ref_compose_num_den(q2, q1):
+    """Numerator Q1 + Q2 + Q2 x Q1 and denominator 1 - Q2.Q1 of the composition law."""
+    cx, cy, cz = kp.cross3(q2, q1)
+    num = (q1[0] + q2[0] + cx, q1[1] + q2[1] + cy, q1[2] + q2[2] + cz)
+    return num, 1.0 - kp.dot3(q2, q1)
+
+
+def ref_composition_diagnostics(q2t, q1t, at):
+    """_lifted._composition_diagnostics with the numerator and denominator
+    of ref_compose_num_den."""
+    if any(q1t) and abs(kp.dot3(at, _lifted._unit(*q1t))) > 1e-9:
+        raise NotPerpendicular("a must be perpendicular to Q1")
+    s, x, y, z = _lifted._compose_lifted(1.0, *q2t, 1.0, *q1t)
+    if not s:
+        raise DegenerateComposition("composition is a half-turn; lambda residual undefined")
+    num, lam = ref_compose_num_den(q2t, q1t)
+    lhs = kp.cross3((x, y, z), at)
+    lhs = (lam * (at[0] + lhs[0]), lam * (at[1] + lhs[1]), lam * (at[2] + lhs[2]))
+    c1 = kp.cross3(q1t, at)
+    c2 = kp.cross3(q2t, at)
+    c21 = kp.cross3(q2t, c1)
+    rhs = (
+        at[0] + c1[0] + c2[0] + c21[0],
+        at[1] + c1[1] + c2[1] + c21[1],
+        at[2] + c1[2] + c2[2] + c21[2],
+    )
+    residual = kp.norm3((lhs[0] - rhs[0], lhs[1] - rhs[1], lhs[2] - rhs[2]))
+    if not math.isfinite(num[0] + num[1] + num[2]):
+        _lifted._require_finite(*num)
+    return num, lam, residual
+
+
 def ref_matmul_comp(a, b):
     out = []
     for i in (0, 3, 6):
@@ -100,7 +149,7 @@ def ref_cayley_inv9(q):
     x, y, z = q
     _, den = _den_dd(x, y, z)
     qv = (x, y, z)
-    k = kp.skew9(qv)
+    k = ref_skew9(qv)
     out = []
     for i in range(3):
         for j in range(3):
@@ -119,7 +168,7 @@ def ref_cayley_rot9(q):
     qv = (x, y, z)
     s, den = _den_dd(x, y, z)
     neg_s = (-s[0], -s[1])
-    k = kp.skew9(qv)
+    k = ref_skew9(qv)
     b = (1.0, k[1], k[2], k[3], 1.0, k[5], k[6], k[7], 1.0)
     n = []
     for i in range(3):
@@ -145,7 +194,7 @@ def ref_cayley_rot9(q):
 
 
 def ref_rot_residuals9(m):
-    g = kp.matmul(kp.transpose9(m), m)
+    g = kp.matmul(ref_transpose9(m), m)
     r = max(
         abs(g[0] - 1.0),
         abs(g[4] - 1.0),
@@ -247,7 +296,7 @@ def test_matmul_comp_matches_reference_bitwise():
     rng = random.Random(12)
     for q in _qs(13, 500):
         m = ref_cayley_inv9(q)
-        k = kp.skew9(q)
+        k = ref_skew9(q)
         one_minus_k = tuple((1.0 if i % 4 == 0 else 0.0) - k[i] for i in range(9))
         wide = tuple(rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(-200.0, 200.0) for _ in range(9))
         for a, b in ((one_minus_k, m), (m, one_minus_k), (kp.rot_from_rod9(q), wide), (wide, m)):
@@ -310,17 +359,20 @@ def _outcome(f, *args):
     """f(*args), or the type of the exception it raises."""
     try:
         return f(*args)
-    except (ArithmeticError, LookupError, ValueError) as e:
+    except (ArithmeticError, LookupError, ValueError, RodvecError) as e:
         return type(e)
+
+
+def _same_result(a, b):
+    """The same exception type, or results of the same bits."""
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return _same_bits(_flat(a), _flat(b))
 
 
 def _same_outcome(kc, name, *args):
     """Both backends raise the same exception type, or return the same bits."""
-    a = _outcome(getattr(kp, name), *args)
-    b = _outcome(getattr(kc, name), *args)
-    if isinstance(a, type) or isinstance(b, type):
-        return a is b
-    return _same_bits(_flat(a), _flat(b))
+    return _same_result(_outcome(getattr(kp, name), *args), _outcome(getattr(kc, name), *args))
 
 
 def _flat(result):
@@ -347,8 +399,8 @@ def test_matmul_comp_parity_on_explicit_inverse_products(kc):
     rng = random.Random(6)
     for _ in range(2000):
         q = checks._rand_rodrigues(rng, math.pi - 1e-3)
-        m = cayley._cayley_inv9(*q)
-        k = kp.skew9(q)
+        m = _lifted._cayley_inv9(*q)
+        k = ref_skew9(q)
         one_minus_k = tuple((1.0 if i % 4 == 0 else 0.0) - k[i] for i in range(9))
         assert _same_outcome(kc, "matmul_comp", one_minus_k, m), q
         assert _same_outcome(kc, "matmul_comp", m, one_minus_k), q
@@ -364,8 +416,6 @@ _ARGS = {
     "matvec": (9, 3),
     "matmul": (9, 9),
     "matmul_comp": (9, 9),
-    "transpose9": (9,),
-    "skew9": (3,),
     "euler_rodrigues9": (3, 0),
     "rot_from_rod9": (3,),
     "half_turn9": (3,),
@@ -373,7 +423,6 @@ _ARGS = {
     "cayley_rot9": (3,),
     "rod_from_rot9": (9,),
     "rot_residuals9": (9,),
-    "compose_num_den": (3, 3),
 }
 
 
@@ -408,12 +457,93 @@ def test_kernel_parity_over_the_float_range(kc, name):
         ("matmul_comp", ((1e300,) * 9, (1e8,) * 9), OverflowError),
         ("matmul_comp", ((math.inf, -math.inf, 0.0) * 3, (1.0,) * 9), ValueError),
         ("dot3", ((1.0, 2.0), (1.0, 2.0, 3.0)), IndexError),
-        ("skew9", ((1.0, 2.0, 3.0, 4.0),), ValueError),
     ],
 )
 def test_backends_raise_alike(kc, name, args, error):
     assert _outcome(getattr(kp, name), *args) is error
     assert _outcome(getattr(kc, name), *args) is error
+
+
+# ------------------------------------------- kernels folded into their callers
+
+
+def _finite_float(rng, wide):
+    """A draw of _any_float that is finite."""
+    while True:
+        v = _any_float(rng, wide)
+        if math.isfinite(v):
+            return v
+
+
+def _unit_perpendicular(rng, q):
+    """A unit vector perpendicular to q, or any unit vector when q = 0."""
+    r = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+    c = kp.cross3(_lifted._unit(*q), r) if any(q) else r
+    return _lifted._unit(*c)
+
+
+def test_transpose_and_skew_match_the_deleted_kernels():
+    rng = random.Random(zlib.crc32(b"transpose9 skew9"))
+    for i in range(1000):
+        wide = i % 2 == 1
+        m = tuple(_finite_float(rng, wide) for _ in range(9))
+        v = tuple(_finite_float(rng, wide) for _ in range(3))
+        assert _same_bits(Matrix3(m).transpose().elements, ref_transpose9(m)), m
+        assert _same_bits(SkewMatrix(Vec3(*v)).matrix.elements, ref_skew9(v)), v
+    for zeros in ((0.0, -0.0, 0.0), (-0.0, 0.0, -0.0)):
+        assert _same_bits(SkewMatrix(Vec3(*zeros)).matrix.elements, ref_skew9(zeros))
+        assert _same_bits(Matrix3(zeros * 3).transpose().elements, ref_transpose9(zeros * 3))
+
+
+def test_composition_diagnostics_match_the_deleted_kernel():
+    # the numerator and lambda come from compose_num_den's formula, and the
+    # residual from that lambda, over the whole finite float range: bits
+    # where it returns, the exception type where it raises
+    rng = random.Random(zlib.crc32(b"compose_num_den"))
+    cases = [
+        ((1e200, 0.0, 0.0), (1e200, 0.0, 0.0), (0.0, 1.0, 0.0)),  # lambda overflows
+        ((1e308, 0.0, 0.0), (1e308, 0.0, 0.0), (0.0, 0.0, 1.0)),  # the numerator overflows
+        ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),  # a half-turn
+        ((0.3, 0.2, 0.1), (0.0, 0.0, 1.0), (0.0, 0.6, 0.8)),  # a not perpendicular to Q1
+        ((0.3, -0.0, 0.1), (0.0, 0.0, 0.0), (-0.0, 1.0, 0.0)),
+    ]
+    for i in range(2000):
+        wide = i % 2 == 1
+        q2 = tuple(_finite_float(rng, wide) for _ in range(3))
+        q1 = tuple(_finite_float(rng, wide) for _ in range(3))
+        if i % 4 == 3:
+            a = tuple(_finite_float(rng, wide) for _ in range(3))
+        else:
+            a = _unit_perpendicular(rng, q1)
+        cases.append((q2, q1, a))
+    outcomes = set()
+    for q2, q1, a in cases:
+        want = _outcome(ref_composition_diagnostics, q2, q1, a)
+        assert _same_result(_outcome(_lifted._composition_diagnostics, q2, q1, a), want), (q2, q1, a)
+        outcomes.add(want if isinstance(want, type) else tuple)
+        if abs(kp.norm3(a) - 1.0) > 1e-12:
+            continue
+        got = _outcome(composition_diagnostics, RodriguesVector(*q2), RodriguesVector(*q1), UnitVector(*a))
+        if not isinstance(got, type):
+            got = (got.numerator.as_tuple(), got.lam, got.residual)
+        assert _same_result(got, want), (q2, q1, a)
+    assert outcomes == {tuple, NotPerpendicular, DegenerateComposition, ValueError}
+
+
+def test_donkin_triangle_vertices_are_the_float_core_bits():
+    rng = random.Random(zlib.crc32(b"donkin_triangle"))
+    seen = set()
+    for i in range(1000):
+        wide = i % 2 == 1
+        q1 = tuple(_finite_float(rng, wide) for _ in range(3))
+        q2 = tuple(_finite_float(rng, wide) for _ in range(3))
+        want = _outcome(_lifted._donkin_triangle, q1, q2)
+        got = _outcome(donkin_triangle, RodriguesVector(*q1), RodriguesVector(*q2))
+        if not isinstance(got, type):
+            got = (got.a.as_tuple(), got.b.as_tuple(), got.c.as_tuple())
+        assert _same_result(got, want), (q1, q2)
+        seen.add(want if isinstance(want, type) else tuple)
+    assert tuple in seen
 
 
 def _check_stdout(*prelude):
