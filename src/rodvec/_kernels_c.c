@@ -516,96 +516,6 @@ cayley_inv9(PyObject *Py_UNUSED(module), PyObject *const *args,
 }
 
 static PyObject *
-cayley_rot9(PyObject *Py_UNUSED(module), PyObject *const *args,
-            Py_ssize_t nargs)
-{
-    double q[3], qh[3], ql[3];
-    if (check_nargs("cayley_rot9", nargs, 1) || load(args[0], q, 3, 1)) {
-        return NULL;
-    }
-    for (int i = 0; i < 3; i++) {
-        SPLIT_HI(q[i], qh[i]);
-        ql[i] = q[i] - qh[i];
-    }
-    double p, e, d0, d1, dh, dl;
-    sum_squares(q, qh, ql, &p, &e);
-    double m0 = -p, m1 = -e;
-    one_plus(p, e, &d0, &d1, &dh, &dl);
-
-    /* B = 1 + (Qx): entry (k, j) is b[k][j] with split bh[k][j] + bl[k][j] */
-    double x = q[0], y = q[1], z = q[2];
-    double mx = -x, my = -y, mz = -z, mxh, myh, mzh;
-    SPLIT_HI(mx, mxh);
-    SPLIT_HI(my, myh);
-    SPLIT_HI(mz, mzh);
-    const double b[3][3] = {{1.0, mz, y}, {z, 1.0, mx}, {my, x, 1.0}};
-    const double bh[3][3] = {
-        {1.0, mzh, qh[1]}, {qh[2], 1.0, mxh}, {myh, qh[0], 1.0}};
-    const double bl[3][3] = {
-        {0.0, mz - mzh, ql[1]}, {ql[2], 0.0, mx - mxh}, {my - myh, ql[0], 0.0}};
-    const double k[9] = {0.0, mz, y, z, 0.0, mx, my, x, 0.0};
-    double out[9];
-    for (int i = 0; i < 3; i++) {
-        /* row i of N: N_ij = q_i*q_j - s + den on the diagonal,
-           q_i*q_j + (Qx)_ij off it, as (n0, n1) and the split of n0 */
-        double r0[3], r1[3], rh[3], rl[3];
-        for (int j = 0; j < 3; j++) {
-            double s, t, g, n0;
-            p = q[i] * q[j];
-            e = prod_err(p, qh[i], ql[i], qh[j], ql[j]);
-            if (i == j) {
-                s = p + m0;
-                t = s - p;
-                g = (p - (s - t)) + (m0 - t);
-                g += e + m1;
-                p = s + g;
-                e = g - (p - s);
-                s = p + d0;
-                t = s - p;
-                g = (p - (s - t)) + (d0 - t);
-                g += e + d1;
-            }
-            else {
-                double c = k[3 * i + j];
-                s = p + c;
-                t = s - p;
-                g = (p - (s - t)) + (c - t);
-                g += e;
-            }
-            n0 = s + g;
-            r0[j] = n0;
-            r1[j] = g - (n0 - s);
-            SPLIT_HI(n0, rh[j]);
-            rl[j] = n0 - rh[j];
-        }
-        for (int j = 0; j < 3; j++) {
-            /* (n0, n1) = sum of N_ik * B_kj over the nonzero B_kj */
-            double n0 = 0.0, n1 = 0.0;
-            for (int kk = 0; kk < 3; kk++) {
-                double bkj = b[kk][j];
-                if (bkj != 0.0) {
-                    double s, t, g;
-                    p = r0[kk] * bkj;
-                    e = prod_err(p, rh[kk], rl[kk], bh[kk][j], bl[kk][j]);
-                    e += r1[kk] * bkj;
-                    s = p + e;
-                    e = e - (s - p);
-                    p = s;
-                    s = n0 + p;
-                    t = s - n0;
-                    g = (n0 - (s - t)) + (p - t);
-                    g += n1 + e;
-                    n0 = s + g;
-                    n1 = g - (n0 - s);
-                }
-            }
-            out[3 * i + j] = dd_quotient(n0, n1, d0, d1, dh, dl);
-        }
-    }
-    return tuple_of(out, 9);
-}
-
-static PyObject *
 rod_from_rot9(PyObject *Py_UNUSED(module), PyObject *const *args,
               Py_ssize_t nargs)
 {
@@ -672,7 +582,6 @@ static PyMethodDef kernel_methods[] = {
     KERNEL(rot_from_rod9),
     KERNEL(half_turn9),
     KERNEL(cayley_inv9),
-    KERNEL(cayley_rot9),
     KERNEL(rod_from_rot9),
     KERNEL(rot_residuals9),
     {NULL, NULL, 0, NULL},

@@ -6,12 +6,13 @@ implements the same functions in C, each performing the same IEEE
 operations in the same order, with no contraction into fused multiply-adds,
 so that both backends give the same bits; a change here is made there too.
 
-The Cayley-route kernels (``cayley_rot9``, ``cayley_inv9``) and
-``matmul_comp`` use compensated (double-double) arithmetic: the explicit
-inverse times ``(1 + Qx)`` cancels terms of size ~||Q|| down to entries of
-size 1, so naive evaluation loses about ||Q||*eps of absolute accuracy.
-Compensation keeps the product route meaningful as a cross-check of the
-direct rotation formula at large ||Q||.
+The explicit Cayley inverse ``cayley_inv9`` and ``matmul_comp`` use
+compensated (double-double) arithmetic.  Each entry of (1 - Qx)^-1 is
+(q_i q_j + c)/(1 + Q.Q) with numerator and denominator in double-double,
+so it is accurate to about an ulp; the Cayley rotation 2 (1 - Qx)^-1 - 1 is
+formed from it, and so stays a cross-check of the direct rotation formula
+at large ||Q||.  ``matmul_comp`` gives the residual products of the
+explicit-inverse check their exact sums.
 
 The double-double steps are written out inline rather than composed from
 helper calls, since in CPython the calls, not the flops, would dominate.
@@ -217,165 +218,6 @@ def cayley_inv9(q):
             n1 = g - (n0 - s)
             # quotient q1 + q2 + q3 of (n0, n1)/den; each q removes
             # q*den from the remainder
-            q1 = n0 / d0
-            c = -q1
-            t = _SPLIT * c
-            ch = t - (t - c)
-            cl = c - ch
-            p = d0 * c
-            e = ((dh * ch - p) + dh * cl + dl * ch) + dl * cl
-            e += d1 * c
-            s = p + e
-            e = e - (s - p)
-            p = s
-            s = n0 + p
-            t = s - n0
-            g = (n0 - (s - t)) + (p - t)
-            g += n1 + e
-            n0 = s + g
-            n1 = g - (n0 - s)
-            q2 = n0 / d0
-            c = -q2
-            t = _SPLIT * c
-            ch = t - (t - c)
-            cl = c - ch
-            p = d0 * c
-            e = ((dh * ch - p) + dh * cl + dl * ch) + dl * cl
-            e += d1 * c
-            s = p + e
-            e = e - (s - p)
-            p = s
-            s = n0 + p
-            t = s - n0
-            g = (n0 - (s - t)) + (p - t)
-            g += n1 + e
-            n0 = s + g
-            q3 = n0 / d0
-            s = q1 + q2
-            e = q2 - (s - q1)
-            n0 = s + q3
-            t = n0 - s
-            g = (s - (n0 - t)) + (q3 - t)
-            g += e
-            s = n0 + g
-            out.append(s + (g - (s - n0)))
-    return tuple(out)
-
-
-def cayley_rot9(q):
-    """(1 - Qx)^-1 (1 + Qx) with the inverse taken from its explicit form.
-
-    Evaluated as (N @ B)/(1 + Q.Q) with N = (1+Q.Q)*1 + (Qx) + (Qx)^2 and
-    B = 1 + (Qx), all in double-double arithmetic.  Row i of N is formed
-    just before row i of the product, each N entry split once.
-    """
-    x, y, z = q
-    t = _SPLIT * x
-    xh = t - (t - x)
-    xl = x - xh
-    t = _SPLIT * y
-    yh = t - (t - y)
-    yl = y - yh
-    t = _SPLIT * z
-    zh = t - (t - z)
-    zl = z - zh
-    # s = x*x + y*y + z*z: three exact products, summed in double-double
-    p = x * x
-    e = ((xh * xh - p) + xh * xl + xl * xh) + xl * xl
-    c = y * y
-    f = ((yh * yh - c) + yh * yl + yl * yh) + yl * yl
-    s = p + c
-    t = s - p
-    g = (p - (s - t)) + (c - t)
-    g += e + f
-    p = s + g
-    e = g - (p - s)
-    c = z * z
-    f = ((zh * zh - c) + zh * zl + zl * zh) + zl * zl
-    s = p + c
-    t = s - p
-    g = (p - (s - t)) + (c - t)
-    g += e + f
-    p = s + g
-    e = g - (p - s)
-    # -s, then den = (d0, d1) = s + 1 and the split of d0
-    m0 = -p
-    m1 = -e
-    s = p + 1.0
-    t = s - p
-    g = (p - (s - t)) + (1.0 - t)
-    g += e
-    d0 = s + g
-    d1 = g - (d0 - s)
-    t = _SPLIT * d0
-    dh = t - (t - d0)
-    dl = d0 - dh
-
-    # B = 1 + (Qx) by columns, each entry with its split
-    mx = -x
-    my = -y
-    mz = -z
-    t = _SPLIT * mx
-    mxh = t - (t - mx)
-    t = _SPLIT * my
-    myh = t - (t - my)
-    t = _SPLIT * mz
-    mzh = t - (t - mz)
-    one = (1.0, 1.0, 0.0)  # 1.0 splits exactly into 1.0 + 0.0
-    cols = (
-        (one, (z, zh, zl), (my, myh, my - myh)),
-        ((mz, mzh, mz - mzh), one, (x, xh, xl)),
-        ((y, yh, yl), (mx, mxh, mx - mxh), one),
-    )
-    qs = ((x, xh, xl), (y, yh, yl), (z, zh, zl))
-    k = (0.0, mz, y, z, 0.0, mx, my, x, 0.0)
-    out = []
-    for i, (a, ah, al) in enumerate(qs):
-        row = []
-        for j, (b, bh, bl) in enumerate(qs):
-            # N_ij = a*b - s + den on the diagonal, a*b + (Qx)_ij off it
-            p = a * b
-            e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-            if i == j:
-                s = p + m0
-                t = s - p
-                g = (p - (s - t)) + (m0 - t)
-                g += e + m1
-                p = s + g
-                e = g - (p - s)
-                s = p + d0
-                t = s - p
-                g = (p - (s - t)) + (d0 - t)
-                g += e + d1
-            else:
-                c = k[3 * i + j]
-                s = p + c
-                t = s - p
-                g = (p - (s - t)) + (c - t)
-                g += e
-            n0 = s + g
-            t = _SPLIT * n0
-            nh = t - (t - n0)
-            row.append((n0, g - (n0 - s), nh, n0 - nh))
-        for col in cols:
-            # (n0, n1) = sum of N_ik * B_kj over the nonzero B_kj
-            n0 = 0.0
-            n1 = 0.0
-            for (u, u1, uh, ul), (b, bh, bl) in zip(row, col):
-                if b != 0.0:
-                    p = u * b
-                    e = ((uh * bh - p) + uh * bl + ul * bh) + ul * bl
-                    e += u1 * b
-                    s = p + e
-                    e = e - (s - p)
-                    p = s
-                    s = n0 + p
-                    t = s - n0
-                    g = (n0 - (s - t)) + (p - t)
-                    g += n1 + e
-                    n0 = s + g
-                    n1 = g - (n0 - s)
-            # quotient q1 + q2 + q3 of (n0, n1)/den, as in cayley_inv9
             q1 = n0 / d0
             c = -q1
             t = _SPLIT * c

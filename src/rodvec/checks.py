@@ -14,7 +14,7 @@ that this module loads none of the typed modules.
 import math
 import operator
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from rodvec._backend import kernels as _k
 from rodvec._lifted import (
@@ -36,12 +36,11 @@ from rodvec._lifted import (
 __all__ = ["DiagnosticResult", "run_diagnostics"]
 
 
-@dataclass(frozen=True)
-class DiagnosticResult:
-    name: str
-    samples: int
-    max_residual: float
-    tolerance: float
+class DiagnosticResult(namedtuple("DiagnosticResult", "name samples max_residual tolerance")):
+    """The worst residual of one diagnostic over its samples.  A named
+    tuple, so that ``rodvec check`` does not load ``dataclasses``."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

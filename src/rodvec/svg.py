@@ -7,7 +7,6 @@ identical files.
 """
 
 import math
-from xml.sax.saxutils import escape
 
 from rodvec.core import UnitVector, Vec3
 from rodvec.geometry import Arc, FigureScene, Label, Segment, plane_basis
@@ -17,6 +16,12 @@ __all__ = ["render_scene", "write_scene"]
 _ARC_SAMPLES = 48
 _CANVAS = 480.0
 _MARGIN = 40.0
+
+
+def _escape(text: str) -> str:
+    """text with &, > and < as XML entities, as xml.sax.saxutils.escape
+    writes them; that module would load urllib, http and email."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _arc_points(arc: Arc) -> list[Vec3]:
@@ -94,12 +99,12 @@ def render_scene(scene: FigureScene, view_axis: UnitVector | None = None) -> str
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(_CANVAS)}" height="{_fmt(_CANVAS)}" '
         f'viewBox="0 0 {_fmt(_CANVAS)} {_fmt(_CANVAS)}">',
-        f'<desc>{escape(scene.kind)}</desc>',
+        f'<desc>{_escape(scene.kind)}</desc>',
         '<g fill="none" stroke="#1a1a1a" stroke-width="1.5">',
     ]
     for role, pts in flat_arcs:
         d = "M " + " L ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in (to_px(p) for p in pts))
-        lines.append(f'<path class="arc {escape(role)}" d="{d}"/>')
+        lines.append(f'<path class="arc {_escape(role)}" d="{d}"/>')
     for role, p0, p1 in flat_segments:
         kind = "ray" if role == "bisector" else "segment"
         if kind == "ray":
@@ -108,7 +113,7 @@ def render_scene(scene: FigureScene, view_axis: UnitVector | None = None) -> str
         a = to_px(p0)
         b = to_px(p1)
         lines.append(
-            f'<line class="{kind} {escape(role)}" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
+            f'<line class="{kind} {_escape(role)}" x1="{_fmt(a[0])}" y1="{_fmt(a[1])}" '
             f'x2="{_fmt(b[0])}" y2="{_fmt(b[1])}"/>'
         )
     lines.append("</g>")
@@ -116,7 +121,7 @@ def render_scene(scene: FigureScene, view_axis: UnitVector | None = None) -> str
     for text, pt in flat_labels:
         px, py = to_px(pt)
         lines.append(
-            f'<text class="label" x="{_fmt(px + 6.0)}" y="{_fmt(py - 6.0)}">{escape(text)}</text>'
+            f'<text class="label" x="{_fmt(px + 6.0)}" y="{_fmt(py - 6.0)}">{_escape(text)}</text>'
         )
     lines.append("</g>")
     lines.append("</svg>")

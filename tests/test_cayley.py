@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from rodvec import (
     rodrigues_from_matrix,
 )
 from rodvec._backend import kernels as _k
-from conftest import np_skew, rand_rod, rand_vec, to_np, vec_np
+from conftest import np_skew, rand_rod, rand_unit, rand_vec, to_np, vec_np
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -55,12 +56,42 @@ class TestCayleyRotation:
             expected = np.linalg.solve(np.eye(3) - k, np.eye(3) + k)
             assert np.max(np.abs(to_np(cayley_rotation(q)) - expected)) <= 1e-12
 
-    def test_kernel_bits_up_to_the_limit(self, rng):
-        # below 2**53 in every component the product route is taken unchanged
+    def test_twice_the_inverse_less_one(self, rng):
+        # 1 + Qx = 2 1 - (1 - Qx), so R = 2 (1 - Qx)^-1 - 1 bit for bit
         for scale in (1.0, 1e8, 2.0**53):
             for _ in range(50):
                 q = RodriguesVector(*(rng.uniform(-scale, scale) for _ in range(3)))
-                assert cayley_rotation(q).elements == _k.cayley_rot9(q.as_tuple())
+                e = [2.0 * v for v in cayley_inverse_explicit(q).elements]
+                for i in (0, 4, 8):
+                    e[i] -= 1.0
+                assert cayley_rotation(q).elements == tuple(e)
+
+    def test_matches_the_exact_matrix_to_2_pow_minus_52(self, rng):
+        # every entry is within 2**-52 of 2 (Q Q^T + 1 + Qx)/(1 + Q.Q) - 1 in
+        # exact rational arithmetic: on moderate Q, on Q up to 2e15 within
+        # 1e-15..1e-3 rad of pi, and on ||Q|| log-uniform in [1e-300, 1e149]
+        qs = [rand_rod(rng, math.pi - 1e-3) for _ in range(500)]
+        for _ in range(500):
+            axis = rand_unit(rng)
+            t = math.tan(0.5 * (math.pi - 10.0 ** rng.uniform(-15.0, -3.0)))
+            qs.append(RodriguesVector(t * axis.x, t * axis.y, t * axis.z))
+        for _ in range(500):
+            axis = rand_unit(rng)
+            t = 10.0 ** rng.uniform(-300.0, 149.0)
+            qs.append(RodriguesVector(t * axis.x, t * axis.y, t * axis.z))
+        ulp = Fraction(1, 2**52)
+        for q in qs:
+            x, y, z = (Fraction(v) for v in q.as_tuple())
+            den = 1 + x * x + y * y + z * z
+            num = (
+                x * x + 1, x * y - z, x * z + y,
+                x * y + z, y * y + 1, y * z - x,
+                x * z - y, y * z + x, z * z + 1,
+            )
+            got = cayley_rotation(q).elements
+            for i in range(9):
+                exact = 2 * num[i] / den - (1 if i in (0, 4, 8) else 0)
+                assert abs(Fraction(got[i]) - exact) <= ulp, (q, i)
 
 
 class TestCayleyInverseExplicit:

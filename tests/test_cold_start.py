@@ -19,9 +19,12 @@ from rodvec.cli import main
 
 SRC = str(Path(rodvec.__file__).resolve().parent.parent)
 
-#: Modules no command but ``figure`` may load.
+#: Modules no command but ``figure`` may load: the typed layer and the
+#: dataclasses it is built on.
 TYPED = (
     "typing",
+    "dataclasses",
+    "functools",
     "rodvec.core",
     "rodvec.composition",
     "rodvec.cayley",
@@ -30,8 +33,12 @@ TYPED = (
     "rodvec.svg",
 )
 
-#: Modules that only ``check`` may load besides: its results are dataclasses.
-CHECK_ONLY = ("dataclasses", "functools", "collections", "rodvec.checks")
+#: Modules that only ``check`` may load besides: its results are named tuples.
+CHECK_ONLY = ("collections", "rodvec.checks")
+
+#: Packages that not even ``figure`` may load: xml.sax.saxutils, for one,
+#: would load urllib, http, email and ssl.
+XML_AND_NETWORK = ("xml", "urllib", "http", "email", "ssl")
 
 #: The public names of the package, by the module that provides them, in __all__ order.
 EXPORTS = {
@@ -80,8 +87,8 @@ def _fresh(body: str) -> str:
 
 class TestImportBudget:
     def test_cli_loads_no_typed_module(self, tmp_path):
-        """Only ``figure`` loads typed modules; ``check`` alone loads
-        dataclasses and what they import."""
+        """Only ``figure`` loads typed modules and dataclasses; ``check``
+        alone loads collections, for its named tuples."""
         runs = {
             "convert": ["convert", "rod:0.1,0.2,0.3", "--to", "aa"],
             "compose": ["compose", "rod:0.1,0.2,0.3", "aa:1,1,0,2.5",
@@ -109,6 +116,20 @@ class TestImportBudget:
             "print(repr(seen))\n"
         )
         assert ast.literal_eval(out) == {"import": [], **{name: [] for name in runs}}
+
+    def test_figure_loads_no_xml_or_network_module(self, tmp_path):
+        argv = ["figure", "--kind", "fig4", "--q1", "1,0,0", "--q2", "0,1,0", "--out",
+                str(tmp_path / "fig.svg")]
+        out = _fresh(
+            "import io\n"
+            "import rodvec.cli\n"
+            "sys.stdout = io.StringIO()\n"
+            f"code = rodvec.cli.main({argv!r})\n"
+            "sys.stdout = sys.__stdout__\n"
+            "print(code, sorted(m for m in sys.modules if m not in at_start\n"
+            f"                   and m.partition('.')[0] in {XML_AND_NETWORK!r}))\n"
+        )
+        assert out == "0 []\n"
 
     def test_well_formed_commands_load_no_argparse(self, tmp_path):
         """argparse (with gettext) is only for help and usage errors, and no

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -122,6 +124,28 @@ class TestComposeGeneral:
                 continue
             num, den = ref_compose_num_den(q2.as_tuple(), q1.as_tuple())
             assert r.as_tuple() == (num[0] / den, num[1] / den, num[2] / den)
+
+    @pytest.mark.parametrize(
+        "operands, message",
+        [
+            ("1.0, nan, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0", "non-finite component: nan"),
+            ("1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -inf, 0.0", "non-finite component: -inf"),
+        ],
+        ids=["nan", "inf"],
+    )
+    def test_lifted_law_rejects_non_finite_operands(self, operands, message):
+        # in a subprocess with a timeout, so that a rescale loop that never
+        # ends fails the test instead of hanging the run
+        code = (
+            "from math import inf, nan\n"
+            "from rodvec._lifted import _compose_lifted\n"
+            "try:\n"
+            f"    _compose_lifted({operands})\n"
+            "except ValueError as e:\n"
+            "    print(e)\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+        assert (r.returncode, r.stdout, r.stderr) == (0, message + "\n", "")
 
 
 class TestCompositionDiagnostics:

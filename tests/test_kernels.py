@@ -88,7 +88,7 @@ def _dd_div(x, y):
 
 def _den_dd(x, y, z):
     s = _dd_add(_dd_add(_two_prod(x, x), _two_prod(y, y)), _two_prod(z, z))
-    return s, _dd_add_d(s, 1.0)
+    return _dd_add_d(s, 1.0)
 
 
 def ref_transpose9(m):
@@ -147,7 +147,7 @@ def ref_matmul_comp(a, b):
 
 def ref_cayley_inv9(q):
     x, y, z = q
-    _, den = _den_dd(x, y, z)
+    den = _den_dd(x, y, z)
     qv = (x, y, z)
     k = ref_skew9(qv)
     out = []
@@ -159,36 +159,6 @@ def ref_cayley_inv9(q):
             else:
                 num = _dd_add_d(num, k[3 * i + j])
             r = _dd_div(num, den)
-            out.append(r[0] + r[1])
-    return tuple(out)
-
-
-def ref_cayley_rot9(q):
-    x, y, z = q
-    qv = (x, y, z)
-    s, den = _den_dd(x, y, z)
-    neg_s = (-s[0], -s[1])
-    k = ref_skew9(qv)
-    b = (1.0, k[1], k[2], k[3], 1.0, k[5], k[6], k[7], 1.0)
-    n = []
-    for i in range(3):
-        for j in range(3):
-            acc = _two_prod(qv[i], qv[j])
-            if i == j:
-                acc = _dd_add(acc, neg_s)
-                acc = _dd_add(acc, den)
-            else:
-                acc = _dd_add_d(acc, k[3 * i + j])
-            n.append(acc)
-    out = []
-    for i in range(3):
-        for j in range(3):
-            acc = (0.0, 0.0)
-            for kk in range(3):
-                bkj = b[3 * kk + j]
-                if bkj != 0.0:
-                    acc = _dd_add(acc, _dd_mul_d(n[3 * i + kk], bkj))
-            r = _dd_div(acc, den)
             out.append(r[0] + r[1])
     return tuple(out)
 
@@ -288,7 +258,6 @@ def test_two_sum_is_exact():
 
 def test_cayley_kernels_match_reference_bitwise():
     for q in _qs(11, 1500):
-        assert _same_bits(kp.cayley_rot9(q), ref_cayley_rot9(q)), q
         assert _same_bits(kp.cayley_inv9(q), ref_cayley_inv9(q)), q
 
 
@@ -307,7 +276,10 @@ def test_rot_residuals9_matches_reference_bitwise():
     rng = random.Random(14)
     for q in _qs(15, 500):
         wide = tuple(rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(-200.0, 200.0) for _ in range(9))
-        for m in (kp.rot_from_rod9(q), ref_cayley_rot9(q), ref_cayley_inv9(q), wide):
+        inv = ref_cayley_inv9(q)
+        # the Cayley rotation 2 (1 - Qx)^-1 - 1
+        rot = tuple(2.0 * v - 1.0 if i in (0, 4, 8) else 2.0 * v for i, v in enumerate(inv))
+        for m in (kp.rot_from_rod9(q), rot, inv, wide):
             assert _same_bits(kp.rot_residuals9(m), ref_rot_residuals9(m)), m
 
 
@@ -388,7 +360,6 @@ def test_compensated_kernel_parity(kc):
     # random sign and ||Q|| log-uniform in [1e-300, 1e300], Q near pi, and
     # the edge cases of _qs
     for q in _qs(5, 1000):
-        assert _same_outcome(kc, "cayley_rot9", q), q
         assert _same_outcome(kc, "cayley_inv9", q), q
         assert _same_outcome(kc, "matmul_comp", kp.rot_from_rod9(q), kp.cayley_inv9(q)), q
 
@@ -420,7 +391,6 @@ _ARGS = {
     "rot_from_rod9": (3,),
     "half_turn9": (3,),
     "cayley_inv9": (3,),
-    "cayley_rot9": (3,),
     "rod_from_rot9": (9,),
     "rot_residuals9": (9,),
 }

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rodvec import (
     HalfTurn,
+    Matrix3,
     RodriguesVector,
     UnitVector,
     Vec3,
@@ -24,10 +25,11 @@ from rodvec import (
     compose_general,
     matrix_from_half_turn,
     matrix_from_rodrigues,
+    rodrigues_from_matrix,
     skew,
 )
 from rodvec._backend import kernels as _k
-from rodvec._lifted import _unit, _unit_components
+from rodvec._lifted import _lift_matrix9, _rotation9, _unit, _unit_components
 from rodvec.cli import main, parse_rotation_spec
 from conftest import to_np
 
@@ -96,8 +98,8 @@ def test_axis_angle_from_rodrigues(v):
 
 
 @given(vectors)
-@example((1e150, 5e149, 0.0))  # the product route overflows to NaN
-@example((1e30, 5e29, 0.0))  # the product route is finite but off by 1e-2
+@example((1e150, 5e149, 0.0))  # ||Q||^3 overflows; the inverse kernel does not
+@example((1e30, 5e29, 0.0))  # components past 2**53
 def test_cayley_rotation(v):
     q = RodriguesVector(*v)
     r = to_np(cayley_rotation(q))
@@ -133,6 +135,52 @@ def test_compose_general_gives_a_rotation(b, a):
     # the half-turn branch (|s| <= 1e-9 of the scale) moves a product by at
     # most about 2e-9 rad, hence 4e-9 in a matrix element
     assert np.max(np.abs(r - rotation_matrix(b) @ rotation_matrix(a))) <= 1e-8
+
+
+def matrix_of_euler_parameters(p) -> tuple[float, ...]:
+    """The rotation matrix of the Euler parameters p = (s, x, y, z) of any
+    finite nonzero scale, as nine floats: p is scaled to a largest
+    component of 1 first, so that no square overflows."""
+    m = max(map(abs, p))
+    s, x, y, z = (c / m for c in p)
+    n = s * s + x * x + y * y + z * z
+    return tuple(
+        c / n
+        for c in (
+            s * s + x * x - y * y - z * z, 2.0 * (x * y - s * z), 2.0 * (x * z + s * y),
+            2.0 * (x * y + s * z), s * s - x * x + y * y - z * z, 2.0 * (y * z - s * x),
+            2.0 * (x * z - s * y), 2.0 * (y * z + s * x), s * s - x * x - y * y + z * z,
+        )
+    )
+
+
+euler_parameters = st.one_of(
+    st.tuples(anyfloat, anyfloat, anyfloat, anyfloat),
+    # exact half-turns
+    st.tuples(st.just(0.0), anyfloat, anyfloat, anyfloat),
+    # within about 2e-6 rad of a half-turn
+    st.tuples(st.floats(min_value=-1e-6, max_value=1e-6), vectors).map(
+        lambda t: (t[0] * max(map(abs, t[1])), *t[1])
+    ),
+).filter(any)
+
+
+@settings(max_examples=300)
+@given(euler_parameters)
+@example((0.0, 1.0, 0.0, 0.0))
+@example((1e-300, 0.0, 1.0, 1.0))
+@example((5e-324, 1.7e308, -1.7e308, 1e-300))
+def test_lift_matrix_gives_the_matrix_back(p):
+    e = matrix_of_euler_parameters(p)
+    s, x, y, z = _lift_matrix9(e)
+    back = _rotation9(s, x, y, z)
+    assert max(abs(a - b) for a, b in zip(back, e)) <= 1e-12
+    # the public route checks the matrix first, and returns the same rotation
+    r = rodrigues_from_matrix(Matrix3(e))
+    if s:
+        assert r == RodriguesVector(x, y, z)
+    else:
+        assert r == HalfTurn(UnitVector(x, y, z))
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
