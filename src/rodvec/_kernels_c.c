@@ -455,29 +455,6 @@ rot_from_rod9(PyObject *Py_UNUSED(module), PyObject *const *args,
 }
 
 static PyObject *
-half_turn9(PyObject *Py_UNUSED(module), PyObject *const *args,
-           Py_ssize_t nargs)
-{
-    double n[3];
-    if (check_nargs("half_turn9", nargs, 1) || load(args[0], n, 3, 1)) {
-        return NULL;
-    }
-    double x = n[0], y = n[1], z = n[2];
-    double out[9] = {
-        2.0 * x * x - 1.0,
-        2.0 * x * y,
-        2.0 * x * z,
-        2.0 * x * y,
-        2.0 * y * y - 1.0,
-        2.0 * y * z,
-        2.0 * x * z,
-        2.0 * y * z,
-        2.0 * z * z - 1.0,
-    };
-    return tuple_of(out, 9);
-}
-
-static PyObject *
 cayley_inv9(PyObject *Py_UNUSED(module), PyObject *const *args,
             Py_ssize_t nargs)
 {
@@ -513,24 +490,6 @@ cayley_inv9(PyObject *Py_UNUSED(module), PyObject *const *args,
         }
     }
     return tuple_of(out, 9);
-}
-
-static PyObject *
-rod_from_rot9(PyObject *Py_UNUSED(module), PyObject *const *args,
-              Py_ssize_t nargs)
-{
-    double m[9];
-    if (check_nargs("rod_from_rot9", nargs, 1) || load(args[0], m, 9, 0)) {
-        return NULL;
-    }
-    double t = 1.0 + m[0] + m[4] + m[8];
-    if (t == 0.0) {
-        /* Python's float division raises where C's gives inf or NaN */
-        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
-        return NULL;
-    }
-    double out[3] = {(m[7] - m[5]) / t, (m[2] - m[6]) / t, (m[3] - m[1]) / t};
-    return tuple_of(out, 3);
 }
 
 static PyObject *
@@ -580,9 +539,7 @@ static PyMethodDef kernel_methods[] = {
     KERNEL(matmul_comp),
     KERNEL(euler_rodrigues9),
     KERNEL(rot_from_rod9),
-    KERNEL(half_turn9),
     KERNEL(cayley_inv9),
-    KERNEL(rod_from_rot9),
     KERNEL(rot_residuals9),
     {NULL, NULL, 0, NULL},
 };

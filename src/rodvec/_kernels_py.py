@@ -139,22 +139,6 @@ def rot_from_rod9(q):
     )
 
 
-def half_turn9(n):
-    """2 n n^T - 1 for a unit axis n."""
-    x, y, z = n
-    return (
-        2.0 * x * x - 1.0,
-        2.0 * x * y,
-        2.0 * x * z,
-        2.0 * x * y,
-        2.0 * y * y - 1.0,
-        2.0 * y * z,
-        2.0 * x * z,
-        2.0 * y * z,
-        2.0 * z * z - 1.0,
-    )
-
-
 def cayley_inv9(q):
     """Explicit inverse of (1 - Qx): 1 + ((Qx) + (Qx)^2)/(1 + Q.Q).
 
@@ -261,16 +245,6 @@ def cayley_inv9(q):
             s = n0 + g
             out.append(s + (g - (s - n0)))
     return tuple(out)
-
-
-def rod_from_rot9(m):
-    """Rodrigues vector of a rotation matrix away from the angle-pi pole.
-
-    Uses skew(Q) = (R - R^T)/(1 + trace R); the caller is responsible for
-    routing trace(R) <= -1 + eps to the half-turn branch.
-    """
-    t = 1.0 + m[0] + m[4] + m[8]
-    return ((m[7] - m[5]) / t, (m[2] - m[6]) / t, (m[3] - m[1]) / t)
 
 
 def rot_residuals9(m):

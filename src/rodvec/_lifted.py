@@ -2,10 +2,11 @@
 
 A rotation is carried as the Euler parameters of the composition law,
 (1, Q) for the Rodrigues vector Q or (0, n) for the half-turn about the
-unit axis n, with n as :class:`rodvec.core.HalfTurn` stores it; vectors
-are float triples and matrices tuples of nine floats, row-major.  Each
-routine runs the checks of the typed path it stands for, in the same
-order, and raises the same errors.
+unit axis n, with n as :class:`rodvec.core.HalfTurn` stores it: every
+(0, n) is made canonical where it is made, so routines that read one take
+n as it is.  Vectors are float triples and matrices tuples of nine floats,
+row-major.  Each routine runs the checks of the typed path it stands for,
+in the same order, and raises the same errors.
 
 Here live the conversions, the Cayley pair, the composition law and its
 diagnostics, Donkin's triangle and the attitude integrator.  The typed
@@ -195,13 +196,19 @@ def _axis_angle(x: float, y: float, z: float) -> tuple[tuple[float, float, float
 
 def _rotation9(s: float, x: float, y: float, z: float):
     """The checked matrix of the Euler parameters (1, Q) or (0, n) that the
-    composition law carries, from the kernels of matrix_from_rodrigues and
-    matrix_from_half_turn."""
-    if not s:
-        return _checked9(_k.half_turn9(_half_turn_axis(x, y, z)))
-    if x * x + y * y + z * z == math.inf:
-        return _checked9(_k.half_turn9(_unit(x, y, z)))
-    return _checked9(_k.rot_from_rod9((x, y, z)))
+    composition law carries: the kernel of matrix_from_rodrigues, or the
+    half-turn matrix 2 n n^T - 1, also about Q/||Q|| when Q.Q overflows."""
+    if s:
+        if x * x + y * y + z * z != math.inf:
+            return _checked9(_k.rot_from_rod9((x, y, z)))
+        x, y, z = _unit(x, y, z)
+    return _checked9(
+        (
+            2.0 * x * x - 1.0, 2.0 * x * y, 2.0 * x * z,
+            2.0 * x * y, 2.0 * y * y - 1.0, 2.0 * y * z,
+            2.0 * x * z, 2.0 * y * z, 2.0 * z * z - 1.0,
+        )
+    )
 
 
 def _euler_rodrigues9(n, theta: float):
@@ -214,7 +221,9 @@ def _compose_lifted(
     s2: float, x2: float, y2: float, z2: float, s1: float, x1: float, y1: float, z1: float
 ) -> tuple[float, float, float, float]:
     """compose_general on Euler parameters: (1, Q) for the Rodrigues vector
-    Q = v/s of the product, or (0, n) for the half-turn about the unit n."""
+    Q = v/s of the product, or (0, n) for the half-turn about the unit n,
+    canonical.  Negating a half-turn operand's n negates (s, v), which
+    changes neither v/s, |s|, the test on it nor the canonical axis."""
     while True:
         # the operation order of _composition_diagnostics, so that
         # s1 = s2 = 1 gives its numerator and denominator bit for bit
@@ -237,12 +246,20 @@ def _compose_lifted(
         if math.isfinite(qx) and math.isfinite(qy) and math.isfinite(qz):
             return 1.0, qx, qy, qz
         # v/s overflows: the rotation is pi to within 2/||v/s||
-    return (0.0, *_unit(vx, vy, vz))
+    x, y, z = _unit(vx, vy, vz)
+    if _flip_half_axis(x, y, z):
+        return 0.0, -x, -y, -z
+    return 0.0, x, y, z
 
 
 def _lift_matrix9(e) -> tuple[float, float, float, float]:
     """rodrigues_from_matrix on the nine floats of a checked rotation
-    matrix, as Euler parameters: (1, Q), or (0, n) as a HalfTurn stores it."""
+    matrix, as Euler parameters: (1, Q), or (0, n) as a HalfTurn stores it.
+
+    Both branches of Shepperd's rule give Q as a quotient w/d: w is
+    unskew(R - R^T) and d = 1 + trace R, or w and d are read from column
+    and row k of the largest diagonal entry.
+    """
     t = e[0] + e[4] + e[8]
     k = 0  # the first index of the largest diagonal entry
     if e[4] > e[0]:
@@ -251,7 +268,9 @@ def _lift_matrix9(e) -> tuple[float, float, float, float]:
         k = 2
     wk = 1.0 + 2.0 * e[4 * k] - t
     if 1.0 + t >= wk:
-        x, y, z = _k.rod_from_rot9(e)
+        # skew(Q) = (R - R^T)/(1 + trace R); here 1 + trace R is at least about 1
+        w = (e[7] - e[5], e[2] - e[6], e[3] - e[1])
+        d = 1.0 + e[0] + e[4] + e[8]
     else:
         w = [0.0, 0.0, 0.0]
         w[k] = wk
@@ -261,7 +280,7 @@ def _lift_matrix9(e) -> tuple[float, float, float, float]:
         d = e[3 * l + j] - e[3 * j + l]
         if abs(d) * sys.float_info.max < wk:  # d = 0, or w/d overflows
             return (0.0, *_half_turn_axis(*_direction(*w)))
-        x, y, z = w[0] / d, w[1] / d, w[2] / d
+    x, y, z = w[0] / d, w[1] / d, w[2] / d
     if not math.isfinite(x + y + z):  # the sum may also overflow
         _require_finite(x, y, z)
     return 1.0, x, y, z

@@ -125,7 +125,7 @@ def _spec_aa(s: float, x: float, y: float, z: float, digits: int, degrees: bool)
     if s:
         axis, angle = _axis_angle(x, y, z)
     else:
-        axis, angle = _half_turn_axis(x, y, z), math.pi
+        axis, angle = (x, y, z), math.pi
     if degrees:
         angle = math.degrees(angle)
     return "aa:" + _fmt_list((*axis, angle), digits)
@@ -138,7 +138,7 @@ def _spec_mat(s: float, x: float, y: float, z: float, digits: int) -> str:
 def _spec_half(s: float, x: float, y: float, z: float, digits: int) -> str:
     if s:
         raise HalfTurnUndefined("rotation angle is not pi; no half-turn form exists")
-    return "half:" + _fmt_list(_half_turn_axis(x, y, z), digits)
+    return "half:" + _fmt_list((x, y, z), digits)
 
 
 def _print_result_block(

@@ -24,7 +24,6 @@ from rodvec._lifted import (
     UNIT_RENORM_TOL,
     _IDENTITY9,
     _axis_angle,
-    _checked9,
     _euler_rodrigues9,
     _flip_half_axis,
     _fold_angle,
@@ -369,7 +368,7 @@ def matrix_from_rodrigues(q: RodriguesVector) -> RotationMatrix:
 
 def matrix_from_half_turn(h: HalfTurn) -> RotationMatrix:
     """R = 2 n n^T - 1: symmetric, eigenvalues (+1, -1, -1)."""
-    return _rotation_matrix(_checked9(_k.half_turn9(h.axis.as_tuple())))
+    return _rotation_matrix(_rotation9(0.0, *h.axis.as_tuple()))
 
 
 def apply_rotation(r: RotationMatrix, x: Vec3) -> Vec3:

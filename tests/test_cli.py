@@ -12,7 +12,6 @@ import xml.etree.ElementTree as ET
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import rodvec._backend
 import rodvec.checks
 import rodvec.core
 from rodvec.cli import _build_parser, _parse_direct, main, parse_rotation_spec
@@ -408,17 +407,6 @@ class TestIntegrateRowChecks:
             capsys, monkeypatch, tmp_path, lambda m: (*m[:4], math.nan, *m[5:])
         )
         assert result == (2, "", "error: non-finite component: nan\n")
-
-
-@pytest.mark.parametrize(
-    "bad, message",
-    [((math.nan, 0.0, 0.0), "nan"), ((0.1, math.inf, 0.2), "inf")],
-)
-def test_mat_spec_checks_the_rodrigues_kernel_output(capsys, monkeypatch, bad, message):
-    # the regular branch of Shepperd's rule reads Q from rod_from_rot9
-    monkeypatch.setattr(rodvec._backend.kernels, "rod_from_rot9", lambda e: bad)
-    result = run(capsys, "convert", "mat:0.36,0.48,-0.8,-0.8,0.6,0,0.48,0.64,0.6", "--to", "rod")
-    assert result == (2, "", f"error: invalid mat spec: non-finite component: {message}\n")
 
 
 class TestIntegrateOutputDigests:

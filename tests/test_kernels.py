@@ -4,9 +4,10 @@ The reference below is the double-double pipeline composed from one helper
 per step (two_sum, two_prod, dd_add, dd_div, ...).  The pure-Python kernels
 write the same steps out inline, and must give the same bits.
 
-``transpose9``, ``skew9`` and ``compose_num_den`` were kernels once; their
-callers now write the tuples out.  Their formulas are kept here as the
-reference those callers must match bit for bit.
+``transpose9``, ``skew9``, ``compose_num_den``, ``half_turn9`` and
+``rod_from_rot9`` were kernels once; their callers now write the tuples
+out.  Their formulas are kept here as the reference those callers must
+match bit for bit.
 """
 
 import inspect
@@ -21,6 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 from rodvec import _kernels_py as kp
 from rodvec import _lifted, checks
@@ -29,6 +31,7 @@ from rodvec.core import Matrix3, RodriguesVector, SkewMatrix, UnitVector, Vec3
 from rodvec.errors import DegenerateComposition, NotPerpendicular, RodvecError
 from rodvec.geometry import donkin_triangle
 from test_acceptance import _q_of, _rand_axis_angle
+from test_properties import euler_parameters, matrix_of_euler_parameters
 
 # ------------------------------------------------------------ the reference
 
@@ -98,6 +101,54 @@ def ref_transpose9(m):
 def ref_skew9(v):
     x, y, z = v
     return (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
+
+
+def ref_half_turn9(n):
+    """2 n n^T - 1 for a unit axis n."""
+    x, y, z = n
+    return (
+        2.0 * x * x - 1.0,
+        2.0 * x * y,
+        2.0 * x * z,
+        2.0 * x * y,
+        2.0 * y * y - 1.0,
+        2.0 * y * z,
+        2.0 * x * z,
+        2.0 * y * z,
+        2.0 * z * z - 1.0,
+    )
+
+
+def ref_rod_from_rot9(m):
+    """Q from skew(Q) = (R - R^T)/(1 + trace R)."""
+    t = 1.0 + m[0] + m[4] + m[8]
+    return ((m[7] - m[5]) / t, (m[2] - m[6]) / t, (m[3] - m[1]) / t)
+
+
+def ref_lift_matrix9(e):
+    """_lifted._lift_matrix9 with its trace branch read from ref_rod_from_rot9."""
+    t = e[0] + e[4] + e[8]
+    k = 0
+    if e[4] > e[0]:
+        k = 1
+    if e[8] > e[4 * k]:
+        k = 2
+    wk = 1.0 + 2.0 * e[4 * k] - t
+    if 1.0 + t >= wk:
+        x, y, z = ref_rod_from_rot9(e)
+    else:
+        w = [0.0, 0.0, 0.0]
+        w[k] = wk
+        j, l = (k + 1) % 3, (k + 2) % 3
+        w[j] = e[3 * j + k] + e[3 * k + j]
+        w[l] = e[3 * l + k] + e[3 * k + l]
+        d = e[3 * l + j] - e[3 * j + l]
+        if abs(d) * sys.float_info.max < wk:
+            return (0.0, *_lifted._half_turn_axis(*_lifted._direction(*w)))
+        x, y, z = w[0] / d, w[1] / d, w[2] / d
+    if not math.isfinite(x + y + z):
+        _lifted._require_finite(x, y, z)
+    return 1.0, x, y, z
 
 
 def ref_compose_num_den(q2, q1):
@@ -389,9 +440,7 @@ _ARGS = {
     "matmul_comp": (9, 9),
     "euler_rodrigues9": (3, 0),
     "rot_from_rod9": (3,),
-    "half_turn9": (3,),
     "cayley_inv9": (3,),
-    "rod_from_rot9": (9,),
     "rot_residuals9": (9,),
 }
 
@@ -422,7 +471,6 @@ def test_kernel_parity_over_the_float_range(kc, name):
 @pytest.mark.parametrize(
     "name,args,error",
     [
-        ("rod_from_rot9", ((-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),), ZeroDivisionError),
         ("euler_rodrigues9", ((0.0, 0.0, 1.0), math.inf), ValueError),
         ("matmul_comp", ((1e300,) * 9, (1e8,) * 9), OverflowError),
         ("matmul_comp", ((math.inf, -math.inf, 0.0) * 3, (1.0,) * 9), ValueError),
@@ -463,6 +511,35 @@ def test_transpose_and_skew_match_the_deleted_kernels():
     for zeros in ((0.0, -0.0, 0.0), (-0.0, 0.0, -0.0)):
         assert _same_bits(SkewMatrix(Vec3(*zeros)).matrix.elements, ref_skew9(zeros))
         assert _same_bits(Matrix3(zeros * 3).transpose().elements, ref_transpose9(zeros * 3))
+
+
+@settings(max_examples=1000)
+@given(euler_parameters)
+@example((1.0, 0.0, 0.0, 0.0))
+@example((-0.0, 0.0, 0.0, 1.0))
+@example((1.0, 1e-300, -0.0, 0.0))
+@example((5e-324, 1.7e308, -1.7e308, 1e-300))
+def test_lift_matrix9_matches_the_deleted_kernel(p):
+    # both branches of Shepperd's rule are one quotient w/d now; the trace
+    # branch divides as rod_from_rot9 did, bit for bit
+    e = _lifted._checked9(matrix_of_euler_parameters(p))
+    assert _same_result(_outcome(_lifted._lift_matrix9, e), _outcome(ref_lift_matrix9, e)), e
+
+
+def test_half_turn_matrix_matches_the_deleted_kernel():
+    # _rotation9 writes out 2 n n^T - 1 for (0, n), and for Q whose Q.Q
+    # overflows about Q/||Q||
+    rng = random.Random(zlib.crc32(b"half_turn9"))
+    axes = [
+        (1.0, 0.0, 0.0), (1.0, -0.0, -0.0), (-0.0, 1.0, 0.0), (0.0, -0.0, 1.0),
+        (0.6, -0.0, 0.8), (0.0, 0.6, -0.8),
+    ]
+    for _ in range(1000):
+        axes.append(_lifted._half_turn_axis(*_lifted._unit(*_wide_q(rng))))
+    for n in axes:
+        assert _same_bits(_lifted._rotation9(0.0, *n), ref_half_turn9(n)), n
+        q = tuple(c * 1e300 for c in n)
+        assert _same_bits(_lifted._rotation9(1.0, *q), ref_half_turn9(_lifted._unit(*q))), q
 
 
 def test_composition_diagnostics_match_the_deleted_kernel():

@@ -29,8 +29,19 @@ from rodvec import (
     skew,
 )
 from rodvec._backend import kernels as _k
-from rodvec._lifted import _lift_matrix9, _rotation9, _unit, _unit_components
-from rodvec.cli import main, parse_rotation_spec
+from rodvec._lifted import (
+    _checked9,
+    _compose_lifted,
+    _direction,
+    _half_turn_axis,
+    _lift_axis_angle,
+    _lift_matrix9,
+    _rotation9,
+    _unit,
+    _unit_components,
+)
+from rodvec.cli import _parse_lifted, main, parse_rotation_spec
+from rodvec.core import _lift
 from conftest import to_np
 
 anyfloat = st.floats(allow_nan=False, allow_infinity=False)
@@ -230,3 +241,35 @@ def test_every_nonzero_half_axis_parses(v):
     if sum(a * u for a, u in zip(axis, unit)) < 0.0:
         unit = tuple(-c for c in unit)
     assert axis == pytest.approx(unit, abs=1e-15)
+
+
+def assert_canonical(p) -> None:
+    """A (0, n) of the float core has the axis a HalfTurn stores, bit for bit."""
+    if not p[0]:
+        n = p[1:]
+        assert list(map(float.hex, _half_turn_axis(*n))) == list(map(float.hex, n)), p
+
+
+@settings(max_examples=500)
+@given(rotations, rotations)
+@example(RodriguesVector(-1.0, 0.0, 0.0), RodriguesVector(-1.0, 0.0, 0.0))
+@example(HalfTurn(UnitVector(0.0, 1.0, 0.0)), HalfTurn(UnitVector(1.0, 0.0, 0.0)))
+@example(RodriguesVector(0.0, 0.0, 0.0), HalfTurn(UnitVector(0.0, -1.0, 0.0)))
+@example(RodriguesVector(1e300, 0.0, 0.0), RodriguesVector(0.0, -1e300, 0.0))
+def test_every_half_turn_the_core_makes_is_canonical(b, a):
+    assert_canonical(_compose_lifted(*_lift(b), *_lift(a)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(euler_parameters, vectors.filter(any))
+@example((0.0, -1.0, 0.0, 0.0), (-1.0, 0.0, 0.0))
+@example((0.0, -0.0, -0.6, 0.8), (0.0, -0.6, 0.8))
+def test_every_half_turn_read_from_input_is_canonical(p, v):
+    e = _checked9(matrix_of_euler_parameters(p))
+    assert_canonical(_lift_matrix9(e))
+    assert_canonical(_parse_lifted("mat:" + ",".join(map(repr, e)), False))
+    n = _direction(*v)
+    for angle in (math.pi, -math.pi):
+        assert_canonical(_lift_axis_angle(*n, angle))
+        assert_canonical(_parse_lifted("aa:" + ",".join(map(repr, (*v, angle))), False))
+    assert_canonical(_parse_lifted("half:" + ",".join(map(repr, v)), False))
