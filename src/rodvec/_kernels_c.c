@@ -1,6 +1,6 @@
 /*
- * Compiled scalar kernels: the functions of _kernels_py, written against
- * the CPython C API.
+ * Compiled scalar kernels: the ten functions of _kernels_py, written
+ * against the CPython C API.
  *
  * _kernels_py is the reference.  Each function here performs the IEEE
  * operations of its Python version in the same order, with the same

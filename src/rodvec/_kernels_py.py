@@ -5,6 +5,9 @@ This module is the reference and the fallback backend.  ``_kernels_c.c``
 implements the same functions in C, each performing the same IEEE
 operations in the same order, with no contraction into fused multiply-adds,
 so that both backends give the same bits; a change here is made there too.
+A formula is a kernel only where its compiled twin pays for itself; the
+float core ``_lifted`` writes out the rest, such as the half-turn matrix
+2 n n^T - 1 and the quotient of Shepperd's rule.
 
 The explicit Cayley inverse ``cayley_inv9`` and ``matmul_comp`` use
 compensated (double-double) arithmetic.  Each entry of (1 - Qx)^-1 is

@@ -2,9 +2,9 @@
 
 A rotation is carried as the Euler parameters of the composition law,
 (1, Q) for the Rodrigues vector Q or (0, n) for the half-turn about the
-unit axis n, with n as :class:`rodvec.core.HalfTurn` stores it: every
-(0, n) is made canonical where it is made, so routines that read one take
-n as it is.  Vectors are float triples and matrices tuples of nine floats,
+unit axis n, with n as :class:`rodvec.core.HalfTurn` stores it: each
+routine that makes a (0, n) makes it canonical, so routines that read one
+take n as it is.  Vectors are float triples and matrices tuples of nine floats,
 row-major.  Each routine runs the checks of the typed path it stands for,
 in the same order, and raises the same errors.
 
@@ -46,11 +46,15 @@ ROTATION_MATRIX_TOL = 1e-9
 #: Unit vectors are renormalized when within this of unit norm, rejected beyond.
 UNIT_RENORM_TOL = 1e-6
 
-#: |1 - Q2.Q1| <= this, scaled by (1 + ||Q1|| ||Q2||), routes to the
-#: half-turn branch; near the pole the regular formula amplifies round-off
-#: by 1/denominator.  With half-turn operands the scale is
-#: |s1 s2| + ||v1|| ||v2||, the size of the terms that cancel in s.
-DEGENERACY_REL_TOL = 1e-9
+#: |s| <= this times the scale |s1 s2| + ||v1|| ||v2|| means that s, the
+#: scalar part of an Euler parameter product (1 - Q2.Q1 for regular
+#: operands), is zero to rounding: a sum of four products errs by up to
+#: about 4u = 2**-51 times the sum of their sizes (u = 2**-53), which the
+#: scale bounds; for regular operands the scale is 1 + ||Q1|| ||Q2||.
+#: Such a product is the half-turn about v.  Elsewhere v/s is kept: its
+#: error grows with 1/|s|, but so does ||v/s||, so the rotation stays
+#: accurate to a few u.
+DEGENERACY_REL_TOL = 2.0**-51
 
 FIRST_ORDER = "first-order"
 EXACT_STEP = "exact-step"
@@ -359,6 +363,23 @@ def _cayley_residuals(qt, xt) -> tuple[float, float]:
 # --- the composition law's proportionality constant -----------------------
 
 
+def _lambda(x2: float, y2: float, z2: float, x1: float, y1: float, z1: float) -> float:
+    """The conditioning number 1 - Q2.Q1 of the composition law.
+
+    When the dot product overflows it is taken again from the operands
+    divided by their largest components, so that lambda is +-inf past the
+    float range, never nan.
+    """
+    d = x2 * x1 + y2 * y1 + z2 * z1
+    if not math.isfinite(d):
+        m2 = max(abs(x2), abs(y2), abs(z2))
+        m1 = max(abs(x1), abs(y1), abs(z1))
+        x2, y2, z2 = x2 / m2, y2 / m2, z2 / m2
+        x1, y1, z1 = x1 / m1, y1 / m1, z1 / m1
+        d = m2 * (m1 * (x2 * x1 + y2 * y1 + z2 * z1))
+    return 1.0 - d
+
+
 def _composition_diagnostics(q2t, q1t, at):
     """composition_diagnostics on the triples of Q2, Q1 and a: the
     numerator, the denominator lambda and the residual."""
@@ -371,7 +392,7 @@ def _composition_diagnostics(q2t, q1t, at):
     # numerator Q1 + Q2 + Q2 x Q1 and denominator 1 - Q2.Q1 of the law
     num = _k.cross3(q2t, q1t)
     num = (q1t[0] + q2t[0] + num[0], q1t[1] + q2t[1] + num[1], q1t[2] + q2t[2] + num[2])
-    lam = 1.0 - _k.dot3(q2t, q1t)
+    lam = _lambda(*q2t, *q1t)
 
     lhs = _k.cross3((x, y, z), at)
     lhs = (lam * (at[0] + lhs[0]), lam * (at[1] + lhs[1]), lam * (at[2] + lhs[2]))
@@ -455,14 +476,19 @@ def _double_arc_rotation9(u, v):
     return _euler_rodrigues9(_unit(*c), 2.0 * _arc_angle(u, v))
 
 
+def _max_diff9(a, b) -> float:
+    """The largest |a_i - b_i| of two tuples of nine floats."""
+    # maps, not a generator, whose frame would raise a check's peak memory;
+    # float.__sub__ spares the import of operator
+    return max(map(abs, map(float.__sub__, a, b)))
+
+
 def _donkin_residual(a, b, c) -> float:
     """donkin_residual on the triples of the vertices."""
     r_ab = _double_arc_rotation9(a, b)
     r_bc = _double_arc_rotation9(b, c)
     r_ac = _double_arc_rotation9(a, c)
-    # maps, not a generator, whose frame would raise a check's peak memory;
-    # float.__sub__ spares the import of operator
-    return max(map(abs, map(float.__sub__, _k.matmul(r_bc, r_ab), r_ac)))
+    return _max_diff9(_k.matmul(r_bc, r_ab), r_ac)
 
 
 # --- attitude integration -------------------------------------------------

@@ -61,12 +61,12 @@ def rodrigues_from_matrix(r: RotationMatrix | Matrix3) -> RodriguesVector | Half
 
     Shepperd's rule (Shepperd 1978) picks the largest of 1 + trace R and
     1 + 2 R_kk - trace R, four times the squares of the Euler parameters,
-    so no threshold is needed.  When 1 + trace R is the largest, Q is read
-    off as unskew(R - R^T)/(1 + trace R).  Otherwise, for the k of largest
-    R_kk and (j, l) the next two indices in cyclic order, Q = w/d with
-    w_k = 1 + 2 R_kk - trace R, w_j = R_jk + R_kj, w_l = R_lk + R_kl and
-    d = R_lj - R_jl; when d is 0, or so small that w/d overflows, R is
-    the :class:`HalfTurn` about w.
+    so no threshold is needed.  Either way Q is one quotient w/d.  When
+    1 + trace R is the largest, w = unskew(R - R^T) and d = 1 + trace R.
+    Otherwise, for the k of largest R_kk and (j, l) the next two indices
+    in cyclic order, w_k = 1 + 2 R_kk - trace R, w_j = R_jk + R_kj,
+    w_l = R_lk + R_kl and d = R_lj - R_jl; when d is 0, or so small that
+    w/d overflows, R is the :class:`HalfTurn` about w.
 
     Raises:
         NotARotation: if a plain matrix is passed and fails the SO(3) checks.

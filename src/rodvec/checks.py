@@ -12,7 +12,6 @@ that this module loads none of the typed modules.
 """
 
 import math
-import operator
 import random
 from collections import namedtuple
 
@@ -24,13 +23,14 @@ from rodvec._lifted import (
     _cayley_rot9,
     _compose_lifted,
     _composition_diagnostics,
-    _direction,
     _donkin_residual,
     _donkin_triangle,
     _euler_rodrigues9,
     _half_angle_point,
-    _require_finite,
+    _lambda,
+    _max_diff9,
     _rotation9,
+    _unit,
 )
 
 __all__ = ["DiagnosticResult", "run_diagnostics"]
@@ -47,18 +47,11 @@ class DiagnosticResult(namedtuple("DiagnosticResult", "name samples max_residual
         return self.max_residual <= self.tolerance
 
 
-def _vec3(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """(x, y, z) after the finite check of Vec3(x, y, z)."""
-    if not math.isfinite(x + y + z):  # the sum may also overflow
-        _require_finite(x, y, z)
-    return x, y, z
-
-
 def _rand_unit(rng: random.Random) -> tuple[float, float, float]:
     while True:
-        v = _vec3(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        v = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
         if _k.norm3(v) > 1e-3:
-            return _direction(*v)
+            return _unit(*v)
 
 
 def _rand_axis_angle(rng: random.Random, max_angle: float):
@@ -68,15 +61,11 @@ def _rand_axis_angle(rng: random.Random, max_angle: float):
 def _rodrigues(axis, theta: float) -> tuple[float, float, float]:
     """The components of the Rodrigues vector tan(theta/2) axis."""
     t = math.tan(0.5 * theta)
-    return _vec3(t * axis[0], t * axis[1], t * axis[2])
+    return t * axis[0], t * axis[1], t * axis[2]
 
 
 def _rand_rodrigues(rng: random.Random, max_angle: float) -> tuple[float, float, float]:
     return _rodrigues(*_rand_axis_angle(rng, max_angle))
-
-
-def _max_diff9(a, b) -> float:
-    return max(map(abs, map(operator.sub, a, b)))
 
 
 def _dist(u, v) -> float:
@@ -124,7 +113,7 @@ def _check_bridge_residuals(n: int, seed: int) -> DiagnosticResult:
     worst = 0.0
     for _ in range(n):
         q = _rand_rodrigues(rng, math.pi - 1e-3)
-        x = _vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
+        x = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
         r1, r2 = _cayley_residuals(q, x)
         scale = (1.0 + _k.norm3(q)) * max(_k.norm3(x), 1e-300)
         worst = max(worst, r1 / scale, r2 / scale)
@@ -171,8 +160,7 @@ def _check_donkin(n: int, seed: int) -> DiagnosticResult:
         c_hat = _half_angle_point(q2, b)
         # (1 + Q3x) A is proportional to C with the sign of 1 - Q2.Q1: the
         # exact relation is (1 - Q2.Q1)(1 + Q3x) A = mu C with mu > 0
-        lam = 1.0 - _k.dot3(q2, q1)
-        c_expected = c if lam > 0.0 else (-c[0], -c[1], -c[2])
+        c_expected = c if _lambda(*q2, *q1) > 0.0 else (-c[0], -c[1], -c[2])
         c_via_q3 = _half_angle_point(q3, a)
         worst = max(
             worst,

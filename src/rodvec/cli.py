@@ -37,6 +37,7 @@ from rodvec._lifted import (
     _fold_angle,
     _half_turn_axis,
     _integrate,
+    _lambda,
     _lift_axis_angle,
     _lift_matrix9,
     _require_finite,
@@ -160,23 +161,6 @@ def _cmd_convert(args) -> int:
     else:
         print(_spec_half(*r, args.precision))
     return 0
-
-
-def _lambda(x2: float, y2: float, z2: float, x1: float, y1: float, z1: float) -> float:
-    """The conditioning number 1 - Q2.Q1 of the composition law.
-
-    When the dot product overflows it is taken again from the operands
-    divided by their largest components, so that lambda is +-inf past the
-    float range, never nan.
-    """
-    d = x2 * x1 + y2 * y1 + z2 * z1
-    if not math.isfinite(d):
-        m2 = max(abs(x2), abs(y2), abs(z2))
-        m1 = max(abs(x1), abs(y1), abs(z1))
-        x2, y2, z2 = x2 / m2, y2 / m2, z2 / m2
-        x1, y1, z1 = x1 / m1, y1 / m1, z1 / m1
-        d = m2 * (m1 * (x2 * x1 + y2 * y1 + z2 * z1))
-    return 1.0 - d
 
 
 def _cmd_compose(args) -> int:

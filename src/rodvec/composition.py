@@ -50,8 +50,8 @@ def compose(q2: RodriguesVector, q1: RodriguesVector) -> RotationResult:
     """Composition R(Q2) R(Q1): q1 is applied first.
 
     Returns the Rodrigues vector of the product, or a :class:`HalfTurn`
-    about the numerator direction when 1 - Q2.Q1 vanishes (within
-    1e-9 * (1 + ||Q1|| ||Q2||)).
+    about the numerator direction when 1 - Q2.Q1 is zero to rounding
+    (|1 - Q2.Q1| <= 2**-51 * (1 + ||Q1|| ||Q2||)).
     """
     return compose_general(q2, q1)
 
@@ -66,7 +66,8 @@ def compose_general(b: RotationResult, a: RotationResult) -> RotationResult:
         (s2 s1 - v2.v1,  s2 v1 + s1 v2 + v2 x v1)
 
     projects back to the Rodrigues vector v/s, or to the half-turn about
-    v/||v|| when |s| <= 1e-9 * (|s1 s2| + ||v1|| ||v2||) or v/s overflows.
+    v/||v|| when |s| <= 2**-51 * (|s1 s2| + ||v1|| ||v2||), that is when s
+    is zero to rounding, or when v/s overflows.
     With s1 = s2 = 1, s and v are the denominator and numerator of the
     law, bit for bit.  When a term of the product overflows, the product
     is taken again from the operands divided by their largest components;

@@ -131,6 +131,27 @@ class TestCompose:
         assert code == 0
         assert out.splitlines()[1] == "half:0,0,1"
 
+    def test_product_just_short_of_pi_stays_regular(self, capsys):
+        # the product is 1.1e-10 rad short of pi, far more than rounding
+        result = run(capsys, "compose", "aa:0,0,1,1.57079632674", "aa:0,0,1,1.57079632674")
+        assert result == (
+            0,
+            "lambda[1] = 1.09793285574e-10\n"
+            "rod:0,0,18216050184\n"
+            "aa:0,0,1,3.14159265348\n"
+            "mat:-1,-1.0979328558e-10,0,1.0979328558e-10,-1,0,0,0,1\n",
+            "",
+        )
+
+    def test_product_at_pi_to_rounding_is_the_half_turn(self, capsys):
+        # lambda = 2.2e-16 of two float quarter turns is zero to rounding
+        result = run(capsys, "compose", "aa:0,0,1,1.5707963267948966", "aa:0,0,1,1.5707963267948966")
+        assert result == (
+            0,
+            "lambda[1] = 2.22044604925e-16\nhalf:0,0,1\naa:0,0,1,3.14159265359\nmat:-1,0,0,0,-1,0,0,0,1\n",
+            "",
+        )
+
     def test_inverse_pair(self, capsys):
         code, out, _ = run(capsys, "compose", "rod:0.3,0,0", "rod:-0.3,0,0")
         assert code == 0
@@ -175,7 +196,7 @@ class TestCompose:
         assert mat == pytest.approx([-1, 0, 0, 0, -1, 0, 0, 0, 1], abs=1e-12)
 
     def test_overflowing_quotient_gives_half_turn(self, capsys):
-        # 1 - Q2.Q1 = 3e-9 passes the half-turn test, but Q1/3e-9 overflows
+        # 1 - Q2.Q1 = 3e-9 is not zero to rounding, but Q1/3e-9 overflows
         code, out, _ = run(capsys, "compose", "rod:1e300,0,0", "rod:0.999999997e-300,0,0")
         assert (code, out.splitlines()[1]) == (0, "half:1,0,0")
 
@@ -705,9 +726,9 @@ class TestComposeOutputDigests:
 
     DIGESTS = {
         # "global options command": digest
-        "compose": "37506e04b9b42762f7d5e51d429997e8b8f461834e954ea45712b9db9b458ad9",
-        "--degrees compose": "c290cfceed78690380d3556cdccf2e704a0cec1799bcec79305ca4f13f010153",
-        "--precision 17 compose": "a98922ea934d4f55d595a3ada56281b59a12f9d8d810e194925d6574ebe70641",
+        "compose": "960b821e5f389d742d08108100d2ee500e9fbf5970727e45c50f079aaf977f17",
+        "--degrees compose": "d9f9630e3050b5914a31dfff28f48dac9385621d2964d454fb3df256f6356fb0",
+        "--precision 17 compose": "216456a890e94193126accbc7796a78edb2cd3ed6a8a59987f63935c2e0353e7",
         "convert-rod": "5c23a3c25cc423ff350da6c4004e2d60727cfa6663823c770c107756650d3596",
         "--degrees convert-rod": "3e217da0ae82e636385ac0c6a4fb96df78b46414f8e46c0244639f9f1dc45f8f",
         "--precision 17 convert-rod": "351591af5afadfd644e304b294b13da0867e2c0608a95ab44175eb64124f973f",

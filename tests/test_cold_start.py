@@ -194,7 +194,7 @@ class TestLazyPackage:
         assert kinematics.SCHEMES is _lifted.SCHEMES == ("first-order", "exact-step")
         assert kinematics.STEP_ANGLE_MARGIN == 1e-3
         assert geometry.FIGURE_KINDS is _lifted.FIGURE_KINDS
-        assert composition.DEGENERACY_REL_TOL == 1e-9
+        assert composition.DEGENERACY_REL_TOL == 2.0**-51
 
 
 def _omega_log(path: Path) -> str:

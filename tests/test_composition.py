@@ -1,6 +1,8 @@
 import math
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from rodvec import (
     matrix_from_half_turn,
     matrix_from_rodrigues,
 )
-from conftest import np_skew, rand_rod, to_np, vec_np
+from conftest import np_skew, rand_rod, rand_unit, to_np, vec_np
 from test_kernels import ref_compose_num_den
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -148,6 +150,52 @@ class TestComposeGeneral:
         assert (r.returncode, r.stdout, r.stderr) == (0, message + "\n", "")
 
 
+def _exact_product_matrix(q2, q1):
+    """The matrix of the exact Euler parameter product (s, v) =
+    (1 - Q2.Q1, Q1 + Q2 + Q2 x Q1) of two float triples, in Fractions."""
+    a, b = [Fraction(c) for c in q2], [Fraction(c) for c in q1]
+    s = 1 - (a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
+    x = b[0] + a[0] + a[1] * b[2] - a[2] * b[1]
+    y = b[1] + a[1] + a[2] * b[0] - a[0] * b[2]
+    z = b[2] + a[2] + a[0] * b[1] - a[1] * b[0]
+    n = s * s + x * x + y * y + z * z
+    return [
+        e / n
+        for e in (
+            s * s + x * x - y * y - z * z, 2 * (x * y - s * z), 2 * (x * z + s * y),
+            2 * (x * y + s * z), s * s - x * x + y * y - z * z, 2 * (y * z - s * x),
+            2 * (x * z - s * y), 2 * (y * z + s * x), s * s - x * x - y * y + z * z,
+        )
+    ]
+
+
+class TestNearHalfTurn:
+    def test_products_just_short_of_pi_match_the_exact_matrix(self):
+        # pairs whose product is 1e-15..1e-6 rad short of pi, every other one
+        # about a common axis; the half-turn branch takes only an s that is
+        # zero to rounding, so every entry is within a few u = 2**-53 of the
+        # exact matrix.  The worst of 32 000 such pairs was 8.0 u; with the
+        # branch at |s| <= 1e-9 of the scale it was 1.7e-9.
+        rng = random.Random(20261019)
+        worst = 0.0
+        for i in range(1000):
+            short = 10.0 ** rng.uniform(-15.0, -6.0)
+            n = rand_unit(rng).as_tuple()
+            if i % 2:
+                a1 = rng.uniform(0.1, math.pi - 0.1)
+                t1, t2 = math.tan(0.5 * a1), math.tan(0.5 * (math.pi - short - a1))
+                q1 = RodriguesVector(*(t1 * c for c in n))
+                q2 = RodriguesVector(*(t2 * c for c in n))
+            else:
+                q1 = rand_rod(rng, math.pi - 0.1)
+                t3 = math.tan(0.5 * (math.pi - short))
+                q2 = compose(RodriguesVector(*(t3 * c for c in n)), -q1)
+            got = _mat(compose(q2, q1)).ravel()
+            exact = _exact_product_matrix(q2.as_tuple(), q1.as_tuple())
+            worst = max(worst, *(abs(Fraction(g) - e) for g, e in zip(got, exact)))
+        assert worst <= 2.0**-49
+
+
 class TestCompositionDiagnostics:
     def test_identity_second_factor(self):
         d = composition_diagnostics(
@@ -162,6 +210,15 @@ class TestCompositionDiagnostics:
         )
         assert d.lam == 1.0
         assert d.residual <= 1e-12
+
+    def test_lambda_of_an_overflowing_dot_product(self):
+        # Q2.Q1 = 1.79989e308 - 5.0e306: its first product overflows, the sum
+        # does not, and lambda is the correctly rounded 1 - Q2.Q1
+        q2, q1 = (1.3416e154, -2.236e153, 0.0), (1.3416e154, 2.236e153, 0.0)
+        d = composition_diagnostics(RodriguesVector(*q2), RodriguesVector(*q1), UnitVector(0, 0, 1))
+        exact = 1 - sum(Fraction(a) * Fraction(b) for a, b in zip(q2, q1))
+        assert d.lam == d.denominator == float(exact) == -1.7498935999999999e308
+        assert not math.isnan(d.residual)
 
     def test_same_axis_negative_lambda(self):
         d = composition_diagnostics(

@@ -18,6 +18,7 @@ from rodvec import (
     Vec3,
     apply_rotation,
     axis_angle_from_rodrigues,
+    compose,
     euler_rodrigues_matrix,
     invert_rotation,
     matrix_from_half_turn,
@@ -277,6 +278,58 @@ class TestApplyInvert:
             a = to_np(matrix_from_rodrigues(-q))
             b = to_np(matrix_from_rodrigues(q)).T
             assert np.max(np.abs(a - b)) <= 1e-12
+
+
+class TestMatrixOperators:
+    """The Matrix3 and RotationMatrix operators, against numpy."""
+
+    def test_matrix3_accessors_and_arithmetic(self, rng):
+        for _ in range(50):
+            a = Matrix3(tuple(rng.uniform(-2.0, 2.0) for _ in range(9)))
+            b = Matrix3(tuple(rng.uniform(-2.0, 2.0) for _ in range(9)))
+            v = Vec3(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+            k = rng.uniform(-3.0, 3.0)
+            na, nb = to_np(a), to_np(b)
+            assert np.array(a.rows) == pytest.approx(na, abs=0)
+            assert [a[i, j] for i in range(3) for j in range(3)] == list(na.ravel())
+            assert a.trace() == pytest.approx(np.trace(na), rel=1e-15)
+            assert to_np(a.transpose()) == pytest.approx(na.T, abs=0)
+            assert type(a @ b) is Matrix3 and to_np(a @ b) == pytest.approx(na @ nb, abs=1e-14)
+            assert type(a @ v) is Vec3 and vec_np(a @ v) == pytest.approx(na @ vec_np(v), abs=1e-14)
+            assert to_np(a + b) == pytest.approx(na + nb, abs=0)
+            assert to_np(a - b) == pytest.approx(na - nb, abs=0)
+            assert to_np(a * k) == pytest.approx(na * k, abs=0)
+            assert to_np(k * a) == pytest.approx(na * k, abs=0)
+
+    def test_rotation_matrix_transpose_trace_and_product(self, rng):
+        for _ in range(50):
+            q1, q2 = rand_rod(rng, 3.0), rand_rod(rng, 3.0)
+            r1, r2 = matrix_from_rodrigues(q1), matrix_from_rodrigues(q2)
+            v = Vec3(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+            n1, n2 = to_np(r1), to_np(r2)
+            assert type(r1.transpose()) is RotationMatrix
+            assert to_np(r1.transpose()) == pytest.approx(n1.T, abs=0)
+            assert to_np(r1.transpose()) == pytest.approx(to_np(matrix_from_rodrigues(-q1)), abs=1e-15)
+            assert r1.trace() == pytest.approx(np.trace(n1), rel=1e-15)
+            assert type(r2 @ r1) is RotationMatrix
+            assert to_np(r2 @ r1) == pytest.approx(n2 @ n1, abs=1e-15)
+            assert (r1 @ v) == r1.apply(v)
+            # the composition law: R(Q2) R(Q1) = R(compose(Q2, Q1))
+            q3 = compose(q2, q1)
+            r3 = matrix_from_half_turn(q3) if isinstance(q3, HalfTurn) else matrix_from_rodrigues(q3)
+            assert np.max(np.abs(to_np(r2 @ r1) - to_np(r3))) <= 1e-12
+
+    @pytest.mark.parametrize("other", [2.0, (1.0, 0.0, 0.0), "x", None])
+    def test_other_operands_are_not_implemented(self, other):
+        m = Matrix3.identity()
+        r = RotationMatrix.identity()
+        assert m.__matmul__(other) is NotImplemented
+        assert r.__matmul__(other) is NotImplemented
+        assert r.__matmul__(m) is NotImplemented
+        with pytest.raises(TypeError):
+            m @ other
+        with pytest.raises(TypeError):
+            r @ other
 
 
 class TestRotationMatrixValidation:

@@ -256,6 +256,20 @@ class TestIntegrateAttitude:
         with pytest.raises(NonMonotonicTime):
             integrate_attitude(samples, EXACT_STEP)
 
+    @pytest.mark.parametrize(
+        "samples, options, message",
+        [
+            (_const_samples()[:1], {}, "need at least two samples"),
+            ([], {}, "need at least two samples"),
+            (_const_samples(), {"substeps": 0}, "substeps must be >= 1"),
+            (_const_samples(), {"scheme": "rk4"}, "unknown scheme 'rk4'; choose from"),
+        ],
+        ids=["one-sample", "no-samples", "no-substeps", "unknown-scheme"],
+    )
+    def test_rejects_bad_arguments(self, samples, options, message):
+        with pytest.raises(ValueError, match=message):
+            integrate_attitude(samples, **options)
+
     def test_trajectory_can_pass_through_half_turn(self):
         # a full pi of accumulated angle lands exactly on the half-turn state
         traj = integrate_attitude(_const_samples(t1=math.pi), EXACT_STEP, substeps=2)
