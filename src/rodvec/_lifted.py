@@ -406,9 +406,39 @@ def _composition_diagnostics(q2t, q1t, at):
         at[2] + c1[2] + c2[2] + c21[2],
     )
     residual = _k.norm3((lhs[0] - rhs[0], lhs[1] - rhs[1], lhs[2] - rhs[2]))
+    if not math.isfinite(residual) and math.isfinite(lam):
+        residual = _scaled_law_residual((x, y, z), q2t, q1t, at, lam)
     if not math.isfinite(num[0] + num[1] + num[2]):  # the sum may also overflow
         _require_finite(*num)  # the check of Vec3(*num)
     return num, lam, residual
+
+
+def _scaled_law_residual(q3, q2t, q1t, at, lam):
+    """The residual of _composition_diagnostics where a product on either
+    side overflows although lambda does not.
+
+    Both sides are taken divided by f1 f2, the powers of two at or below
+    the largest components of Q1 and Q2: Q1 / f1 and Q2 / f2 are exact, so
+    each term rounds as it would with an unbounded exponent.  The residual
+    is then multiplied back, and is inf only if it is past the float range.
+    """
+    f1 = math.ldexp(0.5, math.frexp(max(map(abs, q1t)))[1])
+    f2 = math.ldexp(0.5, math.frexp(max(map(abs, q2t)))[1])
+    q1 = (q1t[0] / f1, q1t[1] / f1, q1t[2] / f1)
+    q2 = (q2t[0] / f2, q2t[1] / f2, q2t[2] / f2)
+    lam = lam / f1 / f2
+    lhs = _k.cross3(q3, at)
+    lhs = (lam * (at[0] + lhs[0]), lam * (at[1] + lhs[1]), lam * (at[2] + lhs[2]))
+    # a / (f1 f2) + Q1 x a / (f1 f2) + Q2 x a / (f1 f2) + Q2 x (Q1 x a) / (f1 f2)
+    c1 = _k.cross3(q1, at)
+    c2 = _k.cross3(q2, at)
+    c21 = _k.cross3(q2, c1)
+    rhs = (
+        at[0] / f1 / f2 + c1[0] / f2 + c2[0] / f1 + c21[0],
+        at[1] / f1 / f2 + c1[1] / f2 + c2[1] / f1 + c21[1],
+        at[2] / f1 / f2 + c1[2] / f2 + c2[2] / f1 + c21[2],
+    )
+    return _k.norm3((lhs[0] - rhs[0], lhs[1] - rhs[1], lhs[2] - rhs[2])) * f1 * f2
 
 
 # --- Donkin's spherical triangle ------------------------------------------

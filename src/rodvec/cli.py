@@ -20,6 +20,7 @@ what the direct parser declines: help and usage errors.
 
 import math
 import sys
+from itertools import chain, repeat
 from types import SimpleNamespace
 
 from rodvec._backend import backend_name
@@ -199,15 +200,50 @@ def _cmd_donkin(args) -> int:
     return 0
 
 
+#: Lines of an omega file converted together while every one is plain.
+_OMEGA_BLOCK = 64
+
+
 def _parse_omega_file(path: str) -> tuple[list[float], list[tuple[float, float, float]]]:
-    """Sample times and (wx, wy, wz) rates of a 't wx wy wz' file, all finite."""
+    """Sample times and (wx, wy, wz) rates of a 't wx wy wz' file, all finite.
+
+    After the first line, which is usually a '#' header, the lines are read
+    in blocks.  A block of plain lines, each four finite numbers and nothing
+    else, is converted in one pass; any other block goes through
+    _parse_omega_lines, which reads and rejects line by line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise SpecFormatError(f"cannot read omega file: {exc}") from None
     times, rates = [], []
-    for lineno, line in enumerate(lines, start=1):
+    _parse_omega_lines(path, lines[:1], 1, times, rates)
+    for i in range(1, len(lines), _OMEGA_BLOCK):
+        block = lines[i : i + _OMEGA_BLOCK]
+        # Split at most three times, so a line gives at most four tokens: the
+        # count is short if a line has fewer than four fields, and float()
+        # rejects the last token of a line with more, and any token with '#'.
+        tokens = chain.from_iterable(map(str.split, block, repeat(None), repeat(3)))
+        try:
+            v = list(map(float, tokens))
+        except ValueError:
+            v = None
+        # a finite sum has no nan or inf term
+        if v is not None and len(v) == 4 * len(block) and math.isfinite(sum(v)):
+            times += v[0::4]
+            rates += zip(v[1::4], v[2::4], v[3::4])
+        else:
+            _parse_omega_lines(path, block, i + 1, times, rates)
+    if len(times) < 2:
+        raise SpecFormatError(f"{path}: need at least 2 samples, got {len(times)}")
+    return times, rates
+
+
+def _parse_omega_lines(path: str, lines: list[str], first: int, times: list, rates: list) -> None:
+    """Append the samples of the omega file lines, the first of them line
+    number first, to times and rates; raise at the first bad line."""
+    for lineno, line in enumerate(lines, start=first):
         parts = line.split("#", 1)[0].split()
         if not parts:
             continue
@@ -223,9 +259,6 @@ def _parse_omega_file(path: str) -> tuple[list[float], list[tuple[float, float, 
                 raise ValueError("non-finite sample time")
         times.append(t)
         rates.append((wx, wy, wz))
-    if len(times) < 2:
-        raise SpecFormatError(f"{path}: need at least 2 samples, got {len(times)}")
-    return times, rates
 
 
 def _trajectory_lines(

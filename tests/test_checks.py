@@ -118,7 +118,7 @@ def _wrapper_outcomes():
     return lines
 
 
-WRAPPER_DIGEST = "980c8900c94837a293986abed59e16ab483501680866df1901c6e8d6d282f6d1"
+WRAPPER_DIGEST = "78ba83c0fa66d053d426d7c67c0d873aeba9a85b01e2693965f7d65afc53ecc2"
 
 
 def test_wrapper_outcomes_are_pinned():

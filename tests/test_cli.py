@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import rodvec.checks
 import rodvec.core
-from rodvec.cli import _build_parser, _parse_direct, main, parse_rotation_spec
+from rodvec._lifted import _require_finite
+from rodvec.cli import _build_parser, _parse_direct, _parse_omega_file, main, parse_rotation_spec
 from rodvec.core import RodriguesVector
+from rodvec.errors import SpecFormatError
 
 
 def run(capsys, *argv):
@@ -400,6 +402,259 @@ def _spin_log(tmp_path):
     path = tmp_path / "spin.txt"
     path.write_text("# t wx wy wz\n" + "\n".join(rows) + "\n")
     return str(path)
+
+
+def _plain_rows(n: int, first: int = 0) -> str:
+    """n plain 't wx wy wz' lines of a slow spin, from sample first on."""
+    return "".join(
+        f"{(first + i) / 100!r} 0.3 -0.2 {1.0 + (first + i) / 1000!r}\n" for i in range(n)
+    )
+
+
+#: integrate --trajectory of three samples at t = 0, 0.5 and 1 of the rate (0.3, -0.2, 1)
+_THREE_SAMPLES = (
+    "# t qx qy qz\n0 0 0 0\n0.5 0.0768169717694 -0.051211314513 0.256056572565\n"
+    "1 0.1659272288 -0.110618152533 0.553090762666\n"
+    "final rod:0.1659272288,-0.110618152533,0.553090762666\n"
+    "final aa:0.282216260515,-0.188144173677,0.940720868384,1.06301458127\n"
+    "final mat:0.527159009825,-0.849304946131,-0.0280086921738,0.794746370342,"
+    "0.504426269913,-0.33753865712,0.300801571121,0.155676737822,0.940894876228\n"
+)
+
+_HEADER = "# t wx wy wz\n"
+
+#: Omega files that probe the reader, and what integrate --trajectory gives
+#: for each as (exit code, stdout, stderr), recorded before plain lines were
+#: converted a block at a time.  {path} stands for the file's path, and a
+#: long stdout is given by its sha256.
+OMEGA_FILES = {
+    "three_fields": (
+        _HEADER + "0 0.3 -0.2 1\n0.5 0.3 -0.2\n1 0.3 -0.2 1\n",
+        (2, "", "error: {path}:3: expected 't wx wy wz', got 3 fields\n"),
+    ),
+    "five_fields": (
+        _HEADER + "0 0.3 -0.2 1\n0.5 0.3 -0.2 1 7\n1 0.3 -0.2 1\n",
+        (2, "", "error: {path}:3: expected 't wx wy wz', got 5 fields\n"),
+    ),
+    "three_then_five_fields": (
+        _HEADER + "0 0.3 -0.2 1\n0.5 0.3 -0.2\n1 0.3 -0.2 1 1.5\n2 0.3 -0.2 1\n",
+        (2, "", "error: {path}:3: expected 't wx wy wz', got 3 fields\n"),
+    ),
+    "bad_number": (
+        _HEADER + "0 0.3 -0.2 1\n0.5 0.3 -0.2 1x\n1 0.3 -0.2 1\n",
+        (2, "", "error: {path}:3: could not convert string to float: '1x'\n"),
+    ),
+    "single_sample": (
+        _HEADER + "0 0.3 -0.2 1\n",
+        (2, "", "error: {path}: need at least 2 samples, got 1\n"),
+    ),
+    "comments": (
+        _HEADER + "0 0.3 -0.2 1 # start\n# a comment-only line\n0.5 0.3 -0.2 1\n1 0.3 -0.2 1#end\n",
+        (0, _THREE_SAMPLES, ""),
+    ),
+    "blank_lines": (
+        "\n" + _HEADER + "\n0 0.3 -0.2 1\n  \t \n0.5 0.3 -0.2 1\n\n1 0.3 -0.2 1\n\n",
+        (0, _THREE_SAMPLES, ""),
+    ),
+    "crlf_tabs_no_final_newline": (
+        "# t wx wy wz\r\n0\t0.3\t-0.2\t1\r\n0.5 \t0.3 -0.2\t 1\r\n1 0.3 -0.2 1",
+        (0, _THREE_SAMPLES, ""),
+    ),
+    "no_header": (
+        "0 0.3 -0.2 1\n0.5 0.3 -0.2 1\n",
+        (
+            0,
+            "# t qx qy qz\n0 0 0 0\n0.5 0.0768169717694 -0.051211314513 0.256056572565\n"
+            "final rod:0.0768169717694,-0.051211314513,0.256056572565\n"
+            "final aa:0.282216260515,-0.188144173677,0.940720868384,0.531507290637\n"
+            "final mat:0.873031742669,-0.484113723264,-0.0587322674534,0.469463539726,"
+            "0.866927499528,-0.167453562012,0.131983185144,0.118619616885,0.984128967834\n",
+            "",
+        ),
+    ),
+    "plain_blocks": (
+        _HEADER + _plain_rows(200),
+        (0, "sha256:bf383a997c9f02389039ae07a0cd18639e45b32238149508797ced3d2aaf0cb5", ""),
+    ),
+    "mixed_blocks": (
+        _HEADER + _plain_rows(70) + "# a comment in the second block\n" + _plain_rows(60, 70)
+        + "\n" + _plain_rows(70, 130) + "2.5 0.3 -0.2 1.2#end\n",
+        (0, "sha256:fb0be5fa3bee17bcc19071d5c33a6e37f6ce6bcc9445658c58767d2987ba4021", ""),
+    ),
+    "bad_line_past_64": (
+        _HEADER + _plain_rows(88) + "0.9 0.3 -0.2\n" + _plain_rows(50, 89),
+        (2, "", "error: {path}:90: expected 't wx wy wz', got 3 fields\n"),
+    ),
+    "bad_number_past_64": (
+        _HEADER + _plain_rows(150) + "1.5 0.3 -0.2 x\n" + _plain_rows(5, 151),
+        (2, "", "error: {path}:152: could not convert string to float: 'x'\n"),
+    ),
+    "nan_time_past_64": (
+        _HEADER + _plain_rows(100) + "nan 0.3 -0.2 1\n",
+        (2, "", "error: non-finite sample time\n"),
+    ),
+    "inf_rate_past_64": (
+        _HEADER + _plain_rows(100) + "1 0.3 -inf nan\n",
+        (2, "", "error: non-finite component: -inf\n"),
+    ),
+    # a line or a block whose sum overflows is read all the same, and the
+    # step it makes is too large
+    "line_sum_overflows": (
+        _HEADER + _plain_rows(80) + "0.8 1e308 1e308 0\n",
+        (
+            6,
+            "",
+            "error: step spans 7.07107e+305 rad, at/over the half-angle tangent pole; "
+            "reduce dt or add substeps\n",
+        ),
+    ),
+    "block_sum_overflows": (
+        _HEADER + _plain_rows(80) + "0.8 1e308 0 0\n0.81 1e308 0 0\n",
+        (
+            6,
+            "",
+            "error: step spans 5e+305 rad, at/over the half-angle tangent pole; "
+            "reduce dt or add substeps\n",
+        ),
+    ),
+    # the file is decoded before a line is read: a decode error past the
+    # first 8 KiB wins over a bad line before it
+    "non_utf8_past_8k": (
+        (_HEADER + _plain_rows(400)).encode() + b"4 0.3 -0.2 1\xff\n",
+        (2, "", "error: 'utf-8' codec can't decode byte 0xff in position 168: invalid start byte\n"),
+    ),
+    "bad_line_then_non_utf8": (
+        (_HEADER + "0 0.3 -0.2\n" + _plain_rows(400, 1)).encode() + b"4 0.3 \xff -0.2 1\n",
+        (2, "", "error: 'utf-8' codec can't decode byte 0xff in position 173: invalid start byte\n"),
+    ),
+}
+
+
+class TestOmegaFileReader:
+    """integrate's exit code, stdout and stderr for each file of OMEGA_FILES,
+    byte for byte."""
+
+    @pytest.mark.parametrize("name", OMEGA_FILES)
+    def test_pinned_result(self, capsys, tmp_path, name):
+        data, (code, out, err) = OMEGA_FILES[name]
+        path = tmp_path / "omega.txt"
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+        got = run(capsys, "integrate", str(path), "--trajectory")
+        if out.startswith("sha256:"):
+            got = (got[0], "sha256:" + hashlib.sha256(got[1].encode()).hexdigest(), got[2])
+        assert got == (code, out, err.format(path=path))
+
+
+def ref_parse_omega_file(path):
+    """The omega file reader as it was before blocks of plain lines were
+    converted in one pass: every line read on its own, the reference that
+    _parse_omega_file must match."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise SpecFormatError(f"cannot read omega file: {exc}") from None
+    times, rates = [], []
+    for lineno, line in enumerate(lines, start=1):
+        parts = line.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise SpecFormatError(f"{path}:{lineno}: expected 't wx wy wz', got {len(parts)} fields")
+        try:
+            t, wx, wy, wz = map(float, parts)
+        except ValueError as exc:
+            raise SpecFormatError(f"{path}:{lineno}: {exc}") from None
+        if not math.isfinite(t + wx + wy + wz):
+            _require_finite(wx, wy, wz)
+            if not math.isfinite(t):
+                raise ValueError("non-finite sample time")
+        times.append(t)
+        rates.append((wx, wy, wz))
+    if len(times) < 2:
+        raise SpecFormatError(f"{path}: need at least 2 samples, got {len(times)}")
+    return times, rates
+
+
+def _read_omega(reader, path):
+    """What reader makes of the file: the times and rates as float.hex, so
+    that signed zeros count, or the exception's type and text."""
+    try:
+        times, rates = reader(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return list(map(float.hex, times)), [tuple(map(float.hex, r)) for r in rates]
+
+
+_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["0", "-0.0", "1e308", "-1e308", "5e-324", " 1_0", "0.5"]),
+)
+_odd_tokens = st.sampled_from(
+    ["nan", "-NaN", "inf", "-Infinity", "1e999", "x", "1x", "#", "0x1p3", "--1", "\xa0", "1\x1c"]
+)
+_separators = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def _plain_line(draw):
+    sep = draw(_separators)
+    numbers = draw(st.lists(_numbers, min_size=4, max_size=4))
+    return draw(st.sampled_from(["", " ", "\t"])) + sep.join(numbers)
+
+
+@st.composite
+def _odd_line(draw):
+    kinds = ["comment", "inline", "blank", "count", "shift", "token", "overflow"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "comment":
+        return draw(st.sampled_from(["#", "# t wx wy wz", "  # note 1 2 3"]))
+    if kind == "inline":
+        return draw(_plain_line()) + draw(st.sampled_from(["#", " # 1 2", "#x"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t \t"]))
+    if kind == "count":
+        size = draw(st.sampled_from([1, 2, 3, 5, 6, 8]))
+        return " ".join(draw(st.lists(_numbers, min_size=size, max_size=size)))
+    if kind == "shift":  # 3 fields, then 5: the right count of numbers for two lines
+        a, b = draw(_plain_line()).split(), draw(_plain_line()).split()
+        return " ".join(a[:3]) + "\n" + " ".join([a[3], *b])
+    if kind == "token":
+        parts = draw(_plain_line()).split()
+        parts[draw(st.integers(0, 3))] = draw(_odd_tokens)
+        return " ".join(parts)
+    # every component finite, the line's sum not
+    return draw(
+        st.sampled_from(["0 1e308 1e308 0", "1e308 1e308 0 0", "-1e308 0 0 -1e308", "0 1 2 3"])
+    )
+
+
+@st.composite
+def omega_logs(draw):
+    """The bytes of an omega file of up to 300 lines: runs of plain lines,
+    long enough to fill a block, between odd ones."""
+    lines = ["# t wx wy wz"] if draw(st.booleans()) else []
+    while len(lines) < 300 and draw(st.integers(0, 5)):
+        if draw(st.booleans()):
+            lines += draw(st.lists(_plain_line(), min_size=1, max_size=130))
+        else:
+            lines.append(draw(_odd_line()))
+    lines = lines[:300]
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    data = (end.join(lines) + (end if draw(st.booleans()) else "")).encode()
+    if lines and draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega_logs())
+def test_omega_reader_matches_the_line_reader(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "omega-differential.txt"
+    path.write_bytes(data)
+    assert _read_omega(_parse_omega_file, str(path)) == _read_omega(ref_parse_omega_file, str(path))
 
 
 class TestIntegrateRowChecks:

@@ -158,26 +158,47 @@ def ref_compose_num_den(q2, q1):
     return num, 1.0 - kp.dot3(q2, q1)
 
 
+def ref_lambda(q2, q1):
+    """1 - Q2.Q1, with the dot product taken again from Q2 and Q1 divided by
+    their largest components where it overflows, and multiplied back."""
+    d = kp.dot3(q2, q1)
+    if not math.isfinite(d):
+        m2, m1 = max(map(abs, q2)), max(map(abs, q1))
+        d = m2 * (m1 * kp.dot3([c / m2 for c in q2], [c / m1 for c in q1]))
+    return 1.0 - d
+
+
+def ref_law_residual(q3, q2, q1, a, lam, f1, f2):
+    """|lam (a + Q3 x a) - (a + Q1 x a + Q2 x a + Q2 x (Q1 x a))|, each side
+    taken divided by f1 f2 from Q1 / f1 and Q2 / f2, and multiplied back."""
+    q1 = [c / f1 for c in q1]
+    q2 = [c / f2 for c in q2]
+    lam = lam / f1 / f2
+    lhs = kp.cross3(q3, a)
+    lhs = [lam * (a[i] + lhs[i]) for i in range(3)]
+    c1 = kp.cross3(q1, a)
+    c2 = kp.cross3(q2, a)
+    c21 = kp.cross3(q2, c1)
+    rhs = [a[i] / f1 / f2 + c1[i] / f2 + c2[i] / f1 + c21[i] for i in range(3)]
+    return kp.norm3([lhs[i] - rhs[i] for i in range(3)]) * f1 * f2
+
+
 def ref_composition_diagnostics(q2t, q1t, at):
-    """_lifted._composition_diagnostics with the numerator and denominator
-    of ref_compose_num_den."""
+    """_lifted._composition_diagnostics with the numerator of
+    ref_compose_num_den, lambda of ref_lambda, and the residual of
+    ref_law_residual: unscaled, or, where that is not finite but lambda
+    is, scaled by the powers of two at or below the largest components."""
     if any(q1t) and abs(kp.dot3(at, _lifted._unit(*q1t))) > 1e-9:
         raise NotPerpendicular("a must be perpendicular to Q1")
     s, x, y, z = _lifted._compose_lifted(1.0, *q2t, 1.0, *q1t)
     if not s:
         raise DegenerateComposition("composition is a half-turn; lambda residual undefined")
-    num, lam = ref_compose_num_den(q2t, q1t)
-    lhs = kp.cross3((x, y, z), at)
-    lhs = (lam * (at[0] + lhs[0]), lam * (at[1] + lhs[1]), lam * (at[2] + lhs[2]))
-    c1 = kp.cross3(q1t, at)
-    c2 = kp.cross3(q2t, at)
-    c21 = kp.cross3(q2t, c1)
-    rhs = (
-        at[0] + c1[0] + c2[0] + c21[0],
-        at[1] + c1[1] + c2[1] + c21[1],
-        at[2] + c1[2] + c2[2] + c21[2],
-    )
-    residual = kp.norm3((lhs[0] - rhs[0], lhs[1] - rhs[1], lhs[2] - rhs[2]))
+    num = ref_compose_num_den(q2t, q1t)[0]
+    lam = ref_lambda(q2t, q1t)
+    residual = ref_law_residual((x, y, z), q2t, q1t, at, lam, 1.0, 1.0)
+    if not math.isfinite(residual) and math.isfinite(lam):
+        f1, f2 = (2.0 ** (math.frexp(max(map(abs, q)))[1] - 1) for q in (q1t, q2t))
+        residual = ref_law_residual((x, y, z), q2t, q1t, at, lam, f1, f2)
     if not math.isfinite(num[0] + num[1] + num[2]):
         _lifted._require_finite(*num)
     return num, lam, residual
@@ -553,6 +574,9 @@ def test_composition_diagnostics_match_the_deleted_kernel():
         ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),  # a half-turn
         ((0.3, 0.2, 0.1), (0.0, 0.0, 1.0), (0.0, 0.6, 0.8)),  # a not perpendicular to Q1
         ((0.3, -0.0, 0.1), (0.0, 0.0, 0.0), (-0.0, 1.0, 0.0)),
+        # one product of Q2.Q1 overflows, lambda does not, and the right-hand
+        # side overflows unless it is scaled
+        ((1.3416e154, 2.236e153, 0.0), (1.3416e154, -2.236e153, 0.0), (0.0, 0.0, 1.0)),
     ]
     for i in range(2000):
         wide = i % 2 == 1

@@ -28,12 +28,15 @@ from rodvec import (
     rodrigues_from_matrix,
     skew,
 )
+from rodvec import _kernels_py
 from rodvec._backend import kernels as _k
 from rodvec._lifted import (
+    SCHEMES,
     _checked9,
     _compose_lifted,
     _direction,
     _half_turn_axis,
+    _inverse_scaled,
     _lift_axis_angle,
     _lift_matrix9,
     _rotation9,
@@ -274,3 +277,115 @@ def test_every_half_turn_read_from_input_is_canonical(p, v):
         assert_canonical(_lift_axis_angle(*n, angle))
         assert_canonical(_parse_lifted("aa:" + ",".join(map(repr, (*v, angle))), False))
     assert_canonical(_parse_lifted("half:" + ",".join(map(repr, v)), False))
+
+
+# --- the rotation kernels, and integrate through the CLI --------------------
+
+
+def backend_kernels(name: str):
+    """The kernel module of the backend name, or a skip if it is not built."""
+    if name == "python":
+        return _kernels_py
+    return pytest.importorskip("rodvec._kernels_c")
+
+
+backends = pytest.mark.parametrize("backend", ["python", "compiled"])
+
+#: Q with Q.Q finite: where _rotation9 calls rot_from_rod9 (past it, the
+#: half-turn matrix about Q/||Q||)
+moderate = st.floats(min_value=-1e153, max_value=1e153)
+
+
+@backends
+@settings(max_examples=300)
+@given(st.tuples(moderate, moderate, moderate))
+@example((9.4e153, 9.4e153, 0.0))  # Q.Q = 1.77e308
+@example((5e-324, 0.0, -5e-324))
+def test_rot_from_rod9_is_a_rotation(backend, q):
+    assert_so3(to_np(backend_kernels(backend).rot_from_rod9(q)))
+
+
+@settings(max_examples=300)
+@given(vectors.filter(any))
+@example((5e-324, 0.0, 0.0))
+@example((1.7e308, -1.7e308, 1.7e308))
+def test_half_turn_matrix_is_a_rotation(v):
+    n = _unit(*v)
+    assert_so3(to_np(_rotation9(0.0, *n)))
+    # a Q whose Q.Q overflows gets the half-turn matrix about Q/||Q||
+    if max(map(abs, v)) >= 1e155:
+        assert_so3(to_np(_rotation9(1.0, *v)))
+
+
+@backends
+@settings(max_examples=300)
+@given(vectors.filter(any), anyfloat)
+@example((0.0, 0.0, 1.0), math.pi)
+@example((1.0, 1.0, 1e-300), 1e300)
+def test_euler_rodrigues9_is_a_rotation(backend, v, theta):
+    assert_so3(to_np(backend_kernels(backend).euler_rodrigues9(_unit(*v), theta)))
+
+
+@backends
+@settings(max_examples=300)
+@given(vectors)
+@example((1e154, 5e153, 0.0))  # 1 + Q.Q overflows
+@example((1e30, 5e29, 0.0))
+def test_twice_the_cayley_inverse_less_one_is_a_rotation(backend, q):
+    # the kernel, or, where it is not finite, the scaled inverse that
+    # _lifted._cayley_inv9 takes instead
+    m = backend_kernels(backend).cayley_inv9(q)
+    if not math.isfinite(sum(m)):
+        m = _inverse_scaled(*q)
+    assert_so3(2.0 * to_np(m) - np.eye(3))
+
+
+@st.composite
+def gyro_logs(draw):
+    """'t wx wy wz' lines of 2 to 200 samples with jittered times, at a
+    sample interval from 1e-6 to 1 s, of rates up to 1e3 rad/s."""
+    n = draw(st.integers(2, 200))
+    dt = 10.0 ** draw(st.floats(-6.0, 0.0))
+    t = draw(st.floats(-1e3, 1e3))
+    rate = st.floats(-1e3, 1e3)
+    lines = ["# t wx wy wz"]
+    for _ in range(n):
+        w = draw(st.tuples(rate, rate, rate))
+        lines.append(" ".join(map(repr, (t, *w))))
+        t += dt * draw(st.floats(0.5, 1.5))
+    return "\n".join(lines) + "\n"
+
+
+def assert_printed_rotation(columns) -> None:
+    """The first two columns of a printed matrix, and their cross product,
+    make a rotation."""
+    c1, c2 = np.array(columns[:3]), np.array(columns[3:])
+    assert_so3(np.column_stack([c1, c2, np.cross(c1, c2)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gyro_logs(),
+    st.sampled_from(SCHEMES),
+    st.one_of(st.just([]), st.integers(1, 8).map(lambda k: ["--substeps", str(k)])),
+)
+def test_integrate_prints_rotations(tmp_path_factory, log, scheme, substeps):
+    path = tmp_path_factory.getbasetemp() / "gyro-property.txt"
+    path.write_text(log)
+    code, out = run_cli(
+        "--precision", "17", "integrate", str(path), "--trajectory", "--matrix-cols",
+        "--scheme", scheme, *substeps,
+    )
+    # 6: a step at the half-angle tangent pole.  Not 2: these rates and
+    # times are far from overflow, so exit 2 would be a row that failed its
+    # SO(3) check; nor 5, as the jitter keeps the times increasing.
+    if code:
+        assert code == 6
+        return
+    lines = out.splitlines()
+    rows = [list(map(float, line.split())) for line in lines[1:-3]]
+    assert len(rows) == log.count("\n") - 1
+    for row in rows:
+        assert_printed_rotation(row[4:])
+    final = list(map(float, lines[-1].removeprefix("final mat:").split(",")))
+    assert_so3(np.array(final).reshape(3, 3))
