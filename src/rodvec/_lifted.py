@@ -572,6 +572,18 @@ def _integrate(
     The orientation is carried as the Euler parameters of the composition
     law, (1, Q) or (0, n), from ``start`` (the identity when None), and is
     returned as such: one (t, s, x, y, z) row per sample time, in a list.
+
+    A step from a (1, Q) state is composed inline, with the operations of
+    ``_increment`` and ``_compose_lifted(1, q, 1, Q)`` in their order, so
+    that it gives the same bits.  It stays inline while, for exact-step,
+    |w|^2 is a finite normal float and the step angle is below
+    pi - STEP_ANGLE_MARGIN; while the increment q = c w has c > 0; while
+    the sum of the product's scalar part d, its vector v and its scale is
+    finite, |d| > DEGENERACY_REL_TOL * scale, and v/d has a finite sum.
+    Every other step (from a half-turn, of a zero, subnormal or overflowing
+    |w|, at the pole, underflowing to c = 0, overflowing, or ending on the
+    half-turn branch) calls ``_increment`` and then ``_compose_lifted``,
+    which check and raise.
     """
     if len(times) < 2:
         raise ValueError("need at least two samples")
@@ -583,6 +595,7 @@ def _integrate(
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     exact = scheme == EXACT_STEP
+    pole = math.pi - STEP_ANGLE_MARGIN
 
     s, x, y, z = (1.0, 0.0, 0.0, 0.0) if start is None else start
     rows = [(times[0], s, x, y, z)]
@@ -596,6 +609,33 @@ def _integrate(
             wx, wy, wz = ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az)
             if not math.isfinite(wx + wy + wz):  # the sum may also overflow
                 _require_finite(wx, wy, wz)
+            if s == 1.0:
+                # q = c w; c stays 0 where _increment takes its other
+                # branches, and where it underflows
+                if exact:
+                    c = 0.0
+                    ss = wx * wx + wy * wy + wz * wz
+                    # an overflowing ss gives an infinite angle
+                    if ss >= _MIN_NORMAL:
+                        w = math.sqrt(ss)
+                        angle = w * dt
+                        if angle < pole:
+                            c = math.tan(0.5 * angle) / w
+                else:
+                    c = 0.5 * dt
+                if c:
+                    qx, qy, qz = wx * c, wy * c, wz * c
+                    vx = x + qx + (qy * z - qz * y)
+                    vy = y + qy + (qz * x - qx * z)
+                    vz = z + qz + (qx * y - qy * x)
+                    d = 1.0 - (qx * x + qy * y + qz * z)
+                    scale = 1.0 + math.hypot(x, y, z) * math.hypot(qx, qy, qz)
+                    # a finite sum has finite terms
+                    if math.isfinite(d + vx + vy + vz + scale) and abs(d) > DEGENERACY_REL_TOL * scale:
+                        qx, qy, qz = vx / d, vy / d, vz / d
+                        if math.isfinite(qx + qy + qz):
+                            x, y, z = qx, qy, qz
+                            continue
             qx, qy, qz = _increment(wx, wy, wz, dt, exact)
             s, x, y, z = _compose_lifted(1.0, qx, qy, qz, s, x, y, z)
         rows.append((t1, s, x, y, z))

@@ -217,6 +217,8 @@ def _parse_omega_file(path: str) -> tuple[list[float], list[tuple[float, float, 
             lines = fh.readlines()
     except OSError as exc:
         raise SpecFormatError(f"cannot read omega file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise SpecFormatError(_not_utf8(path, exc)) from None
     times, rates = [], []
     _parse_omega_lines(path, lines[:1], 1, times, rates)
     for i in range(1, len(lines), _OMEGA_BLOCK):
@@ -238,6 +240,22 @@ def _parse_omega_file(path: str) -> tuple[list[float], list[tuple[float, float, 
     if len(times) < 2:
         raise SpecFormatError(f"{path}: need at least 2 samples, got {len(times)}")
     return times, rates
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
+    """The message for an omega file that is not UTF-8, with the line and
+    the byte offset of its first bad byte.  readlines() reports the offset
+    within its decoder's chunk, so the file's bytes are read again to place
+    it; line ends are counted as readlines() counts them: \\n, \\r\\n and \\r."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        exc = whole
+    head = data[: exc.start]
+    line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+    return f"{path}:{line}: not UTF-8 at byte {exc.start}: {exc.reason}"
 
 
 def _parse_omega_lines(path: str, lines: list[str], first: int, times: list, rates: list) -> None:

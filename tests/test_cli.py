@@ -518,14 +518,20 @@ OMEGA_FILES = {
         ),
     ),
     # the file is decoded before a line is read: a decode error past the
-    # first 8 KiB wins over a bad line before it
+    # first 8 KiB wins over a bad line before it, and is placed by its line
+    # and its offset in the file
     "non_utf8_past_8k": (
         (_HEADER + _plain_rows(400)).encode() + b"4 0.3 -0.2 1\xff\n",
-        (2, "", "error: 'utf-8' codec can't decode byte 0xff in position 168: invalid start byte\n"),
+        (2, "", "error: {path}:402: not UTF-8 at byte 8360: invalid start byte\n"),
     ),
     "bad_line_then_non_utf8": (
         (_HEADER + "0 0.3 -0.2\n" + _plain_rows(400, 1)).encode() + b"4 0.3 \xff -0.2 1\n",
-        (2, "", "error: 'utf-8' codec can't decode byte 0xff in position 173: invalid start byte\n"),
+        (2, "", "error: {path}:403: not UTF-8 at byte 8365: invalid start byte\n"),
+    ),
+    # \r, \r\n and \n each end a line, as readlines() reads them
+    "non_utf8_after_mixed_line_ends": (
+        b"# t wx wy wz\r0 0.3 -0.2 1\r\n0.5 0.3 -0.2 1\n\r1 0.3 -0.2 \xe2\x82\n",
+        (2, "", "error: {path}:5: not UTF-8 at byte 54: invalid continuation byte\n"),
     ),
 }
 
@@ -548,12 +554,23 @@ class TestOmegaFileReader:
 def ref_parse_omega_file(path):
     """The omega file reader as it was before blocks of plain lines were
     converted in one pass: every line read on its own, the reference that
-    _parse_omega_file must match."""
+    _parse_omega_file must match.  A file that is not UTF-8 is decoded
+    whole to place its first bad byte."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise SpecFormatError(f"cannot read omega file: {exc}") from None
+    except UnicodeDecodeError:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # with a character after it, the text before the bad byte has
+            # as many lines as the bad byte's line number
+            line = len(io.StringIO(data[: exc.start].decode("utf-8") + "x", newline=None).readlines())
+            raise SpecFormatError(f"{path}:{line}: not UTF-8 at byte {exc.start}: {exc.reason}") from None
     times, rates = [], []
     for lineno, line in enumerate(lines, start=1):
         parts = line.split("#", 1)[0].split()

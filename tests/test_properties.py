@@ -31,20 +31,27 @@ from rodvec import (
 from rodvec import _kernels_py
 from rodvec._backend import kernels as _k
 from rodvec._lifted import (
+    EXACT_STEP,
+    FIRST_ORDER,
     SCHEMES,
+    STEP_ANGLE_MARGIN,
     _checked9,
     _compose_lifted,
     _direction,
     _half_turn_axis,
+    _increment,
+    _integrate,
     _inverse_scaled,
     _lift_axis_angle,
     _lift_matrix9,
+    _require_finite,
     _rotation9,
     _unit,
     _unit_components,
 )
 from rodvec.cli import _parse_lifted, main, parse_rotation_spec
 from rodvec.core import _lift
+from rodvec.errors import NonMonotonicTime
 from conftest import to_np
 
 anyfloat = st.floats(allow_nan=False, allow_infinity=False)
@@ -389,3 +396,162 @@ def test_integrate_prints_rotations(tmp_path_factory, log, scheme, substeps):
         assert_printed_rotation(row[4:])
     final = list(map(float, lines[-1].removeprefix("final mat:").split(",")))
     assert_so3(np.array(final).reshape(3, 3))
+
+
+# --- multi-spec compose through the CLI ------------------------------------
+
+
+def axis_angle_matrix(v, theta) -> tuple[float, ...]:
+    """The rotation by theta about the direction of the nonzero v, as nine
+    floats: cos(theta) 1 + sin(theta) [n]x + (1 - cos(theta)) n n^T."""
+    _, (x, y, z) = scaled_norm(v)
+    c, s = math.cos(theta), math.sin(theta)
+    k = 1.0 - c
+    return (
+        c + k * x * x, k * x * y - s * z, k * x * z + s * y,
+        k * x * y + s * z, c + k * y * y, k * y * z - s * x,
+        k * x * z - s * y, k * y * z + s * x, c + k * z * z,
+    )
+
+
+compose_specs = st.one_of(
+    st.tuples(st.sampled_from(["rod", "half"]), vectors),
+    st.tuples(st.just("aa"), st.tuples(anyfloat, anyfloat, anyfloat, anyfloat)),
+    st.tuples(st.just("mat"), st.tuples(vectors.filter(any), anyfloat).map(lambda t: axis_angle_matrix(*t))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(compose_specs, min_size=2, max_size=12))
+@example([("rod", (1e300, 0.0, 0.0)), ("rod", (0.0, -1e300, 0.0)), ("half", (0.0, 0.0, -1.0))])
+@example([("aa", (0.0, 0.0, 1.0, math.pi)), ("mat", axis_angle_matrix((0.0, 0.0, 1.0), math.pi))])
+@example([("rod", (1.0, 0.0, 0.0)), ("aa", (0.0, 0.0, 0.0, 1.0))])
+def test_compose_specs(spec_parts):
+    specs = [f"{kind}:" + ",".join(map(repr, numbers)) for kind, numbers in spec_parts]
+    code, out = run_cli("--precision", "17", "compose", *specs)
+    if code == 2:
+        # only a zero axis is refused: mat specs are rotations, and every
+        # finite rod is one
+        assert any(kind in ("aa", "half") and not any(numbers[:3]) for kind, numbers in spec_parts)
+        return
+    assert code == 0
+    last = out.splitlines()[-1]
+    assert last.startswith("mat:")
+    assert_so3(np.array([float(x) for x in last.removeprefix("mat:").split(",")]).reshape(3, 3))
+
+
+# --- the integrator's inline step --------------------------------------------
+
+
+def ref_integrate(times, rates, scheme, start, substeps):
+    """The integrator as it was before the step from a (1, Q) state was
+    written out in its loop: _increment then _compose_lifted on every step,
+    the reference that _integrate must match."""
+    if len(times) < 2:
+        raise ValueError("need at least two samples")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    for t0, t1 in zip(times, times[1:]):
+        if not t1 > t0:
+            raise NonMonotonicTime(f"sample times must increase: {t0} -> {t1}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
+    exact = scheme == EXACT_STEP
+    s, x, y, z = (1.0, 0.0, 0.0, 0.0) if start is None else start
+    rows = [(times[0], s, x, y, z)]
+    for (t0, t1), ((ax, ay, az), (bx, by, bz)) in zip(zip(times, times[1:]), zip(rates, rates[1:])):
+        dt = (t1 - t0) / substeps
+        for i in range(substeps if dt > 0.0 else 0):
+            u = (t0 + (i + 0.5) * dt - t0) / (t1 - t0)
+            wx, wy, wz = ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az)
+            if not math.isfinite(wx + wy + wz):
+                _require_finite(wx, wy, wz)
+            qx, qy, qz = _increment(wx, wy, wz, dt, exact)
+            s, x, y, z = _compose_lifted(1.0, qx, qy, qz, s, x, y, z)
+        rows.append((t1, s, x, y, z))
+    return rows
+
+
+def _integrated(integrate, log):
+    """What integrate makes of log: its rows as float.hex, so that signed
+    zeros count, or the exception's type and text."""
+    try:
+        rows = integrate(*log)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [tuple(map(float.hex, row)) for row in rows]
+
+
+#: magnitudes log-uniform over 1e-320 to 1e308, and zero
+magnitudes = st.one_of(st.floats(-320.0, 308.0).map(lambda e: 10.0**e), st.just(0.0))
+signed = st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+@st.composite
+def integrator_runs(draw):
+    """(times, rates, scheme, start, substeps) of 2 to 6 samples: intervals
+    log-uniform down to 5e-324 (an interval that rounds away repeats a
+    time), rates of any magnitude, and a start of None, (1, Q) with ||Q||
+    up to 1e300 or a canonical (0, n)."""
+    n = draw(st.integers(2, 6))
+    # times near zero on the scale of their intervals, so that most stay apart
+    e = draw(st.floats(-323.0, 2.0))
+    t = draw(st.floats(-1e3, 1e3)) * 10.0**e
+    times = [t]
+    for _ in range(n - 1):
+        # one interval in eight is the smallest float
+        t += 5e-324 if draw(st.integers(0, 7)) == 0 else 10.0 ** draw(st.floats(e, e + 1.0))
+        times.append(t)
+    rates = draw(st.lists(st.tuples(signed, signed, signed), min_size=n, max_size=n))
+    q = st.tuples(*[st.floats(-1e300, 1e300)] * 3)
+    start = draw(
+        st.one_of(
+            st.none(),
+            q.map(lambda v: (1.0, *v)),
+            q.filter(any).map(lambda v: (0.0, *_half_turn_axis(*_direction(*v)))),
+        )
+    )
+    return times, rates, draw(st.sampled_from(SCHEMES)), start, draw(st.integers(1, 5))
+
+
+_POLE = math.pi - STEP_ANGLE_MARGIN
+
+
+@settings(max_examples=1000, deadline=None)
+@given(integrator_runs())
+# a zero |w| (exact-step leaves the inline step; first-order keeps it)
+@example(([0.0, 1.0], [(0.0, -0.0, 0.0)] * 2, EXACT_STEP, None, 1))
+@example(([0.0, 1.0], [(0.0, -0.0, 0.0)] * 2, FIRST_ORDER, (1.0, 0.5, -0.0, 2.0), 1))
+# |w|^2 subnormal, and |w|^2 overflowing at a small step
+@example(([0.0, 1.0], [(1e-160, 0.0, -1e-161)] * 2, EXACT_STEP, None, 2))
+@example(([0.0, 1e-170], [(1e160, -1e159, 0.0)] * 2, EXACT_STEP, (1.0, 0.1, 0.2, 0.3), 1))
+# a step at pi - STEP_ANGLE_MARGIN, and one just under it
+@example(([0.0, 1.0], [(_POLE, 0.0, 0.0)] * 2, EXACT_STEP, None, 1))
+@example(([0.0, 1.0], [(math.nextafter(_POLE, 0.0), 0.0, 0.0)] * 2, EXACT_STEP, None, 1))
+# a first-order q that overflows, and one whose sum does
+@example(([0.0, 1e10], [(1e308, 0.0, 0.0)] * 2, FIRST_ORDER, None, 1))
+@example(([0.0, 2.0], [(1e308, 1e308, 0.0)] * 2, FIRST_ORDER, None, 1))
+# a product that overflows: rescaled by _compose_lifted
+@example(([0.0, 1.0], [(1e300, 0.0, 0.0)] * 2, FIRST_ORDER, (1.0, 0.0, 1e300, 0.0), 1))
+# q.Q overflows while the scale 1 + ||Q|| ||q|| does not
+@example(
+    (
+        [0.0, 2.0],
+        [(8.784696155330325e164, 4.4719927119624514e164, 0.0)] * 2,
+        FIRST_ORDER,
+        (1.0, 1.6252189058724973e143, 8.273441646579187e142, 0.0),
+        1,
+    )
+)
+# v/d overflows although d is not zero to rounding: the half-turn
+@example(([0.0, 2.0], [(9.999999999e-301, 0.0, 0.0)] * 2, FIRST_ORDER, (1.0, 1e300, 0.0, 0.0), 1))
+# a state landing on a half-turn, then stepping off it
+@example(([0.0, math.pi], [(0.0, 0.0, -1.0)] * 2, EXACT_STEP, None, 2))
+@example(([0.0, math.pi, 4.0], [(0.0, 0.0, -1.0)] * 3, EXACT_STEP, None, 2))
+# a half-turn start
+@example(([0.0, 0.5, 1.0], [(0.3, -0.2, 1.0)] * 3, EXACT_STEP, (0.0, 0.0, 0.0, 1.0), 3))
+# repeated times, and an interval of steps that round to zero
+@example(([0.0, 0.0], [(1.0, 0.0, 0.0)] * 2, EXACT_STEP, None, 1))
+@example(([0.0, 5e-324], [(1.0, 0.0, 0.0)] * 2, FIRST_ORDER, None, 3))
+def test_integrate_matches_the_step_by_step_reference(run):
+    assert _integrated(_integrate, run) == _integrated(ref_integrate, run)
