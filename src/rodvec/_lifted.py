@@ -368,7 +368,9 @@ def _lambda(x2: float, y2: float, z2: float, x1: float, y1: float, z1: float) ->
 
     When the dot product overflows it is taken again from the operands
     divided by their largest components, so that lambda is +-inf past the
-    float range, never nan.
+    float range, never nan.  ``_composition_diagnostics`` calls it for
+    every pair, and ``_compose_chain`` only for a step whose product
+    overflows: elsewhere lambda is the product's own scalar part.
     """
     d = x2 * x1 + y2 * y1 + z2 * z1
     if not math.isfinite(d):
@@ -378,6 +380,47 @@ def _lambda(x2: float, y2: float, z2: float, x1: float, y1: float, z1: float) ->
         x1, y1, z1 = x1 / m1, y1 / m1, z1 / m1
         d = m2 * (m1 * (x2 * x1 + y2 * y1 + z2 * z1))
     return 1.0 - d
+
+
+def _compose_chain(rotations):
+    """Fold the Euler parameters of a chain, the first applied first, with
+    the composition law: (lambdas, (s, x, y, z)).
+
+    lambdas[i - 1] is the conditioning number 1 - Q2.Q1 of step i, as
+    ``_lambda`` gives it, or None where an operand is a half-turn.  A step
+    between regular operands is composed inline, with the operations of
+    ``_compose_lifted(1, Q2, 1, Q1)`` in their order, so that it gives the
+    same bits, and its lambda is the product's scalar part.  It stays
+    inline while the sum of that scalar part, the vector v and the scale is
+    finite, the scalar part is not zero to rounding (DEGENERACY_REL_TOL)
+    and v over it has a finite sum.  Every other step (a half-turn operand,
+    an overflowing product, one landing on the half-turn branch) calls
+    ``_compose_lifted``; where the product overflowed, its lambda comes
+    from ``_lambda``.
+    """
+    s1, x1, y1, z1 = rotations[0]
+    lams = []
+    for s2, x2, y2, z2 in rotations[1:]:
+        if s1 and s2:
+            lam = 1.0 - (x2 * x1 + y2 * y1 + z2 * z1)
+            vx = x1 + x2 + (y2 * z1 - z2 * y1)
+            vy = y1 + y2 + (z2 * x1 - x2 * z1)
+            vz = z1 + z2 + (x2 * y1 - y2 * x1)
+            scale = 1.0 + math.hypot(x1, y1, z1) * math.hypot(x2, y2, z2)
+            # a finite sum has finite terms
+            if math.isfinite(lam + vx + vy + vz + scale):
+                lams.append(lam)
+                if abs(lam) > DEGENERACY_REL_TOL * scale:
+                    qx, qy, qz = vx / lam, vy / lam, vz / lam
+                    if math.isfinite(qx + qy + qz):
+                        x1, y1, z1 = qx, qy, qz
+                        continue
+            else:
+                lams.append(_lambda(x2, y2, z2, x1, y1, z1))
+        else:
+            lams.append(None)
+        s1, x1, y1, z1 = _compose_lifted(s2, x2, y2, z2, s1, x1, y1, z1)
+    return lams, (s1, x1, y1, z1)
 
 
 def _composition_diagnostics(q2t, q1t, at):
@@ -584,6 +627,10 @@ def _integrate(
     |w|, at the pole, underflowing to c = 0, overflowing, or ending on the
     half-turn branch) calls ``_increment`` and then ``_compose_lifted``,
     which check and raise.
+
+    Two sample times farther apart than the largest float (t1 - t0 is inf)
+    have no step size: they raise ValueError, naming both times, before any
+    step is taken.
     """
     if len(times) < 2:
         raise ValueError("need at least two samples")
@@ -592,6 +639,12 @@ def _integrate(
     for t0, t1 in _pairs(times):
         if not t1 > t0:
             raise NonMonotonicTime(f"sample times must increase: {t0} -> {t1}")
+    # the span overflows whenever an interval does, so one test covers the
+    # regular log and the intervals are scanned only when it fires
+    if times[-1] - times[0] == math.inf:
+        for t0, t1 in _pairs(times):
+            if t1 - t0 == math.inf:
+                raise ValueError(f"sample times {t0!r} -> {t1!r} are farther apart than the largest float")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     exact = scheme == EXACT_STEP

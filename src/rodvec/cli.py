@@ -8,9 +8,11 @@ significant digits unless --precision overrides.  Exit codes: 0 ok,
 
 ``convert``, ``compose``, ``donkin`` and ``integrate`` run on the float
 core ``rodvec._lifted`` alone, and ``check`` on ``rodvec.checks``, which
-runs on that core too.  Only ``figure``, and ``parse_rotation_spec`` for
-its typed result, import typed modules, when they run, so importing this
-module loads no typed class.
+runs on that core too.  ``compose`` parses every spec, then folds the
+chain with ``_lifted._compose_chain`` and only formats what it returns:
+the lambda of each step and the product.  Only ``figure``, and
+``parse_rotation_spec`` for its typed result, import typed modules, when
+they run, so importing this module loads no typed class.
 
 The command line is declared once, in ``_ROOT_ARGUMENTS`` and
 ``_COMMANDS``.  A direct parser reads every well-formed command line from
@@ -31,14 +33,13 @@ from rodvec._lifted import (
     _arc_angle,
     _axis_angle,
     _checked9,
-    _compose_lifted,
+    _compose_chain,
     _direction,
     _donkin_residual,
     _donkin_triangle,
     _fold_angle,
     _half_turn_axis,
     _integrate,
-    _lambda,
     _lift_axis_angle,
     _lift_matrix9,
     _require_finite,
@@ -168,17 +169,16 @@ def _cmd_compose(args) -> int:
     if len(args.specs) < 2:
         raise SpecFormatError("compose needs at least two rotation specs")
     digits = args.precision
-    rotations = [_parse_lifted(text, args.degrees) for text in args.specs]
-    s1, x1, y1, z1 = rotations[0]
-    lines = []
-    for i, (s2, x2, y2, z2) in enumerate(rotations[1:], start=1):
-        if s1 and s2:
-            lines.append(f"lambda[{i}] = {_fmt(_lambda(x2, y2, z2, x1, y1, z1), digits)}\n")
-        else:
-            lines.append(f"lambda[{i}] = n/a (half-turn operand)\n")
-        s1, x1, y1, z1 = _compose_lifted(s2, x2, y2, z2, s1, x1, y1, z1)
-    sys.stdout.writelines(lines)
-    _print_result_block(s1, x1, y1, z1, digits, args.degrees)
+    # every spec is parsed before any output, so a bad one prints nothing;
+    # the parsed list is freed once folded
+    lams, product = _compose_chain([_parse_lifted(text, args.degrees) for text in args.specs])
+    line = "lambda[%%d] = %%.%dg\n" % digits
+    # + 0.0 folds -0.0 as _fmt does
+    sys.stdout.writelines(
+        "lambda[%d] = n/a (half-turn operand)\n" % i if lam is None else line % (i, lam + 0.0)
+        for i, lam in enumerate(lams, start=1)
+    )
+    _print_result_block(*product, digits, args.degrees)
     return 0
 
 

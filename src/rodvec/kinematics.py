@@ -135,6 +135,8 @@ def integrate_attitude(
 
     Raises:
         NonMonotonicTime: if sample times are not strictly increasing.
+        ValueError: if two sample times are farther apart than the largest
+            float, so that their interval has no step size.
         StepTooLarge: propagated from the exact-step increment.
     """
     times = [s.t for s in samples]

@@ -5,9 +5,12 @@ import io
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -214,6 +217,30 @@ class TestCompose:
         assert "nan" not in out
 
 
+def _readme_cli_examples() -> list[tuple[list[str], str]]:
+    """The lines of the README's ``## CLI`` block that end in ``# <spec>``:
+    each as its argv after ``rodvec``, with the spec it prints."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        m = re.fullmatch(r"rodvec (.*?)\s+#\s*(\S+)", line)
+        if m:
+            examples.append((shlex.split(m[1]), m[2]))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_the_cli_block_has_examples_with_their_output(self):
+        assert len(_readme_cli_examples()) >= 2
+
+    @pytest.mark.parametrize("argv, spec", _readme_cli_examples(), ids=lambda v: str(v[0]) if isinstance(v, list) else v)
+    def test_example_prints_its_spec(self, capsys, argv, spec):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert spec in out.splitlines()
+
+
 class TestDonkin:
     def test_worked_arcs_and_residual(self, capsys):
         code, out, _ = run(capsys, "donkin", "rod:1,0,0", "rod:0,1,0")
@@ -281,6 +308,27 @@ class TestIntegrate:
     def test_step_too_large_exit_6(self, capsys, tmp_path):
         path = self.write_omega(tmp_path, ["0 0 0 1", "10 0 0 1"])
         assert run(capsys, "integrate", path, "--scheme", "exact-step")[0] == 6
+
+    @pytest.mark.parametrize("scheme", ["exact-step", "first-order"])
+    def test_interval_past_the_float_range_exit_2(self, capsys, tmp_path, scheme):
+        # the second interval overflows: its step size would be inf and its
+        # midpoint nan
+        path = self.write_omega(tmp_path, ["-1.5e308 0 0 0", "-1e308 0 0 0", "1e308 0 0 0", "1.5e308 0 0 0"])
+        assert run(capsys, "integrate", path, "--scheme", scheme) == (
+            2,
+            "",
+            "error: sample times -1e+308 -> 1e+308 are farther apart than the largest float\n",
+        )
+
+    def test_span_past_the_float_range_with_finite_intervals(self, capsys, tmp_path):
+        # the span t[-1] - t[0] overflows, but no interval does
+        path = self.write_omega(tmp_path, ["-1e308 0 0 0", "0 0 0 0", "1e308 0 0 0"])
+        assert run(capsys, "integrate", path, "--trajectory") == (
+            0,
+            "# t qx qy qz\n-1e+308 0 0 0\n0 0 0 0\n1e+308 0 0 0\n"
+            "final rod:0,0,0\nfinal aa:0,0,1,0\nfinal mat:1,0,0,0,1,0,0,0,1\n",
+            "",
+        )
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         assert run(capsys, "integrate", str(tmp_path / "nope.txt"))[0] == 2

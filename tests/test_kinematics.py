@@ -263,8 +263,13 @@ class TestIntegrateAttitude:
             ([], {}, "need at least two samples"),
             (_const_samples(), {"substeps": 0}, "substeps must be >= 1"),
             (_const_samples(), {"scheme": "rk4"}, "unknown scheme 'rk4'; choose from"),
+            (
+                [AngularVelocitySample(t, AngularVelocity(0, 0, 0)) for t in (-1e308, 1e308)],
+                {},
+                r"sample times -1e\+308 -> 1e\+308 are farther apart than the largest float",
+            ),
         ],
-        ids=["one-sample", "no-samples", "no-substeps", "unknown-scheme"],
+        ids=["one-sample", "no-samples", "no-substeps", "unknown-scheme", "interval-overflows"],
     )
     def test_rejects_bad_arguments(self, samples, options, message):
         with pytest.raises(ValueError, match=message):

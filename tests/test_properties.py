@@ -8,6 +8,7 @@ turn into a wrong rotation, a NaN or an undocumented exception.
 import io
 import math
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -33,15 +34,18 @@ from rodvec._backend import kernels as _k
 from rodvec._lifted import (
     EXACT_STEP,
     FIRST_ORDER,
+    ROTATION_MATRIX_TOL,
     SCHEMES,
     STEP_ANGLE_MARGIN,
     _checked9,
+    _compose_chain,
     _compose_lifted,
     _direction,
     _half_turn_axis,
     _increment,
     _integrate,
     _inverse_scaled,
+    _lambda,
     _lift_axis_angle,
     _lift_matrix9,
     _require_finite,
@@ -414,30 +418,74 @@ def axis_angle_matrix(v, theta) -> tuple[float, ...]:
     )
 
 
+def near_rotation(t) -> tuple[float, ...]:
+    """axis_angle_matrix of (v, theta) with its entry k scaled by 1 + delta."""
+    (v, theta), k, delta = t
+    e = list(axis_angle_matrix(v, theta))
+    e[k] *= 1.0 + delta
+    return tuple(e)
+
+
+def so3_residual(e) -> Fraction:
+    """The exact larger of the two residuals _require_so3 tests, the largest
+    |R^T R - 1| entry and |det R - 1|, of the nine floats e."""
+    m = [[Fraction(c) for c in e[i : i + 3]] for i in (0, 3, 6)]
+    ortho = max(
+        abs(sum(m[k][i] * m[k][j] for k in range(3)) - (i == j)) for i in range(3) for j in range(3)
+    )
+    det = (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
+    return max(ortho, abs(det - 1))
+
+
+#: |delta| log-uniform over 1e-16 to 1e-6, so that the scaled entry leaves
+#: the matrix within ROTATION_MATRIX_TOL of SO(3) or puts it past it
+deltas = st.tuples(st.floats(-16.0, -6.0), st.booleans()).map(lambda t: (-1.0 if t[1] else 1.0) * 10.0 ** t[0])
+
 compose_specs = st.one_of(
     st.tuples(st.sampled_from(["rod", "half"]), vectors),
     st.tuples(st.just("aa"), st.tuples(anyfloat, anyfloat, anyfloat, anyfloat)),
     st.tuples(st.just("mat"), st.tuples(vectors.filter(any), anyfloat).map(lambda t: axis_angle_matrix(*t))),
+    st.tuples(
+        st.just("mat"),
+        st.tuples(st.tuples(vectors.filter(any), anyfloat), st.integers(0, 8), deltas).map(near_rotation),
+    ),
 )
+
+#: The kernel's SO(3) residuals are within this of the exact ones: each is
+#: a sum of three products of entries of at most about 1.
+RESIDUAL_ROUNDING = 1e-14
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(compose_specs, min_size=2, max_size=12))
 @example([("rod", (1e300, 0.0, 0.0)), ("rod", (0.0, -1e300, 0.0)), ("half", (0.0, 0.0, -1.0))])
 @example([("aa", (0.0, 0.0, 1.0, math.pi)), ("mat", axis_angle_matrix((0.0, 0.0, 1.0), math.pi))])
+@example([("aa", (0.0, 0.0, 1.0, 180.0)), ("aa", (1.0, 0.0, 0.0, -90.0))])
 @example([("rod", (1.0, 0.0, 0.0)), ("aa", (0.0, 0.0, 0.0, 1.0))])
+@example([("rod", (1.0, 0.0, 0.0)), ("mat", near_rotation((((0.0, 0.0, 1.0), 0.5), 0, 1e-10)))])
+@example([("rod", (1.0, 0.0, 0.0)), ("mat", near_rotation((((0.0, 0.0, 1.0), 0.5), 4, 1e-8)))])
 def test_compose_specs(spec_parts):
     specs = [f"{kind}:" + ",".join(map(repr, numbers)) for kind, numbers in spec_parts]
-    code, out = run_cli("--precision", "17", "compose", *specs)
-    if code == 2:
-        # only a zero axis is refused: mat specs are rotations, and every
-        # finite rod is one
-        assert any(kind in ("aa", "half") and not any(numbers[:3]) for kind, numbers in spec_parts)
-        return
-    assert code == 0
-    last = out.splitlines()[-1]
-    assert last.startswith("mat:")
-    assert_so3(np.array([float(x) for x in last.removeprefix("mat:").split(",")]).reshape(3, 3))
+    # only a zero axis and a mat spec past ROTATION_MATRIX_TOL are refused:
+    # every finite rod is a rotation
+    zero_axis = any(kind in ("aa", "half") and not any(numbers[:3]) for kind, numbers in spec_parts)
+    off = max((so3_residual(numbers) for kind, numbers in spec_parts if kind == "mat"), default=0)
+    # --degrees reads the aa angles in degrees; it refuses the same specs
+    for options in ([], ["--degrees"]):
+        code, out = run_cli(*options, "--precision", "17", "compose", *specs)
+        if off > ROTATION_MATRIX_TOL + RESIDUAL_ROUNDING:
+            assert code == 2
+        if code == 2:
+            assert zero_axis or off > ROTATION_MATRIX_TOL - RESIDUAL_ROUNDING
+            continue
+        assert code == 0
+        last = out.splitlines()[-1]
+        assert last.startswith("mat:")
+        assert_so3(np.array([float(x) for x in last.removeprefix("mat:").split(",")]).reshape(3, 3))
 
 
 # --- the integrator's inline step --------------------------------------------
@@ -555,3 +603,104 @@ _POLE = math.pi - STEP_ANGLE_MARGIN
 @example(([0.0, 5e-324], [(1.0, 0.0, 0.0)] * 2, FIRST_ORDER, None, 3))
 def test_integrate_matches_the_step_by_step_reference(run):
     assert _integrated(_integrate, run) == _integrated(ref_integrate, run)
+
+
+# --- compose's fold ---------------------------------------------------------
+
+
+def ref_compose_chain(rotations):
+    """The fold as the command line ran it before its regular step was
+    written out in _compose_chain: per step, _lambda where both operands are
+    regular, else None, then _compose_lifted; the reference that
+    _compose_chain must match."""
+    s1, x1, y1, z1 = rotations[0]
+    lams = []
+    for s2, x2, y2, z2 in rotations[1:]:
+        lams.append(_lambda(x2, y2, z2, x1, y1, z1) if s1 and s2 else None)
+        s1, x1, y1, z1 = _compose_lifted(s2, x2, y2, z2, s1, x1, y1, z1)
+    return lams, (s1, x1, y1, z1)
+
+
+def _folded(fold, rotations):
+    """The lambdas and the product of a fold as float.hex, so that signed
+    zeros count."""
+    lams, product = fold(rotations)
+    return [lam if lam is None else lam.hex() for lam in lams], list(map(float.hex, product))
+
+
+def _partner(kind, p):
+    """The operand that puts the step after the product p where kind says:
+    'zero', Q2.Q1 = 1 to rounding; 'short', the product 1e-10 rad short of
+    pi; 'quotient', lambda about 3e-9, so that v/lambda overflows when
+    ||p|| is past about 5e299.  None where p is a half-turn, or where no
+    finite operand does it."""
+    if not p[0]:
+        return None
+    n, u = scaled_norm(p[1:])
+    if kind == "short":
+        c = math.tan(0.5 * (math.pi - 1e-10) - math.atan(n))
+    else:
+        c = (1.0 if kind == "zero" else 1.0 - 3e-9) / n if n else math.inf
+    q = tuple(c * v for v in u)
+    return (1.0, *q) if math.isfinite(sum(q)) else None
+
+
+#: (1, Q) of components log-uniform over 1e-320 to 1e308, signed zeros included
+regular = st.tuples(signed, signed, signed).map(lambda q: (1.0, *q))
+#: canonical (0, n)
+half_turns = vectors.filter(any).map(lambda v: (0.0, *_half_turn_axis(*_direction(*v))))
+#: Q2.Q1 overflows in one of its terms
+dot_overflow = st.tuples(st.sampled_from([1e200, -1e200]), st.sampled_from([1e200, -1e200])).map(
+    lambda t: (1.0, *t, 0.0)
+)
+
+
+#: ||Q|| = 1e300, so that a 'quotient' partner of it overflows
+huge = vectors.filter(any).map(lambda v: (1.0, *(1e300 * c for c in scaled_norm(v)[1])))
+
+
+@st.composite
+def chains(draw):
+    """2 to 8 Euler parameters: (1, Q) of any magnitude, canonical (0, n),
+    (1, Q) whose dot products overflow, and operands drawn against the
+    product so far (_partner) whose step is zero to rounding, short of pi
+    or has an overflowing quotient."""
+    rotations = [draw(st.one_of(regular, half_turns, dot_overflow, huge))]
+    product = rotations[0]
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["regular", "half", "dot", "zero", "short", "quotient"]))
+        r = _partner(kind, product) if kind in ("zero", "short", "quotient") else None
+        if r is None:
+            r = draw({"half": half_turns, "dot": dot_overflow}.get(kind, regular))
+        rotations.append(r)
+        product = _compose_lifted(*r, *product)
+    return rotations
+
+
+_QUARTER = math.tan(math.pi / 4)  # 0.9999999999999999
+
+
+@settings(max_examples=1000, deadline=None)
+@given(chains())
+# two float quarter turns: lambda = 2.2e-16 is zero to rounding, the half-turn branch
+@example([(1.0, 0.0, 0.0, _QUARTER), (1.0, 0.0, 0.0, _QUARTER)])
+# a product 1e-10 rad short of pi stays inline
+@example([(1.0, 0.0, 0.0, math.tan(0.25 * (math.pi - 1e-10)))] * 2)
+# Q2.Q1 = 1e400 - 1e400 overflows: lambda = 1 from _lambda's rescale
+@example([(1.0, 1e200, 1e200, 0.0), (1.0, 1e200, -1e200, 0.0)])
+# lambda past the float range, -inf
+@example([(1.0, 1e200, 0.0, 0.0), (1.0, 1e200, 0.0, 0.0)])
+# the scale overflows while lambda does not
+@example([(1.0, 1e200, 0.0, 0.0), (1.0, 0.0, 1e200, 0.0)])
+# v/lambda overflows although lambda = 3e-9 is not zero to rounding
+@example([(1.0, 1e300, 0.0, 0.0), (1.0, 0.999999997e-300, 0.0, 0.0)])
+# the product's sum overflows: lambda = 1 from _lambda
+@example([(1.0, 1e308, 1e308, 0.0), (1.0, 0.0, 0.0, 0.0)])
+# v/lambda = (1e308, 1e308, 0) has finite components but an overflowing sum
+@example([(1.0, 5e307, 5e307, 0.0), (1.0, 5e-309, 5e-309, 0.0)])
+# half-turn operands, first, inside and last
+@example([(0.0, 0.0, 0.0, 1.0), (1.0, 1.0, 2.0, 3.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)])
+# signed zeros
+@example([(1.0, -0.0, 0.0, -0.0), (1.0, 0.0, -0.0, -0.0)])
+def test_compose_chain_matches_the_step_by_step_fold(rotations):
+    assert _folded(_compose_chain, rotations) == _folded(ref_compose_chain, rotations)
