@@ -88,10 +88,13 @@ def _require_so3(e) -> None:
 
 def _checked9(e):
     """e, a kernel's tuple of nine floats, after the checks that
-    RotationMatrix(Matrix3(e)) runs, in the same order: finite, then SO(3)."""
+    RotationMatrix(Matrix3(e)) runs, in the same order: finite, then SO(3).
+    _require_so3 runs only to raise."""
     if not math.isfinite(sum(e)):  # the sum may also overflow
         _require_finite(*e)
-    _require_so3(e)
+    ortho, det = _k.rot_residuals9(e)
+    if ortho > ROTATION_MATRIX_TOL or det > ROTATION_MATRIX_TOL:
+        _require_so3(e)  # raises
     return e
 
 
@@ -111,7 +114,16 @@ def _scaled_norm(x: float, y: float, z: float) -> tuple[float, float]:
 
 
 def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """(x, y, z) divided by its norm, for any finite nonzero vector."""
+    """(x, y, z) divided by its norm, for any finite nonzero vector.
+
+    Where the sum of squares is a finite normal float the norm is its plain
+    square root, as _scaled_norm takes it with f = 1; only other sums (and
+    nan) call _scaled_norm.
+    """
+    ss = x * x + y * y + z * z
+    if _MIN_NORMAL <= ss < math.inf:
+        n = math.sqrt(ss)
+        return x / n, y / n, z / n
     n, f = _scaled_norm(x, y, z)
     return x * f / n, y * f / n, z * f / n
 
@@ -139,10 +151,19 @@ def _direction(x: float, y: float, z: float) -> tuple[float, float, float]:
 
 def _from_vec(x: float, y: float, z: float) -> tuple[float, float, float]:
     """The components of UnitVector.from_vec(Vec3(x, y, z)): _direction
-    with from_vec's floor of 1e-15 on the norm."""
+    with from_vec's floor of 1e-15 on the norm.
+
+    A norm at or above the floor whose square is finite divides inline, as
+    _unit would; an overflowing sum of squares, inf and nan go on to
+    _direction's checks.
+    """
+    ss = x * x + y * y + z * z
+    n = math.sqrt(ss)
     # nan and inf fail the floor test, and _direction's finite check next
-    if math.sqrt(x * x + y * y + z * z) < 1e-15:
+    if n < 1e-15:
         raise ValueError("cannot normalize a (near-)zero vector")
+    if ss < math.inf:  # and at least 1e-30, so a normal float
+        return x / n, y / n, z / n
     return _direction(x, y, z)
 
 
@@ -217,7 +238,8 @@ def _rotation9(s: float, x: float, y: float, z: float):
 
 def _euler_rodrigues9(n, theta: float):
     """euler_rodrigues_matrix on the unit triple n: its checked nine floats."""
-    _require_finite(theta)
+    if not math.isfinite(theta):
+        _require_finite(theta)
     return _checked9(_k.euler_rodrigues9(n, theta))
 
 
@@ -341,23 +363,27 @@ def _inverse_scaled(x: float, y: float, z: float) -> tuple[float, ...]:
 
 
 def _cayley_residuals(qt, xt) -> tuple[float, float]:
-    """cayley_residuals on the triples of Q and x."""
-    rm = _k.rot_from_rod9(qt)
-    rx = _k.matvec(rm, xt)
-    qxx = _k.cross3(qt, xt)
-    qxrx = _k.cross3(qt, rx)
-    r1 = _k.norm3(
-        (
-            xt[0] + qxx[0] - (rx[0] - qxrx[0]),
-            xt[1] + qxx[1] - (rx[1] - qxrx[1]),
-            xt[2] + qxx[2] - (rx[2] - qxrx[2]),
-        )
-    )
+    """cayley_residuals on the triples of Q and x.
+
+    R x, the cross products and the norms are written out as the kernels
+    form them; R is the kernel matrix of matrix_from_rodrigues.
+    """
+    qx, qy, qz = qt
+    x, y, z = xt
+    m = _k.rot_from_rod9(qt)
+    rx = m[0] * x + m[1] * y + m[2] * z
+    ry = m[3] * x + m[4] * y + m[5] * z
+    rz = m[6] * x + m[7] * y + m[8] * z
+    # (1 + Qx) x vs (1 - Qx) R x
+    ex = x + (qy * z - qz * y) - (rx - (qy * rz - qz * ry))
+    ey = y + (qz * x - qx * z) - (ry - (qz * rx - qx * rz))
+    ez = z + (qx * y - qy * x) - (rz - (qx * ry - qy * rx))
     # (Qx)(R+1)x vs (R-1)x
-    rx_plus_x = (rx[0] + xt[0], rx[1] + xt[1], rx[2] + xt[2])
-    lhs = _k.cross3(qt, rx_plus_x)
-    r2 = _k.norm3((lhs[0] - (rx[0] - xt[0]), lhs[1] - (rx[1] - xt[1]), lhs[2] - (rx[2] - xt[2])))
-    return r1, r2
+    sx, sy, sz = rx + x, ry + y, rz + z
+    fx = (qy * sz - qz * sy) - (rx - x)
+    fy = (qz * sx - qx * sz) - (ry - y)
+    fz = (qx * sy - qy * sx) - (rz - z)
+    return math.sqrt(ex * ex + ey * ey + ez * ez), math.sqrt(fx * fx + fy * fy + fz * fz)
 
 
 # --- the composition law's proportionality constant -----------------------
@@ -368,9 +394,9 @@ def _lambda(x2: float, y2: float, z2: float, x1: float, y1: float, z1: float) ->
 
     When the dot product overflows it is taken again from the operands
     divided by their largest components, so that lambda is +-inf past the
-    float range, never nan.  ``_composition_diagnostics`` calls it for
-    every pair, and ``_compose_chain`` only for a step whose product
-    overflows: elsewhere lambda is the product's own scalar part.
+    float range, never nan.  ``_compose_chain`` calls it only for a step
+    whose product overflows, and ``_composition_diagnostics`` only where
+    1 - Q2.Q1 does: elsewhere lambda is the product's own scalar part.
     """
     d = x2 * x1 + y2 * y1 + z2 * z1
     if not math.isfinite(d):
@@ -425,35 +451,58 @@ def _compose_chain(rotations):
 
 def _composition_diagnostics(q2t, q1t, at):
     """composition_diagnostics on the triples of Q2, Q1 and a: the
-    numerator, the denominator lambda and the residual."""
-    if any(q1t) and abs(_k.dot3(at, _unit(*q1t))) > 1e-9:
-        raise NotPerpendicular("a must be perpendicular to Q1")
-    # a regular Q3 from _compose_lifted is finite, a half-turn axis unit
-    s, x, y, z = _compose_lifted(1.0, *q2t, 1.0, *q1t)
-    if not s:
-        raise DegenerateComposition("composition is a half-turn; lambda residual undefined")
-    # numerator Q1 + Q2 + Q2 x Q1 and denominator 1 - Q2.Q1 of the law
-    num = _k.cross3(q2t, q1t)
-    num = (q1t[0] + q2t[0] + num[0], q1t[1] + q2t[1] + num[1], q1t[2] + q2t[2] + num[2])
-    lam = _lambda(*q2t, *q1t)
+    numerator, the denominator lambda and the residual.
 
-    lhs = _k.cross3((x, y, z), at)
-    lhs = (lam * (at[0] + lhs[0]), lam * (at[1] + lhs[1]), lam * (at[2] + lhs[2]))
+    The numerator Q1 + Q2 + Q2 x Q1 and lambda = 1 - Q2.Q1 are formed once,
+    with the operations of ``_compose_lifted(1, Q2, 1, Q1)`` in their
+    order, and Q3 is their quotient under the guards of ``_compose_chain``:
+    the sum of lambda, the numerator and the scale 1 + ||Q1|| ||Q2|| is
+    finite, lambda is not zero to rounding and the quotient has a finite
+    sum.  Elsewhere Q3 comes from ``_compose_lifted``, which checks and
+    raises, and lambda from ``_lambda`` where it is not finite.  Every
+    cross product and norm is written out as the kernels form it.
+    """
+    x1, y1, z1 = q1t
+    x2, y2, z2 = q2t
+    ax, ay, az = at
+    if x1 or y1 or z1:
+        ss = x1 * x1 + y1 * y1 + z1 * z1
+        if _MIN_NORMAL <= ss < math.inf:
+            n = math.sqrt(ss)
+            ux, uy, uz = x1 / n, y1 / n, z1 / n
+        else:
+            ux, uy, uz = _unit(x1, y1, z1)
+        if abs(ax * ux + ay * uy + az * uz) > 1e-9:
+            raise NotPerpendicular("a must be perpendicular to Q1")
+    lam = 1.0 - (x2 * x1 + y2 * y1 + z2 * z1)
+    nx = x1 + x2 + (y2 * z1 - z2 * y1)
+    ny = y1 + y2 + (z2 * x1 - x2 * z1)
+    nz = z1 + z2 + (x2 * y1 - y2 * x1)
+    scale = 1.0 + math.hypot(x1, y1, z1) * math.hypot(x2, y2, z2)
+    regular = False
+    # a finite sum has finite terms
+    if math.isfinite(lam + nx + ny + nz + scale) and abs(lam) > DEGENERACY_REL_TOL * scale:
+        x, y, z = nx / lam, ny / lam, nz / lam
+        regular = math.isfinite(x + y + z)
+    if not regular:
+        # a regular Q3 from _compose_lifted is finite, a half-turn axis unit
+        s, x, y, z = _compose_lifted(1.0, x2, y2, z2, 1.0, x1, y1, z1)
+        if not s:
+            raise DegenerateComposition("composition is a half-turn; lambda residual undefined")
+        if not math.isfinite(lam):
+            lam = _lambda(x2, y2, z2, x1, y1, z1)
 
-    c1 = _k.cross3(q1t, at)
-    c2 = _k.cross3(q2t, at)
-    c21 = _k.cross3(q2t, c1)
-    rhs = (
-        at[0] + c1[0] + c2[0] + c21[0],
-        at[1] + c1[1] + c2[1] + c21[1],
-        at[2] + c1[2] + c2[2] + c21[2],
-    )
-    residual = _k.norm3((lhs[0] - rhs[0], lhs[1] - rhs[1], lhs[2] - rhs[2]))
+    # lambda (a + Q3 x a) against a + Q1 x a + Q2 x a + Q2 x (Q1 x a)
+    c1x, c1y, c1z = y1 * az - z1 * ay, z1 * ax - x1 * az, x1 * ay - y1 * ax
+    dx = lam * (ax + (y * az - z * ay)) - (ax + c1x + (y2 * az - z2 * ay) + (y2 * c1z - z2 * c1y))
+    dy = lam * (ay + (z * ax - x * az)) - (ay + c1y + (z2 * ax - x2 * az) + (z2 * c1x - x2 * c1z))
+    dz = lam * (az + (x * ay - y * ax)) - (az + c1z + (x2 * ay - y2 * ax) + (x2 * c1y - y2 * c1x))
+    residual = math.sqrt(dx * dx + dy * dy + dz * dz)
     if not math.isfinite(residual) and math.isfinite(lam):
         residual = _scaled_law_residual((x, y, z), q2t, q1t, at, lam)
-    if not math.isfinite(num[0] + num[1] + num[2]):  # the sum may also overflow
-        _require_finite(*num)  # the check of Vec3(*num)
-    return num, lam, residual
+    if not math.isfinite(nx + ny + nz):  # the sum may also overflow
+        _require_finite(nx, ny, nz)  # the check of Vec3(*num)
+    return (nx, ny, nz), lam, residual
 
 
 def _scaled_law_residual(q3, q2t, q1t, at, lam):
@@ -489,12 +538,18 @@ def _scaled_law_residual(q3, q2t, q1t, at, lam):
 
 def _require_triangle(a, b, c) -> None:
     """Raise ValueError when the points a, b, c are collinear, with the
-    finite checks of the Vec3 values b - a, c - a and their cross product."""
-    ab = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-    ac = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-    if not math.isfinite(ab[0] + ab[1] + ab[2] + ac[0] + ac[1] + ac[2]):
-        _require_finite(*ab, *ac)  # the sum may also overflow
-    if _k.norm3(_cross(ab, ac)) <= 1e-9:
+    finite checks of the Vec3 values b - a, c - a and their cross product.
+    The cross product and its norm are written out as the kernels form
+    them."""
+    ax, ay, az = a
+    bx, by, bz = b[0] - ax, b[1] - ay, b[2] - az
+    cx, cy, cz = c[0] - ax, c[1] - ay, c[2] - az
+    if not math.isfinite(bx + by + bz + cx + cy + cz):
+        _require_finite(bx, by, bz, cx, cy, cz)  # the sum may also overflow
+    wx, wy, wz = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
+    if not math.isfinite(wx + wy + wz):  # the sum may also overflow
+        _require_finite(wx, wy, wz)
+    if math.sqrt(wx * wx + wy * wy + wz * wz) <= 1e-9:
         raise ValueError("degenerate spherical triangle: vertices are collinear")
 
 
@@ -510,50 +565,130 @@ def _bisector(q, x) -> tuple[float, float, float]:
 
 
 def _half_angle_point(q, a) -> tuple[float, float, float]:
-    """half_angle_point on the triples of Q and a."""
-    if not any(q):
+    """half_angle_point on the triples of Q and a.
+
+    The unit axis, the perpendicularity test, the bisector point
+    (1 + Qx) a and its normalization are written out; a sum of squares
+    outside the normal float range calls _unit, and a bisector point that
+    from_vec does not divide inline calls _from_vec, which raises.
+    """
+    qx, qy, qz = q
+    ax, ay, az = a
+    if not (qx or qy or qz):
         raise ValueError("half_angle_point needs a nonzero rotation")
-    if abs(_k.dot3(a, _unit(*q))) > 1e-9:
+    ss = qx * qx + qy * qy + qz * qz
+    if _MIN_NORMAL <= ss < math.inf:
+        n = math.sqrt(ss)
+        ux, uy, uz = qx / n, qy / n, qz / n
+    else:
+        ux, uy, uz = _unit(qx, qy, qz)
+    if abs(ax * ux + ay * uy + az * uz) > 1e-9:
         raise NotPerpendicular("a must lie in the plane perpendicular to Q")
     # from_vec's checks include the finite check of Vec3((1 + Qx) a)
-    return _from_vec(*_bisector(q, a))
+    bx = ax + (qy * az - qz * ay)
+    by = ay + (qz * ax - qx * az)
+    bz = az + (qx * ay - qy * ax)
+    ss = bx * bx + by * by + bz * bz
+    n = math.sqrt(ss)
+    if n >= 1e-15 and ss < math.inf:
+        return bx / n, by / n, bz / n
+    return _from_vec(bx, by, bz)
 
 
 def _donkin_triangle(q1, q2):
-    """donkin_triangle on the triples of Q1 and Q2: the vertices A, B, C."""
-    if not any(q1) or not any(q2):
+    """donkin_triangle on the triples of Q1 and Q2: the vertices A, B, C.
+
+    The unit axes, their cross product, Q2 x Q1, B, the norm of Q1 and R B
+    are written out, each as the kernels form it, and ||Q1|| is the norm
+    its unit axis divides by.  A sum of squares outside the normal float
+    range calls _unit, and a vertex A that from_vec does not divide inline
+    calls _from_vec, which raises.
+    """
+    x1, y1, z1 = q1
+    x2, y2, z2 = q2
+    if not (x1 or y1 or z1) or not (x2 or y2 or z2):
         raise ParallelAxes("both rotations must be nonzero")
-    axis1 = _unit(*q1)
-    axes_cross = _k.cross3(_unit(*q2), axis1)
-    if _k.norm3(axes_cross) <= 1e-9:
+    ss = x1 * x1 + y1 * y1 + z1 * z1
+    n1 = math.sqrt(ss)  # norm3(Q1)
+    if _MIN_NORMAL <= ss < math.inf:
+        axis1 = u1x, u1y, u1z = x1 / n1, y1 / n1, z1 / n1
+    else:
+        axis1 = u1x, u1y, u1z = _unit(x1, y1, z1)
+    ss = x2 * x2 + y2 * y2 + z2 * z2
+    if _MIN_NORMAL <= ss < math.inf:
+        n = math.sqrt(ss)
+        u2x, u2y, u2z = x2 / n, y2 / n, z2 / n
+    else:
+        u2x, u2y, u2z = _unit(x2, y2, z2)
+    # n2 x n1
+    px, py, pz = u2y * u1z - u2z * u1y, u2z * u1x - u2x * u1z, u2x * u1y - u2y * u1x
+    if math.sqrt(px * px + py * py + pz * pz) <= 1e-9:
         raise ParallelAxes("rotation axes are parallel; no spherical triangle exists")
-    c = _k.cross3(q2, q1)
-    if not 0.0 < _k.dot3(c, c) < math.inf:
-        c = axes_cross  # Q2 x Q1 over- or underflows; n2 x n1 has its direction
-    b = _unit(*c)
-    half1 = math.atan(_k.norm3(q1))  # theta1/2
-    r = _euler_rodrigues9(axis1, -half1)
-    # from_vec's checks include the finite check of Vec3(R b)
-    a = _from_vec(*_k.matvec(r, b))
+    cx, cy, cz = y2 * z1 - z2 * y1, z2 * x1 - x2 * z1, x2 * y1 - y2 * x1
+    ss = cx * cx + cy * cy + cz * cz
+    if _MIN_NORMAL <= ss < math.inf:
+        n = math.sqrt(ss)
+        b = bx, by, bz = cx / n, cy / n, cz / n
+    else:
+        if not 0.0 < ss < math.inf:
+            cx, cy, cz = px, py, pz  # Q2 x Q1 over- or underflows; n2 x n1 has its direction
+        b = bx, by, bz = _unit(cx, cy, cz)
+    r = _euler_rodrigues9(axis1, -math.atan(n1))  # theta1/2
+    # A = R B, with from_vec's checks, which include the finite check of Vec3(R B)
+    ax = r[0] * bx + r[1] * by + r[2] * bz
+    ay = r[3] * bx + r[4] * by + r[5] * bz
+    az = r[6] * bx + r[7] * by + r[8] * bz
+    ss = ax * ax + ay * ay + az * az
+    n = math.sqrt(ss)
+    if n >= 1e-15 and ss < math.inf:
+        a = ax / n, ay / n, az / n
+    else:
+        a = _from_vec(ax, ay, az)
     cpt = _half_angle_point(q2, b)
     _require_triangle(a, b, cpt)
     return a, b, cpt
 
 
 def _double_arc_rotation9(u, v):
-    # rotation by twice the arc angle about u x v; collapsed (parallel or
-    # antipodal) pairs give arc 0 or pi, hence angle 0 or 2*pi: identity.
-    c = _cross(u, v)
-    if _k.norm3(c) <= 1e-12:
+    """The rotation by twice the arc angle from u to v, about u x v.
+
+    u x v is formed once, with the finite check of Vec3.cross, for the
+    collapse test, the axis and the arc angle atan2(||u x v||, u.v).
+    Collapsed (parallel or antipodal) pairs give arc 0 or pi, hence angle
+    0 or 2*pi: the identity.
+    """
+    ux, uy, uz = u
+    vx, vy, vz = v
+    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    if not math.isfinite(cx + cy + cz):  # the sum may also overflow
+        _require_finite(cx, cy, cz)
+    ss = cx * cx + cy * cy + cz * cz
+    n = math.sqrt(ss)
+    if n <= 1e-12:
         return _IDENTITY9
-    return _euler_rodrigues9(_unit(*c), 2.0 * _arc_angle(u, v))
+    # n > 1e-12 makes ss a normal float
+    axis = (cx / n, cy / n, cz / n) if ss < math.inf else _unit(cx, cy, cz)
+    return _euler_rodrigues9(axis, 2.0 * math.atan2(n, ux * vx + uy * vy + uz * vz))
+
+
+def _nan_max(values) -> float:
+    """The largest of a tuple of floats none of which is negative, or nan
+    where one of them is nan: max keeps a nan only as its first item."""
+    s = sum(values)  # nan exactly when a value is, since none is negative
+    return max(values) if s == s else s
 
 
 def _max_diff9(a, b) -> float:
-    """The largest |a_i - b_i| of two tuples of nine floats."""
-    # maps, not a generator, whose frame would raise a check's peak memory;
-    # float.__sub__ spares the import of operator
-    return max(map(abs, map(float.__sub__, a, b)))
+    """The largest |a_i - b_i| of two tuples of nine floats, or nan where
+    one of them is nan."""
+    # maps, not a generator or a tuple, which would raise a check's peak
+    # memory; float.__sub__ spares the import of operator
+    m = max(map(abs, map(float.__sub__, a, b)))
+    # a nan |a_i - b_i| comes from a nan or infinite entry, which makes the
+    # sum of the entries nan or infinite
+    if math.isfinite(sum(a) + sum(b)):
+        return m
+    return _nan_max(tuple(map(abs, map(float.__sub__, a, b))))
 
 
 def _donkin_residual(a, b, c) -> float:

@@ -9,6 +9,16 @@ given (n, seed) pair always produces identical output.
 The diagnostics run the float routines of ``rodvec._lifted`` on plain
 triples and tuples of nine floats, the routines behind the typed API, so
 that this module loads none of the typed modules.
+
+A sample's 3-vector arithmetic is written out, here and in those
+routines, with the operations of the kernels in their order, so that no
+dot, cross, norm or matrix-vector product is a kernel call and none is
+formed twice; each residual keeps the bits the kernels give.  The matrix
+kernels (Euler-Rodrigues, the Cayley inverse and its compensated
+products, the SO(3) residuals, the Donkin product) are still called, and
+each routine calls its general fallback where a sum of squares leaves the
+normal float range or a composition overflows or is a half-turn.  A nan
+residual stays nan in its diagnostic's worst residual, which then fails.
 """
 
 import math
@@ -29,8 +39,8 @@ from rodvec._lifted import (
     _half_angle_point,
     _lambda,
     _max_diff9,
+    _nan_max,
     _rotation9,
-    _unit,
 )
 
 __all__ = ["DiagnosticResult", "run_diagnostics"]
@@ -49,9 +59,12 @@ class DiagnosticResult(namedtuple("DiagnosticResult", "name samples max_residual
 
 def _rand_unit(rng: random.Random) -> tuple[float, float, float]:
     while True:
-        v = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-        if _k.norm3(v) > 1e-3:
-            return _unit(*v)
+        x, y, z = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+        n = math.sqrt(x * x + y * y + z * z)
+        # a Gaussian draw is finite, and n > 1e-3 makes n*n a normal float:
+        # the quotient of _unit
+        if n > 1e-3:
+            return x / n, y / n, z / n
 
 
 def _rand_axis_angle(rng: random.Random, max_angle: float):
@@ -65,12 +78,13 @@ def _rodrigues(axis, theta: float) -> tuple[float, float, float]:
 
 
 def _rand_rodrigues(rng: random.Random, max_angle: float) -> tuple[float, float, float]:
-    return _rodrigues(*_rand_axis_angle(rng, max_angle))
+    return _rodrigues(_rand_unit(rng), rng.uniform(-max_angle, max_angle))
 
 
 def _dist(u, v) -> float:
     """||u - v|| as Vec3.norm computes it."""
-    return _k.norm3((u[0] - v[0], u[1] - v[1], u[2] - v[2]))
+    x, y, z = u[0] - v[0], u[1] - v[1], u[2] - v[2]
+    return math.sqrt(x * x + y * y + z * z)
 
 
 def _check_formula_agreement(n: int, seed: int) -> DiagnosticResult:
@@ -82,7 +96,7 @@ def _check_formula_agreement(n: int, seed: int) -> DiagnosticResult:
         r1 = _euler_rodrigues9(axis, theta)
         r2 = _rotation9(1.0, *q)
         r3 = _cayley_rot9(*q)
-        worst = max(worst, _max_diff9(r1, r2), _max_diff9(r2, r3), _max_diff9(r1, r3))
+        worst = _nan_max((worst, _max_diff9(r1, r2), _max_diff9(r2, r3), _max_diff9(r1, r3)))
     return DiagnosticResult("formula-agreement", n, worst, 1e-12)
 
 
@@ -100,10 +114,12 @@ def _check_explicit_inverse(n: int, seed: int) -> DiagnosticResult:
             0.0 - z, 1.0, 0.0 - -x,
             0.0 - -y, 0.0 - x, 1.0,
         )
-        worst = max(
-            worst,
-            _max_diff9(_k.matmul_comp(one_minus_k, m), _IDENTITY9),
-            _max_diff9(_k.matmul_comp(m, one_minus_k), _IDENTITY9),
+        worst = _nan_max(
+            (
+                worst,
+                _max_diff9(_k.matmul_comp(one_minus_k, m), _IDENTITY9),
+                _max_diff9(_k.matmul_comp(m, one_minus_k), _IDENTITY9),
+            )
         )
     return DiagnosticResult("explicit-inverse", n, worst, 1e-12)
 
@@ -112,11 +128,13 @@ def _check_bridge_residuals(n: int, seed: int) -> DiagnosticResult:
     rng = random.Random(seed * 7 + 3)
     worst = 0.0
     for _ in range(n):
-        q = _rand_rodrigues(rng, math.pi - 1e-3)
-        x = (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
+        q = qx, qy, qz = _rand_rodrigues(rng, math.pi - 1e-3)
+        x = x0, x1, x2 = rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2)
         r1, r2 = _cayley_residuals(q, x)
-        scale = (1.0 + _k.norm3(q)) * max(_k.norm3(x), 1e-300)
-        worst = max(worst, r1 / scale, r2 / scale)
+        scale = (1.0 + math.sqrt(qx * qx + qy * qy + qz * qz)) * max(
+            math.sqrt(x0 * x0 + x1 * x1 + x2 * x2), 1e-300
+        )
+        worst = _nan_max((worst, r1 / scale, r2 / scale))
     return DiagnosticResult("bridge-residuals", n, worst, 1e-12)
 
 
@@ -125,15 +143,17 @@ def _rand_nondegenerate_pair(rng: random.Random):
     Q1 and Q2 of norm at least 1e-2, not parallel and composing to no
     half-turn."""
     while True:
-        q1 = _rand_rodrigues(rng, 2.7)
-        q2 = _rand_rodrigues(rng, 2.7)
-        n1 = _k.norm3(q1)
-        n2 = _k.norm3(q2)
+        q1 = x1, y1, z1 = _rand_rodrigues(rng, 2.7)
+        q2 = x2, y2, z2 = _rand_rodrigues(rng, 2.7)
+        n1 = math.sqrt(x1 * x1 + y1 * y1 + z1 * z1)
+        n2 = math.sqrt(x2 * x2 + y2 * y2 + z2 * z2)
         if n1 < 1e-2 or n2 < 1e-2:
             continue
-        if _k.norm3(_k.cross3(q1, q2)) <= 1e-6 * n1 * n2:
+        # ||Q1 x Q2||
+        cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
+        if math.sqrt(cx * cx + cy * cy + cz * cz) <= 1e-6 * n1 * n2:
             continue
-        s, x, y, z = _compose_lifted(1.0, *q2, 1.0, *q1)
+        s, x, y, z = _compose_lifted(1.0, x2, y2, z2, 1.0, x1, y1, z1)
         if s == 0:
             continue
         return q1, q2, (x, y, z)
@@ -145,7 +165,7 @@ def _check_lambda_residual(n: int, seed: int) -> DiagnosticResult:
     for _ in range(n):
         q1, q2, _ = _rand_nondegenerate_pair(rng)
         a = _donkin_triangle(q1, q2)[0]
-        worst = max(worst, _composition_diagnostics(q2, q1, a)[2])
+        worst = _nan_max((worst, _composition_diagnostics(q2, q1, a)[2]))
     return DiagnosticResult("lambda-residual", n, worst, 1e-10)
 
 
@@ -155,18 +175,20 @@ def _check_donkin(n: int, seed: int) -> DiagnosticResult:
     for _ in range(n):
         q1, q2, q3 = _rand_nondegenerate_pair(rng)
         a, b, c = _donkin_triangle(q1, q2)
-        worst = max(worst, _donkin_residual(a, b, c))
+        worst = _nan_max((worst, _donkin_residual(a, b, c)))
         b_hat = _half_angle_point(q1, a)
         c_hat = _half_angle_point(q2, b)
         # (1 + Q3x) A is proportional to C with the sign of 1 - Q2.Q1: the
         # exact relation is (1 - Q2.Q1)(1 + Q3x) A = mu C with mu > 0
         c_expected = c if _lambda(*q2, *q1) > 0.0 else (-c[0], -c[1], -c[2])
         c_via_q3 = _half_angle_point(q3, a)
-        worst = max(
-            worst,
-            _dist(b_hat, b),
-            _dist(c_hat, c),
-            _dist(c_via_q3, c_expected),
+        worst = _nan_max(
+            (
+                worst,
+                _dist(b_hat, b),
+                _dist(c_hat, c),
+                _dist(c_via_q3, c_expected),
+            )
         )
     return DiagnosticResult("donkin-closure", n, worst, 1e-10)
 

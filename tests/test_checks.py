@@ -8,6 +8,7 @@ unnoticed.
 """
 
 import hashlib
+import itertools
 import math
 import random
 from pathlib import Path
@@ -17,7 +18,8 @@ import pytest
 import rodvec.core
 from conftest import rand_axis_angle, rand_rod
 from rodvec import checks
-from rodvec._backend import backend_name
+from rodvec._backend import backend_name, kernels as _k
+from rodvec._lifted import _IDENTITY9, _max_diff9
 from rodvec.cayley import cayley_inverse_explicit, cayley_rotation
 from rodvec.cli import main
 from rodvec.composition import CompositionDiagnostics, composition_diagnostics
@@ -330,3 +332,77 @@ class TestKernelOutputChecks:
     def test_nan_entry_fails_the_finite_check(self, capsys, monkeypatch, kernel):
         result = self.run_corrupted(capsys, monkeypatch, kernel, lambda m: (*m[:4], math.nan, *m[5:]))
         assert result == (2, "error: non-finite component: nan\n")
+
+
+# --- a nan residual fails its diagnostic ----------------------------------
+
+
+def _nan_on_call(monkeypatch, owner, name, k, change):
+    """Make call k (from 0) of owner.name return change of its result."""
+    real = getattr(owner, name)
+    calls = itertools.count()
+
+    def corrupted(*args):
+        out = real(*args)
+        return change(out) if next(calls) == k else out
+
+    monkeypatch.setattr(owner, name, corrupted)
+
+
+def _nan_entry(m):
+    """m with a nan for its fifth entry: not the first, which max would keep."""
+    return (*m[:4], math.nan, *m[5:])
+
+
+class TestNanResiduals:
+    """A nan residual fails its diagnostic wherever it falls among the
+    samples: max(worst, nan) is worst, so the worst residual must carry the
+    nan itself, and ``rodvec check`` then prints it and exits 1."""
+
+    def run_check(self, capsys):
+        code = main(["check", "--n", "5", "--seed", "7"])
+        return code, capsys.readouterr().out.splitlines()[1:]
+
+    def assert_only_failure(self, lines, name):
+        for line in lines:
+            if line.startswith(name + ":"):
+                assert " max_residual=nan " in line and line.endswith(" FAIL"), line
+            else:
+                assert line.endswith(" PASS"), line
+
+    @pytest.mark.parametrize("k", [0, 4, 9])
+    def test_bridge_residuals(self, monkeypatch, k):
+        # not through the command: formula-agreement checks the matrix of
+        # rot_from_rod9 first and raises
+        _nan_on_call(monkeypatch, _k, "rot_from_rod9", k, lambda m: (math.nan,) * 9)
+        result = checks._check_bridge_residuals(10, 1)
+        assert math.isnan(result.max_residual) and not result.ok
+
+    @pytest.mark.parametrize("k", [0, 5, 9])
+    def test_explicit_inverse(self, capsys, monkeypatch, k):
+        _nan_on_call(monkeypatch, _k, "matmul_comp", k, _nan_entry)
+        code, lines = self.run_check(capsys)
+        assert code == 1
+        self.assert_only_failure(lines, "explicit-inverse")
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_lambda_residual(self, capsys, monkeypatch, k):
+        _nan_on_call(monkeypatch, checks, "_composition_diagnostics", k, lambda d: (d[0], d[1], math.nan))
+        code, lines = self.run_check(capsys)
+        assert code == 1
+        self.assert_only_failure(lines, "lambda-residual")
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_donkin_closure(self, capsys, monkeypatch, k):
+        _nan_on_call(monkeypatch, _k, "matmul", k, _nan_entry)
+        code, lines = self.run_check(capsys)
+        assert code == 1
+        self.assert_only_failure(lines, "donkin-closure")
+
+    @pytest.mark.parametrize("i", range(9))
+    def test_max_diff9_keeps_a_nan_anywhere(self, i):
+        a = list(_IDENTITY9)
+        a[i] = math.nan
+        assert math.isnan(_max_diff9(tuple(a), _IDENTITY9))
+        assert math.isnan(_max_diff9(_IDENTITY9, tuple(a)))
+        assert _max_diff9(_IDENTITY9, _IDENTITY9) == 0.0

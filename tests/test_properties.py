@@ -37,10 +37,18 @@ from rodvec._lifted import (
     ROTATION_MATRIX_TOL,
     SCHEMES,
     STEP_ANGLE_MARGIN,
+    _MIN_NORMAL,
+    _cayley_residuals,
     _checked9,
     _compose_chain,
     _compose_lifted,
+    _composition_diagnostics,
     _direction,
+    _donkin_triangle,
+    _double_arc_rotation9,
+    _euler_rodrigues9,
+    _from_vec,
+    _half_angle_point,
     _half_turn_axis,
     _increment,
     _integrate,
@@ -49,13 +57,16 @@ from rodvec._lifted import (
     _lift_axis_angle,
     _lift_matrix9,
     _require_finite,
+    _require_triangle,
     _rotation9,
+    _scaled_law_residual,
+    _scaled_norm,
     _unit,
     _unit_components,
 )
 from rodvec.cli import _parse_lifted, main, parse_rotation_spec
 from rodvec.core import _lift
-from rodvec.errors import NonMonotonicTime
+from rodvec.errors import DegenerateComposition, NonMonotonicTime, NotPerpendicular, ParallelAxes
 from conftest import to_np
 
 anyfloat = st.floats(allow_nan=False, allow_infinity=False)
@@ -704,3 +715,310 @@ _QUARTER = math.tan(math.pi / 4)  # 0.9999999999999999
 @example([(1.0, -0.0, 0.0, -0.0), (1.0, 0.0, -0.0, -0.0)])
 def test_compose_chain_matches_the_step_by_step_fold(rotations):
     assert _folded(_compose_chain, rotations) == _folded(ref_compose_chain, rotations)
+
+
+# --- check's sample path ------------------------------------------------------
+#
+# The references are the float-core routines as they were before their
+# 3-vector arithmetic was written out: built on the kernels, with _unit
+# always through _scaled_norm.  The routines must match them bit for bit,
+# exception class and message included.
+
+
+def ref_unit(x, y, z):
+    n, f = _scaled_norm(x, y, z)
+    return x * f / n, y * f / n, z * f / n
+
+
+def ref_from_vec(x, y, z):
+    if math.sqrt(x * x + y * y + z * z) < 1e-15:
+        raise ValueError("cannot normalize a (near-)zero vector")
+    # _direction
+    if not math.isfinite(x + y + z):
+        _require_finite(x, y, z)
+    if not (x or y or z):
+        raise ValueError("cannot normalize a (near-)zero vector")
+    return ref_unit(x, y, z)
+
+
+def ref_cross(u, v):
+    w = _k.cross3(u, v)
+    if not math.isfinite(w[0] + w[1] + w[2]):
+        _require_finite(*w)
+    return w
+
+
+def ref_half_angle_point(q, a):
+    if not any(q):
+        raise ValueError("half_angle_point needs a nonzero rotation")
+    if abs(_k.dot3(a, ref_unit(*q))) > 1e-9:
+        raise NotPerpendicular("a must lie in the plane perpendicular to Q")
+    t = _k.cross3(q, a)
+    return ref_from_vec(a[0] + t[0], a[1] + t[1], a[2] + t[2])
+
+
+def ref_require_triangle(a, b, c):
+    ab = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
+    ac = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
+    if not math.isfinite(ab[0] + ab[1] + ab[2] + ac[0] + ac[1] + ac[2]):
+        _require_finite(*ab, *ac)
+    if _k.norm3(ref_cross(ab, ac)) <= 1e-9:
+        raise ValueError("degenerate spherical triangle: vertices are collinear")
+
+
+def ref_donkin_triangle(q1, q2):
+    if not any(q1) or not any(q2):
+        raise ParallelAxes("both rotations must be nonzero")
+    axis1 = ref_unit(*q1)
+    axes_cross = _k.cross3(ref_unit(*q2), axis1)
+    if _k.norm3(axes_cross) <= 1e-9:
+        raise ParallelAxes("rotation axes are parallel; no spherical triangle exists")
+    c = _k.cross3(q2, q1)
+    if not 0.0 < _k.dot3(c, c) < math.inf:
+        c = axes_cross
+    b = ref_unit(*c)
+    half1 = math.atan(_k.norm3(q1))
+    r = _euler_rodrigues9(axis1, -half1)
+    a = ref_from_vec(*_k.matvec(r, b))
+    cpt = ref_half_angle_point(q2, b)
+    ref_require_triangle(a, b, cpt)
+    return a, b, cpt
+
+
+def ref_double_arc_rotation9(u, v):
+    c = ref_cross(u, v)
+    if _k.norm3(c) <= 1e-12:
+        return (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    arc = math.atan2(_k.norm3(ref_cross(u, v)), u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
+    return _euler_rodrigues9(ref_unit(*c), 2.0 * arc)
+
+
+def ref_composition_diagnostics(q2t, q1t, at):
+    if any(q1t) and abs(_k.dot3(at, ref_unit(*q1t))) > 1e-9:
+        raise NotPerpendicular("a must be perpendicular to Q1")
+    s, x, y, z = _compose_lifted(1.0, *q2t, 1.0, *q1t)
+    if not s:
+        raise DegenerateComposition("composition is a half-turn; lambda residual undefined")
+    num = _k.cross3(q2t, q1t)
+    num = (q1t[0] + q2t[0] + num[0], q1t[1] + q2t[1] + num[1], q1t[2] + q2t[2] + num[2])
+    lam = _lambda(*q2t, *q1t)
+    lhs = _k.cross3((x, y, z), at)
+    lhs = (lam * (at[0] + lhs[0]), lam * (at[1] + lhs[1]), lam * (at[2] + lhs[2]))
+    c1 = _k.cross3(q1t, at)
+    c2 = _k.cross3(q2t, at)
+    c21 = _k.cross3(q2t, c1)
+    rhs = (
+        at[0] + c1[0] + c2[0] + c21[0],
+        at[1] + c1[1] + c2[1] + c21[1],
+        at[2] + c1[2] + c2[2] + c21[2],
+    )
+    residual = _k.norm3((lhs[0] - rhs[0], lhs[1] - rhs[1], lhs[2] - rhs[2]))
+    if not math.isfinite(residual) and math.isfinite(lam):
+        residual = _scaled_law_residual((x, y, z), q2t, q1t, at, lam)
+    if not math.isfinite(num[0] + num[1] + num[2]):
+        _require_finite(*num)
+    return num, lam, residual
+
+
+def ref_cayley_residuals(qt, xt):
+    rm = _k.rot_from_rod9(qt)
+    rx = _k.matvec(rm, xt)
+    qxx = _k.cross3(qt, xt)
+    qxrx = _k.cross3(qt, rx)
+    r1 = _k.norm3(
+        (
+            xt[0] + qxx[0] - (rx[0] - qxrx[0]),
+            xt[1] + qxx[1] - (rx[1] - qxrx[1]),
+            xt[2] + qxx[2] - (rx[2] - qxrx[2]),
+        )
+    )
+    rx_plus_x = (rx[0] + xt[0], rx[1] + xt[1], rx[2] + xt[2])
+    lhs = _k.cross3(qt, rx_plus_x)
+    r2 = _k.norm3((lhs[0] - (rx[0] - xt[0]), lhs[1] - (rx[1] - xt[1]), lhs[2] - (rx[2] - xt[2])))
+    return r1, r2
+
+
+def _hexed(value):
+    """value with every float as float.hex, so that signed zeros count."""
+    if isinstance(value, float):
+        return value.hex()
+    if value is None:
+        return None
+    return tuple(map(_hexed, value))
+
+
+def same_outcome(fn, ref, *args):
+    """Whether fn(*args) and ref(*args) give the same bits, or raise the
+    same class with the same message."""
+
+    def outcome(f):
+        try:
+            return _hexed(f(*args))
+        except Exception as exc:  # the error is the outcome compared
+            return type(exc), str(exc)
+
+    return outcome(fn) == outcome(ref)
+
+
+#: components log-uniform over 1e-320 to 1e308, signed zeros included, or
+#: moderate, where the terms of a sum are alike in size and so its order
+#: shows in the last bits
+component = st.one_of(signed, st.floats(-4.0, 4.0))
+wide = st.tuples(component, component, component)
+
+
+@st.composite
+def along(draw, u):
+    """A multiple of u, of either sign and any size: parallel and antipodal
+    pairs."""
+    c = draw(signed)
+    return c * u[0], c * u[1], c * u[2]
+
+
+@st.composite
+def perpendicular_to(draw, q):
+    """A unit vector perpendicular to q (to rounding), or a wide vector."""
+    r = draw(wide.filter(any))
+    if not any(q) or not draw(st.booleans()):
+        return r
+    c = _k.cross3(ref_unit(*q), ref_unit(*r))
+    return ref_unit(*c) if any(c) else r
+
+
+S = math.sqrt(0.5)
+_SUBNORMAL_SS = 1e-160  # its square is below the smallest normal float
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide)
+@example((1e200, 0.0, -1e200))  # the sum of squares overflows
+@example((_SUBNORMAL_SS, -0.0, 0.0))  # the sum of squares is subnormal
+@example((math.sqrt(_MIN_NORMAL), 0.0, 0.0))
+@example((0.0, -0.0, 0.0))
+@example((math.nan, 1.0, 0.0))
+@example((math.inf, 0.0, 0.0))
+def test_unit_matches_the_reference(v):
+    assert same_outcome(_unit, ref_unit, *v)
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide)
+@example((1e-16, 0.0, 0.0))  # below from_vec's floor
+@example((1e200, 1e200, 0.0))  # the sum of squares overflows
+@example((1.7e308, 1.7e308, 0.0))  # so does the sum
+@example((math.nan, 0.0, 0.0))
+@example((math.inf, 0.0, 0.0))
+def test_from_vec_matches_the_reference(v):
+    assert same_outcome(_from_vec, ref_from_vec, *v)
+
+
+@st.composite
+def rotation_and_point(draw):
+    q = draw(wide)
+    return q, draw(perpendicular_to(q))
+
+
+@settings(max_examples=500, deadline=None)
+@given(rotation_and_point())
+@example(((0.0, -0.0, 0.0), (1.0, 0.0, 0.0)))  # Q = 0
+@example(((0.0, 0.0, 1.0), (0.6, 0.0, 0.8)))  # a is not perpendicular
+@example(((_SUBNORMAL_SS, 0.0, 0.0), (0.0, 1.0, 0.0)))  # Q.Q is subnormal
+@example(((1e200, 0.0, 0.0), (0.0, 1.0, 0.0)))  # Q.Q overflows
+@example(((0.0, 0.0, 1e300), (1.0, 0.0, 0.0)))  # so does the bisector's
+@example(((0.0, 1.7e308, -1.7e308), (0.0, S, S)))  # the bisector is not finite
+@example(((1.0, 0.0, 0.0), (0.0, 1e-16, 0.0)))  # the bisector is below the floor
+def test_half_angle_point_matches_the_reference(case):
+    assert same_outcome(_half_angle_point, ref_half_angle_point, *case)
+
+
+@st.composite
+def rotation_pairs(draw):
+    q1 = draw(wide)
+    return q1, draw(st.one_of(wide, along(q1)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(rotation_pairs())
+@example(((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)))  # Q1 = 0
+@example(((1.0, 0.0, 0.0), (-2.0, 0.0, 0.0)))  # antiparallel axes
+@example(((1e200, 0.0, 0.0), (0.0, 1e200, 0.0)))  # Q2 x Q1 overflows
+@example(((1e-200, 0.0, 0.0), (0.0, 1e-200, 0.0)))  # Q2 x Q1 underflows to 0
+@example(((1e-80, 0.0, 0.0), (0.0, 1e-80, 0.0)))  # its square is subnormal
+@example(((_SUBNORMAL_SS, 0.0, 0.0), (0.0, 1.0, 0.0)))  # Q1.Q1 is subnormal
+@example(((1e-6, 0.0, 0.0), (0.0, 1e-6, 0.0)))  # collinear vertices
+@example(((0.3, -0.2, 1.1), (-0.7, 0.4, 0.25)))
+def test_donkin_triangle_matches_the_reference(pair):
+    assert same_outcome(_donkin_triangle, ref_donkin_triangle, *pair)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rotation_pairs())
+@example(((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)))  # parallel: the identity
+@example(((0.0, 0.6, 0.8), (-0.0, -0.6, -0.8)))  # antipodal: the identity
+@example(((1e200, 0.0, 0.0), (0.0, 1e200, 0.0)))  # u x v is not finite
+@example(((1e160, 0.0, 0.0), (0.0, 1.0, 0.0)))  # its square overflows
+@example(((1e200, 0.0, 0.0), (1e200, 1.0, 0.0)))  # u.v overflows
+@example(((0.6, 0.8, 0.0), (0.0, 0.0, 1.0)))
+def test_double_arc_rotation9_matches_the_reference(pair):
+    assert same_outcome(_double_arc_rotation9, ref_double_arc_rotation9, *pair)
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide, wide, wide)
+@example((1e308, 0.0, 0.0), (-1e308, 0.0, 0.0), (0.0, 1.0, 0.0))  # b - a overflows
+@example((1e200, 0.0, 0.0), (0.0, 1e200, 0.0), (0.0, 0.0, 1e200))  # the cross product does
+@example((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0))  # collinear
+def test_require_triangle_matches_the_reference(a, b, c):
+    assert same_outcome(_require_triangle, ref_require_triangle, a, b, c)
+
+
+@st.composite
+def composition_cases(draw):
+    """(Q2, Q1, a): wide operands, a Q2 with Q2.Q1 = 1 to rounding, or
+    parallel to Q1, and a perpendicular to Q1 or wide."""
+    q1 = draw(wide)
+    kind = draw(st.sampled_from(["wide", "along", "unit-dot"]))
+    if kind == "unit-dot" and any(q1):
+        n, u = scaled_norm(q1)
+        q2 = tuple(v / n for v in u)
+        if not math.isfinite(sum(q2)):
+            q2 = draw(wide)
+    else:
+        q2 = draw(along(q1) if kind == "along" else wide)
+    return q2, q1, draw(perpendicular_to(q1))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(composition_cases())
+@example(((0.2, 0.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.6, 0.8)))  # a is not perpendicular
+@example(((1.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0)))  # lambda = 0: a half-turn
+@example(((0.0, 0.0, 1.0), (0.0, 0.0, 0.9999999999999999), (1.0, 0.0, 0.0)))  # lambda zero to rounding
+@example(((1e200, 0.0, 0.0), (1e200, 0.0, 0.0), (0.0, 1.0, 0.0)))  # lambda overflows
+@example(((1e200, 1e200, 0.0), (1e200, -1e200, 0.0), (0.0, 0.0, 1.0)))  # Q2.Q1 = inf - inf
+@example(((-1e160, 1e160, 0.0), (1e160, 0.0, 0.0), (0.0, 0.0, 1.0)))  # the numerator overflows
+@example(((1e200, 0.0, 0.0), (0.0, 1e200, 0.0), (0.0, 0.0, 1.0)))  # so does the scale
+@example(((0.999999997e-300, 0.0, 0.0), (1e300, 0.0, 0.0), (0.0, 1.0, 0.0)))  # v/lambda overflows
+@example(((5e-309, 5e-309, 0.0), (5e307, 5e307, 0.0), (0.0, 0.0, 1.0)))  # so does the sum of v/lambda
+# the numerator's sum overflows, its terms do not: _compose_lifted rescales
+@example(
+    (
+        (-2.0203867366256895e-42, 0.0, -2.7086923990646716e-12),
+        (-8.872611392592891e307, -2.0940945985493452e306, -9.606036068687369e307),
+        (0.11305947740813943, 0.9855777705874473, -0.1259127185477122),
+    )
+)
+# one product of Q2.Q1 overflows, and the residual is taken scaled
+@example(((1.3416e154, 2.236e153, 0.0), (1.3416e154, -2.236e153, 0.0), (0.0, 0.0, 1.0)))
+@example(((_SUBNORMAL_SS, 0.0, 0.0), (_SUBNORMAL_SS, 0.0, 0.0), (0.0, 1.0, 0.0)))  # Q1.Q1 is subnormal
+@example(((0.3, -0.0, 0.1), (0.0, 0.0, 0.0), (-0.0, 1.0, 0.0)))  # Q1 = 0
+def test_composition_diagnostics_match_the_reference(case):
+    assert same_outcome(_composition_diagnostics, ref_composition_diagnostics, *case)
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide, wide)
+@example((0.0, 0.0, 1.0), (1.0, -0.0, 0.0))
+@example((1e200, 0.0, 0.0), (0.0, 1.0, 0.0))  # 1 + Q.Q overflows
+@example((1.0, 2.0, 3.0), (1e308, 1e308, 0.0))  # R x + x overflows
+def test_cayley_residuals_match_the_reference(q, x):
+    assert same_outcome(_cayley_residuals, ref_cayley_residuals, q, x)
