@@ -1,5 +1,5 @@
 /*
- * Compiled scalar kernels: the ten functions of _kernels_py, written
+ * Compiled scalar kernels: the six matrix kernels of _kernels_py, written
  * against the CPython C API.
  *
  * _kernels_py is the reference.  Each function here performs the IEEE
@@ -12,7 +12,7 @@
  * reorders operations.
  *
  * Vectors are 3-sequences of floats, matrices 9-sequences in row-major
- * order; results are tuples of floats.
+ * order, each of exactly that length; results are tuples of floats.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -42,25 +42,19 @@ check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t n)
     return -1;
 }
 
-/* Reads n floats from arg.  With exact unset the sequence may be longer,
-   and a shorter one raises IndexError, as indexing a[i] does; with exact
-   set any other length raises ValueError, as unpacking x, y, z = v does. */
+/* Reads n floats from arg.  Any other length raises ValueError, as
+   unpacking x, y, z = v does in every Python kernel. */
 static int
-load(PyObject *arg, double *out, Py_ssize_t n, int exact)
+load(PyObject *arg, double *out, Py_ssize_t n)
 {
     PyObject *seq = PySequence_Fast(arg, "kernel argument must be a sequence");
     if (seq == NULL) {
         return -1;
     }
     Py_ssize_t len = PySequence_Fast_GET_SIZE(seq);
-    if (exact && len != n) {
+    if (len != n) {
         PyErr_Format(PyExc_ValueError,
                      "expected a sequence of %zd values, got %zd", n, len);
-        Py_DECREF(seq);
-        return -1;
-    }
-    if (len < n) {
-        PyErr_SetString(PyExc_IndexError, "sequence index out of range");
         Py_DECREF(seq);
         return -1;
     }
@@ -283,65 +277,11 @@ dd_quotient(double n0, double n1, double d0, double d1, double dh, double dl)
 /* ---------------------------------------------------------------- kernels */
 
 static PyObject *
-dot3(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    double a[3], b[3];
-    if (check_nargs("dot3", nargs, 2) || load(args[0], a, 3, 0) ||
-        load(args[1], b, 3, 0)) {
-        return NULL;
-    }
-    return PyFloat_FromDouble(a[0] * b[0] + a[1] * b[1] + a[2] * b[2]);
-}
-
-static PyObject *
-cross3(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    double a[3], b[3];
-    if (check_nargs("cross3", nargs, 2) || load(args[0], a, 3, 0) ||
-        load(args[1], b, 3, 0)) {
-        return NULL;
-    }
-    double out[3] = {
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    };
-    return tuple_of(out, 3);
-}
-
-static PyObject *
-norm3(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    double a[3];
-    if (check_nargs("norm3", nargs, 1) || load(args[0], a, 3, 0)) {
-        return NULL;
-    }
-    /* a sum of squares is never negative, so math.sqrt cannot raise */
-    return PyFloat_FromDouble(sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2]));
-}
-
-static PyObject *
-matvec(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    double m[9], v[3];
-    if (check_nargs("matvec", nargs, 2) || load(args[1], v, 3, 1) ||
-        load(args[0], m, 9, 0)) {
-        return NULL;
-    }
-    double out[3] = {
-        m[0] * v[0] + m[1] * v[1] + m[2] * v[2],
-        m[3] * v[0] + m[4] * v[1] + m[5] * v[2],
-        m[6] * v[0] + m[7] * v[1] + m[8] * v[2],
-    };
-    return tuple_of(out, 3);
-}
-
-static PyObject *
 matmul(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     double a[9], b[9];
-    if (check_nargs("matmul", nargs, 2) || load(args[0], a, 9, 0) ||
-        load(args[1], b, 9, 0)) {
+    if (check_nargs("matmul", nargs, 2) || load(args[0], a, 9) ||
+        load(args[1], b, 9)) {
         return NULL;
     }
     double out[9] = {
@@ -363,8 +303,8 @@ matmul_comp(PyObject *Py_UNUSED(module), PyObject *const *args,
             Py_ssize_t nargs)
 {
     double a[9], b[9], out[9];
-    if (check_nargs("matmul_comp", nargs, 2) || load(args[0], a, 9, 1) ||
-        load(args[1], b, 9, 1)) {
+    if (check_nargs("matmul_comp", nargs, 2) || load(args[0], a, 9) ||
+        load(args[1], b, 9)) {
         return NULL;
     }
     /* u[0..2] are the rows of a, u[3..5] the columns of b */
@@ -399,7 +339,7 @@ euler_rodrigues9(PyObject *Py_UNUSED(module), PyObject *const *args,
                  Py_ssize_t nargs)
 {
     double n[3];
-    if (check_nargs("euler_rodrigues9", nargs, 2) || load(args[0], n, 3, 1)) {
+    if (check_nargs("euler_rodrigues9", nargs, 2) || load(args[0], n, 3)) {
         return NULL;
     }
     double theta = PyFloat_AsDouble(args[1]);
@@ -434,7 +374,7 @@ rot_from_rod9(PyObject *Py_UNUSED(module), PyObject *const *args,
               Py_ssize_t nargs)
 {
     double q[3];
-    if (check_nargs("rot_from_rod9", nargs, 1) || load(args[0], q, 3, 1)) {
+    if (check_nargs("rot_from_rod9", nargs, 1) || load(args[0], q, 3)) {
         return NULL;
     }
     double x = q[0], y = q[1], z = q[2];
@@ -459,7 +399,7 @@ cayley_inv9(PyObject *Py_UNUSED(module), PyObject *const *args,
             Py_ssize_t nargs)
 {
     double q[3], qh[3], ql[3];
-    if (check_nargs("cayley_inv9", nargs, 1) || load(args[0], q, 3, 1)) {
+    if (check_nargs("cayley_inv9", nargs, 1) || load(args[0], q, 3)) {
         return NULL;
     }
     for (int i = 0; i < 3; i++) {
@@ -497,7 +437,7 @@ rot_residuals9(PyObject *Py_UNUSED(module), PyObject *const *args,
                Py_ssize_t nargs)
 {
     double m[9];
-    if (check_nargs("rot_residuals9", nargs, 1) || load(args[0], m, 9, 1)) {
+    if (check_nargs("rot_residuals9", nargs, 1) || load(args[0], m, 9)) {
         return NULL;
     }
     double g[6] = {
@@ -531,10 +471,6 @@ rot_residuals9(PyObject *Py_UNUSED(module), PyObject *const *args,
     }
 
 static PyMethodDef kernel_methods[] = {
-    KERNEL(dot3),
-    KERNEL(cross3),
-    KERNEL(norm3),
-    KERNEL(matvec),
     KERNEL(matmul),
     KERNEL(matmul_comp),
     KERNEL(euler_rodrigues9),

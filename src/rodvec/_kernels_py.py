@@ -1,13 +1,16 @@
 """Pure-Python scalar kernels.
 
-Vectors are 3-tuples of floats, matrices 9-tuples in row-major order.
-This module is the reference and the fallback backend.  ``_kernels_c.c``
-implements the same functions in C, each performing the same IEEE
-operations in the same order, with no contraction into fused multiply-adds,
-so that both backends give the same bits; a change here is made there too.
-A formula is a kernel only where its compiled twin pays for itself; the
-float core ``_lifted`` writes out the rest, such as the half-turn matrix
-2 n n^T - 1 and the quotient of Shepperd's rule.
+Vectors are 3-tuples of floats, matrices 9-tuples in row-major order, and
+each argument must have exactly that many items: every kernel unpacks its
+arguments, so any other length raises ValueError.  This module is the
+reference and the fallback backend.  ``_kernels_c.c`` implements the same
+six matrix kernels in C, each performing the same IEEE operations in the
+same order, with no contraction into fused multiply-adds, so that both
+backends give the same bits; a change here is made there too.  A formula
+is a kernel only where its compiled twin pays for itself; the callers
+write out the rest, such as every 3-vector dot, cross, norm and
+matrix-vector product, the half-turn matrix 2 n n^T - 1 and the quotient
+of Shepperd's rule.
 
 The explicit Cayley inverse ``cayley_inv9`` and ``matmul_comp`` use
 compensated (double-double) arithmetic.  Each entry of (1 - Qx)^-1 is
@@ -31,42 +34,19 @@ BACKEND = "python"
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
 
 
-def dot3(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def cross3(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def norm3(a):
-    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def matvec(m, v):
-    x, y, z = v
-    return (
-        m[0] * x + m[1] * y + m[2] * z,
-        m[3] * x + m[4] * y + m[5] * z,
-        m[6] * x + m[7] * y + m[8] * z,
-    )
-
-
 def matmul(a, b):
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
     return (
-        a[0] * b[0] + a[1] * b[3] + a[2] * b[6],
-        a[0] * b[1] + a[1] * b[4] + a[2] * b[7],
-        a[0] * b[2] + a[1] * b[5] + a[2] * b[8],
-        a[3] * b[0] + a[4] * b[3] + a[5] * b[6],
-        a[3] * b[1] + a[4] * b[4] + a[5] * b[7],
-        a[3] * b[2] + a[4] * b[5] + a[5] * b[8],
-        a[6] * b[0] + a[7] * b[3] + a[8] * b[6],
-        a[6] * b[1] + a[7] * b[4] + a[8] * b[7],
-        a[6] * b[2] + a[7] * b[5] + a[8] * b[8],
+        a0 * b0 + a1 * b3 + a2 * b6,
+        a0 * b1 + a1 * b4 + a2 * b7,
+        a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6,
+        a3 * b1 + a4 * b4 + a5 * b7,
+        a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6,
+        a6 * b1 + a7 * b4 + a8 * b7,
+        a6 * b2 + a7 * b5 + a8 * b8,
     )
 
 
@@ -76,8 +56,10 @@ def matmul_comp(a, b):
     Each entry is the correctly rounded fsum of the three exact products
     p + e, with e the error of p = u*c from the Dekker splits of u and c.
     """
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
     split = []
-    for u, v, w in (a[0:3], a[3:6], a[6:9], b[0::3], b[1::3], b[2::3]):
+    for u, v, w in ((a0, a1, a2), (a3, a4, a5), (a6, a7, a8), (b0, b3, b6), (b1, b4, b7), (b2, b5, b8)):
         t = _SPLIT * u
         uh = t - (t - u)
         t = _SPLIT * v

@@ -167,9 +167,16 @@ def _from_vec(x: float, y: float, z: float) -> tuple[float, float, float]:
     return _direction(x, y, z)
 
 
+def _cross_plain(u, v) -> tuple[float, float, float]:
+    """u x v, unchecked: a product that overflows stays inf or nan."""
+    ux, uy, uz = u
+    vx, vy, vz = v
+    return uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+
+
 def _cross(u, v) -> tuple[float, float, float]:
     """u x v with the finite check of Vec3.cross."""
-    w = _k.cross3(u, v)
+    w = _cross_plain(u, v)
     if not math.isfinite(w[0] + w[1] + w[2]):  # the sum may also overflow
         _require_finite(*w)
     return w
@@ -365,8 +372,9 @@ def _inverse_scaled(x: float, y: float, z: float) -> tuple[float, ...]:
 def _cayley_residuals(qt, xt) -> tuple[float, float]:
     """cayley_residuals on the triples of Q and x.
 
-    R x, the cross products and the norms are written out as the kernels
-    form them; R is the kernel matrix of matrix_from_rodrigues.
+    R x, the cross products and the norms are written out, each product
+    in the order of ``_cross_plain``; R is the kernel matrix of
+    matrix_from_rodrigues.
     """
     qx, qy, qz = qt
     x, y, z = xt
@@ -394,12 +402,15 @@ def _lambda(x2: float, y2: float, z2: float, x1: float, y1: float, z1: float) ->
 
     When the dot product overflows it is taken again from the operands
     divided by their largest components, so that lambda is +-inf past the
-    float range, never nan.  ``_compose_chain`` calls it only for a step
-    whose product overflows, and ``_composition_diagnostics`` only where
-    1 - Q2.Q1 does: elsewhere lambda is the product's own scalar part.
+    float range, never nan; a non-finite operand raises ValueError.
+    ``_compose_chain`` calls it only for a step whose product overflows,
+    and ``_composition_diagnostics`` only where 1 - Q2.Q1 does: elsewhere
+    lambda is the product's own scalar part.
     """
     d = x2 * x1 + y2 * y1 + z2 * z1
     if not math.isfinite(d):
+        # a non-finite operand would divide by a nan or inf largest component
+        _require_finite(x2, y2, z2, x1, y1, z1)
         m2 = max(abs(x2), abs(y2), abs(z2))
         m1 = max(abs(x1), abs(y1), abs(z1))
         x2, y2, z2 = x2 / m2, y2 / m2, z2 / m2
@@ -460,18 +471,14 @@ def _composition_diagnostics(q2t, q1t, at):
     finite, lambda is not zero to rounding and the quotient has a finite
     sum.  Elsewhere Q3 comes from ``_compose_lifted``, which checks and
     raises, and lambda from ``_lambda`` where it is not finite.  Every
-    cross product and norm is written out as the kernels form it.
+    cross product and norm is written out, in the order of
+    ``_cross_plain``.
     """
     x1, y1, z1 = q1t
     x2, y2, z2 = q2t
     ax, ay, az = at
     if x1 or y1 or z1:
-        ss = x1 * x1 + y1 * y1 + z1 * z1
-        if _MIN_NORMAL <= ss < math.inf:
-            n = math.sqrt(ss)
-            ux, uy, uz = x1 / n, y1 / n, z1 / n
-        else:
-            ux, uy, uz = _unit(x1, y1, z1)
+        ux, uy, uz = _unit(x1, y1, z1)
         if abs(ax * ux + ay * uy + az * uz) > 1e-9:
             raise NotPerpendicular("a must be perpendicular to Q1")
     lam = 1.0 - (x2 * x1 + y2 * y1 + z2 * z1)
@@ -519,18 +526,16 @@ def _scaled_law_residual(q3, q2t, q1t, at, lam):
     q1 = (q1t[0] / f1, q1t[1] / f1, q1t[2] / f1)
     q2 = (q2t[0] / f2, q2t[1] / f2, q2t[2] / f2)
     lam = lam / f1 / f2
-    lhs = _k.cross3(q3, at)
+    lhs = _cross_plain(q3, at)
     lhs = (lam * (at[0] + lhs[0]), lam * (at[1] + lhs[1]), lam * (at[2] + lhs[2]))
     # a / (f1 f2) + Q1 x a / (f1 f2) + Q2 x a / (f1 f2) + Q2 x (Q1 x a) / (f1 f2)
-    c1 = _k.cross3(q1, at)
-    c2 = _k.cross3(q2, at)
-    c21 = _k.cross3(q2, c1)
-    rhs = (
-        at[0] / f1 / f2 + c1[0] / f2 + c2[0] / f1 + c21[0],
-        at[1] / f1 / f2 + c1[1] / f2 + c2[1] / f1 + c21[1],
-        at[2] / f1 / f2 + c1[2] / f2 + c2[2] / f1 + c21[2],
-    )
-    return _k.norm3((lhs[0] - rhs[0], lhs[1] - rhs[1], lhs[2] - rhs[2])) * f1 * f2
+    c1 = _cross_plain(q1, at)
+    c2 = _cross_plain(q2, at)
+    c21 = _cross_plain(q2, c1)
+    dx = lhs[0] - (at[0] / f1 / f2 + c1[0] / f2 + c2[0] / f1 + c21[0])
+    dy = lhs[1] - (at[1] / f1 / f2 + c1[1] / f2 + c2[1] / f1 + c21[1])
+    dz = lhs[2] - (at[2] / f1 / f2 + c1[2] / f2 + c2[2] / f1 + c21[2])
+    return math.sqrt(dx * dx + dy * dy + dz * dz) * f1 * f2
 
 
 # --- Donkin's spherical triangle ------------------------------------------
@@ -539,8 +544,8 @@ def _scaled_law_residual(q3, q2t, q1t, at, lam):
 def _require_triangle(a, b, c) -> None:
     """Raise ValueError when the points a, b, c are collinear, with the
     finite checks of the Vec3 values b - a, c - a and their cross product.
-    The cross product and its norm are written out as the kernels form
-    them."""
+    The cross product, in the order of ``_cross_plain``, and its norm are
+    written out."""
     ax, ay, az = a
     bx, by, bz = b[0] - ax, b[1] - ay, b[2] - az
     cx, cy, cz = c[0] - ax, c[1] - ay, c[2] - az
@@ -555,95 +560,69 @@ def _require_triangle(a, b, c) -> None:
 
 def _arc_angle(u, v) -> float:
     """arc_angle on the triples of u and v."""
-    return math.atan2(_k.norm3(_cross(u, v)), u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
+    wx, wy, wz = _cross(u, v)
+    return math.atan2(math.sqrt(wx * wx + wy * wy + wz * wz), u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
 
 
 def _bisector(q, x) -> tuple[float, float, float]:
     """bisector_intersection on the triples of Q and x."""
-    t = _k.cross3(q, x)
+    t = _cross_plain(q, x)
     return x[0] + t[0], x[1] + t[1], x[2] + t[2]
 
 
 def _half_angle_point(q, a) -> tuple[float, float, float]:
     """half_angle_point on the triples of Q and a.
 
-    The unit axis, the perpendicularity test, the bisector point
-    (1 + Qx) a and its normalization are written out; a sum of squares
-    outside the normal float range calls _unit, and a bisector point that
-    from_vec does not divide inline calls _from_vec, which raises.
+    The perpendicularity test and the bisector point (1 + Qx) a are
+    written out; the unit axis is _unit's, and the normalization
+    _from_vec's, which raises.
     """
     qx, qy, qz = q
     ax, ay, az = a
     if not (qx or qy or qz):
         raise ValueError("half_angle_point needs a nonzero rotation")
-    ss = qx * qx + qy * qy + qz * qz
-    if _MIN_NORMAL <= ss < math.inf:
-        n = math.sqrt(ss)
-        ux, uy, uz = qx / n, qy / n, qz / n
-    else:
-        ux, uy, uz = _unit(qx, qy, qz)
+    ux, uy, uz = _unit(qx, qy, qz)
     if abs(ax * ux + ay * uy + az * uz) > 1e-9:
         raise NotPerpendicular("a must lie in the plane perpendicular to Q")
     # from_vec's checks include the finite check of Vec3((1 + Qx) a)
-    bx = ax + (qy * az - qz * ay)
-    by = ay + (qz * ax - qx * az)
-    bz = az + (qx * ay - qy * ax)
-    ss = bx * bx + by * by + bz * bz
-    n = math.sqrt(ss)
-    if n >= 1e-15 and ss < math.inf:
-        return bx / n, by / n, bz / n
-    return _from_vec(bx, by, bz)
+    return _from_vec(ax + (qy * az - qz * ay), ay + (qz * ax - qx * az), az + (qx * ay - qy * ax))
 
 
 def _donkin_triangle(q1, q2):
     """donkin_triangle on the triples of Q1 and Q2: the vertices A, B, C.
 
-    The unit axes, their cross product, Q2 x Q1, B, the norm of Q1 and R B
-    are written out, each as the kernels form it, and ||Q1|| is the norm
-    its unit axis divides by.  A sum of squares outside the normal float
-    range calls _unit, and a vertex A that from_vec does not divide inline
-    calls _from_vec, which raises.
+    The unit axis of Q1, the cross product of the axes, Q2 x Q1 and R B
+    are written out, and ||Q1|| is the norm that unit axis divides by,
+    where its sum of squares is a normal float; elsewhere it is _unit's,
+    as are the unit axis of Q2 and B.  The vertex A is _from_vec's, which
+    raises.
     """
     x1, y1, z1 = q1
     x2, y2, z2 = q2
     if not (x1 or y1 or z1) or not (x2 or y2 or z2):
         raise ParallelAxes("both rotations must be nonzero")
     ss = x1 * x1 + y1 * y1 + z1 * z1
-    n1 = math.sqrt(ss)  # norm3(Q1)
+    n1 = math.sqrt(ss)  # ||Q1||
     if _MIN_NORMAL <= ss < math.inf:
         axis1 = u1x, u1y, u1z = x1 / n1, y1 / n1, z1 / n1
     else:
         axis1 = u1x, u1y, u1z = _unit(x1, y1, z1)
-    ss = x2 * x2 + y2 * y2 + z2 * z2
-    if _MIN_NORMAL <= ss < math.inf:
-        n = math.sqrt(ss)
-        u2x, u2y, u2z = x2 / n, y2 / n, z2 / n
-    else:
-        u2x, u2y, u2z = _unit(x2, y2, z2)
+    u2x, u2y, u2z = _unit(x2, y2, z2)
     # n2 x n1
     px, py, pz = u2y * u1z - u2z * u1y, u2z * u1x - u2x * u1z, u2x * u1y - u2y * u1x
     if math.sqrt(px * px + py * py + pz * pz) <= 1e-9:
         raise ParallelAxes("rotation axes are parallel; no spherical triangle exists")
     cx, cy, cz = y2 * z1 - z2 * y1, z2 * x1 - x2 * z1, x2 * y1 - y2 * x1
-    ss = cx * cx + cy * cy + cz * cz
-    if _MIN_NORMAL <= ss < math.inf:
-        n = math.sqrt(ss)
-        b = bx, by, bz = cx / n, cy / n, cz / n
-    else:
-        if not 0.0 < ss < math.inf:
-            cx, cy, cz = px, py, pz  # Q2 x Q1 over- or underflows; n2 x n1 has its direction
-        b = bx, by, bz = _unit(cx, cy, cz)
+    if not 0.0 < cx * cx + cy * cy + cz * cz < math.inf:
+        cx, cy, cz = px, py, pz  # Q2 x Q1 over- or underflows; n2 x n1 has its direction
+    b = bx, by, bz = _unit(cx, cy, cz)
     r = _euler_rodrigues9(axis1, -math.atan(n1))  # theta1/2
     # A = R B, with from_vec's checks, which include the finite check of Vec3(R B)
-    ax = r[0] * bx + r[1] * by + r[2] * bz
-    ay = r[3] * bx + r[4] * by + r[5] * bz
-    az = r[6] * bx + r[7] * by + r[8] * bz
-    ss = ax * ax + ay * ay + az * az
-    n = math.sqrt(ss)
-    if n >= 1e-15 and ss < math.inf:
-        a = ax / n, ay / n, az / n
-    else:
-        a = _from_vec(ax, ay, az)
+    a = _from_vec(
+        r[0] * bx + r[1] * by + r[2] * bz,
+        r[3] * bx + r[4] * by + r[5] * bz,
+        r[6] * bx + r[7] * by + r[8] * bz,
+    )
     cpt = _half_angle_point(q2, b)
     _require_triangle(a, b, cpt)
     return a, b, cpt

@@ -11,14 +11,14 @@ triples and tuples of nine floats, the routines behind the typed API, so
 that this module loads none of the typed modules.
 
 A sample's 3-vector arithmetic is written out, here and in those
-routines, with the operations of the kernels in their order, so that no
-dot, cross, norm or matrix-vector product is a kernel call and none is
-formed twice; each residual keeps the bits the kernels give.  The matrix
-kernels (Euler-Rodrigues, the Cayley inverse and its compensated
-products, the SO(3) residuals, the Donkin product) are still called, and
-each routine calls its general fallback where a sum of squares leaves the
-normal float range or a composition overflows or is a half-turn.  A nan
-residual stays nan in its diagnostic's worst residual, which then fails.
+routines, each dot, cross, norm and matrix-vector product in one operation
+order (no backend has a kernel for them), and none is formed twice.  The
+six matrix kernels (Euler-Rodrigues, the Rodrigues matrix, the Cayley
+inverse and its compensated products, the SO(3) residuals, the Donkin
+product) are called, and each routine calls its general fallback, _unit
+or _from_vec among them, where a sum of squares leaves the normal float
+range or a composition overflows or is a half-turn.  A nan residual stays
+nan in its diagnostic's worst residual, which then fails.
 """
 
 import math

@@ -96,7 +96,11 @@ class Vec3:
         return self.x * other.x + self.y * other.y + self.z * other.z
 
     def cross(self, other: "Vec3") -> "Vec3":
-        return Vec3(*_k.cross3(self.as_tuple(), other.as_tuple()))
+        return Vec3(
+            self.y * other.z - self.z * other.y,
+            self.z * other.x - self.x * other.z,
+            self.x * other.y - self.y * other.x,
+        )
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -196,7 +200,7 @@ class Matrix3:
         if isinstance(other, Matrix3):
             return Matrix3(_k.matmul(self.elements, other.elements))
         if isinstance(other, Vec3):
-            return Vec3(*_k.matvec(self.elements, other.as_tuple()))
+            return _apply9(self.elements, other)
         return NotImplemented
 
     def __add__(self, other: "Matrix3") -> "Matrix3":
@@ -255,7 +259,7 @@ class RotationMatrix:
         return self.matrix.elements
 
     def apply(self, x: Vec3) -> Vec3:
-        return Vec3(*_k.matvec(self.matrix.elements, x.as_tuple()))
+        return _apply9(self.matrix.elements, x)
 
     def transpose(self) -> "RotationMatrix":
         return RotationMatrix(self.matrix.transpose())
@@ -285,6 +289,13 @@ class HalfTurn:
         a = self.axis
         if _flip_half_axis(a.x, a.y, a.z):
             object.__setattr__(self, "axis", -a)
+
+
+def _apply9(e, v: Vec3) -> Vec3:
+    """The Vec3 of the row-major 3x3 matrix e times v."""
+    e0, e1, e2, e3, e4, e5, e6, e7, e8 = e
+    x, y, z = v.x, v.y, v.z
+    return Vec3(e0 * x + e1 * y + e2 * z, e3 * x + e4 * y + e5 * z, e6 * x + e7 * y + e8 * z)
 
 
 def _matrix3(e) -> Matrix3:

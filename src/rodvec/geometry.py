@@ -21,7 +21,6 @@ boundary, and the figure scenes are built from them.
 import math
 from dataclasses import dataclass
 
-from rodvec._backend import kernels as _k
 from rodvec._lifted import (
     FIGURE_KINDS,
     _arc_angle,
@@ -91,7 +90,7 @@ def tangent_to_bisector(q: RodriguesVector, x: Vec3) -> Vec3:
     Perpendicular to both x and the axis; its length is tan(theta/2) times
     the arc radius ||Q x x||/||Q||.
     """
-    return Vec3(*_k.cross3(q.as_tuple(), x.as_tuple()))
+    return q.cross(x)
 
 
 def bisector_intersection(q: RodriguesVector, x: Vec3) -> Vec3:

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import rodvec.core
-from conftest import rand_axis_angle, rand_rod
+from conftest import rand_axis_angle, rand_rod, rand_unit, rand_vec
 from rodvec import checks
 from rodvec._backend import backend_name, kernels as _k
 from rodvec._lifted import _IDENTITY9, _max_diff9
@@ -30,15 +30,20 @@ from rodvec.core import (
     UnitVector,
     Vec3,
     euler_rodrigues_matrix,
+    matrix_from_rodrigues,
 )
 from rodvec.errors import DegenerateComposition, NotPerpendicular, ParallelAxes
 from rodvec.geometry import (
     SphericalTriangle,
+    arc_angle,
+    bisector_intersection,
     donkin_residual,
     donkin_triangle,
     donkin_verify,
     half_angle_point,
+    tangent_to_bisector,
 )
+from rodvec.kinematics import AngularVelocity, infinitesimal_displacement, velocity_field
 
 RESIDUALS = Path(__file__).resolve().parent / "data" / "check_residuals.txt"
 
@@ -127,6 +132,58 @@ def test_wrapper_outcomes_are_pinned():
     lines = _wrapper_outcomes()
     assert len(lines) == 970
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == WRAPPER_DIGEST
+
+
+#: points with components past the overflow of a product with the edge
+#: rotations, below the underflow of one, and signed zeros
+EDGE_VECTORS = [
+    Vec3(0.0, 0.0, 0.0),
+    Vec3(-0.0, 0.0, -0.0),
+    Vec3(1e200, 0.0, 0.0),
+    Vec3(0.0, 1e200, -1e199),
+    Vec3(1.7e308, -1.7e308, 0.0),
+    Vec3(1e-170, 0.0, 3e-171),
+    Vec3(5e-324, 0.0, 0.0),
+]
+
+
+def _vector_outcomes():
+    """The outcome of every typed 3-vector product (cross products,
+    matrix-vector products and the arc angle) on 40 seeded samples and on
+    the edge rotations and points, one line each."""
+    rng = random.Random(20261019)
+    pairs = [(rand_rod(rng, 2.7), rand_vec(rng)) for _ in range(40)]
+    pairs += [(q, x) for q in EDGE_ROTATIONS for x in EDGE_VECTORS]
+    lines = []
+    for q, x in pairs:
+        wide = Matrix3(tuple(rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(-200.0, 200.0) for _ in range(9)))
+        r = matrix_from_rodrigues(q)
+        lines.append(_outcome(q.cross, x))
+        lines.append(_outcome(x.cross, q))
+        lines.append(_outcome(r.matrix.__matmul__, x))
+        lines.append(_outcome(wide.__matmul__, x))
+        lines.append(_outcome(r.apply, x))
+        lines.append(_outcome(r.__matmul__, x))
+        lines.append(_outcome(tangent_to_bisector, q, x))
+        lines.append(_outcome(bisector_intersection, q, x))
+        lines.append(_outcome(infinitesimal_displacement, q, x))
+        lines.append(_outcome(velocity_field, AngularVelocity(*q.as_tuple()), x))
+    units = [rand_unit(rng) for _ in range(40)]
+    units += [UnitVector(1.0, 0.0, 0.0), UnitVector(-1.0, 0.0, 0.0), UnitVector(0.0, -0.0, 1.0)]
+    for u, v in zip(units, units[1:] + units[:1]):
+        lines.append(_outcome(arc_angle, u, v))
+        lines.append(_outcome(arc_angle, u, u))
+        lines.append(_outcome(arc_angle, u, -u))
+    return lines
+
+
+VECTOR_DIGEST = "2b975ca7b9f7ed0d4ea80893a3b90cbde4f4aae6661000ec4b17eec315295034"
+
+
+def test_vector_product_outcomes_are_pinned():
+    lines = _vector_outcomes()
+    assert len(lines) == 1159
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == VECTOR_DIGEST
 
 
 def test_diagnostic_result_is_an_immutable_record():

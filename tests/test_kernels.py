@@ -7,7 +7,8 @@ write the same steps out inline, and must give the same bits.
 ``transpose9``, ``skew9``, ``compose_num_den``, ``half_turn9`` and
 ``rod_from_rot9`` were kernels once; their callers now write the tuples
 out.  Their formulas are kept here as the reference those callers must
-match bit for bit.
+match bit for bit.  So were the 3-vector dot, cross, norm and
+matrix-vector products, whose formulas ``test_properties`` keeps.
 """
 
 import inspect
@@ -27,11 +28,27 @@ from hypothesis import example, given, settings
 from rodvec import _kernels_py as kp
 from rodvec import _lifted, checks
 from rodvec.composition import composition_diagnostics
-from rodvec.core import Matrix3, RodriguesVector, SkewMatrix, UnitVector, Vec3
+from rodvec.core import (
+    Matrix3,
+    RodriguesVector,
+    SkewMatrix,
+    UnitVector,
+    Vec3,
+    _rotation_matrix,
+    matrix_from_rodrigues,
+)
 from rodvec.errors import DegenerateComposition, NotPerpendicular, RodvecError
-from rodvec.geometry import donkin_triangle
+from rodvec.geometry import donkin_triangle, tangent_to_bisector
 from test_acceptance import _q_of, _rand_axis_angle
-from test_properties import euler_parameters, matrix_of_euler_parameters
+from test_properties import (
+    cross,
+    dot,
+    euler_parameters,
+    mat_vec,
+    matrix_of_euler_parameters,
+    norm,
+    ref_cross,
+)
 
 # ------------------------------------------------------------ the reference
 
@@ -153,18 +170,18 @@ def ref_lift_matrix9(e):
 
 def ref_compose_num_den(q2, q1):
     """Numerator Q1 + Q2 + Q2 x Q1 and denominator 1 - Q2.Q1 of the composition law."""
-    cx, cy, cz = kp.cross3(q2, q1)
+    cx, cy, cz = cross(q2, q1)
     num = (q1[0] + q2[0] + cx, q1[1] + q2[1] + cy, q1[2] + q2[2] + cz)
-    return num, 1.0 - kp.dot3(q2, q1)
+    return num, 1.0 - dot(q2, q1)
 
 
 def ref_lambda(q2, q1):
     """1 - Q2.Q1, with the dot product taken again from Q2 and Q1 divided by
     their largest components where it overflows, and multiplied back."""
-    d = kp.dot3(q2, q1)
+    d = dot(q2, q1)
     if not math.isfinite(d):
         m2, m1 = max(map(abs, q2)), max(map(abs, q1))
-        d = m2 * (m1 * kp.dot3([c / m2 for c in q2], [c / m1 for c in q1]))
+        d = m2 * (m1 * dot([c / m2 for c in q2], [c / m1 for c in q1]))
     return 1.0 - d
 
 
@@ -174,13 +191,13 @@ def ref_law_residual(q3, q2, q1, a, lam, f1, f2):
     q1 = [c / f1 for c in q1]
     q2 = [c / f2 for c in q2]
     lam = lam / f1 / f2
-    lhs = kp.cross3(q3, a)
+    lhs = cross(q3, a)
     lhs = [lam * (a[i] + lhs[i]) for i in range(3)]
-    c1 = kp.cross3(q1, a)
-    c2 = kp.cross3(q2, a)
-    c21 = kp.cross3(q2, c1)
+    c1 = cross(q1, a)
+    c2 = cross(q2, a)
+    c21 = cross(q2, c1)
     rhs = [a[i] / f1 / f2 + c1[i] / f2 + c2[i] / f1 + c21[i] for i in range(3)]
-    return kp.norm3([lhs[i] - rhs[i] for i in range(3)]) * f1 * f2
+    return norm([lhs[i] - rhs[i] for i in range(3)]) * f1 * f2
 
 
 def ref_composition_diagnostics(q2t, q1t, at):
@@ -188,7 +205,7 @@ def ref_composition_diagnostics(q2t, q1t, at):
     ref_compose_num_den, lambda of ref_lambda, and the residual of
     ref_law_residual: unscaled, or, where that is not finite but lambda
     is, scaled by the powers of two at or below the largest components."""
-    if any(q1t) and abs(kp.dot3(at, _lifted._unit(*q1t))) > 1e-9:
+    if any(q1t) and abs(dot(at, _lifted._unit(*q1t))) > 1e-9:
         raise NotPerpendicular("a must be perpendicular to Q1")
     s, x, y, z = _lifted._compose_lifted(1.0, *q2t, 1.0, *q1t)
     if not s:
@@ -383,7 +400,9 @@ def test_backends_define_the_same_kernels():
         if f.__module__ == kp.__name__ and not name.startswith("_")
     }
     assert len(compiled) == len(set(compiled))
-    assert set(compiled) == python
+    assert set(compiled) == python == {
+        "matmul", "matmul_comp", "euler_rodrigues9", "rot_from_rod9", "cayley_inv9", "rot_residuals9"
+    }
 
 
 # ---------------------------------------- parity with the compiled backend
@@ -453,10 +472,6 @@ _SPECIAL = (0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308, -1.7e308, math
 
 #: the length of each kernel argument, 0 for a scalar
 _ARGS = {
-    "dot3": (3, 3),
-    "cross3": (3, 3),
-    "norm3": (3,),
-    "matvec": (9, 3),
     "matmul": (9, 9),
     "matmul_comp": (9, 9),
     "euler_rodrigues9": (3, 0),
@@ -495,7 +510,12 @@ def test_kernel_parity_over_the_float_range(kc, name):
         ("euler_rodrigues9", ((0.0, 0.0, 1.0), math.inf), ValueError),
         ("matmul_comp", ((1e300,) * 9, (1e8,) * 9), OverflowError),
         ("matmul_comp", ((math.inf, -math.inf, 0.0) * 3, (1.0,) * 9), ValueError),
-        ("dot3", ((1.0, 2.0), (1.0, 2.0, 3.0)), IndexError),
+        # every argument must have exactly its length
+        ("matmul", ((1.0,) * 8, (1.0,) * 9), ValueError),
+        ("matmul", ((1.0,) * 9, (1.0,) * 10), ValueError),
+        ("matmul_comp", ((1.0,) * 10, (1.0,) * 9), ValueError),
+        ("rot_from_rod9", ((1.0, 2.0),), ValueError),
+        ("rot_residuals9", ((1.0,) * 10,), ValueError),
     ],
 )
 def test_backends_raise_alike(kc, name, args, error):
@@ -517,7 +537,7 @@ def _finite_float(rng, wide):
 def _unit_perpendicular(rng, q):
     """A unit vector perpendicular to q, or any unit vector when q = 0."""
     r = (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
-    c = kp.cross3(_lifted._unit(*q), r) if any(q) else r
+    c = cross(_lifted._unit(*q), r) if any(q) else r
     return _lifted._unit(*c)
 
 
@@ -532,6 +552,51 @@ def test_transpose_and_skew_match_the_deleted_kernels():
     for zeros in ((0.0, -0.0, 0.0), (-0.0, 0.0, -0.0)):
         assert _same_bits(SkewMatrix(Vec3(*zeros)).matrix.elements, ref_skew9(zeros))
         assert _same_bits(Matrix3(zeros * 3).transpose().elements, ref_transpose9(zeros * 3))
+
+
+def _vec_outcome(f, *args):
+    """_outcome of f(*args), with a Vec3 result as its tuple."""
+    got = _outcome(f, *args)
+    return got.as_tuple() if isinstance(got, Vec3) else got
+
+
+def test_vector_products_match_the_deleted_kernels():
+    # the typed products and the float core's write out the formulas of the
+    # deleted 3-vector kernels: bits where they return, the exception type
+    # where they raise (a typed product that overflows fails Vec3's check)
+    rng = random.Random(zlib.crc32(b"3-vector products"))
+    outcomes = set()
+    for i in range(1000):
+        wide = i % 2 == 1
+        a, b, c, d = (tuple(_finite_float(rng, wide) for _ in range(3)) for _ in range(4))
+        m = tuple(_finite_float(rng, wide) for _ in range(9))
+        lam = _finite_float(rng, wide)
+        r = matrix_from_rodrigues(RodriguesVector(*a)).elements
+        want = _vec_outcome(Vec3, *cross(a, b))
+        outcomes.add(want if isinstance(want, type) else tuple)
+        pairs = [
+            (_vec_outcome(Vec3(*a).cross, Vec3(*b)), want),
+            (_vec_outcome(tangent_to_bisector, RodriguesVector(*a), Vec3(*b)), want),
+            (_vec_outcome(Matrix3(m).__matmul__, Vec3(*b)), _vec_outcome(Vec3, *mat_vec(m, b))),
+            (_vec_outcome(_rotation_matrix(m).apply, Vec3(*b)), _vec_outcome(Vec3, *mat_vec(m, b))),
+            (_vec_outcome(_rotation_matrix(r).__matmul__, Vec3(*b)), _vec_outcome(Vec3, *mat_vec(r, b))),
+            (_outcome(_lifted._cross, a, b), _outcome(ref_cross, a, b)),
+            (_outcome(_lifted._bisector, a, b), tuple(b[k] + cross(a, b)[k] for k in range(3))),
+            (
+                _outcome(_lifted._arc_angle, a, b),
+                _outcome(lambda: math.atan2(norm(ref_cross(a, b)), dot(a, b))),
+            ),
+        ]
+        f1, f2 = (2.0 ** (math.frexp(max(map(abs, q)))[1] - 1) for q in (c, b))
+        pairs.append(
+            (
+                _outcome(_lifted._scaled_law_residual, a, b, c, d, lam),
+                _outcome(ref_law_residual, a, b, c, d, lam, f1, f2),
+            )
+        )
+        for got, expected in pairs:
+            assert _same_result(got, expected), (a, b, c, d, m, lam)
+    assert outcomes == {tuple, ValueError}
 
 
 @settings(max_examples=1000)
@@ -592,7 +657,7 @@ def test_composition_diagnostics_match_the_deleted_kernel():
         want = _outcome(ref_composition_diagnostics, q2, q1, a)
         assert _same_result(_outcome(_lifted._composition_diagnostics, q2, q1, a), want), (q2, q1, a)
         outcomes.add(want if isinstance(want, type) else tuple)
-        if abs(kp.norm3(a) - 1.0) > 1e-12:
+        if abs(norm(a) - 1.0) > 1e-12:
             continue
         got = _outcome(composition_diagnostics, RodriguesVector(*q2), RodriguesVector(*q1), UnitVector(*a))
         if not isinstance(got, type):

@@ -717,12 +717,61 @@ def test_compose_chain_matches_the_step_by_step_fold(rotations):
     assert _folded(_compose_chain, rotations) == _folded(ref_compose_chain, rotations)
 
 
+@pytest.mark.parametrize(
+    "operands, message",
+    [
+        # max(0.0, nan, 0.0) is 0.0: the rescale divided by zero
+        ((0.0, math.nan, 0.0, 1.0, 1.0, 1.0), "non-finite component: nan"),
+        # inf / inf: the rescale gave nan
+        ((math.inf, 0.0, 0.0, 1.0, 1.0, 1.0), "non-finite component: inf"),
+    ],
+)
+def test_lambda_rejects_a_non_finite_operand(operands, message):
+    with pytest.raises(ValueError, match=message):
+        _lambda(*operands)
+
+
+def test_lambda_past_the_float_range_is_infinite():
+    assert _lambda(1e200, 0.0, 0.0, 1e200, 0.0, 0.0) == -math.inf
+    assert _lambda(1e200, 0.0, 0.0, -1e200, 0.0, 0.0) == math.inf
+
+
 # --- check's sample path ------------------------------------------------------
 #
 # The references are the float-core routines as they were before their
-# 3-vector arithmetic was written out: built on the kernels, with _unit
-# always through _scaled_norm.  The routines must match them bit for bit,
-# exception class and message included.
+# 3-vector arithmetic was written out: built on the 3-vector kernels, with
+# _unit always through _scaled_norm.  The routines must match them bit for
+# bit, exception class and message included.
+#
+# The dot, cross, norm and matrix-vector products of 3-vectors were kernels
+# once, in both backends; every caller writes them out now.  dot, cross,
+# norm and mat_vec are the deleted kernels' formulas, the one set of
+# references for those callers.
+
+
+def dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def norm(a):
+    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
+
+
+def mat_vec(m, v):
+    x, y, z = v
+    return (
+        m[0] * x + m[1] * y + m[2] * z,
+        m[3] * x + m[4] * y + m[5] * z,
+        m[6] * x + m[7] * y + m[8] * z,
+    )
 
 
 def ref_unit(x, y, z):
@@ -742,7 +791,7 @@ def ref_from_vec(x, y, z):
 
 
 def ref_cross(u, v):
-    w = _k.cross3(u, v)
+    w = cross(u, v)
     if not math.isfinite(w[0] + w[1] + w[2]):
         _require_finite(*w)
     return w
@@ -751,9 +800,9 @@ def ref_cross(u, v):
 def ref_half_angle_point(q, a):
     if not any(q):
         raise ValueError("half_angle_point needs a nonzero rotation")
-    if abs(_k.dot3(a, ref_unit(*q))) > 1e-9:
+    if abs(dot(a, ref_unit(*q))) > 1e-9:
         raise NotPerpendicular("a must lie in the plane perpendicular to Q")
-    t = _k.cross3(q, a)
+    t = cross(q, a)
     return ref_from_vec(a[0] + t[0], a[1] + t[1], a[2] + t[2])
 
 
@@ -762,7 +811,7 @@ def ref_require_triangle(a, b, c):
     ac = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
     if not math.isfinite(ab[0] + ab[1] + ab[2] + ac[0] + ac[1] + ac[2]):
         _require_finite(*ab, *ac)
-    if _k.norm3(ref_cross(ab, ac)) <= 1e-9:
+    if norm(ref_cross(ab, ac)) <= 1e-9:
         raise ValueError("degenerate spherical triangle: vertices are collinear")
 
 
@@ -770,16 +819,16 @@ def ref_donkin_triangle(q1, q2):
     if not any(q1) or not any(q2):
         raise ParallelAxes("both rotations must be nonzero")
     axis1 = ref_unit(*q1)
-    axes_cross = _k.cross3(ref_unit(*q2), axis1)
-    if _k.norm3(axes_cross) <= 1e-9:
+    axes_cross = cross(ref_unit(*q2), axis1)
+    if norm(axes_cross) <= 1e-9:
         raise ParallelAxes("rotation axes are parallel; no spherical triangle exists")
-    c = _k.cross3(q2, q1)
-    if not 0.0 < _k.dot3(c, c) < math.inf:
+    c = cross(q2, q1)
+    if not 0.0 < dot(c, c) < math.inf:
         c = axes_cross
     b = ref_unit(*c)
-    half1 = math.atan(_k.norm3(q1))
+    half1 = math.atan(norm(q1))
     r = _euler_rodrigues9(axis1, -half1)
-    a = ref_from_vec(*_k.matvec(r, b))
+    a = ref_from_vec(*mat_vec(r, b))
     cpt = ref_half_angle_point(q2, b)
     ref_require_triangle(a, b, cpt)
     return a, b, cpt
@@ -787,32 +836,32 @@ def ref_donkin_triangle(q1, q2):
 
 def ref_double_arc_rotation9(u, v):
     c = ref_cross(u, v)
-    if _k.norm3(c) <= 1e-12:
+    if norm(c) <= 1e-12:
         return (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-    arc = math.atan2(_k.norm3(ref_cross(u, v)), u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
+    arc = math.atan2(norm(ref_cross(u, v)), u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
     return _euler_rodrigues9(ref_unit(*c), 2.0 * arc)
 
 
 def ref_composition_diagnostics(q2t, q1t, at):
-    if any(q1t) and abs(_k.dot3(at, ref_unit(*q1t))) > 1e-9:
+    if any(q1t) and abs(dot(at, ref_unit(*q1t))) > 1e-9:
         raise NotPerpendicular("a must be perpendicular to Q1")
     s, x, y, z = _compose_lifted(1.0, *q2t, 1.0, *q1t)
     if not s:
         raise DegenerateComposition("composition is a half-turn; lambda residual undefined")
-    num = _k.cross3(q2t, q1t)
+    num = cross(q2t, q1t)
     num = (q1t[0] + q2t[0] + num[0], q1t[1] + q2t[1] + num[1], q1t[2] + q2t[2] + num[2])
     lam = _lambda(*q2t, *q1t)
-    lhs = _k.cross3((x, y, z), at)
+    lhs = cross((x, y, z), at)
     lhs = (lam * (at[0] + lhs[0]), lam * (at[1] + lhs[1]), lam * (at[2] + lhs[2]))
-    c1 = _k.cross3(q1t, at)
-    c2 = _k.cross3(q2t, at)
-    c21 = _k.cross3(q2t, c1)
+    c1 = cross(q1t, at)
+    c2 = cross(q2t, at)
+    c21 = cross(q2t, c1)
     rhs = (
         at[0] + c1[0] + c2[0] + c21[0],
         at[1] + c1[1] + c2[1] + c21[1],
         at[2] + c1[2] + c2[2] + c21[2],
     )
-    residual = _k.norm3((lhs[0] - rhs[0], lhs[1] - rhs[1], lhs[2] - rhs[2]))
+    residual = norm((lhs[0] - rhs[0], lhs[1] - rhs[1], lhs[2] - rhs[2]))
     if not math.isfinite(residual) and math.isfinite(lam):
         residual = _scaled_law_residual((x, y, z), q2t, q1t, at, lam)
     if not math.isfinite(num[0] + num[1] + num[2]):
@@ -822,10 +871,10 @@ def ref_composition_diagnostics(q2t, q1t, at):
 
 def ref_cayley_residuals(qt, xt):
     rm = _k.rot_from_rod9(qt)
-    rx = _k.matvec(rm, xt)
-    qxx = _k.cross3(qt, xt)
-    qxrx = _k.cross3(qt, rx)
-    r1 = _k.norm3(
+    rx = mat_vec(rm, xt)
+    qxx = cross(qt, xt)
+    qxrx = cross(qt, rx)
+    r1 = norm(
         (
             xt[0] + qxx[0] - (rx[0] - qxrx[0]),
             xt[1] + qxx[1] - (rx[1] - qxrx[1]),
@@ -833,8 +882,8 @@ def ref_cayley_residuals(qt, xt):
         )
     )
     rx_plus_x = (rx[0] + xt[0], rx[1] + xt[1], rx[2] + xt[2])
-    lhs = _k.cross3(qt, rx_plus_x)
-    r2 = _k.norm3((lhs[0] - (rx[0] - xt[0]), lhs[1] - (rx[1] - xt[1]), lhs[2] - (rx[2] - xt[2])))
+    lhs = cross(qt, rx_plus_x)
+    r2 = norm((lhs[0] - (rx[0] - xt[0]), lhs[1] - (rx[1] - xt[1]), lhs[2] - (rx[2] - xt[2])))
     return r1, r2
 
 
@@ -881,7 +930,7 @@ def perpendicular_to(draw, q):
     r = draw(wide.filter(any))
     if not any(q) or not draw(st.booleans()):
         return r
-    c = _k.cross3(ref_unit(*q), ref_unit(*r))
+    c = cross(ref_unit(*q), ref_unit(*r))
     return ref_unit(*c) if any(c) else r
 
 

@@ -1,9 +1,10 @@
+import hashlib
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from rodvec import RodriguesVector, UnitVector, Vec3, figure_scene
-from rodvec.geometry import Arc, Label, Segment
+from rodvec.geometry import FIGURE_KINDS, Arc, Label, Segment
 from rodvec.svg import render_scene, write_scene
 
 NS = "{http://www.w3.org/2000/svg}"
@@ -78,3 +79,27 @@ def test_view_axis_override_changes_projection(fig1a_scene):
     default = render_scene(fig1a_scene)
     tilted = render_scene(fig1a_scene, view_axis=UnitVector.from_vec(Vec3(1.0, 1.0, 1.0)))
     assert default != tilted
+
+
+#: the sha256 of each kind's SVG text, so that a change to the scene
+#: arithmetic or to the rendering cannot move a byte unnoticed
+SVG_DIGESTS = {
+    "fig1a": "47f389660cfc2cd34d45df54b8c98d0e078653b34f56c3aabca7f25e36ef6b53",
+    "fig1b": "878eb02344dee37732b6b52935c5c5140d664a0ea10aef0b459d9fc3161de1d5",
+    "fig1c": "15def5cdbce9d4707151dc301804a13ea26c73b390ea696637206f60097397f9",
+    "fig2": "02bc9b8eb5960d9a4b0990bcd3dec599d57a40c68c46ad456e451f39e147ea2d",
+    "fig4": "5f40a89a7e8ae99c3ef940a26d3c94b255e9fc2acfe19acf14b49bc2e68439b5",
+    "fig5": "b8669efd02cb3c577b4570c1a299c0112c8ec19991c4e058832a93823749514a",
+}
+
+
+@pytest.mark.parametrize("kind", FIGURE_KINDS)
+def test_svg_bytes_are_pinned(kind):
+    q = RodriguesVector(0.3, -0.2, 1.1)
+    x = Vec3(0.3, 1.0, 0.5)
+    q2 = RodriguesVector(-0.7, 0.4, 0.25)
+    if kind in ("fig4", "fig5"):
+        scene = figure_scene(kind, q, q2=q2)
+    else:
+        scene = figure_scene(kind, q, x=x)
+    assert hashlib.sha256(render_scene(scene).encode()).hexdigest() == SVG_DIGESTS[kind]
