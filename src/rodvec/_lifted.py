@@ -13,12 +13,13 @@ diagnostics, Donkin's triangle and the attitude integrator.  The typed
 modules (``core``, ``cayley``, ``composition``, ``kinematics``,
 ``geometry``) import their arithmetic from here and never the reverse,
 and so do the command line and ``checks``.  This module imports nothing
-but ``math``, ``sys``, the kernels and the error types, so that
-``rodvec.cli`` and ``rodvec.checks`` load no typed class.
+but ``math``, ``sys``, ``itertools.pairwise``, the kernels and the error
+types, so that ``rodvec.cli`` and ``rodvec.checks`` load no typed class.
 """
 
 import math
 import sys
+from itertools import pairwise
 
 from rodvec._backend import kernels as _k
 from rodvec.errors import (
@@ -71,9 +72,12 @@ FIGURE_KINDS = ("fig1a", "fig1b", "fig1c", "fig2", "fig4", "fig5")
 
 
 def _require_finite(*values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite component: {v!r}")
+    try:
+        for v in values:
+            if not math.isfinite(v):
+                raise ValueError(f"non-finite component: {v!r}")
+    except OverflowError:  # an int past the float range, too long to print
+        raise ValueError("component too large for a float") from None
 
 
 def _require_so3(e) -> None:
@@ -131,7 +135,11 @@ def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
 def _unit_components(x: float, y: float, z: float) -> tuple[float, float, float]:
     """The components that UnitVector(x, y, z) stores: (x, y, z) itself at
     unit norm to 1e-12, renormalized within UNIT_RENORM_TOL, else rejected."""
-    n = math.sqrt(x * x + y * y + z * z)
+    try:
+        n = math.sqrt(x * x + y * y + z * z)
+    except OverflowError:  # an int sum of squares past the float range
+        _require_finite(x, y, z)
+        n = math.inf
     if abs(n - 1.0) <= 1e-12:
         return x, y, z
     _require_finite(x, y, z)
@@ -258,8 +266,8 @@ def _compose_lifted(
     canonical.  Negating a half-turn operand's n negates (s, v), which
     changes neither v/s, |s|, the test on it nor the canonical axis."""
     while True:
-        # the operation order of _composition_diagnostics, so that
-        # s1 = s2 = 1 gives its numerator and denominator bit for bit
+        # the operation order of _compose_chain's inline step, so that
+        # s1 = s2 = 1 gives its numerator and lambda bit for bit
         vx = s2 * x1 + s1 * x2 + (y2 * z1 - z2 * y1)
         vy = s2 * y1 + s1 * y2 + (z2 * x1 - x2 * z1)
         vz = s2 * z1 + s1 * z2 + (x2 * y1 - y2 * x1)
@@ -403,9 +411,8 @@ def _lambda(x2: float, y2: float, z2: float, x1: float, y1: float, z1: float) ->
     When the dot product overflows it is taken again from the operands
     divided by their largest components, so that lambda is +-inf past the
     float range, never nan; a non-finite operand raises ValueError.
-    ``_compose_chain`` calls it only for a step whose product overflows,
-    and ``_composition_diagnostics`` only where 1 - Q2.Q1 does: elsewhere
-    lambda is the product's own scalar part.
+    ``_compose_chain``, its one caller, calls it only for a step whose
+    product overflows: elsewhere lambda is the product's own scalar part.
     """
     d = x2 * x1 + y2 * y1 + z2 * z1
     if not math.isfinite(d):
@@ -464,15 +471,12 @@ def _composition_diagnostics(q2t, q1t, at):
     """composition_diagnostics on the triples of Q2, Q1 and a: the
     numerator, the denominator lambda and the residual.
 
-    The numerator Q1 + Q2 + Q2 x Q1 and lambda = 1 - Q2.Q1 are formed once,
-    with the operations of ``_compose_lifted(1, Q2, 1, Q1)`` in their
-    order, and Q3 is their quotient under the guards of ``_compose_chain``:
-    the sum of lambda, the numerator and the scale 1 + ||Q1|| ||Q2|| is
-    finite, lambda is not zero to rounding and the quotient has a finite
-    sum.  Elsewhere Q3 comes from ``_compose_lifted``, which checks and
-    raises, and lambda from ``_lambda`` where it is not finite.  Every
-    cross product and norm is written out, in the order of
-    ``_cross_plain``.
+    lambda and Q3 come from one ``_compose_chain(((1, Q1), (1, Q2)))``,
+    whose lambda = 1 - Q2.Q1 is the scalar part of the product that gives
+    Q3; the numerator Q1 + Q2 + Q2 x Q1 is formed only to be returned, with
+    that product's operations in their order, so with its bits.  A product
+    on the half-turn branch raises DegenerateComposition.  Every cross
+    product and norm is written out, in the order of ``_cross_plain``.
     """
     x1, y1, z1 = q1t
     x2, y2, z2 = q2t
@@ -481,23 +485,9 @@ def _composition_diagnostics(q2t, q1t, at):
         ux, uy, uz = _unit(x1, y1, z1)
         if abs(ax * ux + ay * uy + az * uz) > 1e-9:
             raise NotPerpendicular("a must be perpendicular to Q1")
-    lam = 1.0 - (x2 * x1 + y2 * y1 + z2 * z1)
-    nx = x1 + x2 + (y2 * z1 - z2 * y1)
-    ny = y1 + y2 + (z2 * x1 - x2 * z1)
-    nz = z1 + z2 + (x2 * y1 - y2 * x1)
-    scale = 1.0 + math.hypot(x1, y1, z1) * math.hypot(x2, y2, z2)
-    regular = False
-    # a finite sum has finite terms
-    if math.isfinite(lam + nx + ny + nz + scale) and abs(lam) > DEGENERACY_REL_TOL * scale:
-        x, y, z = nx / lam, ny / lam, nz / lam
-        regular = math.isfinite(x + y + z)
-    if not regular:
-        # a regular Q3 from _compose_lifted is finite, a half-turn axis unit
-        s, x, y, z = _compose_lifted(1.0, x2, y2, z2, 1.0, x1, y1, z1)
-        if not s:
-            raise DegenerateComposition("composition is a half-turn; lambda residual undefined")
-        if not math.isfinite(lam):
-            lam = _lambda(x2, y2, z2, x1, y1, z1)
+    (lam,), (s, x, y, z) = _compose_chain(((1.0, x1, y1, z1), (1.0, x2, y2, z2)))
+    if not s:
+        raise DegenerateComposition("composition is a half-turn; lambda residual undefined")
 
     # lambda (a + Q3 x a) against a + Q1 x a + Q2 x a + Q2 x (Q1 x a)
     c1x, c1y, c1z = y1 * az - z1 * ay, z1 * ax - x1 * az, x1 * ay - y1 * ax
@@ -507,9 +497,10 @@ def _composition_diagnostics(q2t, q1t, at):
     residual = math.sqrt(dx * dx + dy * dy + dz * dz)
     if not math.isfinite(residual) and math.isfinite(lam):
         residual = _scaled_law_residual((x, y, z), q2t, q1t, at, lam)
-    if not math.isfinite(nx + ny + nz):  # the sum may also overflow
-        _require_finite(nx, ny, nz)  # the check of Vec3(*num)
-    return (nx, ny, nz), lam, residual
+    num = (x1 + x2 + (y2 * z1 - z2 * y1), y1 + y2 + (z2 * x1 - x2 * z1), z1 + z2 + (x2 * y1 - y2 * x1))
+    if not math.isfinite(num[0] + num[1] + num[2]):  # the sum may also overflow
+        _require_finite(*num)  # the check of Vec3(*num)
+    return num, lam, residual
 
 
 def _scaled_law_residual(q3, q2t, q1t, at, lam):
@@ -710,13 +701,6 @@ def _increment(wx: float, wy: float, wz: float, dt: float, exact: bool) -> tuple
     return q
 
 
-def _pairs(seq):
-    """Each item of seq with the next one, as itertools.pairwise pairs them."""
-    later = iter(seq)
-    next(later, None)
-    return zip(seq, later)
-
-
 def _integrate(
     times: list[float],
     rates: list[tuple[float, float, float]],
@@ -750,13 +734,13 @@ def _integrate(
         raise ValueError("need at least two samples")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    for t0, t1 in _pairs(times):
+    for t0, t1 in pairwise(times):
         if not t1 > t0:
             raise NonMonotonicTime(f"sample times must increase: {t0} -> {t1}")
     # the span overflows whenever an interval does, so one test covers the
     # regular log and the intervals are scanned only when it fires
     if times[-1] - times[0] == math.inf:
-        for t0, t1 in _pairs(times):
+        for t0, t1 in pairwise(times):
             if t1 - t0 == math.inf:
                 raise ValueError(f"sample times {t0!r} -> {t1!r} are farther apart than the largest float")
     if scheme not in SCHEMES:
@@ -766,7 +750,7 @@ def _integrate(
 
     s, x, y, z = (1.0, 0.0, 0.0, 0.0) if start is None else start
     rows = [(times[0], s, x, y, z)]
-    for (t0, t1), ((ax, ay, az), (bx, by, bz)) in zip(_pairs(times), _pairs(rates)):
+    for (t0, t1), ((ax, ay, az), (bx, by, bz)) in zip(pairwise(times), pairwise(rates)):
         dt = (t1 - t0) / substeps
         # an interval shorter than substeps * 5e-324 has steps of dt = 0,
         # which are the identity

@@ -19,6 +19,12 @@ product) are called, and each routine calls its general fallback, _unit
 or _from_vec among them, where a sum of squares leaves the normal float
 range or a composition overflows or is a half-turn.  A nan residual stays
 nan in its diagnostic's worst residual, which then fails.
+
+Each drawn pair Q1, Q2 is composed once: ``lambda-residual`` composes it
+only inside ``_composition_diagnostics``, and ``donkin-closure`` takes Q3
+and the sign of lambda = 1 - Q2.Q1 from one ``_compose_chain``, whose
+lambda is the scalar part of the product that gives Q3.  A pair that
+composes to a half-turn is drawn again.
 """
 
 import math
@@ -31,17 +37,17 @@ from rodvec._lifted import (
     _cayley_inv9,
     _cayley_residuals,
     _cayley_rot9,
-    _compose_lifted,
+    _compose_chain,
     _composition_diagnostics,
     _donkin_residual,
     _donkin_triangle,
     _euler_rodrigues9,
     _half_angle_point,
-    _lambda,
     _max_diff9,
     _nan_max,
     _rotation9,
 )
+from rodvec.errors import DegenerateComposition
 
 __all__ = ["DiagnosticResult", "run_diagnostics"]
 
@@ -138,10 +144,8 @@ def _check_bridge_residuals(n: int, seed: int) -> DiagnosticResult:
     return DiagnosticResult("bridge-residuals", n, worst, 1e-12)
 
 
-def _rand_nondegenerate_pair(rng: random.Random):
-    """Q1, Q2 and the Rodrigues vector Q3 of their composition, for
-    Q1 and Q2 of norm at least 1e-2, not parallel and composing to no
-    half-turn."""
+def _rand_pair(rng: random.Random):
+    """Q1 and Q2 of norm at least 1e-2 and not parallel."""
     while True:
         q1 = x1, y1, z1 = _rand_rodrigues(rng, 2.7)
         q2 = x2, y2, z2 = _rand_rodrigues(rng, 2.7)
@@ -153,19 +157,21 @@ def _rand_nondegenerate_pair(rng: random.Random):
         cx, cy, cz = y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2
         if math.sqrt(cx * cx + cy * cy + cz * cz) <= 1e-6 * n1 * n2:
             continue
-        s, x, y, z = _compose_lifted(1.0, x2, y2, z2, 1.0, x1, y1, z1)
-        if s == 0:
-            continue
-        return q1, q2, (x, y, z)
+        return q1, q2
 
 
 def _check_lambda_residual(n: int, seed: int) -> DiagnosticResult:
     rng = random.Random(seed * 7 + 4)
     worst = 0.0
     for _ in range(n):
-        q1, q2, _ = _rand_nondegenerate_pair(rng)
-        a = _donkin_triangle(q1, q2)[0]
-        worst = _nan_max((worst, _composition_diagnostics(q2, q1, a)[2]))
+        while True:
+            q1, q2 = _rand_pair(rng)
+            try:
+                residual = _composition_diagnostics(q2, q1, _donkin_triangle(q1, q2)[0])[2]
+            except DegenerateComposition:  # a half-turn product is drawn again
+                continue
+            break
+        worst = _nan_max((worst, residual))
     return DiagnosticResult("lambda-residual", n, worst, 1e-10)
 
 
@@ -173,15 +179,19 @@ def _check_donkin(n: int, seed: int) -> DiagnosticResult:
     rng = random.Random(seed * 7 + 5)
     worst = 0.0
     for _ in range(n):
-        q1, q2, q3 = _rand_nondegenerate_pair(rng)
+        while True:
+            q1, q2 = _rand_pair(rng)
+            (lam,), (s, x3, y3, z3) = _compose_chain(((1.0, *q1), (1.0, *q2)))
+            if s:  # a half-turn product is drawn again
+                break
         a, b, c = _donkin_triangle(q1, q2)
         worst = _nan_max((worst, _donkin_residual(a, b, c)))
         b_hat = _half_angle_point(q1, a)
         c_hat = _half_angle_point(q2, b)
-        # (1 + Q3x) A is proportional to C with the sign of 1 - Q2.Q1: the
-        # exact relation is (1 - Q2.Q1)(1 + Q3x) A = mu C with mu > 0
-        c_expected = c if _lambda(*q2, *q1) > 0.0 else (-c[0], -c[1], -c[2])
-        c_via_q3 = _half_angle_point(q3, a)
+        # (1 + Q3x) A is proportional to C with the sign of lambda = 1 - Q2.Q1:
+        # the exact relation is lambda (1 + Q3x) A = mu C with mu > 0
+        c_expected = c if lam > 0.0 else (-c[0], -c[1], -c[2])
+        c_via_q3 = _half_angle_point((x3, y3, z3), a)
         worst = _nan_max(
             (
                 worst,

@@ -58,7 +58,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Vec3:
-    """A vector in R^3 with finite components."""
+    """A vector in R^3 with finite components.  A component that is not
+    finite, or an int past the float range, raises ValueError."""
 
     x: float
     y: float
@@ -171,7 +172,10 @@ class Matrix3:
     def __post_init__(self) -> None:
         if len(self.elements) != 9:
             raise ValueError("Matrix3 takes exactly 9 elements")
-        elems = tuple(map(float, self.elements))
+        try:
+            elems = tuple(map(float, self.elements))
+        except OverflowError:  # an int past the float range, too long to print
+            raise ValueError("component too large for a float") from None
         _require_finite(*elems)
         object.__setattr__(self, "elements", elems)
 

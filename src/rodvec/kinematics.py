@@ -52,7 +52,11 @@ class AngularVelocitySample:
     omega: AngularVelocity
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.t):
+        try:
+            finite = math.isfinite(self.t)
+        except OverflowError:  # an int past the float range, too long to print
+            raise ValueError("sample time too large for a float") from None
+        if not finite:
             raise ValueError("non-finite sample time")
 
 

@@ -7,6 +7,7 @@ exactly, so that a change to how they are computed cannot move a bit
 unnoticed.
 """
 
+import collections
 import hashlib
 import itertools
 import math
@@ -17,7 +18,7 @@ import pytest
 
 import rodvec.core
 from conftest import rand_axis_angle, rand_rod, rand_unit, rand_vec
-from rodvec import checks
+from rodvec import _lifted, checks
 from rodvec._backend import backend_name, kernels as _k
 from rodvec._lifted import _IDENTITY9, _max_diff9
 from rodvec.cayley import cayley_inverse_explicit, cayley_rotation
@@ -70,6 +71,33 @@ def test_residuals_are_pinned(n):
             ("lambda-residual", n, 1e-10),
             ("donkin-closure", n, 1e-10),
         ]
+
+
+def test_each_drawn_pair_is_composed_once(monkeypatch):
+    """On the pinned seeds lambda-residual composes each sample only inside
+    _composition_diagnostics, and donkin-closure each pair with one
+    _compose_chain, which gives both Q3 and lambda; no pair reaches _lambda
+    or _compose_lifted, the overflow and half-turn fallbacks."""
+    counts = collections.Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("_lambda", "_compose_lifted"):
+        assert not hasattr(checks, name)
+        count(_lifted, name)
+    count(checks, "_compose_chain")
+    count(checks, "_composition_diagnostics")
+    for n, seed in _pinned_residuals():
+        counts.clear()
+        checks.run_diagnostics(n, seed)
+        assert counts == {"_compose_chain": n, "_composition_diagnostics": n}, (n, seed)
 
 
 # --- the public wrappers -------------------------------------------------

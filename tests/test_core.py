@@ -27,6 +27,7 @@ from rodvec import (
     skew,
     unskew,
 )
+from rodvec.kinematics import AngularVelocity, AngularVelocitySample
 from conftest import np_euler_rodrigues, rand_axis_angle, rand_rod, to_np, vec_np
 from test_kernels import ref_half_turn9
 
@@ -37,6 +38,25 @@ class TestVecTypes:
     def test_vec3_rejects_nan(self):
         with pytest.raises(ValueError):
             Vec3(0.0, math.nan, 0.0)
+
+    # repr(10**5000) raises ValueError itself on Python >= 3.11: the message
+    # must not print the int, and the ids name the ints
+    @pytest.mark.parametrize("big", [10**400, -(10**5000)], ids=["1e400", "-1e5000"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda big: Vec3(big, 0, 0),
+            lambda big: UnitVector(0, big, 0),
+            lambda big: RodriguesVector(0, 0, big),
+            lambda big: Matrix3((1, 0, 0, 0, 1, 0, 0, 0, big)),
+            lambda big: AxisAngle(UnitVector(0, 0, 1), big),
+            lambda big: AngularVelocitySample(big, AngularVelocity(0, 0, 0)),
+        ],
+        ids=["Vec3", "UnitVector", "RodriguesVector", "Matrix3", "AxisAngle", "AngularVelocitySample"],
+    )
+    def test_int_past_the_float_range_raises_value_error(self, build, big):
+        with pytest.raises(ValueError, match="too large for a float"):
+            build(big)
 
     def test_unit_vector_renormalizes_small_drift(self):
         u = UnitVector(1.0 + 1e-8, 0.0, 0.0)
