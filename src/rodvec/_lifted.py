@@ -5,8 +5,9 @@ A rotation is carried as the Euler parameters of the composition law,
 unit axis n, with n as :class:`rodvec.core.HalfTurn` stores it: each
 routine that makes a (0, n) makes it canonical, so routines that read one
 take n as it is.  Vectors are float triples and matrices tuples of nine floats,
-row-major.  Each routine runs the checks of the typed path it stands for,
-in the same order, and raises the same errors.
+row-major.  The typed values store floats, converted once by ``_floats``, so
+their numbers come here as they are.  Each routine runs the checks of the
+typed path it stands for, in the same order, and raises the same errors.
 
 Here live the conversions, the Cayley pair, the composition law and its
 diagnostics, Donkin's triangle and the attitude integrator.  The typed
@@ -72,6 +73,8 @@ FIGURE_KINDS = ("fig1a", "fig1b", "fig1c", "fig2", "fig4", "fig5")
 
 
 def _require_finite(*values: float) -> None:
+    """Raise ValueError unless every value is a finite real number; a value
+    that is not a real number, such as a str, raises TypeError."""
     try:
         for v in values:
             if not math.isfinite(v):
@@ -80,25 +83,24 @@ def _require_finite(*values: float) -> None:
         raise ValueError("component too large for a float") from None
 
 
-def _require_so3(e) -> None:
-    """Raise NotARotation unless the row-major 3x3 matrix e has
-    R^T R = 1 and det R = 1 to ROTATION_MATRIX_TOL."""
+def _floats(*values) -> tuple[float, ...]:
+    """values as Python floats, after the checks of _require_finite: the
+    one conversion of the typed values, which store floats."""
+    _require_finite(*values)
+    return tuple(map(float, values))
+
+
+def _checked9(e):
+    """e, a row-major tuple of nine floats, after the checks of
+    RotationMatrix: finite, then R^T R = 1 and det R = 1 to
+    ROTATION_MATRIX_TOL, else NotARotation."""
+    if not math.isfinite(sum(e)):  # the sum may also overflow
+        _require_finite(*e)
     ortho, det = _k.rot_residuals9(e)
     if ortho > ROTATION_MATRIX_TOL or det > ROTATION_MATRIX_TOL:
         raise NotARotation(
             f"matrix fails SO(3) checks: |R^T R - 1| = {ortho:.3e}, |det - 1| = {det:.3e}"
         )
-
-
-def _checked9(e):
-    """e, a kernel's tuple of nine floats, after the checks that
-    RotationMatrix(Matrix3(e)) runs, in the same order: finite, then SO(3).
-    _require_so3 runs only to raise."""
-    if not math.isfinite(sum(e)):  # the sum may also overflow
-        _require_finite(*e)
-    ortho, det = _k.rot_residuals9(e)
-    if ortho > ROTATION_MATRIX_TOL or det > ROTATION_MATRIX_TOL:
-        _require_so3(e)  # raises
     return e
 
 
@@ -133,14 +135,11 @@ def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
 
 
 def _unit_components(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """The components that UnitVector(x, y, z) stores: (x, y, z) itself at
-    unit norm to 1e-12, renormalized within UNIT_RENORM_TOL, else rejected."""
-    try:
-        n = math.sqrt(x * x + y * y + z * z)
-    except OverflowError:  # an int sum of squares past the float range
-        _require_finite(x, y, z)
-        n = math.inf
-    if abs(n - 1.0) <= 1e-12:
+    """The components that UnitVector stores for the floats x, y, z: (x, y, z)
+    itself at unit norm to 1e-12, renormalized within UNIT_RENORM_TOL, else
+    rejected."""
+    n = math.sqrt(x * x + y * y + z * z)
+    if -1e-12 <= n - 1.0 <= 1e-12:
         return x, y, z
     _require_finite(x, y, z)
     if abs(n - 1.0) > UNIT_RENORM_TOL:
@@ -206,8 +205,8 @@ def _flip_half_axis(x: float, y: float, z: float) -> bool:
 
 
 def _half_turn_axis(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """The components of HalfTurn(UnitVector(x, y, z)).axis."""
-    x, y, z = _unit_components(x, y, z)
+    """The components of HalfTurn(UnitVector(x, y, z)).axis, for the
+    components of a UnitVector, such as _unit and _direction give."""
     if _flip_half_axis(x, y, z):
         return -x, -y, -z
     return x, y, z
@@ -231,7 +230,7 @@ def _axis_angle(x: float, y: float, z: float) -> tuple[tuple[float, float, float
     n = math.hypot(x, y, z)
     if n == 0.0:
         return (0.0, 0.0, 1.0), 0.0
-    return _unit_components(*_unit(x, y, z)), 2.0 * math.atan(n)
+    return _unit(x, y, z), 2.0 * math.atan(n)
 
 
 def _rotation9(s: float, x: float, y: float, z: float):
@@ -287,10 +286,7 @@ def _compose_lifted(
         if math.isfinite(qx) and math.isfinite(qy) and math.isfinite(qz):
             return 1.0, qx, qy, qz
         # v/s overflows: the rotation is pi to within 2/||v/s||
-    x, y, z = _unit(vx, vy, vz)
-    if _flip_half_axis(x, y, z):
-        return 0.0, -x, -y, -z
-    return 0.0, x, y, z
+    return (0.0, *_half_turn_axis(*_unit(vx, vy, vz)))
 
 
 def _lift_matrix9(e) -> tuple[float, float, float, float]:

@@ -10,9 +10,8 @@ significant digits unless --precision overrides.  Exit codes: 0 ok,
 core ``rodvec._lifted`` alone, and ``check`` on ``rodvec.checks``, which
 runs on that core too.  ``compose`` parses every spec, then folds the
 chain with ``_lifted._compose_chain`` and only formats what it returns:
-the lambda of each step and the product.  Only ``figure``, and
-``parse_rotation_spec`` for its typed result, import typed modules, when
-they run, so importing this module loads no typed class.
+the lambda of each step and the product.  Only ``figure`` imports typed
+modules, when it runs, so importing this module loads no typed class.
 
 The command line is declared once, in ``_ROOT_ARGUMENTS`` and
 ``_COMMANDS``.  A direct parser reads every well-formed command line from
@@ -78,17 +77,10 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
         raise SpecFormatError(f"bad number in {what}: {exc}") from None
 
 
-def parse_rotation_spec(text: str, degrees: bool = False):
-    """Parse ``aa:...``, ``rod:...``, ``mat:...`` or ``half:...`` to a rotation,
-    a ``RodriguesVector`` or a ``HalfTurn`` (``composition.RotationResult``)."""
-    from rodvec.core import _from_lifted
-
-    return _from_lifted(*_parse_lifted(text, degrees))
-
-
 def _parse_lifted(text: str, degrees: bool) -> tuple[float, float, float, float]:
-    """parse_rotation_spec as the Euler parameters of the composition law:
-    (1, Q), or (0, n) with the axis a HalfTurn stores."""
+    """Parse ``aa:...``, ``rod:...``, ``mat:...`` or ``half:...`` to the
+    Euler parameters of the composition law: (1, Q), or (0, n) with the
+    axis a HalfTurn stores."""
     kind, sep, payload = text.partition(":")
     if not sep:
         raise SpecFormatError(f"rotation spec needs a 'kind:' prefix: {text!r}")

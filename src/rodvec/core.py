@@ -8,10 +8,12 @@ the right-hand rule about the oriented axis.
 
 All types are immutable values and all operations are pure functions, so
 everything here is safe to share between threads.  The types are a facade:
-their checks and conversions are the float routines of ``rodvec._lifted``,
-applied to their components.  ``_lift`` and ``_from_lifted`` carry a
-rotation to the Euler parameters of those routines and back, and
-``_matrix3`` and ``_rotation_matrix`` wrap their checked nine floats.
+they store their numbers as Python floats, converted once at construction
+by ``rodvec._lifted._floats``, and their checks and conversions are the
+float routines of ``rodvec._lifted``, applied to those floats.  ``_lift``
+and ``_from_lifted`` carry a rotation to the Euler parameters of those
+routines and back, and ``_matrix3`` and ``_rotation_matrix`` wrap their
+checked nine floats.
 """
 
 import math
@@ -24,14 +26,15 @@ from rodvec._lifted import (
     UNIT_RENORM_TOL,
     _IDENTITY9,
     _axis_angle,
+    _checked9,
     _euler_rodrigues9,
     _flip_half_axis,
+    _floats,
     _fold_angle,
     _from_vec,
     _lift_axis_angle,
-    _require_finite,
-    _require_so3,
     _rotation9,
+    _scaled_norm,
     _unit_components,
 )
 from rodvec.errors import HalfTurnUndefined
@@ -58,15 +61,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Vec3:
-    """A vector in R^3 with finite components.  A component that is not
-    finite, or an int past the float range, raises ValueError."""
+    """A vector in R^3 with finite components, stored as floats.  A
+    component that is not finite, or an int past the float range, raises
+    ValueError; one that is not a real number raises TypeError."""
 
     x: float
     y: float
     z: float
 
     def __post_init__(self) -> None:
-        _require_finite(self.x, self.y, self.z)
+        x, y, z = self.x, self.y, self.z
+        # a float triple with a finite sum is stored as it is
+        if type(x) is float and type(y) is float and type(z) is float and math.isfinite(x + y + z):
+            return
+        self._store(_floats(x, y, z))
+
+    def _store(self, c) -> None:
+        object.__setattr__(self, "x", c[0])
+        object.__setattr__(self, "y", c[1])
+        object.__setattr__(self, "z", c[2])
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
@@ -104,7 +117,8 @@ class Vec3:
         )
 
     def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        n, f = _scaled_norm(self.x, self.y, self.z)
+        return n / f
 
 
 @dataclass(frozen=True)
@@ -117,11 +131,14 @@ class UnitVector(Vec3):
     """
 
     def __post_init__(self) -> None:
-        u = _unit_components(self.x, self.y, self.z)
-        if u != (self.x, self.y, self.z):  # renormalized
-            object.__setattr__(self, "x", u[0])
-            object.__setattr__(self, "y", u[1])
-            object.__setattr__(self, "z", u[2])
+        x, y, z = self.x, self.y, self.z
+        if not (type(x) is float and type(y) is float and type(z) is float):
+            self._store(_unit_components(*_floats(x, y, z)))
+            return
+        u = _unit_components(x, y, z)
+        # u holds x, y and z themselves unless it renormalized them
+        if u[0] is not x or u[1] is not y or u[2] is not z:
+            self._store(u)
 
     @classmethod
     def from_vec(cls, v: Vec3) -> "UnitVector":
@@ -140,8 +157,7 @@ class AxisAngle:
     angle: float
 
     def __post_init__(self) -> None:
-        _require_finite(self.angle)
-        object.__setattr__(self, "angle", _fold_angle(self.angle))
+        object.__setattr__(self, "angle", _fold_angle(*_floats(self.angle)))
 
 
 @dataclass(frozen=True)
@@ -165,19 +181,15 @@ class RodriguesVector(Vec3):
 
 @dataclass(frozen=True)
 class Matrix3:
-    """A 3x3 real matrix stored as nine floats, row-major."""
+    """A 3x3 real matrix stored as nine finite floats, row-major, with the
+    checks and errors of Vec3."""
 
     elements: tuple[float, float, float, float, float, float, float, float, float]
 
     def __post_init__(self) -> None:
         if len(self.elements) != 9:
             raise ValueError("Matrix3 takes exactly 9 elements")
-        try:
-            elems = tuple(map(float, self.elements))
-        except OverflowError:  # an int past the float range, too long to print
-            raise ValueError("component too large for a float") from None
-        _require_finite(*elems)
-        object.__setattr__(self, "elements", elems)
+        object.__setattr__(self, "elements", _floats(*self.elements))
 
     @classmethod
     def identity(cls) -> "Matrix3":
@@ -252,7 +264,7 @@ class RotationMatrix:
     matrix: Matrix3
 
     def __post_init__(self) -> None:
-        _require_so3(self.matrix.elements)
+        _checked9(self.matrix.elements)
 
     @classmethod
     def identity(cls) -> "RotationMatrix":

@@ -11,7 +11,6 @@ float routines ``rodvec._lifted._increment`` and ``_integrate``; the
 functions here convert the typed values at their boundary.
 """
 
-import math
 from dataclasses import dataclass
 
 from rodvec._lifted import (
@@ -19,6 +18,7 @@ from rodvec._lifted import (
     FIRST_ORDER,
     SCHEMES,
     STEP_ANGLE_MARGIN,
+    _floats,
     _increment,
     _integrate,
 )
@@ -48,16 +48,14 @@ class AngularVelocity(Vec3):
 
 @dataclass(frozen=True)
 class AngularVelocitySample:
+    """The angular velocity at time t; t is stored as a float, with the
+    checks and errors of Vec3."""
+
     t: float
     omega: AngularVelocity
 
     def __post_init__(self) -> None:
-        try:
-            finite = math.isfinite(self.t)
-        except OverflowError:  # an int past the float range, too long to print
-            raise ValueError("sample time too large for a float") from None
-        if not finite:
-            raise ValueError("non-finite sample time")
+        object.__setattr__(self, "t", *_floats(self.t))
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 import rodvec.checks
 import rodvec.core
 from rodvec._lifted import _require_finite
-from rodvec.cli import _build_parser, _parse_direct, _parse_omega_file, main, parse_rotation_spec
-from rodvec.core import RodriguesVector
+from rodvec.cli import _build_parser, _parse_direct, _parse_lifted, _parse_omega_file, main
+from rodvec.core import RodriguesVector, _from_lifted
 from rodvec.errors import SpecFormatError
 
 
@@ -165,7 +165,7 @@ class TestCompose:
     def test_application_order_is_first_listed_first(self, capsys):
         # listed order q1 then q2 must equal compose(q2, q1)
         _, out, _ = run(capsys, "compose", "rod:0.2,0,0", "rod:0,0.4,0")
-        lib = parse_rotation_spec(out.splitlines()[1])
+        lib = _from_lifted(*_parse_lifted(out.splitlines()[1], False))
         from rodvec import compose
 
         want = compose(RodriguesVector(0, 0.4, 0), RodriguesVector(0.2, 0, 0))

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from rodvec import (
     Vec3,
     apply_rotation,
     axis_angle_from_rodrigues,
+    cayley_rotation,
     compose,
     euler_rodrigues_matrix,
     invert_rotation,
@@ -57,6 +59,59 @@ class TestVecTypes:
     def test_int_past_the_float_range_raises_value_error(self, build, big):
         with pytest.raises(ValueError, match="too large for a float"):
             build(big)
+
+    @pytest.mark.parametrize(
+        "number", [1, True, Fraction(1), np.float64(1.0)], ids=["int", "bool", "Fraction", "float64"]
+    )
+    @pytest.mark.parametrize(
+        "stored",
+        [
+            lambda c: Vec3(c, 0, c).as_tuple(),
+            lambda c: UnitVector(c, 0, 0).as_tuple(),
+            lambda c: RodriguesVector(0, c, 0).as_tuple(),
+            lambda c: AngularVelocity(c, c, 0).as_tuple(),
+            lambda c: Matrix3((c,) * 9).elements,
+            lambda c: (AxisAngle(UnitVector(0, 0, c), c).angle,),
+            lambda c: (AngularVelocitySample(c, AngularVelocity(0, 0, 0)).t,),
+        ],
+        ids=["Vec3", "UnitVector", "RodriguesVector", "AngularVelocity", "Matrix3", "AxisAngle", "AngularVelocitySample"],
+    )
+    def test_numbers_are_stored_as_floats(self, stored, number):
+        assert all(type(c) is float for c in stored(number))
+
+    def test_kernel_results_of_numpy_scalars_are_floats(self):
+        e = matrix_from_rodrigues(RodriguesVector(np.float64(0.5), 0, 0)).elements
+        assert all(type(c) is float for c in e)
+
+    @pytest.mark.parametrize("build", [lambda: Vec3("1", 0, 0), lambda: Matrix3(("1",) * 9)], ids=["Vec3", "Matrix3"])
+    def test_str_components_raise_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_int_components_give_the_float_results(self):
+        # 10**200 fits a float but its square does not fit one
+        def results(c):
+            q = RodriguesVector(c, 0, 0)
+            return (
+                Vec3(c, 0, 0).norm(),
+                matrix_from_rodrigues(q),
+                axis_angle_from_rodrigues(q),
+                compose(q, RodriguesVector(0, c, 0)),
+                UnitVector.from_vec(Vec3(c, 0, 0)),
+                cayley_rotation(q),
+                q.angle(),
+            )
+
+        # repr round-trips every float, so equal reprs are equal bits
+        assert repr(results(10**200)) == repr(results(1e200))
+
+    def test_norm_past_the_square_range(self):
+        assert Vec3(1e200, 0, 0).norm() == 1e200
+        assert Vec3(1e-200, 0, 0).norm() == 1e-200
+        assert Vec3(-1.5e300, 2e300, 0).norm() == 2.5e300
+        assert RodriguesVector(3e-160, 4e-160, 0).angle() == pytest.approx(1e-159, rel=1e-15)
+        # a normal sum of squares keeps its plain square root
+        assert Vec3(0.3, -0.2, 1.1).norm() == math.sqrt(0.3 * 0.3 + 0.2 * 0.2 + 1.1 * 1.1)
 
     def test_unit_vector_renormalizes_small_drift(self):
         u = UnitVector(1.0 + 1e-8, 0.0, 0.0)

@@ -256,6 +256,18 @@ class TestIntegrateAttitude:
         with pytest.raises(NonMonotonicTime):
             integrate_attitude(samples, EXACT_STEP)
 
+    def test_int_times_equal_as_floats_are_not_increasing(self):
+        # sample times are stored as floats, and 2**53 + 1 rounds to 2**53
+        samples = [AngularVelocitySample(t, AngularVelocity(0, 0, 1)) for t in (2**53, 2**53 + 1)]
+        assert samples[0].t == samples[1].t == 2.0**53
+        with pytest.raises(NonMonotonicTime):
+            integrate_attitude(samples, EXACT_STEP)
+
+    @pytest.mark.parametrize("t", [math.nan, -math.inf])
+    def test_sample_time_has_the_shared_finite_check(self, t):
+        with pytest.raises(ValueError, match="non-finite component"):
+            AngularVelocitySample(t, AngularVelocity(0, 0, 1))
+
     @pytest.mark.parametrize(
         "samples, options, message",
         [

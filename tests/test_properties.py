@@ -64,8 +64,8 @@ from rodvec._lifted import (
     _unit,
     _unit_components,
 )
-from rodvec.cli import _parse_lifted, main, parse_rotation_spec
-from rodvec.core import _lift
+from rodvec.cli import _parse_lifted, main
+from rodvec.core import _from_lifted, _lift
 from rodvec.errors import DegenerateComposition, NonMonotonicTime, NotPerpendicular, ParallelAxes
 from conftest import to_np
 
@@ -257,7 +257,7 @@ def test_convert_specs(spec_parts):
 @example((1.7e308, -1.7e308, 1.7e308))
 @example((0.0, -4.192937160936226e-151, 1.3407807929942597e154))
 def test_every_nonzero_half_axis_parses(v):
-    h = parse_rotation_spec("half:" + ",".join(map(repr, v)))
+    h = _from_lifted(*_parse_lifted("half:" + ",".join(map(repr, v)), False))
     assert type(h) is HalfTurn
     axis = h.axis.as_tuple()
     assert next(c for c in axis if c) > 0.0
