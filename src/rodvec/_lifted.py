@@ -646,15 +646,21 @@ def _nan_max(values) -> float:
 
 def _max_diff9(a, b) -> float:
     """The largest |a_i - b_i| of two tuples of nine floats, or nan where
-    one of them is nan."""
-    # maps, not a generator or a tuple, which would raise a check's peak
-    # memory; float.__sub__ spares the import of operator
-    m = max(map(abs, map(float.__sub__, a, b)))
-    # a nan |a_i - b_i| comes from a nan or infinite entry, which makes the
-    # sum of the entries nan or infinite
-    if math.isfinite(sum(a) + sum(b)):
-        return m
-    return _nan_max(tuple(map(abs, map(float.__sub__, a, b))))
+    one of them is nan: _nan_max of the nine differences, written out in
+    one pass."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    d0 = abs(a0 - b0)
+    d1 = abs(a1 - b1)
+    d2 = abs(a2 - b2)
+    d3 = abs(a3 - b3)
+    d4 = abs(a4 - b4)
+    d5 = abs(a5 - b5)
+    d6 = abs(a6 - b6)
+    d7 = abs(a7 - b7)
+    d8 = abs(a8 - b8)
+    s = d0 + d1 + d2 + d3 + d4 + d5 + d6 + d7 + d8  # nan exactly when a d_i is
+    return max(d0, d1, d2, d3, d4, d5, d6, d7, d8) if s == s else s
 
 
 def _donkin_residual(a, b, c) -> float:

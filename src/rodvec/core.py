@@ -63,7 +63,8 @@ __all__ = [
 class Vec3:
     """A vector in R^3 with finite components, stored as floats.  A
     component that is not finite, or an int past the float range, raises
-    ValueError; one that is not a real number raises TypeError."""
+    ValueError; one that is not a real number raises TypeError.  A scalar
+    factor or divisor is checked and converted the same way."""
 
     x: float
     y: float
@@ -99,11 +100,13 @@ class Vec3:
         return Vec3(-self.x, -self.y, -self.z)
 
     def __mul__(self, s: float) -> "Vec3":
+        (s,) = _floats(s)
         return Vec3(self.x * s, self.y * s, self.z * s)
 
     __rmul__ = __mul__
 
     def __truediv__(self, s: float) -> "Vec3":
+        (s,) = _floats(s)
         return Vec3(self.x / s, self.y / s, self.z / s)
 
     def dot(self, other: "Vec3") -> float:
@@ -151,12 +154,20 @@ class UnitVector(Vec3):
 
 @dataclass(frozen=True)
 class AxisAngle:
-    """Unit axis plus signed angle in radians, normalized into (-pi, pi]."""
+    """Unit axis plus signed angle in radians, normalized into (-pi, pi].
+
+    A UnitVector axis is stored as it is; any other Vec3 is stored as the
+    UnitVector of its components, so it is renormalized or rejected by
+    UnitVector's rule.
+    """
 
     axis: UnitVector
     angle: float
 
     def __post_init__(self) -> None:
+        a = self.axis
+        if not isinstance(a, UnitVector):
+            object.__setattr__(self, "axis", UnitVector(a.x, a.y, a.z))
         object.__setattr__(self, "angle", _fold_angle(*_floats(self.angle)))
 
 
@@ -226,6 +237,7 @@ class Matrix3:
         return Matrix3(tuple(a - b for a, b in zip(self.elements, other.elements)))
 
     def __mul__(self, s: float) -> "Matrix3":
+        (s,) = _floats(s)
         return Matrix3(tuple(a * s for a in self.elements))
 
     __rmul__ = __mul__
@@ -356,7 +368,7 @@ def unskew(m: SkewMatrix) -> Vec3:
 
 def euler_rodrigues_matrix(n: UnitVector, theta: float) -> RotationMatrix:
     """R(n, theta) = cos(theta)*1 + sin(theta)*(n x) + (1 - cos(theta))*n n^T."""
-    return _rotation_matrix(_euler_rodrigues9(n.as_tuple(), theta))
+    return _rotation_matrix(_euler_rodrigues9(n.as_tuple(), *_floats(theta)))
 
 
 def rodrigues_from_axis_angle(aa: AxisAngle) -> RodriguesVector:

@@ -117,7 +117,7 @@ def rodrigues_increment(omega: AngularVelocity, dt: float, scheme: str = FIRST_O
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    return RodriguesVector(*_increment(omega.x, omega.y, omega.z, dt, scheme == EXACT_STEP))
+    return RodriguesVector(*_increment(omega.x, omega.y, omega.z, *_floats(dt), scheme == EXACT_STEP))
 
 
 def integrate_attitude(

@@ -15,6 +15,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rodvec.core
 from conftest import rand_axis_angle, rand_rod, rand_unit, rand_vec
@@ -491,3 +492,28 @@ class TestNanResiduals:
         assert math.isnan(_max_diff9(tuple(a), _IDENTITY9))
         assert math.isnan(_max_diff9(_IDENTITY9, tuple(a)))
         assert _max_diff9(_IDENTITY9, _IDENTITY9) == 0.0
+
+
+def _max_diff9_two_maps(a, b):
+    """The two-map form that _max_diff9 replaced, kept as its reference."""
+    m = max(map(abs, map(float.__sub__, a, b)))
+    if math.isfinite(sum(a) + sum(b)):
+        return m
+    return _lifted._nan_max(tuple(map(abs, map(float.__sub__, a, b))))
+
+
+_entries = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=-2.2250738585072014e-308, max_value=2.2250738585072014e-308),
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 5e-324, -5e-324]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+)
+
+
+@settings(max_examples=1000)
+@given(st.tuples(*[_entries] * 9), st.tuples(*[_entries] * 9))
+def test_max_diff9_matches_the_two_map_form(a, b):
+    def bits(x):
+        return "nan" if math.isnan(x) else x.hex()
+
+    assert bits(_max_diff9(a, b)) == bits(_max_diff9_two_maps(a, b))

@@ -29,7 +29,7 @@ from rodvec import (
     skew,
     unskew,
 )
-from rodvec.kinematics import AngularVelocity, AngularVelocitySample
+from rodvec.kinematics import EXACT_STEP, FIRST_ORDER, AngularVelocity, AngularVelocitySample, rodrigues_increment
 from conftest import np_euler_rodrigues, rand_axis_angle, rand_rod, to_np, vec_np
 from test_kernels import ref_half_turn9
 
@@ -53,12 +53,34 @@ class TestVecTypes:
             lambda big: Matrix3((1, 0, 0, 0, 1, 0, 0, 0, big)),
             lambda big: AxisAngle(UnitVector(0, 0, 1), big),
             lambda big: AngularVelocitySample(big, AngularVelocity(0, 0, 0)),
+            lambda big: euler_rodrigues_matrix(UnitVector(0, 0, 1), big),
+            lambda big: rodrigues_increment(AngularVelocity(0, 0, 1), big, FIRST_ORDER),
+            lambda big: rodrigues_increment(AngularVelocity(0, 0, 1), big, EXACT_STEP),
+            lambda big: Vec3(1.0, 0, 0) * big,
+            lambda big: big * Vec3(1.0, 0, 0),
+            lambda big: Vec3(1.0, 0, 0) / big,
+            lambda big: Matrix3.identity() * big,
+            lambda big: big * Matrix3.identity(),
         ],
-        ids=["Vec3", "UnitVector", "RodriguesVector", "Matrix3", "AxisAngle", "AngularVelocitySample"],
+        ids=[
+            "Vec3", "UnitVector", "RodriguesVector", "Matrix3", "AxisAngle", "AngularVelocitySample",
+            "euler_rodrigues_matrix", "increment_first_order", "increment_exact_step",
+            "Vec3_mul", "Vec3_rmul", "Vec3_truediv", "Matrix3_mul", "Matrix3_rmul",
+        ],
     )
     def test_int_past_the_float_range_raises_value_error(self, build, big):
         with pytest.raises(ValueError, match="too large for a float"):
             build(big)
+
+    def test_axis_angle_takes_unit_vector_rule_for_its_axis(self):
+        # a Vec3 axis of norm 2 gave twice tan(1/2) about z
+        with pytest.raises(ValueError, match="not a unit vector"):
+            rodrigues_from_axis_angle(AxisAngle(Vec3(0, 0, 2), 1.0))
+        u = UnitVector(0.6, 0.0, -0.8)
+        assert AxisAngle(u, 1.0).axis is u
+        aa = AxisAngle(Vec3(0.0, 0.0, 1.0 + 1e-8), 1.0)
+        assert type(aa.axis) is UnitVector
+        assert aa.axis == UnitVector(0.0, 0.0, 1.0 + 1e-8)
 
     @pytest.mark.parametrize(
         "number", [1, True, Fraction(1), np.float64(1.0)], ids=["int", "bool", "Fraction", "float64"]
@@ -83,7 +105,15 @@ class TestVecTypes:
         e = matrix_from_rodrigues(RodriguesVector(np.float64(0.5), 0, 0)).elements
         assert all(type(c) is float for c in e)
 
-    @pytest.mark.parametrize("build", [lambda: Vec3("1", 0, 0), lambda: Matrix3(("1",) * 9)], ids=["Vec3", "Matrix3"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Vec3("1", 0, 0),
+            lambda: Matrix3(("1",) * 9),
+            lambda: rodrigues_increment(AngularVelocity(0, 0, 1), "1"),
+        ],
+        ids=["Vec3", "Matrix3", "rodrigues_increment"],
+    )
     def test_str_components_raise_type_error(self, build):
         with pytest.raises(TypeError):
             build()
