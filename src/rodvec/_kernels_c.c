@@ -1,5 +1,5 @@
 /*
- * Compiled scalar kernels: the six matrix kernels of _kernels_py, written
+ * Compiled scalar kernels: the five matrix kernels of _kernels_py, written
  * against the CPython C API.
  *
  * _kernels_py is the reference.  Each function here performs the IEEE
@@ -277,28 +277,6 @@ dd_quotient(double n0, double n1, double d0, double d1, double dh, double dl)
 /* ---------------------------------------------------------------- kernels */
 
 static PyObject *
-matmul(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    double a[9], b[9];
-    if (check_nargs("matmul", nargs, 2) || load(args[0], a, 9) ||
-        load(args[1], b, 9)) {
-        return NULL;
-    }
-    double out[9] = {
-        a[0] * b[0] + a[1] * b[3] + a[2] * b[6],
-        a[0] * b[1] + a[1] * b[4] + a[2] * b[7],
-        a[0] * b[2] + a[1] * b[5] + a[2] * b[8],
-        a[3] * b[0] + a[4] * b[3] + a[5] * b[6],
-        a[3] * b[1] + a[4] * b[4] + a[5] * b[7],
-        a[3] * b[2] + a[4] * b[5] + a[5] * b[8],
-        a[6] * b[0] + a[7] * b[3] + a[8] * b[6],
-        a[6] * b[1] + a[7] * b[4] + a[8] * b[7],
-        a[6] * b[2] + a[7] * b[5] + a[8] * b[8],
-    };
-    return tuple_of(out, 9);
-}
-
-static PyObject *
 matmul_comp(PyObject *Py_UNUSED(module), PyObject *const *args,
             Py_ssize_t nargs)
 {
@@ -471,7 +449,6 @@ rot_residuals9(PyObject *Py_UNUSED(module), PyObject *const *args,
     }
 
 static PyMethodDef kernel_methods[] = {
-    KERNEL(matmul),
     KERNEL(matmul_comp),
     KERNEL(euler_rodrigues9),
     KERNEL(rot_from_rod9),

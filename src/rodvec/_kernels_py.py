@@ -4,13 +4,13 @@ Vectors are 3-tuples of floats, matrices 9-tuples in row-major order, and
 each argument must have exactly that many items: every kernel unpacks its
 arguments, so any other length raises ValueError.  This module is the
 reference and the fallback backend.  ``_kernels_c.c`` implements the same
-six matrix kernels in C, each performing the same IEEE operations in the
+five matrix kernels in C, each performing the same IEEE operations in the
 same order, with no contraction into fused multiply-adds, so that both
 backends give the same bits; a change here is made there too.  A formula
 is a kernel only where its compiled twin pays for itself; the callers
 write out the rest, such as every 3-vector dot, cross, norm and
-matrix-vector product, the half-turn matrix 2 n n^T - 1 and the quotient
-of Shepperd's rule.
+matrix-vector product, the plain 3x3 matrix product, the half-turn
+matrix 2 n n^T - 1 and the quotient of Shepperd's rule.
 
 The explicit Cayley inverse ``cayley_inv9`` and ``matmul_comp`` use
 compensated (double-double) arithmetic.  Each entry of (1 - Qx)^-1 is
@@ -32,22 +32,6 @@ import math
 BACKEND = "python"
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def matmul(a, b):
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (
-        a0 * b0 + a1 * b3 + a2 * b6,
-        a0 * b1 + a1 * b4 + a2 * b7,
-        a0 * b2 + a1 * b5 + a2 * b8,
-        a3 * b0 + a4 * b3 + a5 * b6,
-        a3 * b1 + a4 * b4 + a5 * b7,
-        a3 * b2 + a4 * b5 + a5 * b8,
-        a6 * b0 + a7 * b3 + a8 * b6,
-        a6 * b1 + a7 * b4 + a8 * b7,
-        a6 * b2 + a7 * b5 + a8 * b8,
-    )
 
 
 def matmul_comp(a, b):

@@ -560,9 +560,9 @@ def _bisector(q, x) -> tuple[float, float, float]:
 def _half_angle_point(q, a) -> tuple[float, float, float]:
     """half_angle_point on the triples of Q and a.
 
-    The perpendicularity test and the bisector point (1 + Qx) a are
-    written out; the unit axis is _unit's, and the normalization
-    _from_vec's, which raises.
+    The perpendicularity test is written out; the unit axis is _unit's,
+    the point (1 + Qx) a _bisector's, and its normalization _from_vec's,
+    which raises.
     """
     qx, qy, qz = q
     ax, ay, az = a
@@ -572,7 +572,7 @@ def _half_angle_point(q, a) -> tuple[float, float, float]:
     if abs(ax * ux + ay * uy + az * uz) > 1e-9:
         raise NotPerpendicular("a must lie in the plane perpendicular to Q")
     # from_vec's checks include the finite check of Vec3((1 + Qx) a)
-    return _from_vec(ax + (qy * az - qz * ay), ay + (qz * ax - qx * az), az + (qx * ay - qy * ax))
+    return _from_vec(*_bisector(q, a))
 
 
 def _donkin_triangle(q1, q2):
@@ -581,8 +581,10 @@ def _donkin_triangle(q1, q2):
     The unit axis of Q1, the cross product of the axes, Q2 x Q1 and R B
     are written out, and ||Q1|| is the norm that unit axis divides by,
     where its sum of squares is a normal float; elsewhere it is _unit's,
-    as are the unit axis of Q2 and B.  The vertex A is _from_vec's, which
-    raises.
+    as are the unit axis of Q2 and B.  A and C = (1 + Q2x) B are
+    normalized by _from_vec, which raises.  B is perpendicular to Q2 by
+    construction, so C skips half_angle_point's test, which rounding in
+    Q2 x Q1 fails when the axes are nearly parallel.
     """
     x1, y1, z1 = q1
     x2, y2, z2 = q2
@@ -610,7 +612,7 @@ def _donkin_triangle(q1, q2):
         r[3] * bx + r[4] * by + r[5] * bz,
         r[6] * bx + r[7] * by + r[8] * bz,
     )
-    cpt = _half_angle_point(q2, b)
+    cpt = _from_vec(*_bisector(q2, b))
     _require_triangle(a, b, cpt)
     return a, b, cpt
 
@@ -663,12 +665,23 @@ def _max_diff9(a, b) -> float:
     return max(d0, d1, d2, d3, d4, d5, d6, d7, d8) if s == s else s
 
 
+def _matmul9(a, b):
+    """The product of two row-major 3x3 matrices, as nine floats."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
+    )
+
+
 def _donkin_residual(a, b, c) -> float:
     """donkin_residual on the triples of the vertices."""
     r_ab = _double_arc_rotation9(a, b)
     r_bc = _double_arc_rotation9(b, c)
     r_ac = _double_arc_rotation9(a, c)
-    return _max_diff9(_k.matmul(r_bc, r_ab), r_ac)
+    return _max_diff9(_matmul9(r_bc, r_ab), r_ac)
 
 
 # --- attitude integration -------------------------------------------------

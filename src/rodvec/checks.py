@@ -13,12 +13,12 @@ that this module loads none of the typed modules.
 A sample's 3-vector arithmetic is written out, here and in those
 routines, each dot, cross, norm and matrix-vector product in one operation
 order (no backend has a kernel for them), and none is formed twice.  The
-six matrix kernels (Euler-Rodrigues, the Rodrigues matrix, the Cayley
-inverse and its compensated products, the SO(3) residuals, the Donkin
-product) are called, and each routine calls its general fallback, _unit
-or _from_vec among them, where a sum of squares leaves the normal float
-range or a composition overflows or is a half-turn.  A nan residual stays
-nan in its diagnostic's worst residual, which then fails.
+five matrix kernels (Euler-Rodrigues, the Rodrigues matrix, the Cayley
+inverse and its compensated products, the SO(3) residuals) are called,
+and each routine calls its general fallback, _unit or _from_vec among
+them, where a sum of squares leaves the normal float range or a
+composition overflows or is a half-turn.  A nan residual stays nan in its
+diagnostic's worst residual, which then fails.
 
 Each drawn pair Q1, Q2 is composed once: ``lambda-residual`` composes it
 only inside ``_composition_diagnostics``, and ``donkin-closure`` takes Q3

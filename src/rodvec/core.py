@@ -19,7 +19,7 @@ checked nine floats.
 import math
 from dataclasses import dataclass
 
-from rodvec._backend import kernels as _k
+from rodvec._backend import kernels as _k  # unused here; tests patch the kernels through it
 from rodvec._lifted import (
     HALF_TURN_ANGLE_TOL,
     ROTATION_MATRIX_TOL,
@@ -33,6 +33,7 @@ from rodvec._lifted import (
     _fold_angle,
     _from_vec,
     _lift_axis_angle,
+    _matmul9,
     _rotation9,
     _scaled_norm,
     _unit_components,
@@ -225,7 +226,7 @@ class Matrix3:
 
     def __matmul__(self, other):
         if isinstance(other, Matrix3):
-            return Matrix3(_k.matmul(self.elements, other.elements))
+            return Matrix3(_matmul9(self.elements, other.elements))
         if isinstance(other, Vec3):
             return _apply9(self.elements, other)
         return NotImplemented
@@ -297,7 +298,7 @@ class RotationMatrix:
 
     def __matmul__(self, other):
         if isinstance(other, RotationMatrix):
-            return RotationMatrix(Matrix3(_k.matmul(self.elements, other.elements)))
+            return RotationMatrix(Matrix3(_matmul9(self.elements, other.elements)))
         if isinstance(other, Vec3):
             return self.apply(other)
         return NotImplemented

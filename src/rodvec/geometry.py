@@ -18,7 +18,6 @@ triples; the public functions here build the typed values only at the
 boundary, and the figure scenes are built from them.
 """
 
-import math
 from dataclasses import dataclass
 
 from rodvec._lifted import (
@@ -27,6 +26,7 @@ from rodvec._lifted import (
     _bisector,
     _donkin_residual,
     _donkin_triangle,
+    _floats,
     _half_angle_point,
     _require_triangle,
     _unit,
@@ -121,6 +121,8 @@ def donkin_triangle(q1: RodriguesVector, q2: RodriguesVector) -> SphericalTriang
     Raises:
         ParallelAxes: when the unit axes n1, n2 have ||n2 x n1|| <= 1e-9
             (the composition is then same-axis and needs no triangle).
+        ValueError: when A, B and C are collinear to 1e-9, as for
+            rotations too small to span a triangle the floats resolve.
     """
     a, b, c = _donkin_triangle(q1.as_tuple(), q2.as_tuple())
     return SphericalTriangle(UnitVector(*a), UnitVector(*b), UnitVector(*c))
@@ -158,13 +160,20 @@ class Segment:
 @dataclass(frozen=True)
 class Arc:
     """Circular arc from ``start`` sweeping ``sweep`` radians about ``axis``
-    through ``center`` (right-hand rule)."""
+    through ``center`` (right-hand rule).  The sweep is stored as a checked
+    float, and any other Vec3 axis as a UnitVector, as AxisAngle does."""
 
     center: Vec3
     axis: UnitVector
     start: Vec3
     sweep: float
     role: str
+
+    def __post_init__(self) -> None:
+        a = self.axis
+        if not isinstance(a, UnitVector):
+            object.__setattr__(self, "axis", UnitVector(a.x, a.y, a.z))
+        object.__setattr__(self, "sweep", *_floats(self.sweep))
 
 
 @dataclass(frozen=True)
@@ -181,13 +190,6 @@ class FigureScene:
     primitives: tuple
     view_axis: UnitVector
     degenerate: bool = False
-
-    def __post_init__(self) -> None:
-        # endpoint coordinates are Vec3s and finite by construction; the
-        # sweep is the one bare float that still needs a check
-        for p in self.primitives:
-            if isinstance(p, Arc) and not math.isfinite(p.sweep):
-                raise ValueError("non-finite arc sweep")
 
     def count(self, cls, role: str | None = None) -> int:
         return sum(

@@ -480,7 +480,7 @@ class TestNanResiduals:
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_donkin_closure(self, capsys, monkeypatch, k):
-        _nan_on_call(monkeypatch, _k, "matmul", k, _nan_entry)
+        _nan_on_call(monkeypatch, _lifted, "_matmul9", k, _nan_entry)
         code, lines = self.run_check(capsys)
         assert code == 1
         self.assert_only_failure(lines, "donkin-closure")

@@ -271,6 +271,20 @@ class TestDonkin:
         residual = float(out.splitlines()[-1].partition(" = ")[2])
         assert residual <= 1e-10
 
+    def test_nearly_parallel_axes(self, capsys, tmp_path):
+        # axes 3.4e-9 rad apart: the command exited 1 with a NotPerpendicular
+        # traceback, and so did fig4 and fig5
+        q1 = "-0.9737716208221956,-0.5665403990723037,-0.44103526797777937"
+        q2 = "-1.8782759933291822,-1.0927811167031554,-0.8506983946786105"
+        code, out, err = run(capsys, "donkin", f"rod:{q1}", f"rod:{q2}")
+        assert (code, err) == (0, "")
+        assert float(out.splitlines()[-1].removeprefix("residual = ")) <= 1e-14
+        for kind in ("fig4", "fig5"):
+            path = tmp_path / f"{kind}.svg"
+            argv = ["figure", "--kind", kind, f"--q1={q1}", f"--q2={q2}", "--out", str(path)]
+            assert run(capsys, *argv) == (0, "", "")
+            assert "<svg " in path.read_text()
+
     def test_degrees_flag_converts_arcs(self, capsys):
         code, out, _ = run(capsys, "--degrees", "donkin", "rod:1,0,0", "rod:0,1,0")
         assert code == 0

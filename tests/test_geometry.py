@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from rodvec import (
     half_angle_point,
     tangent_to_bisector,
 )
+from rodvec._lifted import _arc_angle, _donkin_residual, _donkin_triangle, _unit
 from rodvec.geometry import Arc, Label, Segment
 from conftest import np_euler_rodrigues, rand_rod, rand_unit, rand_vec, vec_np
 
@@ -170,6 +172,42 @@ class TestDonkinTriangle:
             assert arc_angle(tri.b, tri.c) == pytest.approx(half2)
             assert donkin_verify(tri) <= 1e-10
 
+    #: Q1, Q2 with axes 3.4e-9 rad apart: rounding in Q2 x Q1 puts B
+    #: 5.3e-9 off the Q2 circle, where a perpendicularity test on C raised
+    #: NotPerpendicular
+    NEAR_PARALLEL = (
+        RodriguesVector(-0.9737716208221956, -0.5665403990723037, -0.44103526797777937),
+        RodriguesVector(-1.8782759933291822, -1.0927811167031554, -0.8506983946786105),
+    )
+
+    def test_nearly_parallel_axes(self):
+        tri = donkin_triangle(*self.NEAR_PARALLEL)
+        assert donkin_verify(tri) <= 1e-14
+
+    def test_nearly_parallel_axes_keep_the_half_angles(self):
+        # axes 1e-9 to 1e-5 rad apart and ||Q|| log-uniform in 1e-3 to 1e3:
+        # B is off each axis' perpendicular circle by up to about 1e-16
+        # over the axes' angle, which changes the arcs only in its square
+        rng = random.Random(25)
+        triangles = 0
+        for _ in range(1000):
+            u1 = rand_unit(rng)
+            n1 = u1.as_tuple()
+            e = _unit(*rand_unit(rng).cross(u1).as_tuple())
+            d = 10.0 ** rng.uniform(-9.0, -5.0)
+            n2 = tuple(math.cos(d) * u + math.sin(d) * v for u, v in zip(n1, e))
+            s1, s2 = (10.0 ** rng.uniform(-3.0, 3.0) for _ in range(2))
+            q1, q2 = tuple(s1 * u for u in n1), tuple(s2 * u for u in n2)
+            try:
+                a, b, c = _donkin_triangle(q1, q2)
+            except ParallelAxes:
+                continue
+            triangles += 1
+            for arc, q in ((_arc_angle(a, b), q1), (_arc_angle(b, c), q2)):
+                assert arc == pytest.approx(math.atan(math.hypot(*q)), rel=1e-12), (q1, q2)
+            assert _donkin_residual(a, b, c) <= 1e-14, (q1, q2)
+        assert triangles >= 990
+
     def test_arcs_are_half_angles(self):
         q1 = RodriguesVector(1, 0, 0)
         q2 = RodriguesVector(0, 1, 0)
@@ -277,6 +315,21 @@ class TestFigureScenes:
             figure_scene("fig4", RodriguesVector(1, 0, 0))
         with pytest.raises(MissingInput):
             figure_scene("nope", RodriguesVector(1, 0, 0), x=Vec3(1, 0, 0))
+
+    def test_arc_checks_its_sweep_and_axis(self):
+        origin, z, x = Vec3(0, 0, 0), UnitVector(0, 0, 1), Vec3(1, 0, 0)
+        # an int sweep past the float range raised a bare OverflowError
+        # from FigureScene, and a Vec3 axis of norm 2 was stored as it was
+        with pytest.raises(ValueError, match="too large for a float"):
+            Arc(origin, z, x, 10**400, "rotation-arc")
+        with pytest.raises(ValueError, match="non-finite component: nan"):
+            Arc(origin, z, x, math.nan, "rotation-arc")
+        with pytest.raises(ValueError, match="not a unit vector"):
+            Arc(origin, Vec3(0, 0, 2), x, 1.0, "rotation-arc")
+        assert Arc(origin, z, x, 1.0, "rotation-arc").axis is z
+        arc = Arc(origin, Vec3(0.0, 0.0, 1.0 + 1e-8), x, 1, "rotation-arc")
+        assert type(arc.axis) is UnitVector and arc.axis == UnitVector(0.0, 0.0, 1.0 + 1e-8)
+        assert type(arc.sweep) is float and arc.sweep == 1.0
 
     def test_deterministic(self):
         a = figure_scene("fig1a", RodriguesVector(0, 0, 1), x=Vec3(1, 0, 0))

@@ -4,10 +4,10 @@ The reference below is the double-double pipeline composed from one helper
 per step (two_sum, two_prod, dd_add, dd_div, ...).  The pure-Python kernels
 write the same steps out inline, and must give the same bits.
 
-``transpose9``, ``skew9``, ``compose_num_den``, ``half_turn9`` and
-``rod_from_rot9`` were kernels once; their callers now write the tuples
-out.  Their formulas are kept here as the reference those callers must
-match bit for bit.  So were the 3-vector dot, cross, norm and
+``matmul``, ``transpose9``, ``skew9``, ``compose_num_den``, ``half_turn9``
+and ``rod_from_rot9`` were kernels once; their callers now write the
+tuples out.  Their formulas are kept here as the reference those callers
+must match bit for bit.  So were the 3-vector dot, cross, norm and
 matrix-vector products, whose formulas ``test_properties`` keeps.
 """
 
@@ -118,6 +118,22 @@ def ref_transpose9(m):
 def ref_skew9(v):
     x, y, z = v
     return (0.0, -z, y, z, 0.0, -x, -y, x, 0.0)
+
+
+def ref_matmul9(a, b):
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6,
+        a0 * b1 + a1 * b4 + a2 * b7,
+        a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6,
+        a3 * b1 + a4 * b4 + a5 * b7,
+        a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6,
+        a6 * b1 + a7 * b4 + a8 * b7,
+        a6 * b2 + a7 * b5 + a8 * b8,
+    )
 
 
 def ref_half_turn9(n):
@@ -253,7 +269,7 @@ def ref_cayley_inv9(q):
 
 
 def ref_rot_residuals9(m):
-    g = kp.matmul(ref_transpose9(m), m)
+    g = ref_matmul9(ref_transpose9(m), m)
     r = max(
         abs(g[0] - 1.0),
         abs(g[4] - 1.0),
@@ -401,7 +417,7 @@ def test_backends_define_the_same_kernels():
     }
     assert len(compiled) == len(set(compiled))
     assert set(compiled) == python == {
-        "matmul", "matmul_comp", "euler_rodrigues9", "rot_from_rod9", "cayley_inv9", "rot_residuals9"
+        "matmul_comp", "euler_rodrigues9", "rot_from_rod9", "cayley_inv9", "rot_residuals9"
     }
 
 
@@ -472,7 +488,6 @@ _SPECIAL = (0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308, -1.7e308, math
 
 #: the length of each kernel argument, 0 for a scalar
 _ARGS = {
-    "matmul": (9, 9),
     "matmul_comp": (9, 9),
     "euler_rodrigues9": (3, 0),
     "rot_from_rod9": (3,),
@@ -511,8 +526,6 @@ def test_kernel_parity_over_the_float_range(kc, name):
         ("matmul_comp", ((1e300,) * 9, (1e8,) * 9), OverflowError),
         ("matmul_comp", ((math.inf, -math.inf, 0.0) * 3, (1.0,) * 9), ValueError),
         # every argument must have exactly its length
-        ("matmul", ((1.0,) * 8, (1.0,) * 9), ValueError),
-        ("matmul", ((1.0,) * 9, (1.0,) * 10), ValueError),
         ("matmul_comp", ((1.0,) * 10, (1.0,) * 9), ValueError),
         ("rot_from_rod9", ((1.0, 2.0),), ValueError),
         ("rot_residuals9", ((1.0,) * 10,), ValueError),
@@ -552,6 +565,21 @@ def test_transpose_and_skew_match_the_deleted_kernels():
     for zeros in ((0.0, -0.0, 0.0), (-0.0, 0.0, -0.0)):
         assert _same_bits(SkewMatrix(Vec3(*zeros)).matrix.elements, ref_skew9(zeros))
         assert _same_bits(Matrix3(zeros * 3).transpose().elements, ref_transpose9(zeros * 3))
+
+
+def test_matmul9_matches_the_deleted_kernel():
+    # _lifted._matmul9, behind donkin-closure's product and the typed
+    # Matrix3 @ and RotationMatrix @, is the deleted matmul kernel's
+    # formula: the same bits over the float range, special values included
+    rng = random.Random(zlib.crc32(b"matmul"))
+    for i in range(1000):
+        wide = i % 2 == 1
+        a, b = (tuple(_any_float(rng, wide) for _ in range(9)) for _ in range(2))
+        got = tuple(map(float.hex, _lifted._matmul9(a, b)))
+        assert got == tuple(map(float.hex, ref_matmul9(a, b))), (a, b)
+        a, b = (tuple(_finite_float(rng, wide) for _ in range(9)) for _ in range(2))
+        typed = _outcome(lambda: (Matrix3(a) @ Matrix3(b)).elements)
+        assert _same_result(typed, _outcome(lambda: Matrix3(ref_matmul9(a, b)).elements)), (a, b)
 
 
 def _vec_outcome(f, *args):

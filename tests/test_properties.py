@@ -829,7 +829,9 @@ def ref_donkin_triangle(q1, q2):
     half1 = math.atan(norm(q1))
     r = _euler_rodrigues9(axis1, -half1)
     a = ref_from_vec(*mat_vec(r, b))
-    cpt = ref_half_angle_point(q2, b)
+    # B is perpendicular to Q2 by construction: C is not tested for it
+    t = cross(q2, b)
+    cpt = ref_from_vec(b[0] + t[0], b[1] + t[1], b[2] + t[2])
     ref_require_triangle(a, b, cpt)
     return a, b, cpt
 
@@ -996,8 +998,60 @@ def rotation_pairs(draw):
 @example(((_SUBNORMAL_SS, 0.0, 0.0), (0.0, 1.0, 0.0)))  # Q1.Q1 is subnormal
 @example(((1e-6, 0.0, 0.0), (0.0, 1e-6, 0.0)))  # collinear vertices
 @example(((0.3, -0.2, 1.1), (-0.7, 0.4, 0.25)))
+# axes 3.4e-9 rad apart: B is 5.3e-9 off the Q2 circle to rounding
+@example(
+    (
+        (-0.9737716208221956, -0.5665403990723037, -0.44103526797777937),
+        (-1.8782759933291822, -1.0927811167031554, -0.8506983946786105),
+    )
+)
 def test_donkin_triangle_matches_the_reference(pair):
     assert same_outcome(_donkin_triangle, ref_donkin_triangle, *pair)
+
+
+def _unit_of_angles(polar, azimuth):
+    return (math.sin(polar) * math.cos(azimuth), math.sin(polar) * math.sin(azimuth), math.cos(polar))
+
+
+@st.composite
+def donkin_pairs(draw):
+    """Q1, Q2 with lengths log-uniform in 1e-300 to 1e300 and axes log-uniform
+    in 1e-10 to pi rad apart."""
+    angle = st.floats(0.0, 2.0 * math.pi)
+    polar, azimuth, towards = draw(angle), draw(angle), draw(angle)
+    n1 = _unit_of_angles(polar, azimuth)
+    # e is perpendicular to n1, at the angle towards in its tangent plane
+    e1 = _unit_of_angles(polar + 0.5 * math.pi, azimuth)
+    e2 = cross(n1, e1)
+    e = tuple(math.cos(towards) * u + math.sin(towards) * v for u, v in zip(e1, e2))
+    d = 10.0 ** draw(st.floats(-10.0, math.log10(math.pi)))
+    n2 = tuple(math.cos(d) * u + math.sin(d) * v for u, v in zip(n1, e))
+    s1, s2 = (10.0 ** draw(st.floats(-300.0, 300.0)) for _ in range(2))
+    return tuple(s1 * u for u in n1), tuple(s2 * u for u in n2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(donkin_pairs())
+@example(
+    (
+        (-0.9737716208221956, -0.5665403990723037, -0.44103526797777937),
+        (-1.8782759933291822, -1.0927811167031554, -0.8506983946786105),
+    )
+)
+@example(((3e-5, 0.0, 0.0), (0.0, 3e-5, 0.0)))  # collinear vertices
+@example(((1.0, 0.0, 0.0), (2.0, 1e-10, 0.0)))  # parallel axes
+def test_donkin_command_exits_with_a_documented_code(pair):
+    # a result, a ValueError (exit 2) or ParallelAxes (exit 4), each error
+    # on one stderr line; an exception out of main fails the test
+    specs = ["rod:" + ",".join(map(repr, q)) for q in pair]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["donkin", *specs])
+    assert code in (0, 2, 4)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+    else:
+        assert err.getvalue() == ""
 
 
 @settings(max_examples=500, deadline=None)
