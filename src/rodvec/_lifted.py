@@ -93,11 +93,15 @@ def _floats(*values) -> tuple[float, ...]:
 def _checked9(e):
     """e, a row-major tuple of nine floats, after the checks of
     RotationMatrix: finite, then R^T R = 1 and det R = 1 to
-    ROTATION_MATRIX_TOL, else NotARotation."""
-    if not math.isfinite(sum(e)):  # the sum may also overflow
-        _require_finite(*e)
+    ROTATION_MATRIX_TOL, else NotARotation.
+
+    One residual call checks both: a non-finite entry makes |det - 1| nan
+    or inf, so it fails, and only a failing matrix is finite-checked, for
+    the ValueError that names its first non-finite entry.
+    """
     ortho, det = _k.rot_residuals9(e)
-    if ortho > ROTATION_MATRIX_TOL or det > ROTATION_MATRIX_TOL:
+    if not (ortho <= ROTATION_MATRIX_TOL and det <= ROTATION_MATRIX_TOL):
+        _require_finite(*e)
         raise NotARotation(
             f"matrix fails SO(3) checks: |R^T R - 1| = {ortho:.3e}, |det - 1| = {det:.3e}"
         )

@@ -101,6 +101,123 @@ def test_each_drawn_pair_is_composed_once(monkeypatch):
         assert counts == {"_compose_chain": n, "_composition_diagnostics": n}, (n, seed)
 
 
+#: float.hex of the five max_residual values of run_diagnostics(1000, 42),
+#: the size of the README's example
+README_RESIDUALS = [
+    "0x1.8000000000000p-51",
+    "0x1.108011ae62130p-47",
+    "0x1.ee8f5a0df6907p-52",
+    "0x1.01fe03f61bad0p-48",
+    "0x1.0000000000000p-50",
+]
+
+
+def test_readme_size_residuals_are_pinned():
+    assert [r.max_residual.hex() for r in checks.run_diagnostics(1000, 42)] == README_RESIDUALS
+
+
+# --- the draws -------------------------------------------------------------
+
+
+def _ref_unit(rng):
+    """The unit-vector draw that checks._rand_unit replaced, kept as its
+    reference: three calls to gauss(0.0, 1.0), then normalize."""
+    while True:
+        x, y, z = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
+        n = math.sqrt(x * x + y * y + z * z)
+        if n > 1e-3:
+            return x / n, y / n, z / n
+
+
+def _ref_rodrigues(rng, max_angle):
+    return checks._rodrigues(_ref_unit(rng), rng.uniform(-max_angle, max_angle))
+
+
+def _ref_pair(rng):
+    """checks._rand_pair with the reference draws."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "_rand_rodrigues", _ref_rodrigues)
+        return checks._rand_pair(rng)
+
+
+#: each interleaving of draws the diagnostics use, as (checks' draws,
+#: reference draws); "gauss" enters the next draw with a pair half-used
+_DRAWS = {
+    "axis-angle": (
+        lambda rng: checks._rand_axis_angle(rng, math.pi - 1e-3),
+        lambda rng: (_ref_unit(rng), rng.uniform(-(math.pi - 1e-3), math.pi - 1e-3)),
+    ),
+    "rodrigues": (
+        lambda rng: checks._rand_rodrigues(rng, math.pi - 1e-3),
+        lambda rng: _ref_rodrigues(rng, math.pi - 1e-3),
+    ),
+    "pair": (checks._rand_pair, _ref_pair),
+    "bridge-uniforms": (
+        lambda rng: tuple(checks._uniform(rng, -2, 2) for _ in range(3)),
+        lambda rng: tuple(rng.uniform(-2, 2) for _ in range(3)),
+    ),
+    "gauss": (lambda rng: rng.gauss(0.0, 1.0), lambda rng: rng.gauss(0.0, 1.0)),
+}
+
+
+def _hexes(value):
+    if isinstance(value, tuple):
+        return [h for v in value for h in _hexes(v)]
+    return [value.hex()]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 20261020])
+def test_draws_are_the_stdlibs(seed):
+    """The draws formed from random() alone keep the bits of gauss and
+    uniform, over 10 000 draws in a seeded random order of interleavings."""
+    order = random.Random(seed + 1)
+    new, ref = random.Random(seed), random.Random(seed)
+    kinds = list(_DRAWS)
+    seen = collections.Counter()
+    for i in range(10_000):
+        kind = order.choice(kinds)
+        half_used = new.gauss_next is not None
+        seen[kind, half_used] += 1
+        draw, ref_draw = _DRAWS[kind]
+        assert _hexes(draw(new)) == _hexes(ref_draw(ref)), (seed, i, kind)
+    assert set(seen) == {(kind, half_used) for kind in kinds for half_used in (False, True)}
+
+
+class _Scripted(random.Random):
+    """random() returns the values of a script, in a loop."""
+
+    def __init__(self, script):
+        super().__init__(0)
+        self.values = itertools.cycle(script)
+
+    def random(self):
+        return next(self.values)
+
+
+#: 0.0 gives Box-Muller radii of -0.0, so normals of -0.0 that gauss folds
+#: to 0.0, and unit draws with n <= 1e-3 that are drawn again
+_SCRIPT = [0.1, 0.0, 0.2, 0.0, 0.3, 0.5, 0.7, 1.0 - 2.0**-53, 0.0, 0.9, 0.6, 0.0, 0.0, 0.25]
+
+
+@pytest.mark.parametrize("kind", list(_DRAWS))
+def test_draws_keep_the_stdlibs_signed_zeros(kind):
+    new, ref = _Scripted(_SCRIPT), _Scripted(_SCRIPT)
+    draw, ref_draw = _DRAWS[kind]
+    for i in range(len(_SCRIPT) * 4):
+        assert _hexes(draw(new)) == _hexes(ref_draw(ref)), (kind, i)
+
+
+def test_diagnostics_call_neither_gauss_nor_uniform(monkeypatch):
+    def banned(*args):
+        raise AssertionError("drawn with gauss or uniform")
+
+    monkeypatch.setattr(random.Random, "gauss", banned)
+    monkeypatch.setattr(random.Random, "uniform", banned)
+    for (n, seed), hexes in _pinned_residuals().items():
+        if n == 7:
+            assert [r.max_residual.hex() for r in checks.run_diagnostics(n, seed)] == hexes, seed
+
+
 # --- the public wrappers -------------------------------------------------
 
 

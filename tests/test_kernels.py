@@ -11,6 +11,7 @@ must match bit for bit.  So were the 3-vector dot, cross, norm and
 matrix-vector products, whose formulas ``test_properties`` keeps.
 """
 
+import hashlib
 import inspect
 import math
 import os
@@ -37,7 +38,7 @@ from rodvec.core import (
     _rotation_matrix,
     matrix_from_rodrigues,
 )
-from rodvec.errors import DegenerateComposition, NotPerpendicular, RodvecError
+from rodvec.errors import DegenerateComposition, NotARotation, NotPerpendicular, RodvecError
 from rodvec.geometry import donkin_triangle, tangent_to_bisector
 from test_acceptance import _q_of, _rand_axis_angle
 from test_properties import (
@@ -728,6 +729,61 @@ def test_check_output_is_the_same_on_both_backends(kc):
     assert compiled.startswith("backend: compiled\n")
     assert pure.startswith("backend: python\n")
     assert compiled.split("\n", 1)[1] == pure.split("\n", 1)[1]
+
+
+#: sha256 of the stdout of ``rodvec check --n 2000 --seed 42`` after its
+#: ``backend:`` line, the same on both backends
+CHECK_2000_42_SHA256 = "4dd48a02dc54602fe38de5edeb20fb009131f750ff6c9aae972eb7ab5e6b82f8"
+
+
+def _check_digest(stdout):
+    return hashlib.sha256(stdout.split("\n", 1)[1].encode()).hexdigest()
+
+
+def test_check_output_is_pinned_on_the_python_backend():
+    pure = _check_stdout("import sys", "sys.modules['rodvec._kernels_c'] = None")
+    assert pure.startswith("backend: python\n")
+    assert _check_digest(pure) == CHECK_2000_42_SHA256
+
+
+def test_check_output_is_pinned_on_the_compiled_backend(kc):
+    compiled = _check_stdout()
+    assert compiled.startswith("backend: compiled\n")
+    assert _check_digest(compiled) == CHECK_2000_42_SHA256
+
+
+def _checked9_outcomes():
+    """The class and text of what _lifted._checked9 raises on a matrix with
+    each non-finite value at each entry, on one whose residuals overflow,
+    and on a finite non-rotation."""
+    out = []
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(9):
+            e = list(_lifted._IDENTITY9)
+            e[i] = bad
+            out.append(tuple(e))
+    out += [(1e308,) * 9, (1.0, 0.5, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)]
+    for e in out:
+        with pytest.raises(Exception) as info:
+            _lifted._checked9(e)
+        yield type(info.value), str(info.value)
+
+
+CHECKED9_ERRORS = [
+    *[(ValueError, f"non-finite component: {bad}") for bad in ("nan", "inf", "-inf") for _ in range(9)],
+    (NotARotation, "matrix fails SO(3) checks: |R^T R - 1| = inf, |det - 1| = nan"),
+    (NotARotation, "matrix fails SO(3) checks: |R^T R - 1| = 5.000e-01, |det - 1| = 0.000e+00"),
+]
+
+
+def test_checked9_errors_on_the_python_kernels(monkeypatch):
+    monkeypatch.setattr(_lifted, "_k", kp)
+    assert list(_checked9_outcomes()) == CHECKED9_ERRORS
+
+
+def test_checked9_errors_on_the_compiled_kernels(monkeypatch, kc):
+    monkeypatch.setattr(_lifted, "_k", kc)
+    assert list(_checked9_outcomes()) == CHECKED9_ERRORS
 
 
 def test_default_prefers_compiled(kc):
