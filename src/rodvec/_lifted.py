@@ -427,8 +427,9 @@ def _lambda(x2: float, y2: float, z2: float, x1: float, y1: float, z1: float) ->
 
 
 def _compose_chain(rotations):
-    """Fold the Euler parameters of a chain, the first applied first, with
-    the composition law: (lambdas, (s, x, y, z)).
+    """Fold the Euler parameters of a chain, any iterable of them with at
+    least one, the first applied first, with the composition law:
+    (lambdas, (s, x, y, z)).  Each is taken as the fold reaches it.
 
     lambdas[i - 1] is the conditioning number 1 - Q2.Q1 of step i, as
     ``_lambda`` gives it, or None where an operand is a half-turn.  A step
@@ -442,9 +443,10 @@ def _compose_chain(rotations):
     ``_compose_lifted``; where the product overflowed, its lambda comes
     from ``_lambda``.
     """
-    s1, x1, y1, z1 = rotations[0]
+    rotations = iter(rotations)
+    s1, x1, y1, z1 = next(rotations)
     lams = []
-    for s2, x2, y2, z2 in rotations[1:]:
+    for s2, x2, y2, z2 in rotations:
         if s1 and s2:
             lam = 1.0 - (x2 * x1 + y2 * y1 + z2 * z1)
             vx = x1 + x2 + (y2 * z1 - z2 * y1)

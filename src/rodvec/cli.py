@@ -8,10 +8,12 @@ significant digits unless --precision overrides.  Exit codes: 0 ok,
 
 ``convert``, ``compose``, ``donkin`` and ``integrate`` run on the float
 core ``rodvec._lifted`` alone, and ``check`` on ``rodvec.checks``, which
-runs on that core too.  ``compose`` parses every spec, then folds the
-chain with ``_lifted._compose_chain`` and only formats what it returns:
-the lambda of each step and the product.  Only ``figure`` imports typed
-modules, when it runs, so importing this module loads no typed class.
+runs on that core too.  ``compose`` folds each spec with
+``_lifted._compose_chain`` as it parses it, and only formats what the fold
+returns: the lambda of each step and the product.  ``integrate`` renders
+its trajectory a block of rows at a time, every row before any is written.
+Only ``figure`` imports typed modules, when it runs, so importing this
+module loads no typed class.
 
 The command line is declared once, in ``_ROOT_ARGUMENTS`` and
 ``_COMMANDS``.  A direct parser reads every well-formed command line from
@@ -161,9 +163,9 @@ def _cmd_compose(args) -> int:
     if len(args.specs) < 2:
         raise SpecFormatError("compose needs at least two rotation specs")
     digits = args.precision
-    # every spec is parsed before any output, so a bad one prints nothing;
-    # the parsed list is freed once folded
-    lams, product = _compose_chain([_parse_lifted(text, args.degrees) for text in args.specs])
+    # each spec is parsed as the fold reaches it, and nothing is printed
+    # until the fold returns, so a bad spec prints nothing but its error
+    lams, product = _compose_chain(map(_parse_lifted, args.specs, repeat(args.degrees)))
     line = "lambda[%%d] = %%.%dg\n" % digits
     # + 0.0 folds -0.0 as _fmt does
     sys.stdout.writelines(
@@ -192,8 +194,9 @@ def _cmd_donkin(args) -> int:
     return 0
 
 
-#: Lines of an omega file converted together while every one is plain.
-_OMEGA_BLOCK = 64
+#: Lines of an omega file converted together while every one is plain, and
+#: trajectory rows formatted together.
+_BLOCK = 64
 
 
 def _parse_omega_file(path: str) -> tuple[list[float], list[tuple[float, float, float]]]:
@@ -213,8 +216,8 @@ def _parse_omega_file(path: str) -> tuple[list[float], list[tuple[float, float, 
         raise SpecFormatError(_not_utf8(path, exc)) from None
     times, rates = [], []
     _parse_omega_lines(path, lines[:1], 1, times, rates)
-    for i in range(1, len(lines), _OMEGA_BLOCK):
-        block = lines[i : i + _OMEGA_BLOCK]
+    for i in range(1, len(lines), _BLOCK):
+        block = lines[i : i + _BLOCK]
         # Split at most three times, so a line gives at most four tokens: the
         # count is short if a line has fewer than four fields, and float()
         # rejects the last token of a line with more, and any token with '#'.
@@ -274,19 +277,23 @@ def _parse_omega_lines(path: str, lines: list[str], first: int, times: list, rat
 def _trajectory_lines(
     rows: list[tuple[float, float, float, float, float]], digits: int, matrix_cols: bool
 ) -> list[str]:
-    """The lines of the trajectory table of the integrator's (t, s, x, y, z)
-    rows, each ended by a newline; a half-turn row (s = 0) prints nan for Q."""
+    """The trajectory table of the integrator's (t, s, x, y, z) rows: the
+    header, then one string for each block of _BLOCK rows, every row ended
+    by a newline; a half-turn row (s = 0) prints nan for Q."""
     header = "# t qx qy qz" + (" r11 r21 r31 r12 r22 r32\n" if matrix_cols else "\n")
     row = " ".join(["%%.%dg" % digits] * (10 if matrix_cols else 4)) + "\n"
     nan = math.nan
     out = [header]
-    for t, s, x, y, z in rows:
-        # + 0.0 folds -0.0 as _fmt does
-        cols = (t + 0.0, x + 0.0, y + 0.0, z + 0.0) if s else (t + 0.0, nan, nan, nan)
-        if matrix_cols:
-            e = _rotation9(s, x, y, z)
-            cols += (e[0] + 0.0, e[3] + 0.0, e[6] + 0.0, e[1] + 0.0, e[4] + 0.0, e[7] + 0.0)
-        out.append(row % cols)
+    for i in range(0, len(rows), _BLOCK):
+        block = rows[i : i + _BLOCK]
+        cols = []
+        for t, s, x, y, z in block:
+            # + 0.0 folds -0.0 as _fmt does
+            cols += (t + 0.0, x + 0.0, y + 0.0, z + 0.0) if s else (t + 0.0, nan, nan, nan)
+            if matrix_cols:
+                e = _rotation9(s, x, y, z)
+                cols += (e[0] + 0.0, e[3] + 0.0, e[6] + 0.0, e[1] + 0.0, e[4] + 0.0, e[7] + 0.0)
+        out.append(row * len(block) % tuple(cols))
     return out
 
 

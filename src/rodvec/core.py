@@ -19,7 +19,6 @@ checked nine floats.
 import math
 from dataclasses import dataclass
 
-from rodvec._backend import kernels as _k  # unused here; tests patch the kernels through it
 from rodvec._lifted import (
     HALF_TURN_ANGLE_TOL,
     ROTATION_MATRIX_TOL,

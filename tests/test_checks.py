@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import rodvec.core
 from conftest import rand_axis_angle, rand_rod, rand_unit, rand_vec
 from rodvec import _lifted, checks
 from rodvec._backend import backend_name, kernels as _k
@@ -505,14 +504,14 @@ class TestKernelOutputChecks:
     RotationMatrix(Matrix3(...))."""
 
     def run_corrupted(self, capsys, monkeypatch, kernel, change):
-        real = getattr(rodvec.core._k, kernel)
+        real = getattr(_k, kernel)
         calls = []
 
         def corrupted(*args):
             calls.append(args)
             return change(real(*args))
 
-        monkeypatch.setattr(rodvec.core._k, kernel, corrupted)
+        monkeypatch.setattr(_k, kernel, corrupted)
         code = main(["check", "--n", "3"])
         out = capsys.readouterr()
         assert out.out == f"backend: {backend_name()}\n"

@@ -15,10 +15,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rodvec._backend
 import rodvec.checks
 import rodvec.core
-from rodvec._lifted import _require_finite
-from rodvec.cli import _build_parser, _parse_direct, _parse_lifted, _parse_omega_file, main
+from rodvec._lifted import EXACT_STEP, _compose_chain, _integrate, _require_finite, _rotation9
+from rodvec.cli import (
+    _build_parser,
+    _parse_direct,
+    _parse_lifted,
+    _parse_omega_file,
+    _trajectory_lines,
+    main,
+)
 from rodvec.core import RodriguesVector, _from_lifted
 from rodvec.errors import SpecFormatError
 
@@ -742,8 +750,8 @@ class TestIntegrateRowChecks:
     the message of RotationMatrix(Matrix3(...)), and prints no row."""
 
     def run_corrupted(self, capsys, monkeypatch, tmp_path, change):
-        real = rodvec.core._k.rot_from_rod9
-        monkeypatch.setattr(rodvec.core._k, "rot_from_rod9", lambda q: change(real(q)))
+        real = rodvec._backend.kernels.rot_from_rod9
+        monkeypatch.setattr(rodvec._backend.kernels, "rot_from_rod9", lambda q: change(real(q)))
         path = tmp_path / "omega.txt"
         path.write_text("# t wx wy wz\n0 0.3 -0.2 1\n0.5 0.3 -0.2 1\n1 0.3 -0.2 1\n")
         return run(capsys, "integrate", str(path), "--trajectory", "--matrix-cols")
@@ -792,6 +800,122 @@ class TestIntegrateOutputDigests:
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 504
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def ref_trajectory_lines(rows, digits, matrix_cols):
+    """The trajectory table rendered one row at a time, one string per row:
+    the renderer the block renderer must match byte for byte."""
+    header = "# t qx qy qz" + (" r11 r21 r31 r12 r22 r32\n" if matrix_cols else "\n")
+    row = " ".join(["%%.%dg" % digits] * (10 if matrix_cols else 4)) + "\n"
+    nan = math.nan
+    out = [header]
+    for t, s, x, y, z in rows:
+        # + 0.0 folds -0.0 as _fmt does
+        cols = (t + 0.0, x + 0.0, y + 0.0, z + 0.0) if s else (t + 0.0, nan, nan, nan)
+        if matrix_cols:
+            e = _rotation9(s, x, y, z)
+            cols += (e[0] + 0.0, e[3] + 0.0, e[6] + 0.0, e[1] + 0.0, e[4] + 0.0, e[7] + 0.0)
+        out.append(row % cols)
+    return out
+
+
+def _trajectory_rows(n: int) -> list[tuple[float, float, float, float, float]]:
+    """n seeded (t, s, x, y, z) rows: regular ones with components from 1e-8
+    to 1e8 and signed zeros, every seventh a half-turn, and one whose Q.Q
+    overflows."""
+    rng = random.Random(n)
+    rows = []
+    for i in range(n):
+        t = -0.0 if i == 0 else i / 100
+        if i % 7 == 3:
+            axis = _unit_axis(rng)
+            rows.append((t, 0.0, *axis))
+        elif i == 5:
+            rows.append((t, 1.0, -1e200, 0.0, -0.0))
+        else:
+            q = [rng.choice((-0.0, 0.0, rng.uniform(-3.0, 3.0), rng.uniform(-1e8, 1e8), 1e-8)) for _ in range(3)]
+            rows.append((t, 1.0, *q))
+    return rows
+
+
+#: Row counts about the 64-row block: one row, a full block, one past it,
+#: two blocks and many.
+_ROW_COUNTS = (1, 2, 63, 64, 65, 128, 129, 1001)
+
+
+class TestTrajectoryBlocks:
+    """``integrate`` renders its trajectory a block of rows at a time, with
+    the bytes of the row-by-row renderer; every row is rendered and checked
+    before any is written."""
+
+    @pytest.mark.parametrize("matrix_cols", [False, True])
+    @pytest.mark.parametrize("digits", [12, 17])
+    @pytest.mark.parametrize("n", _ROW_COUNTS)
+    def test_blocks_match_the_row_renderer(self, n, digits, matrix_cols):
+        rows = _trajectory_rows(n)
+        got = "".join(_trajectory_lines(rows, digits, matrix_cols))
+        assert got == "".join(ref_trajectory_lines(rows, digits, matrix_cols))
+        assert "nan" in got if n > 3 else "nan" not in got
+
+    @pytest.mark.parametrize("n", _ROW_COUNTS)
+    def test_one_string_per_block(self, n):
+        lines = _trajectory_lines(_trajectory_rows(n), 12, True)
+        assert len(lines) == 1 + math.ceil(n / 64)
+
+    @pytest.mark.parametrize("options", [(), ("--precision", "17")])
+    def test_integrated_rows_match_the_row_renderer(self, capsys, tmp_path, options):
+        # 129 samples from a half-turn: three blocks, the first rows print nan
+        path = tmp_path / "omega.txt"
+        path.write_text(_HEADER + _plain_rows(129))
+        code, out, err = run(
+            capsys, *options, "integrate", str(path), "--initial", "half:0,0,1", "--trajectory", "--matrix-cols"
+        )
+        assert (code, err) == (0, "")
+        rows = _integrate(*_parse_omega_file(str(path)), EXACT_STEP, _parse_lifted("half:0,0,1", False), 1)
+        digits = 17 if options else 12
+        want = "".join(ref_trajectory_lines(rows, digits, True))
+        assert out.startswith(want) and out.count("\n") == 130 + 3
+        assert " nan nan nan " in want
+
+    @pytest.mark.parametrize("matrix_cols", [(), ("--matrix-cols",)])
+    def test_out_file_equals_stdout(self, capsys, tmp_path, matrix_cols):
+        path = tmp_path / "omega.txt"
+        path.write_text(_HEADER + _plain_rows(200))
+        out_path = tmp_path / "trajectory.txt"
+        code, out, err = run(
+            capsys, "integrate", str(path), "--trajectory", "--out", str(out_path), *matrix_cols
+        )
+        assert (code, err) == (0, "")
+        text = out_path.read_bytes().decode()
+        assert text.count("\n") == 201
+        assert out == text + "".join(out.splitlines(keepends=True)[-3:])
+
+    def test_bad_row_in_the_second_block_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        # rot_from_rod9 is called once per regular row, in row order: the
+        # sign flip lands on row 100
+        kernels = rodvec._backend.kernels
+        real = kernels.rot_from_rod9
+        calls = []
+
+        def corrupted(q):
+            m = real(q)
+            calls.append(q)
+            return (m[0], -m[1], *m[2:]) if len(calls) == 101 else m
+
+        monkeypatch.setattr(kernels, "rot_from_rod9", corrupted)
+        path = tmp_path / "omega.txt"
+        path.write_text(_HEADER + _plain_rows(200))
+        out_path = tmp_path / "trajectory.txt"
+        result = run(
+            capsys, "integrate", str(path), "--trajectory", "--matrix-cols", "--out", str(out_path)
+        )
+        assert result == (
+            2,
+            "",
+            "error: matrix fails SO(3) checks: |R^T R - 1| = 8.488e-01, |det - 1| = 1.528e+00\n",
+        )
+        assert len(calls) == 101
+        assert not out_path.exists()
 
 
 class TestFigure:
@@ -1091,6 +1215,85 @@ class TestComposeOutputDigests:
             code, out, err = run(capsys, *options, *argv)
             h.update(f"{code}\n{out}\0{err}\0".encode())
         assert h.hexdigest() == self.DIGESTS[" ".join((*options, command))]
+
+
+def _long_chain() -> list[str]:
+    """100 well-formed specs whose fold overflows at step 1 (lambda -inf)
+    and meets a half-turn operand at step 2, then runs through seeded rod,
+    aa, mat and half specs."""
+    rng = random.Random(100)
+    specs = ["rod:1e200,0,0", "rod:1e200,0,0", "half:0,0,1"]
+    while len(specs) < 100:
+        kind = ("rod", "aa", "mat", "half")[len(specs) % 4]
+        axis = _unit_axis(rng)
+        if kind == "rod":
+            values = [rng.uniform(-2.0, 2.0) for _ in range(3)]
+        elif kind == "aa":
+            values = [*axis, rng.uniform(-3.0, 3.0)]
+        elif kind == "mat":
+            values = _matrix(axis, rng.uniform(-3.0, 3.0))
+        else:
+            values = axis
+        specs.append(kind + ":" + ",".join(map(repr, values)))
+    return specs
+
+
+#: A malformed spec of each kind of fault, and the error it gives.
+_CHAIN_FAULTS = {
+    "rod:1,2": "error: rod spec needs 3 comma-separated numbers, got 2\n",
+    "aa:0,0,1,x": "error: bad number in aa spec: could not convert string to float: 'x'\n",
+    "mat:2,0,0,0,1,0,0,0,1": (
+        "error: invalid mat spec: matrix fails SO(3) checks: |R^T R - 1| = 3.000e+00, |det - 1| = 1.000e+00\n"
+    ),
+    "aa:0,0,0,1": "error: invalid aa spec: cannot normalize a (near-)zero vector\n",
+    "quat:1,0,0,0": "error: unknown rotation kind 'quat' (use aa, rod, mat or half)\n",
+}
+
+
+class TestComposeStreamsItsSpecs:
+    """``compose`` folds each spec as it parses it and prints only after the
+    fold: a bad spec deep in a long chain prints nothing but its error, the
+    error of the first bad spec, after the fold has taken its overflow and
+    half-turn steps."""
+
+    def test_the_chain_takes_the_overflow_and_half_turn_steps(self, capsys):
+        code, out, err = run(capsys, "compose", *_long_chain())
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[:2] == ["lambda[1] = -inf", "lambda[2] = n/a (half-turn operand)"]
+        assert len(lines) == 99 + 3
+
+    @pytest.mark.parametrize("position", [51, 101])
+    @pytest.mark.parametrize("bad", list(_CHAIN_FAULTS))
+    def test_bad_spec_prints_only_its_error(self, capsys, bad, position):
+        specs = _long_chain()
+        specs.insert(position - 1, bad)
+        assert run(capsys, "compose", *specs) == (2, "", _CHAIN_FAULTS[bad])
+
+    def test_first_bad_spec_wins(self, capsys):
+        specs = _long_chain()
+        specs.insert(50, "aa:0,0,0,1")
+        specs.append("rod:1,2")
+        assert run(capsys, "compose", *specs) == (2, "", _CHAIN_FAULTS["aa:0,0,0,1"])
+
+    def test_a_generator_folds_as_the_list(self):
+        rng = random.Random("stream")
+        folded = 0
+        for _ in range(300):
+            rotations = []
+            for _ in range(rng.choice((2, 3, 5, 12))):
+                try:
+                    rotations.append(_parse_lifted(_digest_spec(rng, bad=0.0), rng.random() < 0.3))
+                except (SpecFormatError, ValueError):
+                    pass
+            if len(rotations) < 2:
+                continue
+            lams, product = _compose_chain(rotations)
+            want = ([None if v is None else v.hex() for v in lams], [v.hex() for v in product])
+            lams, product = _compose_chain(r for r in rotations)
+            assert ([None if v is None else v.hex() for v in lams], [v.hex() for v in product]) == want
+            folded += 1
+        assert folded > 250
 
 
 class TestHelpText:
