@@ -13,6 +13,13 @@
  *
  * Vectors are 3-sequences of floats, matrices 9-sequences in row-major
  * order, each of exactly that length; results are tuples of floats.
+ *
+ * _kernels_py forms each distinct product once per call, where this file
+ * may form a repeated one twice: cayley_inv9 forms each square again for
+ * the diagonal, the same operation on the same operands, and q_j q_i for
+ * entry (j, i) with the operands of q_i q_j swapped, whose product is the
+ * same and whose Dekker error adds its exact partial sums in the other
+ * order.  Either way the bits are the same.
  */
 
 #define PY_SSIZE_T_CLEAN

@@ -25,6 +25,13 @@ helper calls, since in CPython the calls, not the flops, would dominate.
 Each operand is Dekker-split once per call: a = ah + al with ah holding
 at most 26 significant bits, so p = a*b and its exact error
 ((ah*bh - p) + ah*bl + al*bh) + al*bl come from plain float products.
+
+Each distinct product is formed once per call, by the expression each of
+its uses would evaluate, so sharing it changes no bit: ``cayley_inv9``'s
+six exact products q_i q_j serve both entries (i, j) and (j, i), and its
+squares both 1 + Q.Q and the diagonal; ``matmul_comp`` splits each of its
+18 operands once and writes its nine entries out; ``rot_from_rod9`` and
+``euler_rodrigues9`` form each repeated product once.
 """
 
 import math
@@ -39,37 +46,72 @@ def matmul_comp(a, b):
 
     Each entry is the correctly rounded fsum of the three exact products
     p + e, with e the error of p = u*c from the Dekker splits of u and c.
+    Each of the 18 operands is split once, and each entry written out.
     """
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
     b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    split = []
-    for u, v, w in ((a0, a1, a2), (a3, a4, a5), (a6, a7, a8), (b0, b3, b6), (b1, b4, b7), (b2, b5, b8)):
-        t = _SPLIT * u
-        uh = t - (t - u)
-        t = _SPLIT * v
-        vh = t - (t - v)
-        t = _SPLIT * w
-        wh = t - (t - w)
-        split.append((u, uh, u - uh, v, vh, v - vh, w, wh, w - wh))
-    out = []
-    for u, uh, ul, v, vh, vl, w, wh, wl in split[:3]:  # rows of a
-        for c, ch, cl, d, dh, dl, e, eh, el in split[3:]:  # columns of b
-            p = u * c
-            q = v * d
-            r = w * e
-            out.append(
-                math.fsum(
-                    (
-                        p,
-                        ((uh * ch - p) + uh * cl + ul * ch) + ul * cl,
-                        q,
-                        ((vh * dh - q) + vh * dl + vl * dh) + vl * dl,
-                        r,
-                        ((wh * eh - r) + wh * el + wl * eh) + wl * el,
-                    )
-                )
-            )
-    return tuple(out)
+    fsum = math.fsum
+    a0h = (t := _SPLIT * a0) - (t - a0)
+    a1h = (t := _SPLIT * a1) - (t - a1)
+    a2h = (t := _SPLIT * a2) - (t - a2)
+    a0l, a1l, a2l = a0 - a0h, a1 - a1h, a2 - a2h
+    a3h = (t := _SPLIT * a3) - (t - a3)
+    a4h = (t := _SPLIT * a4) - (t - a4)
+    a5h = (t := _SPLIT * a5) - (t - a5)
+    a3l, a4l, a5l = a3 - a3h, a4 - a4h, a5 - a5h
+    a6h = (t := _SPLIT * a6) - (t - a6)
+    a7h = (t := _SPLIT * a7) - (t - a7)
+    a8h = (t := _SPLIT * a8) - (t - a8)
+    a6l, a7l, a8l = a6 - a6h, a7 - a7h, a8 - a8h
+    b0h = (t := _SPLIT * b0) - (t - b0)
+    b3h = (t := _SPLIT * b3) - (t - b3)
+    b6h = (t := _SPLIT * b6) - (t - b6)
+    b0l, b3l, b6l = b0 - b0h, b3 - b3h, b6 - b6h
+    b1h = (t := _SPLIT * b1) - (t - b1)
+    b4h = (t := _SPLIT * b4) - (t - b4)
+    b7h = (t := _SPLIT * b7) - (t - b7)
+    b1l, b4l, b7l = b1 - b1h, b4 - b4h, b7 - b7h
+    b2h = (t := _SPLIT * b2) - (t - b2)
+    b5h = (t := _SPLIT * b5) - (t - b5)
+    b8h = (t := _SPLIT * b8) - (t - b8)
+    b2l, b5l, b8l = b2 - b2h, b5 - b5h, b8 - b8h
+    p, q, r = a0 * b0, a1 * b3, a2 * b6
+    m0 = fsum((p, ((a0h * b0h - p) + a0h * b0l + a0l * b0h) + a0l * b0l,
+               q, ((a1h * b3h - q) + a1h * b3l + a1l * b3h) + a1l * b3l,
+               r, ((a2h * b6h - r) + a2h * b6l + a2l * b6h) + a2l * b6l))
+    p, q, r = a0 * b1, a1 * b4, a2 * b7
+    m1 = fsum((p, ((a0h * b1h - p) + a0h * b1l + a0l * b1h) + a0l * b1l,
+               q, ((a1h * b4h - q) + a1h * b4l + a1l * b4h) + a1l * b4l,
+               r, ((a2h * b7h - r) + a2h * b7l + a2l * b7h) + a2l * b7l))
+    p, q, r = a0 * b2, a1 * b5, a2 * b8
+    m2 = fsum((p, ((a0h * b2h - p) + a0h * b2l + a0l * b2h) + a0l * b2l,
+               q, ((a1h * b5h - q) + a1h * b5l + a1l * b5h) + a1l * b5l,
+               r, ((a2h * b8h - r) + a2h * b8l + a2l * b8h) + a2l * b8l))
+    p, q, r = a3 * b0, a4 * b3, a5 * b6
+    m3 = fsum((p, ((a3h * b0h - p) + a3h * b0l + a3l * b0h) + a3l * b0l,
+               q, ((a4h * b3h - q) + a4h * b3l + a4l * b3h) + a4l * b3l,
+               r, ((a5h * b6h - r) + a5h * b6l + a5l * b6h) + a5l * b6l))
+    p, q, r = a3 * b1, a4 * b4, a5 * b7
+    m4 = fsum((p, ((a3h * b1h - p) + a3h * b1l + a3l * b1h) + a3l * b1l,
+               q, ((a4h * b4h - q) + a4h * b4l + a4l * b4h) + a4l * b4l,
+               r, ((a5h * b7h - r) + a5h * b7l + a5l * b7h) + a5l * b7l))
+    p, q, r = a3 * b2, a4 * b5, a5 * b8
+    m5 = fsum((p, ((a3h * b2h - p) + a3h * b2l + a3l * b2h) + a3l * b2l,
+               q, ((a4h * b5h - q) + a4h * b5l + a4l * b5h) + a4l * b5l,
+               r, ((a5h * b8h - r) + a5h * b8l + a5l * b8h) + a5l * b8l))
+    p, q, r = a6 * b0, a7 * b3, a8 * b6
+    m6 = fsum((p, ((a6h * b0h - p) + a6h * b0l + a6l * b0h) + a6l * b0l,
+               q, ((a7h * b3h - q) + a7h * b3l + a7l * b3h) + a7l * b3l,
+               r, ((a8h * b6h - r) + a8h * b6l + a8l * b6h) + a8l * b6l))
+    p, q, r = a6 * b1, a7 * b4, a8 * b7
+    m7 = fsum((p, ((a6h * b1h - p) + a6h * b1l + a6l * b1h) + a6l * b1l,
+               q, ((a7h * b4h - q) + a7h * b4l + a7l * b4h) + a7l * b4l,
+               r, ((a8h * b7h - r) + a8h * b7l + a8l * b7h) + a8l * b7l))
+    p, q, r = a6 * b2, a7 * b5, a8 * b8
+    m8 = fsum((p, ((a6h * b2h - p) + a6h * b2l + a6l * b2h) + a6l * b2l,
+               q, ((a7h * b5h - q) + a7h * b5l + a7l * b5h) + a7l * b5l,
+               r, ((a8h * b8h - r) + a8h * b8l + a8l * b8h) + a8l * b8l))
+    return m0, m1, m2, m3, m4, m5, m6, m7, m8
 
 
 def euler_rodrigues9(n, theta):
@@ -78,15 +120,19 @@ def euler_rodrigues9(n, theta):
     c = math.cos(theta)
     s = math.sin(theta)
     cc = 1.0 - c
+    ccx = cc * x
+    ccy = cc * y
+    xy, xz, yz = ccx * y, ccx * z, ccy * z
+    sx, sy, sz = s * x, s * y, s * z
     return (
-        c + cc * x * x,
-        cc * x * y - s * z,
-        cc * x * z + s * y,
-        cc * x * y + s * z,
-        c + cc * y * y,
-        cc * y * z - s * x,
-        cc * x * z - s * y,
-        cc * y * z + s * x,
+        c + ccx * x,
+        xy - sz,
+        xz + sy,
+        xy + sz,
+        c + ccy * y,
+        yz - sx,
+        xz - sy,
+        yz + sx,
         c + cc * z * z,
     )
 
@@ -94,17 +140,19 @@ def euler_rodrigues9(n, theta):
 def rot_from_rod9(q):
     """1 + 2*((Qx) + (Qx)^2)/(1 + Q.Q), diagonal in cancellation-free form."""
     x, y, z = q
-    c = 2.0 / (1.0 + (x * x + y * y + z * z))
+    xx, yy, zz = x * x, y * y, z * z
+    c = 2.0 / (1.0 + (xx + yy + zz))
+    xy, xz, yz = x * y, x * z, y * z
     return (
-        1.0 - c * (y * y + z * z),
-        c * (x * y - z),
-        c * (x * z + y),
-        c * (x * y + z),
-        1.0 - c * (x * x + z * z),
-        c * (y * z - x),
-        c * (x * z - y),
-        c * (y * z + x),
-        1.0 - c * (x * x + y * y),
+        1.0 - c * (yy + zz),
+        c * (xy - z),
+        c * (xz + y),
+        c * (xy + z),
+        1.0 - c * (xx + zz),
+        c * (yz - x),
+        c * (xz - y),
+        c * (yz + x),
+        1.0 - c * (xx + yy),
     )
 
 
@@ -124,23 +172,30 @@ def cayley_inv9(q):
     t = _SPLIT * z
     zh = t - (t - z)
     zl = z - zh
-    # s = x*x + y*y + z*z: three exact products, summed in double-double
-    p = x * x
-    e = ((xh * xh - p) + xh * xl + xl * xh) + xl * xl
-    c = y * y
-    f = ((yh * yh - c) + yh * yl + yl * yh) + yl * yl
-    s = p + c
-    t = s - p
-    g = (p - (s - t)) + (c - t)
-    g += e + f
+    # the six distinct exact products q_i q_j = p + e
+    xx = x * x
+    exx = ((xh * xh - xx) + xh * xl + xl * xh) + xl * xl
+    yy = y * y
+    eyy = ((yh * yh - yy) + yh * yl + yl * yh) + yl * yl
+    zz = z * z
+    ezz = ((zh * zh - zz) + zh * zl + zl * zh) + zl * zl
+    xy = x * y
+    exy = ((xh * yh - xy) + xh * yl + xl * yh) + xl * yl
+    xz = x * z
+    exz = ((xh * zh - xz) + xh * zl + xl * zh) + xl * zl
+    yz = y * z
+    eyz = ((yh * zh - yz) + yh * zl + yl * zh) + yl * zl
+    # s = x*x + y*y + z*z, summed in double-double
+    s = xx + yy
+    t = s - xx
+    g = (xx - (s - t)) + (yy - t)
+    g += exx + eyy
     p = s + g
     e = g - (p - s)
-    c = z * z
-    f = ((zh * zh - c) + zh * zl + zl * zh) + zl * zl
-    s = p + c
+    s = p + zz
     t = s - p
-    g = (p - (s - t)) + (c - t)
-    g += e + f
+    g = (p - (s - t)) + (zz - t)
+    g += e + ezz
     p = s + g
     e = g - (p - s)
     # den = (d0, d1) = s + 1, and the split of d0
@@ -154,65 +209,67 @@ def cayley_inv9(q):
     dh = t - (t - d0)
     dl = d0 - dh
 
-    qs = ((x, xh, xl), (y, yh, yl), (z, zh, zl))
-    k = (1.0, -z, y, z, 1.0, -x, -y, x, 1.0)
     out = []
-    for a, ah, al in qs:
-        for b, bh, bl in qs:
-            # numerator (n0, n1) = a*b + c
-            c = k[len(out)]
-            p = a * b
-            e = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-            s = p + c
-            t = s - p
-            g = (p - (s - t)) + (c - t)
-            g += e
-            n0 = s + g
-            n1 = g - (n0 - s)
-            # quotient q1 + q2 + q3 of (n0, n1)/den; each q removes
-            # q*den from the remainder
-            q1 = n0 / d0
-            c = -q1
-            t = _SPLIT * c
-            ch = t - (t - c)
-            cl = c - ch
-            p = d0 * c
-            e = ((dh * ch - p) + dh * cl + dl * ch) + dl * cl
-            e += d1 * c
-            s = p + e
-            e = e - (s - p)
-            p = s
-            s = n0 + p
-            t = s - n0
-            g = (n0 - (s - t)) + (p - t)
-            g += n1 + e
-            n0 = s + g
-            n1 = g - (n0 - s)
-            q2 = n0 / d0
-            c = -q2
-            t = _SPLIT * c
-            ch = t - (t - c)
-            cl = c - ch
-            p = d0 * c
-            e = ((dh * ch - p) + dh * cl + dl * ch) + dl * cl
-            e += d1 * c
-            s = p + e
-            e = e - (s - p)
-            p = s
-            s = n0 + p
-            t = s - n0
-            g = (n0 - (s - t)) + (p - t)
-            g += n1 + e
-            n0 = s + g
-            q3 = n0 / d0
-            s = q1 + q2
-            e = q2 - (s - q1)
-            n0 = s + q3
-            t = n0 - s
-            g = (s - (n0 - t)) + (q3 - t)
-            g += e
-            s = n0 + g
-            out.append(s + (g - (s - n0)))
+    # entry (i, j) has numerator q_i q_j + c; (j, i) takes the p + e of
+    # (i, j), which has its bits: p is the same product, and e adds the
+    # terms ah*bl and al*bh in the other order, whose partial sums are
+    # exact (tests/test_kernels.py holds this over the float range)
+    for p, e, c in (
+        (xx, exx, 1.0), (xy, exy, -z), (xz, exz, y),
+        (xy, exy, z), (yy, eyy, 1.0), (yz, eyz, -x),
+        (xz, exz, -y), (yz, eyz, x), (zz, ezz, 1.0),
+    ):
+        # numerator (n0, n1) = p + e + c
+        s = p + c
+        t = s - p
+        g = (p - (s - t)) + (c - t)
+        g += e
+        n0 = s + g
+        n1 = g - (n0 - s)
+        # quotient q1 + q2 + q3 of (n0, n1)/den; each q removes
+        # q*den from the remainder
+        q1 = n0 / d0
+        c = -q1
+        t = _SPLIT * c
+        ch = t - (t - c)
+        cl = c - ch
+        p = d0 * c
+        e = ((dh * ch - p) + dh * cl + dl * ch) + dl * cl
+        e += d1 * c
+        s = p + e
+        e = e - (s - p)
+        p = s
+        s = n0 + p
+        t = s - n0
+        g = (n0 - (s - t)) + (p - t)
+        g += n1 + e
+        n0 = s + g
+        n1 = g - (n0 - s)
+        q2 = n0 / d0
+        c = -q2
+        t = _SPLIT * c
+        ch = t - (t - c)
+        cl = c - ch
+        p = d0 * c
+        e = ((dh * ch - p) + dh * cl + dl * ch) + dl * cl
+        e += d1 * c
+        s = p + e
+        e = e - (s - p)
+        p = s
+        s = n0 + p
+        t = s - n0
+        g = (n0 - (s - t)) + (p - t)
+        g += n1 + e
+        n0 = s + g
+        q3 = n0 / d0
+        s = q1 + q2
+        e = q2 - (s - q1)
+        n0 = s + q3
+        t = n0 - s
+        g = (s - (n0 - t)) + (q3 - t)
+        g += e
+        s = n0 + g
+        out.append(s + (g - (s - n0)))
     return tuple(out)
 
 

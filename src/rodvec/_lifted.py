@@ -97,11 +97,16 @@ def _checked9(e):
 
     One residual call checks both: a non-finite entry makes |det - 1| nan
     or inf, so it fails, and only a failing matrix is finite-checked, for
-    the ValueError that names its first non-finite entry.
+    the ValueError that names its first non-finite entry.  A finite matrix
+    whose residuals overflow gets a message that prints neither.
     """
     ortho, det = _k.rot_residuals9(e)
     if not (ortho <= ROTATION_MATRIX_TOL and det <= ROTATION_MATRIX_TOL):
         _require_finite(*e)
+        if not (math.isfinite(ortho) and math.isfinite(det)):
+            raise NotARotation(
+                "matrix fails SO(3) checks: its entries are too large for R^T R or det R to be formed"
+            )
         raise NotARotation(
             f"matrix fails SO(3) checks: |R^T R - 1| = {ortho:.3e}, |det - 1| = {det:.3e}"
         )
@@ -581,16 +586,15 @@ def _half_angle_point(q, a) -> tuple[float, float, float]:
     return _from_vec(*_bisector(q, a))
 
 
-def _donkin_triangle(q1, q2):
-    """donkin_triangle on the triples of Q1 and Q2: the vertices A, B, C.
+def _donkin_ab(q1, q2):
+    """The vertices A and B of donkin_triangle on the triples of Q1 and Q2,
+    with every check up to A.
 
     The unit axis of Q1, the cross product of the axes, Q2 x Q1 and R B
     are written out, and ||Q1|| is the norm that unit axis divides by,
     where its sum of squares is a normal float; elsewhere it is _unit's,
-    as are the unit axis of Q2 and B.  A and C = (1 + Q2x) B are
-    normalized by _from_vec, which raises.  B is perpendicular to Q2 by
-    construction, so C skips half_angle_point's test, which rounding in
-    Q2 x Q1 fails when the axes are nearly parallel.
+    as are the unit axis of Q2 and B.  A is normalized by _from_vec, which
+    raises.
     """
     x1, y1, z1 = q1
     x2, y2, z2 = q2
@@ -618,6 +622,20 @@ def _donkin_triangle(q1, q2):
         r[3] * bx + r[4] * by + r[5] * bz,
         r[6] * bx + r[7] * by + r[8] * bz,
     )
+    return a, b
+
+
+def _donkin_triangle(q1, q2):
+    """donkin_triangle on the triples of Q1 and Q2: the vertices A, B, C.
+
+    A and B are _donkin_ab's.  C = (1 + Q2x) B is normalized by _from_vec,
+    which raises, and only then are the three vertices checked by
+    _require_triangle; the lambda-residual diagnostic uses A alone, and
+    calls _donkin_ab, which skips both.  B is perpendicular to Q2 by
+    construction, so C skips half_angle_point's test, which rounding in
+    Q2 x Q1 fails when the axes are nearly parallel.
+    """
+    a, b = _donkin_ab(q1, q2)
     cpt = _from_vec(*_bisector(q2, b))
     _require_triangle(a, b, cpt)
     return a, b, cpt

@@ -28,9 +28,12 @@ Each drawn pair Q1, Q2 is composed once: ``lambda-residual`` composes it
 only inside ``_composition_diagnostics``, and ``donkin-closure`` takes Q3
 and the sign of lambda = 1 - Q2.Q1 from one ``_compose_chain``, whose
 lambda is the scalar part of the product that gives Q3.  A pair that
-composes to a half-turn is drawn again.  ``donkin-closure`` makes two
-comparisons besides Donkin's residual: B with the half-angle point of A
-under Q1, and (1 + Q3x) A with C, up to the sign of lambda.
+composes to a half-turn is drawn again.  ``lambda-residual`` uses the
+vertex A of Donkin's triangle alone, from ``_donkin_ab``, which forms
+neither C nor the collinearity check that guards only C.
+``donkin-closure`` makes two comparisons besides Donkin's residual: B
+with the half-angle point of A under Q1, and (1 + Q3x) A with C, up to
+the sign of lambda.
 """
 
 import math
@@ -45,6 +48,7 @@ from rodvec._lifted import (
     _cayley_rot9,
     _compose_chain,
     _composition_diagnostics,
+    _donkin_ab,
     _donkin_residual,
     _donkin_triangle,
     _euler_rodrigues9,
@@ -203,7 +207,7 @@ def _check_lambda_residual(n: int, seed: int) -> DiagnosticResult:
         while True:
             q1, q2 = _rand_pair(rng)
             try:
-                residual = _composition_diagnostics(q2, q1, _donkin_triangle(q1, q2)[0])[2]
+                residual = _composition_diagnostics(q2, q1, _donkin_ab(q1, q2)[0])[2]
             except DegenerateComposition:  # a half-turn product is drawn again
                 continue
             break

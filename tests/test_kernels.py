@@ -269,6 +269,44 @@ def ref_cayley_inv9(q):
     return tuple(out)
 
 
+def ref_rot_from_rod9(q):
+    """The Rodrigues-matrix kernel as written before it formed each repeated
+    product once."""
+    x, y, z = q
+    c = 2.0 / (1.0 + (x * x + y * y + z * z))
+    return (
+        1.0 - c * (y * y + z * z),
+        c * (x * y - z),
+        c * (x * z + y),
+        c * (x * y + z),
+        1.0 - c * (x * x + z * z),
+        c * (y * z - x),
+        c * (x * z - y),
+        c * (y * z + x),
+        1.0 - c * (x * x + y * y),
+    )
+
+
+def ref_euler_rodrigues9(n, theta):
+    """The Euler-Rodrigues kernel as written before it formed each repeated
+    product once."""
+    x, y, z = n
+    c = math.cos(theta)
+    s = math.sin(theta)
+    cc = 1.0 - c
+    return (
+        c + cc * x * x,
+        cc * x * y - s * z,
+        cc * x * z + s * y,
+        cc * x * y + s * z,
+        c + cc * y * y,
+        cc * y * z - s * x,
+        cc * x * z - s * y,
+        cc * y * z + s * x,
+        c + cc * z * z,
+    )
+
+
 def ref_rot_residuals9(m):
     g = ref_matmul9(ref_transpose9(m), m)
     r = max(
@@ -329,6 +367,56 @@ def _qs(seed, n):
     return qs
 
 
+def _mixed_scale(rng):
+    """A float of random sign from one of the scales where a product
+    underflows, loses bits or overflows: +-0.0, the least subnormal,
+    1e-170 to 1e-150, 1 to 10, 1e150 to 1e160 or 1.7e308."""
+    k = rng.randrange(6)
+    if k == 0:
+        return rng.choice((0.0, -0.0))
+    if k == 1:
+        v = 5e-324
+    elif k == 2:
+        v = 10.0 ** rng.uniform(-170.0, -150.0)
+    elif k == 3:
+        v = rng.uniform(1.0, 10.0)
+    elif k == 4:
+        v = 10.0 ** rng.uniform(150.0, 160.0)
+    else:
+        v = 1.7e308
+    return rng.choice((-1.0, 1.0)) * v
+
+
+def _mixed_qs(seed, n):
+    """n triples whose components are drawn each on its own by _mixed_scale."""
+    rng = random.Random(seed)
+    return [tuple(_mixed_scale(rng) for _ in range(3)) for _ in range(n)]
+
+
+def _mixed_operands(seed, n):
+    """n pairs of 9-tuples whose entries are 1.0 or a _mixed_scale draw."""
+    rng = random.Random(seed)
+
+    def entry():
+        return 1.0 if rng.random() < 0.5 else _mixed_scale(rng)
+
+    return [(tuple(entry() for _ in range(9)), tuple(entry() for _ in range(9))) for _ in range(n)]
+
+
+def _axes_and_angles(qs, seed):
+    """(n, theta) for each q of qs: n is q, and also q's unit vector where q
+    is nonzero, each with an angle drawn in [-2 pi, 2 pi] and with 0.0, -0.0
+    and pi in turn."""
+    rng = random.Random(seed)
+    specials = (0.0, -0.0, math.pi)
+    out = []
+    for i, q in enumerate(qs):
+        for n in (q, _lifted._unit(*q)) if any(q) else (q,):
+            out.append((n, rng.uniform(-2.0 * math.pi, 2.0 * math.pi)))
+            out.append((n, specials[i % 3]))
+    return out
+
+
 def _same_bits(a, b):
     """Equal tuples of floats: NaN in the same places, and the same sign of zero elsewhere."""
     assert len(a) == len(b)
@@ -387,6 +475,26 @@ def test_rot_residuals9_matches_reference_bitwise():
         rot = tuple(2.0 * v - 1.0 if i in (0, 4, 8) else 2.0 * v for i, v in enumerate(inv))
         for m in (kp.rot_from_rod9(q), rot, inv, wide):
             assert _same_bits(kp.rot_residuals9(m), ref_rot_residuals9(m)), m
+
+
+def test_rot_from_rod9_matches_the_deleted_formula_bitwise():
+    for q in _qs(17, 1000) + _mixed_qs(18, 3000):
+        assert _same_bits(kp.rot_from_rod9(q), ref_rot_from_rod9(q)), q
+
+
+def test_euler_rodrigues9_matches_the_deleted_formula_bitwise():
+    for n, theta in _axes_and_angles(_qs(19, 1000) + _mixed_qs(20, 3000), 21):
+        assert _same_bits(kp.euler_rodrigues9(n, theta), ref_euler_rodrigues9(n, theta)), (n, theta)
+
+
+def test_compensated_kernels_match_reference_bitwise_on_mixed_scales():
+    # products that underflow to subnormals or zero, lose bits in the split
+    # or overflow, side by side in one call; a matmul_comp whose fsum
+    # overflows or meets inf - inf raises as the reference does
+    for q in _mixed_qs(22, 3000):
+        assert _same_bits(kp.cayley_inv9(q), ref_cayley_inv9(q)), q
+    for a, b in _mixed_operands(23, 3000):
+        assert _same_result(_outcome(kp.matmul_comp, a, b), _outcome(ref_matmul_comp, a, b)), (a, b)
 
 
 def test_matmul_comp_entries_are_correctly_rounded():
@@ -470,6 +578,17 @@ def test_compensated_kernel_parity(kc):
     for q in _qs(5, 1000):
         assert _same_outcome(kc, "cayley_inv9", q), q
         assert _same_outcome(kc, "matmul_comp", kp.rot_from_rod9(q), kp.cayley_inv9(q)), q
+
+
+def test_kernel_parity_on_mixed_scales(kc):
+    qs = _mixed_qs(24, 2000)
+    for q in qs:
+        assert _same_outcome(kc, "cayley_inv9", q), q
+        assert _same_outcome(kc, "rot_from_rod9", q), q
+    for n, theta in _axes_and_angles(qs, 25):
+        assert _same_outcome(kc, "euler_rodrigues9", n, theta), (n, theta)
+    for a, b in _mixed_operands(26, 2000):
+        assert _same_outcome(kc, "matmul_comp", a, b), (a, b)
 
 
 def test_matmul_comp_parity_on_explicit_inverse_products(kc):
@@ -771,7 +890,8 @@ def _checked9_outcomes():
 
 CHECKED9_ERRORS = [
     *[(ValueError, f"non-finite component: {bad}") for bad in ("nan", "inf", "-inf") for _ in range(9)],
-    (NotARotation, "matrix fails SO(3) checks: |R^T R - 1| = inf, |det - 1| = nan"),
+    # finite entries whose residuals overflow: neither inf nor nan is printed
+    (NotARotation, "matrix fails SO(3) checks: its entries are too large for R^T R or det R to be formed"),
     (NotARotation, "matrix fails SO(3) checks: |R^T R - 1| = 5.000e-01, |det - 1| = 0.000e+00"),
 ]
 

@@ -7,6 +7,7 @@ turn into a wrong rotation, a NaN or an undocumented exception.
 
 import io
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from rodvec._lifted import (
     _compose_lifted,
     _composition_diagnostics,
     _direction,
+    _donkin_ab,
     _donkin_triangle,
     _double_arc_rotation9,
     _euler_rodrigues9,
@@ -546,6 +548,32 @@ magnitudes = st.one_of(st.floats(-320.0, 308.0).map(lambda e: 10.0**e), st.just(
 signed = st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
 
 
+#: a finite matrix whose R^T R and det R overflow to inf and nan
+_OVERFLOWING_MAT = (
+    -1.3161759444651536e-56, -2.5503048464547117e+289, -1.94202641531858e+235,
+    -7.480031877275397e+215, -1.5282506596944187e+301, -8.579700866098322e+164,
+    -5.0612729001800275e-275, 1e154, -3.0,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(*[signed] * 9))
+@example(_OVERFLOWING_MAT)
+@example((1e154,) * 9)
+def test_finite_mat_specs_get_no_error_naming_inf_or_nan(e):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["convert", "mat:" + ",".join(map(repr, e)), "--to", "rod"])
+    # 3: a half-turn matrix, such as diag(-1, -1, 1), has no Rodrigues vector
+    assert code in (0, 2, 3)
+    if code:
+        message = err.getvalue()
+        assert message.count("\n") == 1 and message.startswith("error: "), message
+        assert not re.search(r"\b(inf|nan)\b", message, re.IGNORECASE), message
+    else:
+        assert err.getvalue() == ""
+
+
 @st.composite
 def integrator_runs(draw):
     """(times, rates, scheme, start, substeps) of 2 to 6 samples: intervals
@@ -815,7 +843,7 @@ def ref_require_triangle(a, b, c):
         raise ValueError("degenerate spherical triangle: vertices are collinear")
 
 
-def ref_donkin_triangle(q1, q2):
+def ref_donkin_ab(q1, q2):
     if not any(q1) or not any(q2):
         raise ParallelAxes("both rotations must be nonzero")
     axis1 = ref_unit(*q1)
@@ -828,7 +856,11 @@ def ref_donkin_triangle(q1, q2):
     b = ref_unit(*c)
     half1 = math.atan(norm(q1))
     r = _euler_rodrigues9(axis1, -half1)
-    a = ref_from_vec(*mat_vec(r, b))
+    return ref_from_vec(*mat_vec(r, b)), b
+
+
+def ref_donkin_triangle(q1, q2):
+    a, b = ref_donkin_ab(q1, q2)
     # B is perpendicular to Q2 by construction: C is not tested for it
     t = cross(q2, b)
     cpt = ref_from_vec(b[0] + t[0], b[1] + t[1], b[2] + t[2])
@@ -988,23 +1020,44 @@ def rotation_pairs(draw):
     return q1, draw(st.one_of(wide, along(q1)))
 
 
-@settings(max_examples=500, deadline=None)
-@given(rotation_pairs())
-@example(((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)))  # Q1 = 0
-@example(((1.0, 0.0, 0.0), (-2.0, 0.0, 0.0)))  # antiparallel axes
-@example(((1e200, 0.0, 0.0), (0.0, 1e200, 0.0)))  # Q2 x Q1 overflows
-@example(((1e-200, 0.0, 0.0), (0.0, 1e-200, 0.0)))  # Q2 x Q1 underflows to 0
-@example(((1e-80, 0.0, 0.0), (0.0, 1e-80, 0.0)))  # its square is subnormal
-@example(((_SUBNORMAL_SS, 0.0, 0.0), (0.0, 1.0, 0.0)))  # Q1.Q1 is subnormal
-@example(((1e-6, 0.0, 0.0), (0.0, 1e-6, 0.0)))  # collinear vertices
-@example(((0.3, -0.2, 1.1), (-0.7, 0.4, 0.25)))
-# axes 3.4e-9 rad apart: B is 5.3e-9 off the Q2 circle to rounding
-@example(
-    (
-        (-0.9737716208221956, -0.5665403990723037, -0.44103526797777937),
-        (-1.8782759933291822, -1.0927811167031554, -0.8506983946786105),
-    )
-)
+def donkin_pairs(test):
+    """test over rotation_pairs, with the pairs where Donkin's construction
+    takes each of its branches or raises."""
+    examples = [
+        ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)),  # Q1 = 0
+        ((1.0, 0.0, 0.0), (-2.0, 0.0, 0.0)),  # antiparallel axes
+        ((1e200, 0.0, 0.0), (0.0, 1e200, 0.0)),  # Q2 x Q1 overflows
+        ((1e-200, 0.0, 0.0), (0.0, 1e-200, 0.0)),  # Q2 x Q1 underflows to 0
+        ((1e-80, 0.0, 0.0), (0.0, 1e-80, 0.0)),  # its square is subnormal
+        ((_SUBNORMAL_SS, 0.0, 0.0), (0.0, 1.0, 0.0)),  # Q1.Q1 is subnormal
+        ((1e-6, 0.0, 0.0), (0.0, 1e-6, 0.0)),  # collinear vertices
+        ((0.3, -0.2, 1.1), (-0.7, 0.4, 0.25)),
+        # axes 3.4e-9 rad apart: B is 5.3e-9 off the Q2 circle to rounding
+        (
+            (-0.9737716208221956, -0.5665403990723037, -0.44103526797777937),
+            (-1.8782759933291822, -1.0927811167031554, -0.8506983946786105),
+        ),
+    ]
+    for pair in reversed(examples):
+        test = example(pair)(test)
+    return settings(max_examples=500, deadline=None)(given(rotation_pairs())(test))
+
+
+@donkin_pairs
+def test_donkin_ab_matches_the_reference(pair):
+    assert same_outcome(_donkin_ab, ref_donkin_ab, *pair)
+
+
+def test_donkin_ab_returns_where_only_c_is_degenerate():
+    # the vertices of Q1 = (1e-6, 0, 0), Q2 = (0, 1e-6, 0) are collinear:
+    # the check that guards C raises, and A and B are still formed
+    pair = ((1e-6, 0.0, 0.0), (0.0, 1e-6, 0.0))
+    with pytest.raises(ValueError, match="collinear"):
+        _donkin_triangle(*pair)
+    assert _hexed(_donkin_ab(*pair)) == _hexed(ref_donkin_ab(*pair))
+
+
+@donkin_pairs
 def test_donkin_triangle_matches_the_reference(pair):
     assert same_outcome(_donkin_triangle, ref_donkin_triangle, *pair)
 
