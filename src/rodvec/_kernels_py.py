@@ -32,6 +32,11 @@ six exact products q_i q_j serve both entries (i, j) and (j, i), and its
 squares both 1 + Q.Q and the diagonal; ``matmul_comp`` splits each of its
 18 operands once and writes its nine entries out; ``rot_from_rod9`` and
 ``euler_rodrigues9`` form each repeated product once.
+
+``rot_residuals9`` takes the largest of its six entries with the C
+kernel's if-chain, each later entry replacing the running one only if it
+compares greater: that is what ``max()`` does, NaN included, so the bits
+are the same without ``max()``'s argument tuple.
 """
 
 import math
@@ -280,13 +285,22 @@ def rot_residuals9(m):
     products summed in the same order, so only six entries are formed.
     """
     m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
-    r = max(
-        abs(m0 * m0 + m3 * m3 + m6 * m6 - 1.0),
-        abs(m1 * m1 + m4 * m4 + m7 * m7 - 1.0),
-        abs(m2 * m2 + m5 * m5 + m8 * m8 - 1.0),
-        abs(m0 * m1 + m3 * m4 + m6 * m7),
-        abs(m0 * m2 + m3 * m5 + m6 * m8),
-        abs(m1 * m2 + m4 * m5 + m7 * m8),
-    )
+    # as max() and the C kernel take it: a NaN in first place wins, a later one never does
+    r = abs(m0 * m0 + m3 * m3 + m6 * m6 - 1.0)
+    g = abs(m1 * m1 + m4 * m4 + m7 * m7 - 1.0)
+    if g > r:
+        r = g
+    g = abs(m2 * m2 + m5 * m5 + m8 * m8 - 1.0)
+    if g > r:
+        r = g
+    g = abs(m0 * m1 + m3 * m4 + m6 * m7)
+    if g > r:
+        r = g
+    g = abs(m0 * m2 + m3 * m5 + m6 * m8)
+    if g > r:
+        r = g
+    g = abs(m1 * m2 + m4 * m5 + m7 * m8)
+    if g > r:
+        r = g
     det = m0 * (m4 * m8 - m5 * m7) - m1 * (m3 * m8 - m5 * m6) + m2 * (m3 * m7 - m4 * m6)
     return r, abs(det - 1.0)

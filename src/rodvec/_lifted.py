@@ -96,21 +96,27 @@ def _checked9(e):
     ROTATION_MATRIX_TOL, else NotARotation.
 
     One residual call checks both: a non-finite entry makes |det - 1| nan
-    or inf, so it fails, and only a failing matrix is finite-checked, for
-    the ValueError that names its first non-finite entry.  A finite matrix
-    whose residuals overflow gets a message that prints neither.
+    or inf, so it fails, and only a failing matrix goes to _reject9.
     """
     ortho, det = _k.rot_residuals9(e)
     if not (ortho <= ROTATION_MATRIX_TOL and det <= ROTATION_MATRIX_TOL):
-        _require_finite(*e)
-        if not (math.isfinite(ortho) and math.isfinite(det)):
-            raise NotARotation(
-                "matrix fails SO(3) checks: its entries are too large for R^T R or det R to be formed"
-            )
-        raise NotARotation(
-            f"matrix fails SO(3) checks: |R^T R - 1| = {ortho:.3e}, |det - 1| = {det:.3e}"
-        )
+        _reject9(e, ortho, det)
     return e
+
+
+def _reject9(e, ortho: float, det: float):
+    """Raise the error of _checked9 for the matrix e whose residuals
+    (ortho, det) fail: the ValueError that names its first non-finite
+    entry, else NotARotation, with a message that prints neither residual
+    where one of them overflows."""
+    _require_finite(*e)
+    if not (math.isfinite(ortho) and math.isfinite(det)):
+        raise NotARotation(
+            "matrix fails SO(3) checks: its entries are too large for R^T R or det R to be formed"
+        )
+    raise NotARotation(
+        f"matrix fails SO(3) checks: |R^T R - 1| = {ortho:.3e}, |det - 1| = {det:.3e}"
+    )
 
 
 def _scaled_norm(x: float, y: float, z: float) -> tuple[float, float]:
@@ -673,7 +679,8 @@ def _nan_max(values) -> float:
 def _max_diff9(a, b) -> float:
     """The largest |a_i - b_i| of two tuples of nine floats, or nan where
     one of them is nan: _nan_max of the nine differences, written out in
-    one pass."""
+    one pass.  Past the nan test the differences are +0.0 or larger, so
+    the if-chain takes the bits max() would."""
     a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
     b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
     d0 = abs(a0 - b0)
@@ -686,7 +693,26 @@ def _max_diff9(a, b) -> float:
     d7 = abs(a7 - b7)
     d8 = abs(a8 - b8)
     s = d0 + d1 + d2 + d3 + d4 + d5 + d6 + d7 + d8  # nan exactly when a d_i is
-    return max(d0, d1, d2, d3, d4, d5, d6, d7, d8) if s == s else s
+    if s != s:
+        return s
+    r = d0
+    if d1 > r:
+        r = d1
+    if d2 > r:
+        r = d2
+    if d3 > r:
+        r = d3
+    if d4 > r:
+        r = d4
+    if d5 > r:
+        r = d5
+    if d6 > r:
+        r = d6
+    if d7 > r:
+        r = d7
+    if d8 > r:
+        r = d8
+    return r
 
 
 def _matmul9(a, b):

@@ -11,7 +11,9 @@ core ``rodvec._lifted`` alone, and ``check`` on ``rodvec.checks``, which
 runs on that core too.  ``compose`` folds each spec with
 ``_lifted._compose_chain`` as it parses it, and only formats what the fold
 returns: the lambda of each step and the product.  ``integrate`` renders
-its trajectory a block of rows at a time, every row before any is written.
+its trajectory a block of rows at a time, every row before any is written;
+with matrix columns, a regular row calls the matrix and residual kernels
+directly.
 Only ``figure`` imports typed modules, when it runs, so importing this
 module loads no typed class.
 
@@ -26,10 +28,11 @@ import sys
 from itertools import chain, repeat
 from types import SimpleNamespace
 
-from rodvec._backend import backend_name
+from rodvec._backend import backend_name, kernels as _k
 from rodvec._lifted import (
     EXACT_STEP,
     FIGURE_KINDS,
+    ROTATION_MATRIX_TOL,
     SCHEMES,
     _arc_angle,
     _axis_angle,
@@ -43,6 +46,7 @@ from rodvec._lifted import (
     _integrate,
     _lift_axis_angle,
     _lift_matrix9,
+    _reject9,
     _require_finite,
     _rotation9,
 )
@@ -202,6 +206,8 @@ _BLOCK = 64
 def _parse_omega_file(path: str) -> tuple[list[float], list[tuple[float, float, float]]]:
     """Sample times and (wx, wy, wz) rates of a 't wx wy wz' file, all finite.
 
+    One U+FEFF that starts the file is a byte order mark and is dropped; a
+    U+FEFF anywhere else is rejected as any other stray character is.
     After the first line, which is usually a '#' header, the lines are read
     in blocks.  A block of plain lines, each four finite numbers and nothing
     else, is converted in one pass; any other block goes through
@@ -215,7 +221,10 @@ def _parse_omega_file(path: str) -> tuple[list[float], list[tuple[float, float, 
     except UnicodeDecodeError as exc:
         raise SpecFormatError(_not_utf8(path, exc)) from None
     times, rates = [], []
-    _parse_omega_lines(path, lines[:1], 1, times, rates)
+    head = lines[:1]
+    if head and head[0].startswith("\ufeff"):  # a byte order mark, not a character of line 1
+        head[0] = head[0][1:]
+    _parse_omega_lines(path, head, 1, times, rates)
     for i in range(1, len(lines), _BLOCK):
         block = lines[i : i + _BLOCK]
         # Split at most three times, so a line gives at most four tokens: the
@@ -279,20 +288,42 @@ def _trajectory_lines(
 ) -> list[str]:
     """The trajectory table of the integrator's (t, s, x, y, z) rows: the
     header, then one string for each block of _BLOCK rows, every row ended
-    by a newline; a half-turn row (s = 0) prints nan for Q."""
+    by a newline; a half-turn row (s = 0) prints nan for Q.
+
+    Each row's matrix is _rotation9's.  For a regular row, whose Q.Q is
+    finite, its kernel and _checked9's residual test are written out here,
+    and only a failing row goes to _reject9 for its error; a half-turn row
+    and a row whose Q.Q overflows call _rotation9."""
     header = "# t qx qy qz" + (" r11 r21 r31 r12 r22 r32\n" if matrix_cols else "\n")
     row = " ".join(["%%.%dg" % digits] * (10 if matrix_cols else 4)) + "\n"
-    nan = math.nan
+    nan, inf, tol = math.nan, math.inf, ROTATION_MATRIX_TOL
+    # looked up per call, so that a replaced kernel is the one called
+    rot_from_rod9, rot_residuals9 = _k.rot_from_rod9, _k.rot_residuals9
     out = [header]
     for i in range(0, len(rows), _BLOCK):
         block = rows[i : i + _BLOCK]
         cols = []
-        for t, s, x, y, z in block:
-            # + 0.0 folds -0.0 as _fmt does
-            cols += (t + 0.0, x + 0.0, y + 0.0, z + 0.0) if s else (t + 0.0, nan, nan, nan)
-            if matrix_cols:
-                e = _rotation9(s, x, y, z)
-                cols += (e[0] + 0.0, e[3] + 0.0, e[6] + 0.0, e[1] + 0.0, e[4] + 0.0, e[7] + 0.0)
+        if not matrix_cols:
+            for t, s, x, y, z in block:
+                # + 0.0 folds -0.0 as _fmt does
+                cols += (t + 0.0, x + 0.0, y + 0.0, z + 0.0) if s else (t + 0.0, nan, nan, nan)
+        else:
+            for t, s, x, y, z in block:
+                if s and x * x + y * y + z * z != inf:
+                    # _rotation9 of a regular row: the kernel, then _checked9's test
+                    e = rot_from_rod9((x, y, z))
+                    ortho, det = rot_residuals9(e)
+                    if not (ortho <= tol and det <= tol):
+                        _reject9(e, ortho, det)
+                    cols += (
+                        t + 0.0, x + 0.0, y + 0.0, z + 0.0,
+                        e[0] + 0.0, e[3] + 0.0, e[6] + 0.0, e[1] + 0.0, e[4] + 0.0, e[7] + 0.0,
+                    )
+                else:
+                    # a half-turn row, or one whose Q.Q overflows
+                    e = _rotation9(s, x, y, z)
+                    cols += (t + 0.0, x + 0.0, y + 0.0, z + 0.0) if s else (t + 0.0, nan, nan, nan)
+                    cols += (e[0] + 0.0, e[3] + 0.0, e[6] + 0.0, e[1] + 0.0, e[4] + 0.0, e[7] + 0.0)
         out.append(row * len(block) % tuple(cols))
     return out
 

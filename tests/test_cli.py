@@ -495,8 +495,9 @@ _HEADER = "# t wx wy wz\n"
 
 #: Omega files that probe the reader, and what integrate --trajectory gives
 #: for each as (exit code, stdout, stderr), recorded before plain lines were
-#: converted a block at a time.  {path} stands for the file's path, and a
-#: long stdout is given by its sha256.
+#: converted a block at a time (the files with a U+FEFF: before a leading
+#: one was dropped, except the two it makes readable).  {path} stands for
+#: the file's path, and a long stdout is given by its sha256.
 OMEGA_FILES = {
     "three_fields": (
         _HEADER + "0 0.3 -0.2 1\n0.5 0.3 -0.2\n1 0.3 -0.2 1\n",
@@ -602,6 +603,29 @@ OMEGA_FILES = {
     "non_utf8_after_mixed_line_ends": (
         b"# t wx wy wz\r0 0.3 -0.2 1\r\n0.5 0.3 -0.2 1\n\r1 0.3 -0.2 \xe2\x82\n",
         (2, "", "error: {path}:5: not UTF-8 at byte 54: invalid continuation byte\n"),
+    ),
+    # one U+FEFF that starts the file is a byte order mark and is dropped,
+    # so the file reads as it would without it; one anywhere else is
+    # rejected with its line number
+    "bom_then_header": (
+        "\ufeff" + _HEADER + "0 0.3 -0.2 1\n0.5 0.3 -0.2 1\n1 0.3 -0.2 1\n",
+        (0, _THREE_SAMPLES, ""),
+    ),
+    "bom_then_samples": (
+        "\ufeff0 0.3 -0.2 1\r\n0.5 0.3 -0.2 1\r\n1 0.3 -0.2 1\r\n",
+        (0, _THREE_SAMPLES, ""),
+    ),
+    "two_boms": (
+        "\ufeff\ufeff" + _HEADER + "0 0.3 -0.2 1\n0.5 0.3 -0.2 1\n",
+        (2, "", "error: {path}:1: expected 't wx wy wz', got 1 fields\n"),
+    ),
+    "feff_starts_line_3": (
+        _HEADER + "0 0.3 -0.2 1\n\ufeff0.5 0.3 -0.2 1\n1 0.3 -0.2 1\n",
+        (2, "", "error: {path}:3: could not convert string to float: '\\ufeff0.5'\n"),
+    ),
+    "feff_in_a_line_past_64": (
+        _HEADER + _plain_rows(100) + "1 0.3 -0.2\ufeff 1\n",
+        (2, "", "error: {path}:102: could not convert string to float: '-0.2\\ufeff'\n"),
     ),
 }
 
@@ -770,6 +794,36 @@ class TestIntegrateRowChecks:
             capsys, monkeypatch, tmp_path, lambda m: (*m[:4], math.nan, *m[5:])
         )
         assert result == (2, "", "error: non-finite component: nan\n")
+
+    @pytest.mark.parametrize(
+        "residuals, message",
+        [
+            ((1.0, 0.5), "|R^T R - 1| = 1.000e+00, |det - 1| = 5.000e-01"),
+            ((0.0, math.inf), "its entries are too large for R^T R or det R to be formed"),
+        ],
+    )
+    def test_failed_residuals_in_the_second_block(self, capsys, monkeypatch, tmp_path, residuals, message):
+        # rot_residuals9 is called once per regular row, in row order: row
+        # 100, in the second 64-row block, fails; the run stops there and
+        # writes nothing
+        kernels = rodvec._backend.kernels
+        real = kernels.rot_residuals9
+        calls = []
+
+        def failing(m):
+            calls.append(m)
+            return residuals if len(calls) == 101 else real(m)
+
+        monkeypatch.setattr(kernels, "rot_residuals9", failing)
+        path = tmp_path / "omega.txt"
+        path.write_text(_HEADER + _plain_rows(200))
+        out_path = tmp_path / "trajectory.txt"
+        result = run(
+            capsys, "integrate", str(path), "--trajectory", "--matrix-cols", "--out", str(out_path)
+        )
+        assert result == (2, "", f"error: matrix fails SO(3) checks: {message}\n")
+        assert len(calls) == 101
+        assert not out_path.exists()
 
 
 class TestIntegrateOutputDigests:

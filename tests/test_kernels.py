@@ -403,6 +403,27 @@ def _mixed_operands(seed, n):
     return [(tuple(entry() for _ in range(9)), tuple(entry() for _ in range(9))) for _ in range(n)]
 
 
+def _special_matrices():
+    """Matrices with nan, +-inf, +-0.0 at each of the nine positions of a
+    rotation, of the identity and of a matrix of wide entries, and with nan
+    and inf at two different positions of the rotation."""
+    rotation = kp.rot_from_rod9((0.3, -0.2, 1.1))
+    identity = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    wide = (1e200, -3.0, 5e-324, 1.7e308, 1e-160, -1.0, 2.5, -1e155, 0.5)
+    out = []
+    for base in (rotation, identity, wide):
+        for i in range(9):
+            for v in (math.nan, math.inf, -math.inf, 0.0, -0.0):
+                out.append(base[:i] + (v,) + base[i + 1 :])
+    for i in range(9):
+        for j in range(9):
+            if i != j:
+                m = list(rotation)
+                m[i], m[j] = math.nan, math.inf
+                out.append(tuple(m))
+    return out
+
+
 def _axes_and_angles(qs, seed):
     """(n, theta) for each q of qs: n is q, and also q's unit vector where q
     is nonzero, each with an angle drawn in [-2 pi, 2 pi] and with 0.0, -0.0
@@ -475,6 +496,10 @@ def test_rot_residuals9_matches_reference_bitwise():
         rot = tuple(2.0 * v - 1.0 if i in (0, 4, 8) else 2.0 * v for i, v in enumerate(inv))
         for m in (kp.rot_from_rod9(q), rot, inv, wide):
             assert _same_bits(kp.rot_residuals9(m), ref_rot_residuals9(m)), m
+    # entries that underflow, overflow or are nan, inf or a signed zero:
+    # the largest residual keeps a nan only in first place, as max() does
+    for m in [m for pair in _mixed_operands(27, 1500) for m in pair] + _special_matrices():
+        assert _same_bits(kp.rot_residuals9(m), ref_rot_residuals9(m)), m
 
 
 def test_rot_from_rod9_matches_the_deleted_formula_bitwise():
@@ -589,6 +614,10 @@ def test_kernel_parity_on_mixed_scales(kc):
         assert _same_outcome(kc, "euler_rodrigues9", n, theta), (n, theta)
     for a, b in _mixed_operands(26, 2000):
         assert _same_outcome(kc, "matmul_comp", a, b), (a, b)
+        assert _same_outcome(kc, "rot_residuals9", a), a
+        assert _same_outcome(kc, "rot_residuals9", b), b
+    for m in _special_matrices():
+        assert _same_outcome(kc, "rot_residuals9", m), m
 
 
 def test_matmul_comp_parity_on_explicit_inverse_products(kc):
