@@ -62,8 +62,8 @@ FIRST_ORDER = "first-order"
 EXACT_STEP = "exact-step"
 SCHEMES = (FIRST_ORDER, EXACT_STEP)
 
-#: exact-step pole guard: |w|*dt must stay below pi - this
-STEP_ANGLE_MARGIN = 1e-3
+#: StepTooLarge's message, in either scheme
+_PAST_THE_FLOAT_RANGE = "the step's increment is past the float range; reduce dt or add substeps"
 
 #: The constructions geometry.figure_scene draws, by name.
 FIGURE_KINDS = ("fig1a", "fig1b", "fig1c", "fig2", "fig4", "fig5")
@@ -738,11 +738,19 @@ def _donkin_residual(a, b, c) -> float:
 
 
 def _increment(wx: float, wy: float, wz: float, dt: float, exact: bool) -> tuple[float, float, float]:
-    """rodrigues_increment on floats; a non-finite Q raises ValueError.
+    """rodrigues_increment on floats.
 
-    |w| is the plain square root of the sum of squares wherever that sum
-    is a finite normal float, and is taken from a power-of-two scaled
-    copy of w elsewhere, so that no |w| overflows or underflows.
+    The exact-step increment tan(|w|dt/2) w/|w| is finite for every finite
+    step angle |w|dt: its pole is at an odd multiple of pi exactly, which
+    no float reaches, so a step of any number of turns is exact for a
+    constant w.  |w| is the plain square root of the sum of squares
+    wherever that sum is a finite normal float, and is taken from a
+    power-of-two scaled copy of w elsewhere, so that no |w| overflows or
+    underflows.
+
+    Raises StepTooLarge where the increment is past the float range: an
+    exact step whose angle |w|dt overflows, or a first-order Q = w dt/2
+    with an overflowing component.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -751,18 +759,20 @@ def _increment(wx: float, wy: float, wz: float, dt: float, exact: bool) -> tuple
         w = n / f
         if w == 0.0:
             return 0.0, 0.0, 0.0
-        angle = w * dt
-        if angle >= math.pi - STEP_ANGLE_MARGIN:
-            raise StepTooLarge(
-                f"step spans {angle:.6g} rad, at/over the half-angle tangent pole; "
-                "reduce dt or add substeps"
-            )
-        c = math.tan(0.5 * angle) / w
+        # a |w| past the float range still gives a finite angle over a short dt
+        angle = w * dt if w < math.inf else n * (dt / f)
+        if angle == math.inf:
+            raise StepTooLarge(_PAST_THE_FLOAT_RANGE)
+        # (f w) (tan/n) is at most tan in size; with f = 1 it is the w c of
+        # _integrate's inline step, bit for bit
+        c = math.tan(0.5 * angle) / n
     else:
-        c = 0.5 * dt
-    q = (wx * c, wy * c, wz * c)
+        f, c = 1.0, 0.5 * dt
+    q = (wx * f * c, wy * f * c, wz * f * c)
     if not math.isfinite(q[0] + q[1] + q[2]):  # the sum may also overflow
-        _require_finite(*q)
+        for v in q:
+            if not math.isfinite(v):
+                raise StepTooLarge(_PAST_THE_FLOAT_RANGE)
     return q
 
 
@@ -782,14 +792,14 @@ def _integrate(
     A step from a (1, Q) state is composed inline, with the operations of
     ``_increment`` and ``_compose_lifted(1, q, 1, Q)`` in their order, so
     that it gives the same bits.  It stays inline while, for exact-step,
-    |w|^2 is a finite normal float and the step angle is below
-    pi - STEP_ANGLE_MARGIN; while the increment q = c w has c > 0; while
-    the sum of the product's scalar part d, its vector v and its scale is
-    finite, |d| > DEGENERACY_REL_TOL * scale, and v/d has a finite sum.
-    Every other step (from a half-turn, of a zero, subnormal or overflowing
-    |w|, at the pole, underflowing to c = 0, overflowing, or ending on the
-    half-turn branch) calls ``_increment`` and then ``_compose_lifted``,
-    which check and raise.
+    |w|^2 is a finite normal float and the step angle is finite, of any
+    number of turns; while the increment q = c w has c > 0; while the sum
+    of the product's scalar part d, its vector v and its scale is finite,
+    |d| > DEGENERACY_REL_TOL * scale, and v/d has a finite sum.  Every
+    other step (from a half-turn, of a zero, subnormal or overflowing |w|,
+    of an overflowing angle, underflowing to c = 0, overflowing, or ending
+    on the half-turn branch) calls ``_increment`` and then
+    ``_compose_lifted``, which check and raise.
 
     Two sample times farther apart than the largest float (t1 - t0 is inf)
     have no step size: they raise ValueError, naming both times, before any
@@ -811,7 +821,7 @@ def _integrate(
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     exact = scheme == EXACT_STEP
-    pole = math.pi - STEP_ANGLE_MARGIN
+    inf = math.inf
 
     s, x, y, z = (1.0, 0.0, 0.0, 0.0) if start is None else start
     rows = [(times[0], s, x, y, z)]
@@ -835,7 +845,7 @@ def _integrate(
                     if ss >= _MIN_NORMAL:
                         w = math.sqrt(ss)
                         angle = w * dt
-                        if angle < pole:
+                        if angle < inf:
                             c = math.tan(0.5 * angle) / w
                 else:
                     c = 0.5 * dt

@@ -4,7 +4,8 @@ Subcommands: convert, compose, donkin, integrate, figure, check.
 Angles are radians unless --degrees is given; numbers print with 12
 significant digits unless --precision overrides.  Exit codes: 0 ok,
 1 check failure, 2 parse/bad args, 3 half-turn has no Rodrigues vector,
-4 parallel axes, 5 non-monotonic time, 6 step too large, 7 io failure.
+4 parallel axes, 5 non-monotonic time, 6 a step's increment past the
+float range, 7 io failure.
 
 ``convert``, ``compose``, ``donkin`` and ``integrate`` run on the float
 core ``rodvec._lifted`` alone, and ``check`` on ``rodvec.checks``, which

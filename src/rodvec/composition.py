@@ -34,15 +34,13 @@ RotationResult = RodriguesVector | HalfTurn
 class CompositionDiagnostics:
     """The proportionality data lambda = 1 - Q2.Q1 of the derivation.
 
-    numerator and denominator are the two parts of the composition law;
-    lambda equals the denominator and is recorded redundantly so test
-    output can show both.  residual is the defect of
+    lambda and numerator are the denominator and the numerator of the
+    composition law.  residual is the defect of
     lambda*(1 + Q3x) A = (1 + Q1x + Q2x + (Q2x)(Q1x)) A.
     """
 
     lam: float
     numerator: Vec3
-    denominator: float
     residual: float
 
 
@@ -95,6 +93,4 @@ def composition_diagnostics(
             branch, where no finite Q3 exists.
     """
     num, den, residual = _composition_diagnostics(q2.as_tuple(), q1.as_tuple(), a.as_tuple())
-    return CompositionDiagnostics(
-        lam=den, numerator=Vec3(*num), denominator=den, residual=residual
-    )
+    return CompositionDiagnostics(lam=den, numerator=Vec3(*num), residual=residual)

@@ -26,7 +26,8 @@ class DegenerateComposition(RodvecError):
 
 
 class StepTooLarge(RodvecError):
-    """An integration step spans a rotation angle at or beyond the half-angle tangent pole."""
+    """An integration step's increment is past the float range: its rotation angle, or a
+    first-order Q = w*dt/2, overflows."""
 
 
 class NonMonotonicTime(RodvecError):

@@ -4,7 +4,8 @@ integration from sampled angular velocity.
 For small Q the rotation matrix collapses to 1 + 2(Qx) and Rodrigues vectors
 compose additively; matching dx = 2(Q x x) against dx/dt = w x x gives the
 per-step increment Q = w*dt/2.  The integrator uses that increment (or its
-exact constant-rate form tan(|w|dt/2) * w/|w|) per step but always
+exact constant-rate form tan(|w|dt/2) * w/|w|, finite for every finite step
+angle, since no float is an odd multiple of pi) per step but always
 accumulates with the exact composition law, so the per-step approximation
 is the only error source.  The increment and the integrator loop are the
 float routines ``rodvec._lifted._increment`` and ``_integrate``; the
@@ -17,7 +18,6 @@ from rodvec._lifted import (
     EXACT_STEP,
     FIRST_ORDER,
     SCHEMES,
-    STEP_ANGLE_MARGIN,
     _floats,
     _increment,
     _integrate,
@@ -109,11 +109,14 @@ def rodrigues_increment(omega: AngularVelocity, dt: float, scheme: str = FIRST_O
     """Rodrigues vector of the rotation accrued over dt at rate omega.
 
     first-order: Q = w*dt/2.  exact-step: Q = tan(|w|dt/2) * w/|w|, exact
-    when omega is constant over the step.
+    when omega is constant over the step, for a step angle |w|dt of any
+    number of turns: tan has its pole at odd multiples of pi, which no
+    float is, so Q is finite for every finite step angle.
 
     Raises:
-        StepTooLarge: in the exact-step scheme when |w|*dt reaches
-            pi - 1e-3 (the half-angle tangent pole).
+        StepTooLarge: when the increment is past the float range: in the
+            exact-step scheme when |w|*dt overflows, in the first-order
+            scheme when a component of w*dt/2 does.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
@@ -139,7 +142,8 @@ def integrate_attitude(
         NonMonotonicTime: if sample times are not strictly increasing.
         ValueError: if two sample times are farther apart than the largest
             float, so that their interval has no step size.
-        StepTooLarge: propagated from the exact-step increment.
+        StepTooLarge: propagated from a step's increment past the float
+            range (see :func:`rodrigues_increment`).
     """
     times = [s.t for s in samples]
     rates = [s.omega.as_tuple() for s in samples]

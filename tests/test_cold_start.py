@@ -192,7 +192,6 @@ class TestLazyPackage:
         from rodvec import _lifted, composition, geometry, kinematics
 
         assert kinematics.SCHEMES is _lifted.SCHEMES == ("first-order", "exact-step")
-        assert kinematics.STEP_ANGLE_MARGIN == 1e-3
         assert geometry.FIGURE_KINDS is _lifted.FIGURE_KINDS
         assert composition.DEGENERACY_REL_TOL == 2.0**-51
 

@@ -217,7 +217,7 @@ class TestCompositionDiagnostics:
         q2, q1 = (1.3416e154, -2.236e153, 0.0), (1.3416e154, 2.236e153, 0.0)
         d = composition_diagnostics(RodriguesVector(*q2), RodriguesVector(*q1), UnitVector(0, 0, 1))
         exact = 1 - sum(Fraction(a) * Fraction(b) for a, b in zip(q2, q1))
-        assert d.lam == d.denominator == float(exact) == -1.7498935999999999e308
+        assert d.lam == float(exact) == -1.7498935999999999e308
         # the right-hand side overflows unscaled; scaled, the residual is
         # 1.1e-16 of lambda
         assert d.residual <= 1e-15 * abs(d.lam)

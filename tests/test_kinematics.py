@@ -1,6 +1,9 @@
 import hashlib
+import io
 import math
 import random
+from contextlib import redirect_stdout
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,12 +25,14 @@ from rodvec import (
     compose_infinitesimal,
     infinitesimal_displacement,
     integrate_attitude,
+    matrix_from_half_turn,
     matrix_from_rodrigues,
     rodrigues_increment,
     small_rotation_matrix,
     velocity_field,
 )
-from conftest import rand_rod, rand_vec, to_np, vec_np
+from rodvec.cli import main
+from conftest import np_skew, rand_rod, rand_unit, rand_vec, to_np, vec_np
 
 
 def _const_samples(w=(0.0, 0.0, 1.0), t1=math.pi / 2):
@@ -173,10 +178,32 @@ class TestRodriguesIncrement:
             )
 
     def test_step_too_large(self):
-        with pytest.raises(StepTooLarge):
-            rodrigues_increment(AngularVelocity(0, 0, 1), math.pi, EXACT_STEP)
-        # first-order has no pole
-        rodrigues_increment(AngularVelocity(0, 0, 1), math.pi, FIRST_ORDER)
+        # only an increment past the float range: an exact-step angle |w| dt
+        # that overflows, or a first-order w dt/2 that does
+        for scheme in (EXACT_STEP, FIRST_ORDER):
+            with pytest.raises(StepTooLarge, match="^the step's increment is past the float range;"):
+                rodrigues_increment(AngularVelocity(1e308, 0, 0), 10.0, scheme)
+        # a step of pi is finite: no float is pi, the pole of tan(|w| dt/2)
+        q = rodrigues_increment(AngularVelocity(0, 0, 1), math.pi, EXACT_STEP)
+        assert q == RodriguesVector(0.0, 0.0, math.tan(0.5 * math.pi)) == RodriguesVector(0, 0, 1.633123935319537e16)
+        assert rodrigues_increment(AngularVelocity(0, 0, 1), math.pi, FIRST_ORDER) == RodriguesVector(
+            0, 0, 0.5 * math.pi
+        )
+
+    def test_exact_step_small_rate_near_pi(self):
+        # |w| = 1e-307 over a step of pi - 0.05: tan/|w| is past the float
+        # range, Q is not
+        q = rodrigues_increment(AngularVelocity(0, 1e-307, 0), (math.pi - 0.05) / 1e-307, EXACT_STEP)
+        assert q.y == pytest.approx(1.0 / math.tan(0.025), rel=1e-12, abs=0.0)
+        assert (q.x, q.z) == (0.0, 0.0)
+
+    def test_exact_step_rate_past_the_float_range(self):
+        # |w| = 1.5e308 sqrt(2) is past the largest float; over 1e-308 s the
+        # step angle is 1.5 sqrt(2) rad
+        q = rodrigues_increment(AngularVelocity(1.5e308, -1.5e308, 0), 1e-308, EXACT_STEP)
+        want = math.tan(0.75 * math.sqrt(2.0)) / math.sqrt(2.0)
+        assert q.x == pytest.approx(want, rel=1e-14, abs=0.0)
+        assert q.y == -q.x and q.z == 0.0
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -327,6 +354,92 @@ class TestIntegrateAttitude:
             separate = compose_general(qb, qa)
             defects.append((combined.vec - separate.vec).norm())
         assert defects[0] / defects[1] == pytest.approx(4.0, rel=0.25)
+
+
+#: u = 2**-53, the unit roundoff
+_U = 2.0**-53
+
+#: Against the closed form, N exact steps of angle theta err by at most
+#: this many u * N * max(1, theta) in a matrix entry; measured at 2.5 for
+#: steps from pi - 1e-3 to 100 pi, and at 3.0 for steps from 0.1 to
+#: pi - 1e-3.
+_EXACT_STEP_ERROR = 4.0
+
+
+def _turn_matrix(w, dt, steps):
+    """The rotation of steps * dt s at the constant rate w: the angle is
+    steps |w| dt, rounded to a pair hi + lo, so that its cosine and sine are
+    within about u of the exact ones at any number of turns."""
+    n = math.hypot(*w)
+    angle = Fraction(n) * Fraction(dt) * steps
+    hi = float(angle)
+    lo = float(angle - Fraction(hi))
+    c = math.cos(hi) - math.sin(hi) * lo
+    s = math.sin(hi) + math.cos(hi) * lo
+    axis = np.array(w) / n
+    return c * np.eye(3) + s * np_skew(axis) + (1.0 - c) * np.outer(axis, axis)
+
+
+def _matrix_of(r) -> np.ndarray:
+    return to_np(matrix_from_rodrigues(r) if isinstance(r, RodriguesVector) else matrix_from_half_turn(r))
+
+
+def _steps_past_pi(count=400):
+    """(w, dt, steps) of constant rates: step angles log-uniform from
+    pi - 1e-3 to 100 pi, one in ten an odd multiple of pi, 1 to 40 steps of
+    a power-of-two dt, so that every sample time k dt is exact."""
+    rng = random.Random(30)
+    runs = []
+    for i in range(count):
+        if i % 10 == 9:
+            theta = (2 * rng.randint(0, 49) + 1) * math.pi
+        else:
+            theta = math.exp(rng.uniform(math.log(math.pi - 1e-3), math.log(100.0 * math.pi)))
+        dt = 2.0 ** rng.randint(-3, 3)
+        axis = vec_np(rand_unit(rng))
+        runs.append((tuple(map(float, axis * (theta / dt))), dt, rng.randint(1, 40)))
+    return runs
+
+
+def _assert_exact_steps(m, w, dt, steps):
+    err = np.abs(m - _turn_matrix(w, dt, steps)).max()
+    assert err <= _EXACT_STEP_ERROR * _U * steps * max(1.0, math.hypot(*w) * dt), (w, dt, steps, err)
+
+
+class TestExactStepPastPi:
+    """A step of constant rate is exact at any angle: its increment
+    tan(theta/2) n is finite for every finite theta, so steps past pi, and
+    at odd multiples of pi, follow the closed form as steps below pi do."""
+
+    def test_rodrigues_increment(self):
+        for w, dt, _ in _steps_past_pi():
+            q = rodrigues_increment(AngularVelocity(*w), dt, EXACT_STEP)
+            _assert_exact_steps(_matrix_of(q), w, dt, 1)
+
+    def test_integrate_attitude(self):
+        for w, dt, steps in _steps_past_pi():
+            samples = [AngularVelocitySample(k * dt, AngularVelocity(*w)) for k in range(steps + 1)]
+            _assert_exact_steps(_matrix_of(integrate_attitude(samples, EXACT_STEP).final), w, dt, steps)
+
+    def test_rodvec_integrate(self, tmp_path):
+        path = tmp_path / "omega.txt"
+        # every seventh run, odd multiples of pi among them
+        for w, dt, steps in _steps_past_pi()[::7]:
+            path.write_text("".join(f"{k * dt!r} {w[0]!r} {w[1]!r} {w[2]!r}\n" for k in range(steps + 1)))
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["--precision", "17", "integrate", str(path)]) == 0
+            final = out.getvalue().splitlines()[-1].removeprefix("final mat:").split(",")
+            _assert_exact_steps(np.array(final, dtype=float).reshape(3, 3), w, dt, steps)
+
+    def test_ten_radian_step(self, tmp_path):
+        # one step of 10 rad about z is -(4 pi - 10) rad about z
+        path = tmp_path / "omega.txt"
+        path.write_text("0 0 0 1\n10 0 0 1\n")
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["integrate", str(path)]) == 0
+        assert out.getvalue().splitlines()[1] == "final aa:0,0,-1,2.56637061436"
 
 
 def _spin_samples():
