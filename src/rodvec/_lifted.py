@@ -163,7 +163,17 @@ def _unit_components(x: float, y: float, z: float) -> tuple[float, float, float]
 
 
 def _direction(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """The components of UnitVector(v/||v||) for any finite nonzero v."""
+    """The components of UnitVector(v/||v||) for any finite nonzero v.
+
+    Only a finite nonzero v has a sum of squares that is a finite normal
+    float, and such a v divides by its plain square root at once, as _unit
+    would divide it; any other v is checked, finite and then nonzero, before
+    _unit.
+    """
+    ss = x * x + y * y + z * z
+    if _MIN_NORMAL <= ss < math.inf:
+        n = math.sqrt(ss)
+        return x / n, y / n, z / n
     if not math.isfinite(x + y + z):  # the sum may also overflow
         _require_finite(x, y, z)
     if not (x or y or z):
@@ -310,29 +320,33 @@ def _lift_matrix9(e) -> tuple[float, float, float, float]:
 
     Both branches of Shepperd's rule give Q as a quotient w/d: w is
     unskew(R - R^T) and d = 1 + trace R, or w and d are read from column
-    and row k of the largest diagonal entry.
+    and row k of the largest diagonal entry: w_k = 1 + 2 r_kk - trace R,
+    w_j = r_jk + r_kj for each other index j, and d = r_lj - r_jl with
+    (k, j, l) in cyclic order.  The nine entries are unpacked once, and each
+    k's w and d are read from them by name.
     """
-    t = e[0] + e[4] + e[8]
-    k = 0  # the first index of the largest diagonal entry
-    if e[4] > e[0]:
-        k = 1
-    if e[8] > e[4 * k]:
-        k = 2
-    wk = 1.0 + 2.0 * e[4 * k] - t
+    r11, r12, r13, r21, r22, r23, r31, r32, r33 = e
+    t = r11 + r22 + r33
+    k, rkk = 0, r11  # the first index of the largest diagonal entry
+    if r22 > rkk:
+        k, rkk = 1, r22
+    if r33 > rkk:
+        k, rkk = 2, r33
+    wk = 1.0 + 2.0 * rkk - t
     if 1.0 + t >= wk:
         # skew(Q) = (R - R^T)/(1 + trace R); here 1 + trace R is at least about 1
-        w = (e[7] - e[5], e[2] - e[6], e[3] - e[1])
-        d = 1.0 + e[0] + e[4] + e[8]
+        wx, wy, wz = r32 - r23, r13 - r31, r21 - r12
+        d = 1.0 + r11 + r22 + r33
     else:
-        w = [0.0, 0.0, 0.0]
-        w[k] = wk
-        j, l = (k + 1) % 3, (k + 2) % 3
-        w[j] = e[3 * j + k] + e[3 * k + j]
-        w[l] = e[3 * l + k] + e[3 * k + l]
-        d = e[3 * l + j] - e[3 * j + l]
+        if k == 0:
+            wx, wy, wz, d = wk, r21 + r12, r31 + r13, r32 - r23
+        elif k == 1:
+            wx, wy, wz, d = r12 + r21, wk, r32 + r23, r13 - r31
+        else:
+            wx, wy, wz, d = r13 + r31, r23 + r32, wk, r21 - r12
         if abs(d) * sys.float_info.max < wk:  # d = 0, or w/d overflows
-            return (0.0, *_half_turn_axis(*_direction(*w)))
-    x, y, z = w[0] / d, w[1] / d, w[2] / d
+            return (0.0, *_half_turn_axis(*_direction(wx, wy, wz)))
+    x, y, z = wx / d, wy / d, wz / d
     if not math.isfinite(x + y + z):  # the sum may also overflow
         _require_finite(x, y, z)
     return 1.0, x, y, z

@@ -11,7 +11,9 @@ float range, 7 io failure.
 core ``rodvec._lifted`` alone, and ``check`` on ``rodvec.checks``, which
 runs on that core too.  ``compose`` folds each spec with
 ``_lifted._compose_chain`` as it parses it, and only formats what the fold
-returns: the lambda of each step and the product.  ``integrate`` renders
+returns: the lambda of each step and the product.  Each spec is read in one
+pass, its numbers split and converted once whatever its kind, and the lambda
+lines are written a block at a time, one ``%`` per block.  ``integrate`` renders
 its trajectory a block of rows at a time, every row before any is written;
 with matrix columns, a regular row calls the matrix and residual kernels
 directly.
@@ -84,34 +86,51 @@ def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
         raise SpecFormatError(f"bad number in {what}: {exc}") from None
 
 
+#: The numbers that each kind of rotation spec takes.
+_SPEC_COUNTS = {"rod": 3, "aa": 4, "mat": 9, "half": 3}
+
+
 def _parse_lifted(text: str, degrees: bool) -> tuple[float, float, float, float]:
     """Parse ``aa:...``, ``rod:...``, ``mat:...`` or ``half:...`` to the
     Euler parameters of the composition law: (1, Q), or (0, n) with the
-    axis a HalfTurn stores."""
+    axis a HalfTurn stores.
+
+    One pass for every kind: the kind's count of numbers is looked up, the
+    payload is split and its numbers converted once, and only then does the
+    kind's own check run, so that a bad count, then a bad number, is found
+    before a non-finite or degenerate one."""
     kind, sep, payload = text.partition(":")
     if not sep:
         raise SpecFormatError(f"rotation spec needs a 'kind:' prefix: {text!r}")
+    count = _SPEC_COUNTS.get(kind)
+    if count is None:
+        raise SpecFormatError(f"unknown rotation kind {kind!r} (use aa, rod, mat or half)")
+    parts = payload.split(",")
+    if len(parts) != count:
+        raise SpecFormatError(f"{kind} spec needs {count} comma-separated numbers, got {len(parts)}")
+    try:
+        v = [*map(float, parts)]
+    except ValueError as exc:
+        raise SpecFormatError(f"bad number in {kind} spec: {exc}") from None
     try:
         if kind == "rod":
-            x, y, z = _parse_floats(payload, 3, "rod spec")
+            x, y, z = v
             if not math.isfinite(x + y + z):  # the sum may also overflow
                 _require_finite(x, y, z)
             return 1.0, x, y, z
-        if kind == "half":
-            x, y, z = _parse_floats(payload, 3, "half spec")
-            return (0.0, *_half_turn_axis(*_direction(x, y, z)))
         if kind == "aa":
-            nx, ny, nz, theta = _parse_floats(payload, 4, "aa spec")
+            nx, ny, nz, theta = v
             if degrees:
                 theta = math.radians(theta)
-            axis = _direction(nx, ny, nz)
-            _require_finite(theta)
-            return _lift_axis_angle(*axis, _fold_angle(theta))
+            nx, ny, nz = _direction(nx, ny, nz)
+            if not math.isfinite(theta):
+                _require_finite(theta)
+            return _lift_axis_angle(nx, ny, nz, _fold_angle(theta))
         if kind == "mat":
-            return _lift_matrix9(_checked9(_parse_floats(payload, 9, "mat spec")))
+            return _lift_matrix9(_checked9(v))
+        return (0.0, *_half_turn_axis(*_direction(*v)))
     except (ValueError, NotARotation) as exc:
         raise SpecFormatError(f"invalid {kind} spec: {exc}") from None
-    raise SpecFormatError(f"unknown rotation kind {kind!r} (use aa, rod, mat or half)")
 
 
 def _spec_rod(s: float, x: float, y: float, z: float, digits: int) -> str:
@@ -146,9 +165,11 @@ def _spec_half(s: float, x: float, y: float, z: float, digits: int) -> str:
 def _print_result_block(
     s: float, x: float, y: float, z: float, digits: int, degrees: bool, prefix: str = ""
 ) -> None:
-    print(prefix + (_spec_rod if s else _spec_half)(s, x, y, z, digits))
-    print(prefix + _spec_aa(s, x, y, z, digits, degrees))
-    print(prefix + _spec_mat(s, x, y, z, digits))
+    sys.stdout.write(
+        f"{prefix}{(_spec_rod if s else _spec_half)(s, x, y, z, digits)}\n"
+        f"{prefix}{_spec_aa(s, x, y, z, digits, degrees)}\n"
+        f"{prefix}{_spec_mat(s, x, y, z, digits)}\n"
+    )
 
 
 def _cmd_convert(args) -> int:
@@ -164,6 +185,11 @@ def _cmd_convert(args) -> int:
     return 0
 
 
+#: Lines of an omega file converted together while every one is plain, and
+#: trajectory rows and compose's lambda lines formatted together.
+_BLOCK = 64
+
+
 def _cmd_compose(args) -> int:
     if len(args.specs) < 2:
         raise SpecFormatError("compose needs at least two rotation specs")
@@ -172,11 +198,18 @@ def _cmd_compose(args) -> int:
     # until the fold returns, so a bad spec prints nothing but its error
     lams, product = _compose_chain(map(_parse_lifted, args.specs, repeat(args.degrees)))
     line = "lambda[%%d] = %%.%dg\n" % digits
-    # + 0.0 folds -0.0 as _fmt does
-    sys.stdout.writelines(
-        "lambda[%d] = n/a (half-turn operand)\n" % i if lam is None else line % (i, lam + 0.0)
-        for i, lam in enumerate(lams, start=1)
-    )
+    half = "lambda[%d] = n/a (half-turn operand)\n"
+    write = sys.stdout.write
+    for i in range(0, len(lams), _BLOCK):
+        fmt, cols = [], []
+        for k, lam in enumerate(lams[i : i + _BLOCK], start=i + 1):
+            if lam is None:
+                fmt.append(half)
+                cols.append(k)
+            else:
+                fmt.append(line)
+                cols += (k, lam + 0.0)  # + 0.0 folds -0.0 as _fmt does
+        write("".join(fmt) % tuple(cols))
     _print_result_block(*product, digits, args.degrees)
     return 0
 
@@ -197,11 +230,6 @@ def _cmd_donkin(args) -> int:
     print(f"arc(A,C) = {_fmt(conv(_arc_angle(a, c)), d)}")
     print(f"residual = {_fmt(_donkin_residual(a, b, c), 3)}")
     return 0
-
-
-#: Lines of an omega file converted together while every one is plain, and
-#: trajectory rows formatted together.
-_BLOCK = 64
 
 
 def _parse_omega_file(path: str) -> tuple[list[float], list[tuple[float, float, float]]]:

@@ -131,6 +131,102 @@ class TestConvert:
             assert got == pytest.approx(orig, abs=1e-9)
 
 
+def _bad(message):
+    return 2, "", f"error: {message}\n"
+
+
+#: (global options, spec): the (exit, stdout, stderr) of ``convert SPEC --to mat``
+#: for every way a spec can fail to parse, and for the finite specs whose
+#: sums overflow but which parse.
+SPEC_OUTCOMES = {
+    ((), "1,0,0"): _bad("rotation spec needs a 'kind:' prefix: '1,0,0'"),
+    ((), "quat:1,0,0,0"): _bad("unknown rotation kind 'quat' (use aa, rod, mat or half)"),
+    ((), "rod:"): _bad("rod spec needs 3 comma-separated numbers, got 1"),
+    ((), "aa:"): _bad("aa spec needs 4 comma-separated numbers, got 1"),
+    ((), "mat:"): _bad("mat spec needs 9 comma-separated numbers, got 1"),
+    ((), "half:"): _bad("half spec needs 3 comma-separated numbers, got 1"),
+    # the count is checked before any number is read
+    ((), "rod:x,1"): _bad("rod spec needs 3 comma-separated numbers, got 2"),
+    ((), "rod:1,2"): _bad("rod spec needs 3 comma-separated numbers, got 2"),
+    ((), "rod:1,2,3,4"): _bad("rod spec needs 3 comma-separated numbers, got 4"),
+    ((), "half:1,2"): _bad("half spec needs 3 comma-separated numbers, got 2"),
+    ((), "half:1,2,3,4"): _bad("half spec needs 3 comma-separated numbers, got 4"),
+    ((), "aa:0,0,1"): _bad("aa spec needs 4 comma-separated numbers, got 3"),
+    ((), "aa:0,0,1,1,1"): _bad("aa spec needs 4 comma-separated numbers, got 5"),
+    ((), "mat:1,0,0,0,1,0,0,0"): _bad("mat spec needs 9 comma-separated numbers, got 8"),
+    ((), "mat:1,0,0,0,1,0,0,0,1,0"): _bad("mat spec needs 9 comma-separated numbers, got 10"),
+    ((), "rod:1,x,3"): _bad("bad number in rod spec: could not convert string to float: 'x'"),
+    ((), "half:1,,3"): _bad("bad number in half spec: could not convert string to float: ''"),
+    ((), "aa:0,0,1,1rad"): _bad("bad number in aa spec: could not convert string to float: '1rad'"),
+    ((), "mat:1,0,0,0,1,0,0,0,one"): _bad("bad number in mat spec: could not convert string to float: 'one'"),
+    # a bad number is found before a non-finite one
+    ((), "mat:nan,0,0,0,1,0,0,0,x"): _bad("bad number in mat spec: could not convert string to float: 'x'"),
+    ((), "rod:nan,0,0"): _bad("invalid rod spec: non-finite component: nan"),
+    ((), "rod:0,-inf,0"): _bad("invalid rod spec: non-finite component: -inf"),
+    ((), "half:nan,0,1"): _bad("invalid half spec: non-finite component: nan"),
+    ((), "half:0,0,-inf"): _bad("invalid half spec: non-finite component: -inf"),
+    ((), "aa:inf,0,0,1"): _bad("invalid aa spec: non-finite component: inf"),
+    ((), "aa:0,nan,1,1"): _bad("invalid aa spec: non-finite component: nan"),
+    ((), "aa:0,0,1,nan"): _bad("invalid aa spec: non-finite component: nan"),
+    ((), "mat:1,0,0,0,1,0,0,0,nan"): _bad("invalid mat spec: non-finite component: nan"),
+    ((), "mat:inf,0,0,0,1,0,0,0,1"): _bad("invalid mat spec: non-finite component: inf"),
+    ((), "aa:0,0,1,inf"): _bad("invalid aa spec: non-finite component: inf"),
+    (("--degrees",), "aa:0,0,1,inf"): _bad("invalid aa spec: non-finite component: inf"),
+    (("--degrees",), "aa:0,0,1,-inf"): _bad("invalid aa spec: non-finite component: -inf"),
+    # the axis is checked before the angle
+    ((), "aa:nan,0,1,inf"): _bad("invalid aa spec: non-finite component: nan"),
+    ((), "aa:0,0,0,inf"): _bad("invalid aa spec: cannot normalize a (near-)zero vector"),
+    ((), "aa:0,-0,0,1"): _bad("invalid aa spec: cannot normalize a (near-)zero vector"),
+    ((), "half:0,0,0"): _bad("invalid half spec: cannot normalize a (near-)zero vector"),
+    ((), "mat:2,0,0,0,1,0,0,0,1"): _bad(
+        "invalid mat spec: matrix fails SO(3) checks: |R^T R - 1| = 3.000e+00, |det - 1| = 1.000e+00"),
+    ((), "mat:1,0,0,0,0,1,0,1,0"): _bad(
+        "invalid mat spec: matrix fails SO(3) checks: |R^T R - 1| = 0.000e+00, |det - 1| = 2.000e+00"),
+    ((), "mat:1e300,0,0,0,1,0,0,0,1"): _bad(
+        "invalid mat spec: matrix fails SO(3) checks: "
+        "its entries are too large for R^T R or det R to be formed"),
+    # finite specs whose sums overflow, and others that parse
+    ((), "rod:1e308,1e308,0"): (0, "mat:-2.22044604925e-16,1,0,1,-2.22044604925e-16,0,0,0,-1\n", ""),
+    ((), "half:1e308,1e308,1e308"): (
+        0,
+        "mat:-0.333333333333,0.666666666667,0.666666666667,0.666666666667,-0.333333333333,"
+        "0.666666666667,0.666666666667,0.666666666667,-0.333333333333\n",
+        "",
+    ),
+    ((), "aa:1e308,1e308,0,1"): (
+        0,
+        "mat:0.770151152934,0.229848847066,0.595009839529,0.229848847066,0.770151152934,"
+        "-0.595009839529,-0.595009839529,0.595009839529,0.540302305868\n",
+        "",
+    ),
+    (("--degrees",), "aa:1e308,1e308,0,90"): (
+        0,
+        "mat:0.5,0.5,0.707106781187,0.5,0.5,-0.707106781187,-0.707106781187,0.707106781187,"
+        "2.22044604925e-16\n",
+        "",
+    ),
+    (("--degrees",), "aa:0,0,1,1e308"): (
+        0, "mat:-0.0992222472586,0.995065297179,0,-0.995065297179,-0.0992222472586,0,0,0,1\n", ""),
+    ((), "rod:1e-320,-0.0,5e-324"): (
+        0,
+        "mat:1,-9.88131291682e-324,0,9.88131291682e-324,1,-1.99997773437e-320,0,"
+        "1.99997773437e-320,1\n",
+        "",
+    ),
+    ((), "rod: 1,2 ,3"): (
+        0,
+        "mat:-0.733333333333,-0.133333333333,0.666666666667,0.666666666667,-0.333333333333,"
+        "0.666666666667,0.133333333333,0.933333333333,0.333333333333\n",
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("options, spec", list(SPEC_OUTCOMES))
+def test_spec_parse_outcome(capsys, options, spec):
+    assert run(capsys, *options, "convert", spec, "--to", "mat") == SPEC_OUTCOMES[options, spec]
+
+
 class TestCompose:
     def test_worked_example(self, capsys):
         code, out, _ = run(capsys, "compose", "rod:1,0,0", "rod:0,1,0")

@@ -10,6 +10,7 @@ import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ from rodvec._lifted import (
     _unit,
     _unit_components,
 )
-from rodvec.cli import _parse_lifted, main
+from rodvec.cli import _SPEC_COUNTS, _parse_lifted, main
 from rodvec.core import _from_lifted, _lift
 from rodvec.errors import DegenerateComposition, NonMonotonicTime, NotPerpendicular, ParallelAxes
 from conftest import to_np
@@ -802,15 +803,19 @@ def ref_unit(x, y, z):
     return x * f / n, y * f / n, z * f / n
 
 
-def ref_from_vec(x, y, z):
-    if math.sqrt(x * x + y * y + z * z) < 1e-15:
-        raise ValueError("cannot normalize a (near-)zero vector")
-    # _direction
+def ref_direction(x, y, z):
+    """_direction as its checks came first: finite, then nonzero, then _unit."""
     if not math.isfinite(x + y + z):
         _require_finite(x, y, z)
     if not (x or y or z):
         raise ValueError("cannot normalize a (near-)zero vector")
     return ref_unit(x, y, z)
+
+
+def ref_from_vec(x, y, z):
+    if math.sqrt(x * x + y * y + z * z) < 1e-15:
+        raise ValueError("cannot normalize a (near-)zero vector")
+    return ref_direction(x, y, z)
 
 
 def ref_cross(u, v):
@@ -990,6 +995,24 @@ def test_from_vec_matches_the_reference(v):
     assert same_outcome(_from_vec, ref_from_vec, *v)
 
 
+#: any float: nan, infinities, signed zeros and subnormals among them
+full_range = st.one_of(component, st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.tuples(full_range, full_range, full_range))
+@example((math.nan, 1.0, 0.0))
+@example((1.0, -math.inf, 0.0))
+@example((0.0, -0.0, 0.0))
+@example((5e-324, 0.0, -5e-324))  # the sum of squares is zero
+@example((_SUBNORMAL_SS, -0.0, 0.0))  # the sum of squares is subnormal
+@example((math.sqrt(_MIN_NORMAL), 0.0, 0.0))  # the smallest normal sum of squares
+@example((1e200, 0.0, -1e200))  # the sum of squares overflows
+@example((1.7e308, 1.7e308, 0.0))  # so does the sum
+def test_direction_matches_its_checks_first_form(v):
+    assert same_outcome(_direction, ref_direction, *v)
+
+
 @st.composite
 def rotation_and_point(draw):
     q = draw(wide)
@@ -1100,6 +1123,70 @@ def test_donkin_command_exits_with_a_documented_code(pair):
         assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
     else:
         assert err.getvalue() == ""
+
+
+def _readme_exit_codes() -> set[int]:
+    """The codes of the README's "Exit codes:" paragraph."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Exit codes:", 1)[1].split("\n\n", 1)[0]
+    return {int(entry.split()[0]) for entry in paragraph.split(",")}
+
+
+README_EXIT_CODES = _readme_exit_codes()
+
+
+@st.composite
+def grammar_specs(draw):
+    """A rotation spec with its kind: prefix, of drawn components, or now and
+    then the matrix of a drawn axis and angle."""
+    kind = draw(st.sampled_from(sorted(_SPEC_COUNTS)))
+    if kind == "mat" and draw(st.booleans()):
+        numbers = axis_angle_matrix(draw(wide.filter(any)), draw(component))
+    else:
+        numbers = draw(st.tuples(*[component] * _SPEC_COUNTS[kind]))
+    return f"{kind}:" + ",".join(map(repr, numbers))
+
+
+def assert_error_contract(argv) -> None:
+    """main(argv), on specs of finite numbers, exits with a code of the
+    README's table: 0 with no stderr and, where it prints one, a mat: that
+    passes SO(3) at 1e-12; or an error with no stdout and one error: line
+    that names neither nan nor inf."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)  # an exception out of main fails the test
+    assert code in README_EXIT_CODES, code
+    message = err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        assert message.count("\n") == 1 and message.startswith("error: "), message
+        assert "Traceback" not in message
+        assert not re.search(r"\b(inf|nan)\b", message, re.IGNORECASE), message
+        return
+    assert message == ""
+    for line in out.getvalue().splitlines():
+        if line.startswith("mat:"):
+            assert_so3(np.array([float(x) for x in line.removeprefix("mat:").split(",")]).reshape(3, 3))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(grammar_specs(), st.sampled_from(sorted(_SPEC_COUNTS)), st.booleans())
+@example("rod:1e308,1e308,0.0", "mat", False)  # the sum overflows
+@example("aa:1e308,1e308,0.0,1e308", "aa", True)
+@example("half:5e-324,-0.0,0.0", "mat", False)
+@example("mat:1e154,1e154,1e154,1e154,1e154,1e154,1e154,1e154,1e154", "rod", False)
+def test_convert_command_keeps_the_error_contract(spec, to, degrees):
+    degrees = ["--degrees"] if degrees else []
+    assert_error_contract([*degrees, "--precision", "17", "convert", spec, "--to", to])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(grammar_specs(), min_size=2, max_size=8), st.booleans())
+@example(["rod:1e200,0.0,0.0", "rod:1e200,0.0,0.0"], False)  # lambda is -inf
+@example(["rod:1e308,1e308,0.0", "half:0.0,-0.0,5e-324", "aa:0.0,0.0,1.0,180.0"], True)
+def test_compose_command_keeps_the_error_contract(specs, degrees):
+    degrees = ["--degrees"] if degrees else []
+    assert_error_contract([*degrees, "--precision", "17", "compose", *specs])
 
 
 @settings(max_examples=500, deadline=None)
