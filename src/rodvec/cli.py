@@ -76,12 +76,22 @@ def _fmt_list(values, digits: int) -> str:
     return ",".join(_fmt(v, digits) for v in values)
 
 
+def _number(text: str) -> float:
+    """float(text) in the README's number syntax: float()'s own, less the
+    digit-group underscores and non-ASCII characters (the digits of other
+    scripts, Unicode spaces) that float() also reads, which raise its
+    ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
+
+
 def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != count:
         raise SpecFormatError(f"{what} needs {count} comma-separated numbers, got {len(parts)}")
     try:
-        return tuple(map(float, parts))
+        return tuple(map(_number, parts))
     except ValueError as exc:
         raise SpecFormatError(f"bad number in {what}: {exc}") from None
 
@@ -98,7 +108,8 @@ def _parse_lifted(text: str, degrees: bool) -> tuple[float, float, float, float]
     One pass for every kind: the kind's count of numbers is looked up, the
     payload is split and its numbers converted once, and only then does the
     kind's own check run, so that a bad count, then a bad number, is found
-    before a non-finite or degenerate one."""
+    before a non-finite or degenerate one.  A payload with an underscore or
+    a non-ASCII character converts through _number, which rejects them."""
     kind, sep, payload = text.partition(":")
     if not sep:
         raise SpecFormatError(f"rotation spec needs a 'kind:' prefix: {text!r}")
@@ -109,7 +120,8 @@ def _parse_lifted(text: str, degrees: bool) -> tuple[float, float, float, float]
     if len(parts) != count:
         raise SpecFormatError(f"{kind} spec needs {count} comma-separated numbers, got {len(parts)}")
     try:
-        v = [*map(float, parts)]
+        # one test of the whole payload lets a plain one go straight to float()
+        v = [*map(float if payload.isascii() and "_" not in payload else _number, parts)]
     except ValueError as exc:
         raise SpecFormatError(f"bad number in {kind} spec: {exc}") from None
     try:
@@ -239,8 +251,9 @@ def _parse_omega_file(path: str) -> tuple[list[float], list[tuple[float, float, 
     U+FEFF anywhere else is rejected as any other stray character is.
     After the first line, which is usually a '#' header, the lines are read
     in blocks.  A block of plain lines, each four finite numbers and nothing
-    else, is converted in one pass; any other block goes through
-    _parse_omega_lines, which reads and rejects line by line.
+    else, all ASCII and with no underscore, is converted in one pass; any
+    other block goes through _parse_omega_lines, which reads and rejects
+    line by line, with _number's syntax for the numbers.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -260,8 +273,11 @@ def _parse_omega_file(path: str) -> tuple[list[float], list[tuple[float, float, 
         # count is short if a line has fewer than four fields, and float()
         # rejects the last token of a line with more, and any token with '#'.
         tokens = chain.from_iterable(map(str.split, block, repeat(None), repeat(3)))
+        # float() also reads underscores and non-ASCII digits, which _number
+        # rejects, so a block with either character goes line by line
+        text = "".join(block)
         try:
-            v = list(map(float, tokens))
+            v = list(map(float, tokens)) if text.isascii() and "_" not in text else None
         except ValueError:
             v = None
         # a finite sum has no nan or inf term
@@ -301,7 +317,7 @@ def _parse_omega_lines(path: str, lines: list[str], first: int, times: list, rat
         if len(parts) != 4:
             raise SpecFormatError(f"{path}:{lineno}: expected 't wx wy wz', got {len(parts)} fields")
         try:
-            t, wx, wy, wz = map(float, parts)
+            t, wx, wy, wz = map(_number, parts)
         except ValueError as exc:
             raise SpecFormatError(f"{path}:{lineno}: {exc}") from None
         if not math.isfinite(t + wx + wy + wz):  # the sum may also overflow

@@ -1,8 +1,10 @@
-"""Shared helpers: seeded samplers and numpy-side oracles.
+"""Shared helpers: seeded samplers, Hypothesis strategies and numpy-side
+oracles.
 
 The library computes everything with its own closed forms; tests rebuild
 the same quantities independently through numpy (matrix products, eig,
-inv) so each check has two routes.
+inv) so each check has two routes.  The formulas the tests hold the
+library to, and the exact rational oracle, are in ``reference.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rodvec import RodriguesVector, UnitVector, Vec3
 
@@ -67,6 +70,43 @@ def rand_vec(rng: random.Random, scale: float = 2.0) -> Vec3:
     return Vec3(
         rng.uniform(-scale, scale), rng.uniform(-scale, scale), rng.uniform(-scale, scale)
     )
+
+
+def rand_unit_t(rng):
+    while True:
+        v = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
+        n = math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
+        if n > 1e-3:
+            return (v[0] / n, v[1] / n, v[2] / n)
+
+
+def rand_axis_angle_t(rng, max_angle=math.pi - 1e-3, near_pole_every=100, i=0):
+    axis = rand_unit_t(rng)
+    if near_pole_every and i % near_pole_every == near_pole_every - 1:
+        # force the heavy tail so large ||Q|| is always exercised
+        theta = math.copysign(math.pi - rng.uniform(1e-3, 6e-3), rng.uniform(-1, 1))
+    else:
+        theta = rng.uniform(-max_angle, max_angle)
+    return axis, theta
+
+
+def q_of(axis, theta):
+    t = math.tan(0.5 * theta)
+    return RodriguesVector(t * axis[0], t * axis[1], t * axis[2])
+
+
+anyfloat = st.floats(allow_nan=False, allow_infinity=False)
+vectors = st.tuples(anyfloat, anyfloat, anyfloat)
+
+euler_parameters = st.one_of(
+    st.tuples(anyfloat, anyfloat, anyfloat, anyfloat),
+    # exact half-turns
+    st.tuples(st.just(0.0), anyfloat, anyfloat, anyfloat),
+    # within about 2e-6 rad of a half-turn
+    st.tuples(st.floats(min_value=-1e-6, max_value=1e-6), vectors).map(
+        lambda t: (t[0] * max(map(abs, t[1])), *t[1])
+    ),
+).filter(any)
 
 
 @pytest.fixture

@@ -45,7 +45,7 @@ from rodvec import (
 from rodvec._backend import kernels as _k
 from rodvec.cli import main as cli_main
 from rodvec.kinematics import EXACT_STEP, FIRST_ORDER, AngularVelocity, AngularVelocitySample
-from conftest import np_euler_rodrigues, to_np, vec_np
+from conftest import np_euler_rodrigues, q_of, rand_axis_angle_t, rand_unit_t, to_np, vec_np
 
 N = 10_000
 
@@ -55,40 +55,17 @@ def _report(num: int, name: str, detail: str, ok: bool) -> None:
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
-def _rand_unit_t(rng):
-    while True:
-        v = (rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))
-        n = math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2)
-        if n > 1e-3:
-            return (v[0] / n, v[1] / n, v[2] / n)
-
-
-def _rand_axis_angle(rng, max_angle=math.pi - 1e-3, near_pole_every=100, i=0):
-    axis = _rand_unit_t(rng)
-    if near_pole_every and i % near_pole_every == near_pole_every - 1:
-        # force the heavy tail so large ||Q|| is always exercised
-        theta = math.copysign(math.pi - rng.uniform(1e-3, 6e-3), rng.uniform(-1, 1))
-    else:
-        theta = rng.uniform(-max_angle, max_angle)
-    return axis, theta
-
-
-def _q_of(axis, theta):
-    t = math.tan(0.5 * theta)
-    return RodriguesVector(t * axis[0], t * axis[1], t * axis[2])
-
-
 def _rand_moderate_q(rng, max_angle=2.4):
-    axis = _rand_unit_t(rng)
-    return _q_of(axis, rng.uniform(-max_angle, max_angle))
+    axis = rand_unit_t(rng)
+    return q_of(axis, rng.uniform(-max_angle, max_angle))
 
 
 def test_c01_formula_cross_agreement():
     rng = random.Random(101)
     worst = 0.0
     for i in range(N):
-        axis, theta = _rand_axis_angle(rng, i=i)
-        q = _q_of(axis, theta)
+        axis, theta = rand_axis_angle_t(rng, i=i)
+        q = q_of(axis, theta)
         u = UnitVector(*axis)
         e1 = euler_rodrigues_matrix(u, theta).elements
         e2 = matrix_from_rodrigues(q).elements
@@ -108,8 +85,8 @@ def test_c02_explicit_inverse():
     worst = 0.0
     seen_large = 0.0
     for i in range(N):
-        axis, theta = _rand_axis_angle(rng, i=i, near_pole_every=10)
-        q = _q_of(axis, theta)
+        axis, theta = rand_axis_angle_t(rng, i=i, near_pole_every=10)
+        q = q_of(axis, theta)
         seen_large = max(seen_large, q.norm())
         m = cayley_inverse_explicit(q).elements
         k = skew(q).matrix.elements
@@ -127,8 +104,8 @@ def test_c03_bridge_residuals():
     rng = random.Random(103)
     worst = 0.0
     for i in range(N):
-        axis, theta = _rand_axis_angle(rng, i=i)
-        q = _q_of(axis, theta)
+        axis, theta = rand_axis_angle_t(rng, i=i)
+        q = q_of(axis, theta)
         x = Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
         r1, r2 = cayley_residuals(q, x)
         bound = 1e-12 * (1.0 + q.norm()) * max(x.norm(), 1e-300)
@@ -141,10 +118,10 @@ def test_c04_composition_homomorphism():
     worst = 0.0
     produced = 0
     while produced < N:
-        a1, t1 = _rand_axis_angle(rng, i=produced)
-        a2, t2 = _rand_axis_angle(rng, i=produced + 7)
-        q1 = _q_of(a1, t1)
-        q2 = _q_of(a2, t2)
+        a1, t1 = rand_axis_angle_t(rng, i=produced)
+        a2, t2 = rand_axis_angle_t(rng, i=produced + 7)
+        q1 = q_of(a1, t1)
+        q2 = q_of(a2, t2)
         den = 1.0 - q2.vec.dot(q1.vec)
         if abs(den) < 1e-3:
             continue
@@ -271,7 +248,7 @@ def test_c10_infinitesimal_order():
     rng = random.Random(110)
     ratios = []
     for _ in range(50):
-        u = _rand_unit_t(rng)
+        u = rand_unit_t(rng)
         errs = []
         for s in (1e-2, 5e-3, 2.5e-3):
             q = RodriguesVector(s * u[0], s * u[1], s * u[2])
@@ -284,7 +261,7 @@ def test_c10_infinitesimal_order():
 
     worst_half = 0.0
     for _ in range(N):
-        q = _q_of(_rand_unit_t(rng), rng.uniform(-3.1, 3.1))
+        q = q_of(rand_unit_t(rng), rng.uniform(-3.1, 3.1))
         x = Vec3(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(-2, 2))
         lhs = bisector_intersection(q, x) - x
         rhs = 0.5 * infinitesimal_displacement(q, x)

@@ -24,6 +24,7 @@ from rodvec import (
 )
 from rodvec._backend import kernels as _k
 from conftest import np_skew, rand_rod, rand_unit, rand_vec, to_np, vec_np
+from reference import exact_matrix
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -81,17 +82,11 @@ class TestCayleyRotation:
             qs.append(RodriguesVector(t * axis.x, t * axis.y, t * axis.z))
         ulp = Fraction(1, 2**52)
         for q in qs:
-            x, y, z = (Fraction(v) for v in q.as_tuple())
-            den = 1 + x * x + y * y + z * z
-            num = (
-                x * x + 1, x * y - z, x * z + y,
-                x * y + z, y * y + 1, y * z - x,
-                x * z - y, y * z + x, z * z + 1,
-            )
+            # the Cayley matrix is the rotation matrix of (1, Q)
+            exact = exact_matrix((1, *q.as_tuple()))
             got = cayley_rotation(q).elements
             for i in range(9):
-                exact = 2 * num[i] / den - (1 if i in (0, 4, 8) else 0)
-                assert abs(Fraction(got[i]) - exact) <= ulp, (q, i)
+                assert abs(Fraction(got[i]) - exact[i]) <= ulp, (q, i)
 
 
 class TestCayleyInverseExplicit:

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import rand_axis_angle, rand_rod, rand_unit, rand_vec
+from reference import ref_rand_pair, ref_rand_rodrigues, ref_rand_unit
 from rodvec import _lifted, checks
 from rodvec._backend import backend_name, kernels as _k
 from rodvec._lifted import _IDENTITY9, _max_diff9
@@ -118,39 +119,18 @@ def test_readme_size_residuals_are_pinned():
 # --- the draws -------------------------------------------------------------
 
 
-def _ref_unit(rng):
-    """The unit-vector draw that checks._rand_unit replaced, kept as its
-    reference: three calls to gauss(0.0, 1.0), then normalize."""
-    while True:
-        x, y, z = rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)
-        n = math.sqrt(x * x + y * y + z * z)
-        if n > 1e-3:
-            return x / n, y / n, z / n
-
-
-def _ref_rodrigues(rng, max_angle):
-    return checks._rodrigues(_ref_unit(rng), rng.uniform(-max_angle, max_angle))
-
-
-def _ref_pair(rng):
-    """checks._rand_pair with the reference draws."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(checks, "_rand_rodrigues", _ref_rodrigues)
-        return checks._rand_pair(rng)
-
-
 #: each interleaving of draws the diagnostics use, as (checks' draws,
 #: reference draws); "gauss" enters the next draw with a pair half-used
 _DRAWS = {
     "axis-angle": (
         lambda rng: checks._rand_axis_angle(rng, math.pi - 1e-3),
-        lambda rng: (_ref_unit(rng), rng.uniform(-(math.pi - 1e-3), math.pi - 1e-3)),
+        lambda rng: (ref_rand_unit(rng), rng.uniform(-(math.pi - 1e-3), math.pi - 1e-3)),
     ),
     "rodrigues": (
         lambda rng: checks._rand_rodrigues(rng, math.pi - 1e-3),
-        lambda rng: _ref_rodrigues(rng, math.pi - 1e-3),
+        lambda rng: ref_rand_rodrigues(rng, math.pi - 1e-3),
     ),
-    "pair": (checks._rand_pair, _ref_pair),
+    "pair": (checks._rand_pair, ref_rand_pair),
     "bridge-uniforms": (
         lambda rng: tuple(checks._uniform(rng, -2, 2) for _ in range(3)),
         lambda rng: tuple(rng.uniform(-2, 2) for _ in range(3)),

@@ -23,7 +23,7 @@ from rodvec import (
     matrix_from_rodrigues,
 )
 from conftest import np_skew, rand_rod, rand_unit, to_np, vec_np
-from test_kernels import ref_compose_num_den
+from reference import exact_dot, exact_matrix, exact_product, ref_compose_num_den
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
@@ -150,25 +150,6 @@ class TestComposeGeneral:
         assert (r.returncode, r.stdout, r.stderr) == (0, message + "\n", "")
 
 
-def _exact_product_matrix(q2, q1):
-    """The matrix of the exact Euler parameter product (s, v) =
-    (1 - Q2.Q1, Q1 + Q2 + Q2 x Q1) of two float triples, in Fractions."""
-    a, b = [Fraction(c) for c in q2], [Fraction(c) for c in q1]
-    s = 1 - (a[0] * b[0] + a[1] * b[1] + a[2] * b[2])
-    x = b[0] + a[0] + a[1] * b[2] - a[2] * b[1]
-    y = b[1] + a[1] + a[2] * b[0] - a[0] * b[2]
-    z = b[2] + a[2] + a[0] * b[1] - a[1] * b[0]
-    n = s * s + x * x + y * y + z * z
-    return [
-        e / n
-        for e in (
-            s * s + x * x - y * y - z * z, 2 * (x * y - s * z), 2 * (x * z + s * y),
-            2 * (x * y + s * z), s * s - x * x + y * y - z * z, 2 * (y * z - s * x),
-            2 * (x * z - s * y), 2 * (y * z + s * x), s * s - x * x - y * y + z * z,
-        )
-    ]
-
-
 class TestNearHalfTurn:
     def test_products_just_short_of_pi_match_the_exact_matrix(self):
         # pairs whose product is 1e-15..1e-6 rad short of pi, every other one
@@ -191,7 +172,7 @@ class TestNearHalfTurn:
                 t3 = math.tan(0.5 * (math.pi - short))
                 q2 = compose(RodriguesVector(*(t3 * c for c in n)), -q1)
             got = _mat(compose(q2, q1)).ravel()
-            exact = _exact_product_matrix(q2.as_tuple(), q1.as_tuple())
+            exact = exact_matrix(exact_product((1, *q2.as_tuple()), (1, *q1.as_tuple())))
             worst = max(worst, *(abs(Fraction(g) - e) for g, e in zip(got, exact)))
         assert worst <= 2.0**-49
 
@@ -216,7 +197,7 @@ class TestCompositionDiagnostics:
         # does not, and lambda is the correctly rounded 1 - Q2.Q1
         q2, q1 = (1.3416e154, -2.236e153, 0.0), (1.3416e154, 2.236e153, 0.0)
         d = composition_diagnostics(RodriguesVector(*q2), RodriguesVector(*q1), UnitVector(0, 0, 1))
-        exact = 1 - sum(Fraction(a) * Fraction(b) for a, b in zip(q2, q1))
+        exact = 1 - exact_dot(q2, q1)
         assert d.lam == float(exact) == -1.7498935999999999e308
         # the right-hand side overflows unscaled; scaled, the residual is
         # 1.1e-16 of lambda

@@ -31,7 +31,7 @@ from rodvec import (
 )
 from rodvec.kinematics import EXACT_STEP, FIRST_ORDER, AngularVelocity, AngularVelocitySample, rodrigues_increment
 from conftest import np_euler_rodrigues, rand_axis_angle, rand_rod, to_np, vec_np
-from test_kernels import ref_half_turn9
+from reference import ref_half_turn9
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 

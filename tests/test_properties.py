@@ -9,7 +9,6 @@ import io
 import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -48,31 +47,40 @@ from rodvec._lifted import (
     _donkin_ab,
     _donkin_triangle,
     _double_arc_rotation9,
-    _euler_rodrigues9,
     _from_vec,
     _half_angle_point,
     _half_turn_axis,
-    _increment,
     _integrate,
     _inverse_scaled,
     _lambda,
     _lift_axis_angle,
     _lift_matrix9,
-    _require_finite,
     _require_triangle,
     _rotation9,
-    _scaled_law_residual,
-    _scaled_norm,
     _unit,
     _unit_components,
 )
 from rodvec.cli import _SPEC_COUNTS, _parse_lifted, main
 from rodvec.core import _from_lifted, _lift
-from rodvec.errors import DegenerateComposition, NonMonotonicTime, NotPerpendicular, ParallelAxes
-from conftest import to_np
-
-anyfloat = st.floats(allow_nan=False, allow_infinity=False)
-vectors = st.tuples(anyfloat, anyfloat, anyfloat)
+from conftest import anyfloat, euler_parameters, to_np, vectors
+from reference import (
+    cross,
+    exact_so3_residual,
+    matrix_of_euler_parameters,
+    ref_cayley_residuals,
+    ref_compose_chain,
+    ref_composition_diagnostics,
+    ref_direction,
+    ref_donkin_ab,
+    ref_donkin_triangle,
+    ref_double_arc_rotation9,
+    ref_euler_rodrigues9,
+    ref_from_vec,
+    ref_half_angle_point,
+    ref_integrate,
+    ref_require_triangle,
+    ref_unit,
+)
 
 
 def scaled_norm(v) -> tuple[float, tuple[float, float, float]]:
@@ -174,34 +182,6 @@ def test_compose_general_gives_a_rotation(b, a):
     # worst of 20 000 examples was 1.3e-15 (1.3e-9 with the branch at
     # |s| <= 1e-9 of the scale)
     assert np.max(np.abs(r - rotation_matrix(b) @ rotation_matrix(a))) <= 1e-12
-
-
-def matrix_of_euler_parameters(p) -> tuple[float, ...]:
-    """The rotation matrix of the Euler parameters p = (s, x, y, z) of any
-    finite nonzero scale, as nine floats: p is scaled to a largest
-    component of 1 first, so that no square overflows."""
-    m = max(map(abs, p))
-    s, x, y, z = (c / m for c in p)
-    n = s * s + x * x + y * y + z * z
-    return tuple(
-        c / n
-        for c in (
-            s * s + x * x - y * y - z * z, 2.0 * (x * y - s * z), 2.0 * (x * z + s * y),
-            2.0 * (x * y + s * z), s * s - x * x + y * y - z * z, 2.0 * (y * z - s * x),
-            2.0 * (x * z - s * y), 2.0 * (y * z + s * x), s * s - x * x - y * y + z * z,
-        )
-    )
-
-
-euler_parameters = st.one_of(
-    st.tuples(anyfloat, anyfloat, anyfloat, anyfloat),
-    # exact half-turns
-    st.tuples(st.just(0.0), anyfloat, anyfloat, anyfloat),
-    # within about 2e-6 rad of a half-turn
-    st.tuples(st.floats(min_value=-1e-6, max_value=1e-6), vectors).map(
-        lambda t: (t[0] * max(map(abs, t[1])), *t[1])
-    ),
-).filter(any)
 
 
 @settings(max_examples=300)
@@ -419,14 +399,7 @@ def test_integrate_prints_rotations(tmp_path_factory, log, scheme, substeps):
 def axis_angle_matrix(v, theta) -> tuple[float, ...]:
     """The rotation by theta about the direction of the nonzero v, as nine
     floats: cos(theta) 1 + sin(theta) [n]x + (1 - cos(theta)) n n^T."""
-    _, (x, y, z) = scaled_norm(v)
-    c, s = math.cos(theta), math.sin(theta)
-    k = 1.0 - c
-    return (
-        c + k * x * x, k * x * y - s * z, k * x * z + s * y,
-        k * x * y + s * z, c + k * y * y, k * y * z - s * x,
-        k * x * z - s * y, k * y * z + s * x, c + k * z * z,
-    )
+    return ref_euler_rodrigues9(scaled_norm(v)[1], theta)
 
 
 def near_rotation(t) -> tuple[float, ...]:
@@ -435,21 +408,6 @@ def near_rotation(t) -> tuple[float, ...]:
     e = list(axis_angle_matrix(v, theta))
     e[k] *= 1.0 + delta
     return tuple(e)
-
-
-def so3_residual(e) -> Fraction:
-    """The exact larger of the two residuals _require_so3 tests, the largest
-    |R^T R - 1| entry and |det R - 1|, of the nine floats e."""
-    m = [[Fraction(c) for c in e[i : i + 3]] for i in (0, 3, 6)]
-    ortho = max(
-        abs(sum(m[k][i] * m[k][j] for k in range(3)) - (i == j)) for i in range(3) for j in range(3)
-    )
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    return max(ortho, abs(det - 1))
 
 
 #: |delta| log-uniform over 1e-16 to 1e-6, so that the scaled entry leaves
@@ -484,7 +442,7 @@ def test_compose_specs(spec_parts):
     # only a zero axis and a mat spec past ROTATION_MATRIX_TOL are refused:
     # every finite rod is a rotation
     zero_axis = any(kind in ("aa", "half") and not any(numbers[:3]) for kind, numbers in spec_parts)
-    off = max((so3_residual(numbers) for kind, numbers in spec_parts if kind == "mat"), default=0)
+    off = max((exact_so3_residual(numbers) for kind, numbers in spec_parts if kind == "mat"), default=0)
     # --degrees reads the aa angles in degrees; it refuses the same specs
     for options in ([], ["--degrees"]):
         code, out = run_cli(*options, "--precision", "17", "compose", *specs)
@@ -500,35 +458,6 @@ def test_compose_specs(spec_parts):
 
 
 # --- the integrator's inline step --------------------------------------------
-
-
-def ref_integrate(times, rates, scheme, start, substeps):
-    """The integrator as it was before the step from a (1, Q) state was
-    written out in its loop: _increment then _compose_lifted on every step,
-    the reference that _integrate must match."""
-    if len(times) < 2:
-        raise ValueError("need at least two samples")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    for t0, t1 in zip(times, times[1:]):
-        if not t1 > t0:
-            raise NonMonotonicTime(f"sample times must increase: {t0} -> {t1}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    exact = scheme == EXACT_STEP
-    s, x, y, z = (1.0, 0.0, 0.0, 0.0) if start is None else start
-    rows = [(times[0], s, x, y, z)]
-    for (t0, t1), ((ax, ay, az), (bx, by, bz)) in zip(zip(times, times[1:]), zip(rates, rates[1:])):
-        dt = (t1 - t0) / substeps
-        for i in range(substeps if dt > 0.0 else 0):
-            u = (t0 + (i + 0.5) * dt - t0) / (t1 - t0)
-            wx, wy, wz = ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az)
-            if not math.isfinite(wx + wy + wz):
-                _require_finite(wx, wy, wz)
-            qx, qy, qz = _increment(wx, wy, wz, dt, exact)
-            s, x, y, z = _compose_lifted(1.0, qx, qy, qz, s, x, y, z)
-        rows.append((t1, s, x, y, z))
-    return rows
 
 
 def _integrated(integrate, log):
@@ -643,19 +572,6 @@ def test_integrate_matches_the_step_by_step_reference(run):
 # --- compose's fold ---------------------------------------------------------
 
 
-def ref_compose_chain(rotations):
-    """The fold as the command line ran it before its regular step was
-    written out in _compose_chain: per step, _lambda where both operands are
-    regular, else None, then _compose_lifted; the reference that
-    _compose_chain must match."""
-    s1, x1, y1, z1 = rotations[0]
-    lams = []
-    for s2, x2, y2, z2 in rotations[1:]:
-        lams.append(_lambda(x2, y2, z2, x1, y1, z1) if s1 and s2 else None)
-        s1, x1, y1, z1 = _compose_lifted(s2, x2, y2, z2, s1, x1, y1, z1)
-    return lams, (s1, x1, y1, z1)
-
-
 def _folded(fold, rotations):
     """The lambdas and the product of a fold as float.hex, so that signed
     zeros count."""
@@ -762,163 +678,9 @@ def test_lambda_past_the_float_range_is_infinite():
 
 # --- check's sample path ------------------------------------------------------
 #
-# The references are the float-core routines as they were before their
-# 3-vector arithmetic was written out: built on the 3-vector kernels, with
-# _unit always through _scaled_norm.  The routines must match them bit for
-# bit, exception class and message included.
-#
-# The dot, cross, norm and matrix-vector products of 3-vectors were kernels
-# once, in both backends; every caller writes them out now.  dot, cross,
-# norm and mat_vec are the deleted kernels' formulas, the one set of
-# references for those callers.
-
-
-def dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def cross(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def norm(a):
-    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def mat_vec(m, v):
-    x, y, z = v
-    return (
-        m[0] * x + m[1] * y + m[2] * z,
-        m[3] * x + m[4] * y + m[5] * z,
-        m[6] * x + m[7] * y + m[8] * z,
-    )
-
-
-def ref_unit(x, y, z):
-    n, f = _scaled_norm(x, y, z)
-    return x * f / n, y * f / n, z * f / n
-
-
-def ref_direction(x, y, z):
-    """_direction as its checks came first: finite, then nonzero, then _unit."""
-    if not math.isfinite(x + y + z):
-        _require_finite(x, y, z)
-    if not (x or y or z):
-        raise ValueError("cannot normalize a (near-)zero vector")
-    return ref_unit(x, y, z)
-
-
-def ref_from_vec(x, y, z):
-    if math.sqrt(x * x + y * y + z * z) < 1e-15:
-        raise ValueError("cannot normalize a (near-)zero vector")
-    return ref_direction(x, y, z)
-
-
-def ref_cross(u, v):
-    w = cross(u, v)
-    if not math.isfinite(w[0] + w[1] + w[2]):
-        _require_finite(*w)
-    return w
-
-
-def ref_half_angle_point(q, a):
-    if not any(q):
-        raise ValueError("half_angle_point needs a nonzero rotation")
-    if abs(dot(a, ref_unit(*q))) > 1e-9:
-        raise NotPerpendicular("a must lie in the plane perpendicular to Q")
-    t = cross(q, a)
-    return ref_from_vec(a[0] + t[0], a[1] + t[1], a[2] + t[2])
-
-
-def ref_require_triangle(a, b, c):
-    ab = (b[0] - a[0], b[1] - a[1], b[2] - a[2])
-    ac = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
-    if not math.isfinite(ab[0] + ab[1] + ab[2] + ac[0] + ac[1] + ac[2]):
-        _require_finite(*ab, *ac)
-    if norm(ref_cross(ab, ac)) <= 1e-9:
-        raise ValueError("degenerate spherical triangle: vertices are collinear")
-
-
-def ref_donkin_ab(q1, q2):
-    if not any(q1) or not any(q2):
-        raise ParallelAxes("both rotations must be nonzero")
-    axis1 = ref_unit(*q1)
-    axes_cross = cross(ref_unit(*q2), axis1)
-    if norm(axes_cross) <= 1e-9:
-        raise ParallelAxes("rotation axes are parallel; no spherical triangle exists")
-    c = cross(q2, q1)
-    if not 0.0 < dot(c, c) < math.inf:
-        c = axes_cross
-    b = ref_unit(*c)
-    half1 = math.atan(norm(q1))
-    r = _euler_rodrigues9(axis1, -half1)
-    return ref_from_vec(*mat_vec(r, b)), b
-
-
-def ref_donkin_triangle(q1, q2):
-    a, b = ref_donkin_ab(q1, q2)
-    # B is perpendicular to Q2 by construction: C is not tested for it
-    t = cross(q2, b)
-    cpt = ref_from_vec(b[0] + t[0], b[1] + t[1], b[2] + t[2])
-    ref_require_triangle(a, b, cpt)
-    return a, b, cpt
-
-
-def ref_double_arc_rotation9(u, v):
-    c = ref_cross(u, v)
-    if norm(c) <= 1e-12:
-        return (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-    arc = math.atan2(norm(ref_cross(u, v)), u[0] * v[0] + u[1] * v[1] + u[2] * v[2])
-    return _euler_rodrigues9(ref_unit(*c), 2.0 * arc)
-
-
-def ref_composition_diagnostics(q2t, q1t, at):
-    if any(q1t) and abs(dot(at, ref_unit(*q1t))) > 1e-9:
-        raise NotPerpendicular("a must be perpendicular to Q1")
-    s, x, y, z = _compose_lifted(1.0, *q2t, 1.0, *q1t)
-    if not s:
-        raise DegenerateComposition("composition is a half-turn; lambda residual undefined")
-    num = cross(q2t, q1t)
-    num = (q1t[0] + q2t[0] + num[0], q1t[1] + q2t[1] + num[1], q1t[2] + q2t[2] + num[2])
-    lam = _lambda(*q2t, *q1t)
-    lhs = cross((x, y, z), at)
-    lhs = (lam * (at[0] + lhs[0]), lam * (at[1] + lhs[1]), lam * (at[2] + lhs[2]))
-    c1 = cross(q1t, at)
-    c2 = cross(q2t, at)
-    c21 = cross(q2t, c1)
-    rhs = (
-        at[0] + c1[0] + c2[0] + c21[0],
-        at[1] + c1[1] + c2[1] + c21[1],
-        at[2] + c1[2] + c2[2] + c21[2],
-    )
-    residual = norm((lhs[0] - rhs[0], lhs[1] - rhs[1], lhs[2] - rhs[2]))
-    if not math.isfinite(residual) and math.isfinite(lam):
-        residual = _scaled_law_residual((x, y, z), q2t, q1t, at, lam)
-    if not math.isfinite(num[0] + num[1] + num[2]):
-        _require_finite(*num)
-    return num, lam, residual
-
-
-def ref_cayley_residuals(qt, xt):
-    rm = _k.rot_from_rod9(qt)
-    rx = mat_vec(rm, xt)
-    qxx = cross(qt, xt)
-    qxrx = cross(qt, rx)
-    r1 = norm(
-        (
-            xt[0] + qxx[0] - (rx[0] - qxrx[0]),
-            xt[1] + qxx[1] - (rx[1] - qxrx[1]),
-            xt[2] + qxx[2] - (rx[2] - qxrx[2]),
-        )
-    )
-    rx_plus_x = (rx[0] + xt[0], rx[1] + xt[1], rx[2] + xt[2])
-    lhs = cross(qt, rx_plus_x)
-    r2 = norm((lhs[0] - (rx[0] - xt[0]), lhs[1] - (rx[1] - xt[1]), lhs[2] - (rx[2] - xt[2])))
-    return r1, r2
+# The references, in reference.py, are the float-core routines as they were
+# before their 3-vector arithmetic was written out.  The routines must match
+# them bit for bit, exception class and message included.
 
 
 def _hexed(value):
