@@ -233,12 +233,19 @@ one_plus(double p, double e, double *d0, double *d1, double *dh, double *dl)
     *dl = *d0 - *dh;
 }
 
+/* cayley_inv9 returns an entry after two quotient terms when hi +- m
+   round to hi, with m = |lo| + Q3_BOUND |q2| and |hi| >= EXIT_FLOOR; the
+   argument is in _kernels_py.cayley_inv9's docstring. */
+#define Q3_BOUND 0x1p-45
+#define EXIT_FLOOR 1e-290
+
 /* The quotient q1 + q2 + q3 of (n0, n1)/den, each q removing q*den from
-   the remainder, rounded to one double. */
+   the remainder, rounded to one double: hi + lo = q1 + q2 where q3 cannot
+   move the rounding, else (hi, lo) + q3. */
 static inline double
 dd_quotient(double n0, double n1, double d0, double d1, double dh, double dl)
 {
-    double q1, q2, q3, c, ch, cl, p, e, s, t, g;
+    double q1, q2, q3, hi, lo, m, c, ch, cl, p, e, s, t, g;
     q1 = n0 / d0;
     c = -q1;
     SPLIT_HI(c, ch);
@@ -254,8 +261,14 @@ dd_quotient(double n0, double n1, double d0, double d1, double dh, double dl)
     g = (n0 - (s - t)) + (p - t);
     g += n1 + e;
     n0 = s + g;
-    n1 = g - (n0 - s);
     q2 = n0 / d0;
+    hi = q1 + q2;
+    lo = q2 - (hi - q1);
+    m = fabs(lo) + Q3_BOUND * fabs(q2);
+    if (fabs(hi) >= EXIT_FLOOR && hi + m == hi && hi - m == hi) {
+        return hi;
+    }
+    n1 = g - (n0 - s);
     c = -q2;
     SPLIT_HI(c, ch);
     cl = c - ch;
@@ -271,12 +284,10 @@ dd_quotient(double n0, double n1, double d0, double d1, double dh, double dl)
     g += n1 + e;
     n0 = s + g;
     q3 = n0 / d0;
-    s = q1 + q2;
-    e = q2 - (s - q1);
-    n0 = s + q3;
-    t = n0 - s;
-    g = (s - (n0 - t)) + (q3 - t);
-    g += e;
+    n0 = hi + q3;
+    t = n0 - hi;
+    g = (hi - (n0 - t)) + (q3 - t);
+    g += lo;
     s = n0 + g;
     return s + (g - (s - n0));
 }

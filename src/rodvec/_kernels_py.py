@@ -17,8 +17,10 @@ compensated (double-double) arithmetic.  Each entry of (1 - Qx)^-1 is
 (q_i q_j + c)/(1 + Q.Q) with numerator and denominator in double-double,
 so it is accurate to about an ulp; the Cayley rotation 2 (1 - Qx)^-1 - 1 is
 formed from it, and so stays a cross-check of the direct rotation formula
-at large ||Q||.  ``matmul_comp`` gives the residual products of the
-explicit-inverse check their exact sums.
+at large ||Q||.  An entry's quotient stops after two terms where the
+third cannot change the rounded entry, with the bits of the three-term
+quotient (``cayley_inv9`` gives the argument).  ``matmul_comp`` gives the
+residual products of the explicit-inverse check their exact sums.
 
 The double-double steps are written out inline rather than composed from
 helper calls, since in CPython the calls, not the flops, would dominate.
@@ -44,6 +46,11 @@ import math
 BACKEND = "python"
 
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
+
+#: cayley_inv9 returns an entry after two quotient terms when hi +- m round
+#: to hi, with m = |lo| + _Q3_BOUND |q2| and |hi| >= _EXIT_FLOOR
+_Q3_BOUND = 2.0**-45
+_EXIT_FLOOR = 1e-290
 
 
 def matmul_comp(a, b):
@@ -165,8 +172,42 @@ def cayley_inv9(q):
     """Explicit inverse of (1 - Qx): 1 + ((Qx) + (Qx)^2)/(1 + Q.Q).
 
     Entry (i, j) is (q_i q_j + c)/(1 + Q.Q) in double-double, with c = 1 on
-    the diagonal and the (i, j) entry of (Qx) off it.
+    the diagonal and the (i, j) entry of (Qx) off it.  Its quotient is
+    q1 + q2 + q3, each q removing q*den from the remainder, rounded to one
+    double by hi = q1 + q2, lo = q2 - (hi - q1), then hi + lo + q3.
+
+    An entry returns hi once q1 and q2 fix that rounding, as they do for
+    almost every entry, and the result has the bits of the three-term
+    quotient for every input.  With u = 2**-53:
+
+    - The second remainder step leaves |q3| <= (3 + eps) u |q2|: the
+      rounding of q2 = n0/d0 leaves u d0 |q2| of the remainder, the low part
+      n1 at most u |n0|, the term q2 d1 at most u d0 |q2|, and the step's
+      own roundings are of order u**2 d0 |q2|.  Its products are about u
+      times those of the first step, so they are finite where q2 is.  Each
+      of its nine products and quotients that lands below the normal range
+      errs by at most 2**-1075 absolutely instead, which adds at most
+      2**-1071 to |q3|.
+    - Let m = |lo| + 2**-45 |q2| (``_Q3_BOUND``).  When hi + m and hi - m
+      both round to hi, so does hi + x for every |x| <= m, as rounding is
+      monotone.  If also |q3| <= m, the remaining steps return hi: hi + q3
+      rounds to hi, so its TwoSum error g is q3 exactly; |fl(q3 + lo)| <=
+      fl(|q3| + |lo|) <= m, so hi + fl(q3 + lo) rounds to hi as well, and
+      the last correction adds the same g to hi again.
+    - |q3| <= fl(2**-45 |q2|), about 80 times the bound above, wherever
+      |q2| >= 2**-1025, the underflow terms included.  Below that, |lo| <=
+      |q2| and |q3| < 2**-1070 are each under a quarter of the spacing of
+      the floats at hi once |hi| >= ``_EXIT_FLOOR`` (1e-290, above
+      2**-964), so both sums with hi round to hi directly.
+    - FastTwoSum makes lo the exact error of q1 + q2 when |q1| >= |q2|,
+      which holds above the floor, where q2 is about u q1 or less.  The
+      argument uses lo only as the float that the remaining steps add, so
+      it does not depend on that.
+    - A zero hi takes the full path, which settles the sign of a zero
+      entry; so does a NaN hi, as every comparison fails, and an infinite
+      one, as hi - m is then NaN.
     """
+    bound, floor = _Q3_BOUND, _EXIT_FLOOR
     x, y, z = q
     t = _SPLIT * x
     xh = t - (t - x)
@@ -249,8 +290,16 @@ def cayley_inv9(q):
         g = (n0 - (s - t)) + (p - t)
         g += n1 + e
         n0 = s + g
-        n1 = g - (n0 - s)
         q2 = n0 / d0
+        # hi + lo = q1 + q2, as the final renormalisation forms it; the
+        # entry is hi where q3 cannot move it (see the docstring)
+        hi = q1 + q2
+        lo = q2 - (hi - q1)
+        m = abs(lo) + bound * abs(q2)
+        if abs(hi) >= floor and hi + m == hi and hi - m == hi:
+            out.append(hi)
+            continue
+        n1 = g - (n0 - s)
         c = -q2
         t = _SPLIT * c
         ch = t - (t - c)
@@ -267,12 +316,10 @@ def cayley_inv9(q):
         g += n1 + e
         n0 = s + g
         q3 = n0 / d0
-        s = q1 + q2
-        e = q2 - (s - q1)
-        n0 = s + q3
-        t = n0 - s
-        g = (s - (n0 - t)) + (q3 - t)
-        g += e
+        n0 = hi + q3
+        t = n0 - hi
+        g = (hi - (n0 - t)) + (q3 - t)
+        g += lo
         s = n0 + g
         out.append(s + (g - (s - n0)))
     return tuple(out)

@@ -432,8 +432,22 @@ def _cmd_check(args) -> int:
     return 1 if failed else 0
 
 
+def _integer(text: str) -> int:
+    """int(text) in _number's syntax: ASCII only, with no digit-group
+    underscores.  Anything else raises argparse's ArgumentTypeError, worded
+    as argparse words a bad int."""
+    if text.isascii() and "_" not in text:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    from argparse import ArgumentTypeError  # imported on this error path only
+
+    raise ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _positive_int(text: str) -> int:
-    v = int(text)
+    v = _integer(text)
     if v < 1:
         from argparse import ArgumentTypeError  # imported on this error path only
 
@@ -488,8 +502,8 @@ _COMMANDS = {
         ("--out", {"required": True, "metavar": "PATH", "help": "output SVG path"}),
     )),
     "check": (_cmd_check, "run the seeded residual diagnostics", (
-        ("--n", {"type": int, "default": 1000, "help": "samples per diagnostic (default 1000)"}),
-        ("--seed", {"type": int, "default": 42, "help": "RNG seed (default 42)"}),
+        ("--n", {"type": _integer, "default": 1000, "help": "samples per diagnostic (default 1000)"}),
+        ("--seed", {"type": _integer, "default": 42, "help": "RNG seed (default 42)"}),
     )),
 }
 
@@ -551,7 +565,7 @@ def _read(argv: list[str], i: int, grammar, values: dict, stop: bool):
             if convert is not None:
                 try:
                     value = convert(value)
-                except Exception:  # int's ValueError or _positive_int's ArgumentTypeError
+                except Exception:  # _integer's or _positive_int's ArgumentTypeError
                     return None
             if choices is not None and value not in choices:
                 return None

@@ -38,8 +38,36 @@ from rodvec.errors import (
     NonMonotonicTime,
     NotPerpendicular,
     ParallelAxes,
+    RodvecError,
     SpecFormatError,
 )
+
+# ------------------------------------------------------- comparing results
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except (ArithmeticError, LookupError, ValueError, RodvecError) as e:
+        return type(e)
+
+
+def _hexes(result):
+    """The floats of a result, at any depth of tuples, as float.hex."""
+    if isinstance(result, float):
+        return [result.hex()]
+    return [h for r in result for h in _hexes(r)]
+
+
+def same_bits(a, b) -> bool:
+    """Whether two outcomes agree: the same exception type, or floats of the
+    same bits at any depth of tuples, with NaN in the same places and the
+    same sign of zero elsewhere."""
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return _hexes(a) == _hexes(b)
+
 
 # ------------------------------------------------------- 3-vector products
 #
@@ -140,12 +168,18 @@ def dd_mul_d(x, a):
     return quick_two_sum(p, e)
 
 
-def dd_div(x, y):
+def dd_div_terms(x, y):
+    """The three terms q1, q2, q3 of the quotient x/y, each q removing q*y
+    from the remainder."""
     q1 = x[0] / y[0]
     r = dd_add(x, dd_mul_d(y, -q1))
     q2 = r[0] / y[0]
     r = dd_add(r, dd_mul_d(y, -q2))
-    q3 = r[0] / y[0]
+    return q1, q2, r[0] / y[0]
+
+
+def dd_div(x, y):
+    q1, q2, q3 = dd_div_terms(x, y)
     q, e = quick_two_sum(q1, q2)
     return dd_add_d((q, e), q3)
 

@@ -1514,13 +1514,33 @@ def _direct_agrees(argv):
     return True
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--precision", "1_2", "convert", "rod:1,0,0", "--to", "aa"],
+         "rodvec: error: argument --precision: invalid int value: '1_2'"),
+        (["--precision", "\u0663", "convert", "rod:1,0,0", "--to", "aa"],
+         "rodvec: error: argument --precision: invalid int value: '\u0663'"),
+        (["integrate", "log.txt", "--substeps", "1_0"],
+         "rodvec integrate: error: argument --substeps: invalid int value: '1_0'"),
+        (["check", "--n", "1_0", "--seed", "3"], "rodvec check: error: argument --n: invalid int value: '1_0'"),
+        (["check", "--seed", "\u0663"], "rodvec check: error: argument --seed: invalid int value: '\u0663'"),
+    ],
+)
+def test_integer_options_take_the_number_syntax(capsys, argv, message):
+    # int() alone reads digit-group underscores and the digits of other
+    # scripts; the integer options are usage errors on them instead
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.splitlines()[-1]) == (2, "", message)
+
+
 class TestDirectParser:
     """The parser in front of argparse returns argparse's namespace or None."""
 
     WELL_FORMED = [
         ["convert", "rod:1,0,0", "--to", "aa"],
         ["--degrees", "--precision", "5", "convert", "--to", "half", "half:0,0,1"],
-        ["--precision", "3", "--precision", "1_0", "convert", "x", "--to", "rod", "--to", "mat"],
+        ["--precision", "3", "--precision", "10", "convert", "x", "--to", "rod", "--to", "mat"],
         ["--precision", " 3", "compose", "rod:1,0,0"],
         ["compose", "rod:1,0,0", "", "aa:0,0,1,90", "rod:1,2"],
         ["donkin", "rod:1,0,0", "rod:0,1,0"],
@@ -1530,7 +1550,7 @@ class TestDirectParser:
         ["figure", "--kind", "fig4", "--out", "out.svg", "--q1", "1,0,0", "--q2", "0,1,0"],
         ["figure", "--out", "o.svg", "--kind", "fig1a", "--q", "1,0,0", "--x", "0,1,0", "--view", "0,0,1"],
         ["check"],
-        ["check", "--n", "0", "--seed", "+7", "--n", "1_000"],
+        ["check", "--n", "0", "--seed", "+7", "--n", "1000"],
         ["--degrees", "--degrees", "check", "--seed", "3"],
     ]
 
@@ -1544,6 +1564,10 @@ class TestDirectParser:
         ["--precision", "0", "check"], ["--precision", "-5", "check"], ["--precision", "x", "check"],
         ["--precision=5", "check"], ["--precision", "check"],
         ["check", "--n", "-5"], ["check", "--n", "1e3"], ["check", "--n=3"], ["check", "--degrees"],
+        # integers take _number's syntax: no digit-group underscores, ASCII digits only
+        ["--precision", "3", "--precision", "1_0", "convert", "x", "--to", "rod", "--to", "mat"],
+        ["check", "--n", "0", "--seed", "+7", "--n", "1_000"], ["check", "--seed", "\u0663"],
+        ["integrate", "log.txt", "--substeps", "1_0"],
         ["check", "extra"], ["compose"], ["compose", "--", "rod:1,0,0"], ["compose", "-", "rod:1,0,0"],
         ["donkin", "rod:1,0,0"], ["donkin", "a", "b", "c"], ["integrate"], ["integrate", "a", "b"],
         ["integrate", "log.txt", "--substeps", "0"], ["integrate", "log.txt", "--scheme", "euler"],

@@ -951,6 +951,47 @@ def test_compose_command_keeps_the_error_contract(specs, degrees):
     assert_error_contract([*degrees, "--precision", "17", "compose", *specs])
 
 
+#: integer option values that the command line rejects: digit-group
+#: underscores, digits of other scripts, floats and the empty string
+malformed_integers = st.one_of(
+    st.integers(10, 10**6).map(lambda n: f"{str(n)[0]}_{str(n)[1:]}"),
+    st.text(st.characters(categories=("Nd",)).filter(lambda c: not c.isascii()), min_size=1, max_size=3),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.just(""),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(1, 3).map(str), malformed_integers),
+    st.one_of(st.integers(-(2**80), 2**80).map(str), malformed_integers),
+    st.booleans(),
+)
+@example("1_0", "3", False)
+@example("2", "\u0663", True)
+@example("1", "-1208925819614629174706176", False)
+@example("3", "", True)
+def test_check_command_keeps_the_error_contract(n, seed, joined):
+    # --seed=-... and --seed -... both reach argparse; a well-formed
+    # command prints its five diagnostics, each passing, and anything else
+    # gets a usage error: exit 2 and one error: line
+    seed_args = [f"--seed={seed}"] if joined else ["--seed", seed]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["check", "--n", n, *seed_args])  # an exception out of main fails the test
+    assert code in README_EXIT_CODES, code
+    message = err.getvalue()
+    if code:
+        assert out.getvalue() == ""
+        assert sum("error:" in line for line in message.splitlines()) == 1, message
+        assert "Traceback" not in message
+        return
+    assert message == ""
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("backend: ") and len(lines) == 6, lines
+    assert all(f": n={n} " in line and line.endswith(" PASS") for line in lines[1:]), lines
+
+
 @settings(max_examples=500, deadline=None)
 @given(rotation_pairs())
 @example(((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)))  # parallel: the identity
