@@ -163,7 +163,9 @@ def _unit_components(x: float, y: float, z: float) -> tuple[float, float, float]
 
 
 def _direction(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """The components of UnitVector(v/||v||) for any finite nonzero v.
+    """The components of UnitVector(v/||v||) for any finite nonzero v: the
+    one routine that normalizes a direction, for the spec parser,
+    UnitVector.from_vec and the half-angle and Donkin constructions.
 
     Only a finite nonzero v has a sum of squares that is a finite normal
     float, and such a v divides by its plain square root at once, as _unit
@@ -179,24 +181,6 @@ def _direction(x: float, y: float, z: float) -> tuple[float, float, float]:
     if not (x or y or z):
         raise ValueError("cannot normalize a (near-)zero vector")
     return _unit(x, y, z)
-
-
-def _from_vec(x: float, y: float, z: float) -> tuple[float, float, float]:
-    """The components of UnitVector.from_vec(Vec3(x, y, z)): _direction
-    with from_vec's floor of 1e-15 on the norm.
-
-    A norm at or above the floor whose square is finite divides inline, as
-    _unit would; an overflowing sum of squares, inf and nan go on to
-    _direction's checks.
-    """
-    ss = x * x + y * y + z * z
-    n = math.sqrt(ss)
-    # nan and inf fail the floor test, and _direction's finite check next
-    if n < 1e-15:
-        raise ValueError("cannot normalize a (near-)zero vector")
-    if ss < math.inf:  # and at least 1e-30, so a normal float
-        return x / n, y / n, z / n
-    return _direction(x, y, z)
 
 
 def _cross_plain(u, v) -> tuple[float, float, float]:
@@ -592,7 +576,7 @@ def _half_angle_point(q, a) -> tuple[float, float, float]:
     """half_angle_point on the triples of Q and a.
 
     The perpendicularity test is written out; the unit axis is _unit's,
-    the point (1 + Qx) a _bisector's, and its normalization _from_vec's,
+    the point (1 + Qx) a _bisector's, and its normalization _direction's,
     which raises.
     """
     qx, qy, qz = q
@@ -602,8 +586,8 @@ def _half_angle_point(q, a) -> tuple[float, float, float]:
     ux, uy, uz = _unit(qx, qy, qz)
     if abs(ax * ux + ay * uy + az * uz) > 1e-9:
         raise NotPerpendicular("a must lie in the plane perpendicular to Q")
-    # from_vec's checks include the finite check of Vec3((1 + Qx) a)
-    return _from_vec(*_bisector(q, a))
+    # _direction's checks include the finite check of Vec3((1 + Qx) a)
+    return _direction(*_bisector(q, a))
 
 
 def _donkin_ab(q1, q2):
@@ -613,7 +597,7 @@ def _donkin_ab(q1, q2):
     The unit axis of Q1, the cross product of the axes, Q2 x Q1 and R B
     are written out, and ||Q1|| is the norm that unit axis divides by,
     where its sum of squares is a normal float; elsewhere it is _unit's,
-    as are the unit axis of Q2 and B.  A is normalized by _from_vec, which
+    as are the unit axis of Q2 and B.  A is normalized by _direction, which
     raises.
     """
     x1, y1, z1 = q1
@@ -636,8 +620,8 @@ def _donkin_ab(q1, q2):
         cx, cy, cz = px, py, pz  # Q2 x Q1 over- or underflows; n2 x n1 has its direction
     b = bx, by, bz = _unit(cx, cy, cz)
     r = _euler_rodrigues9(axis1, -math.atan(n1))  # theta1/2
-    # A = R B, with from_vec's checks, which include the finite check of Vec3(R B)
-    a = _from_vec(
+    # A = R B, with _direction's checks, which include the finite check of Vec3(R B)
+    a = _direction(
         r[0] * bx + r[1] * by + r[2] * bz,
         r[3] * bx + r[4] * by + r[5] * bz,
         r[6] * bx + r[7] * by + r[8] * bz,
@@ -648,7 +632,7 @@ def _donkin_ab(q1, q2):
 def _donkin_triangle(q1, q2):
     """donkin_triangle on the triples of Q1 and Q2: the vertices A, B, C.
 
-    A and B are _donkin_ab's.  C = (1 + Q2x) B is normalized by _from_vec,
+    A and B are _donkin_ab's.  C = (1 + Q2x) B is normalized by _direction,
     which raises, and only then are the three vertices checked by
     _require_triangle; the lambda-residual diagnostic uses A alone, and
     calls _donkin_ab, which skips both.  B is perpendicular to Q2 by
@@ -656,7 +640,7 @@ def _donkin_triangle(q1, q2):
     Q2 x Q1 fails when the axes are nearly parallel.
     """
     a, b = _donkin_ab(q1, q2)
-    cpt = _from_vec(*_bisector(q2, b))
+    cpt = _direction(*_bisector(q2, b))
     _require_triangle(a, b, cpt)
     return a, b, cpt
 
@@ -848,6 +832,14 @@ def _integrate(
             u = (t0 + (i + 0.5) * dt - t0) / (t1 - t0)
             wx, wy, wz = ax + u * (bx - ax), ay + u * (by - ay), az + u * (bz - az)
             if not math.isfinite(wx + wy + wz):  # the sum may also overflow
+                # b - a overflows only where a and b have opposite signs, and
+                # then the terms of (1 - u) a + u b do, so it is finite
+                if not math.isfinite(wx):
+                    wx = (1.0 - u) * ax + u * bx
+                if not math.isfinite(wy):
+                    wy = (1.0 - u) * ay + u * by
+                if not math.isfinite(wz):
+                    wz = (1.0 - u) * az + u * bz
                 _require_finite(wx, wy, wz)
             if s == 1.0:
                 # q = c w; c stays 0 where _increment takes its other

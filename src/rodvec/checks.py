@@ -19,7 +19,7 @@ routines, each dot, cross, norm and matrix-vector product in one operation
 order (no backend has a kernel for them), and none is formed twice.  The
 five matrix kernels (Euler-Rodrigues, the Rodrigues matrix, the Cayley
 inverse and its compensated products, the SO(3) residuals) are called,
-and each routine calls its general fallback, _unit or _from_vec among
+and each routine calls its general fallback, _unit or _direction among
 them, where a sum of squares leaves the normal float range or a
 composition overflows or is a half-turn.  A nan residual stays nan in its
 diagnostic's worst residual, which then fails.
@@ -228,7 +228,7 @@ def _check_donkin(n: int, seed: int) -> DiagnosticResult:
         worst = _nan_max((worst, _donkin_residual(a, b, c)))
         # C is not compared with the half-angle point of B under Q2:
         # _donkin_triangle builds C with the same operations
-        # (_from_vec(*_bisector(q2, b))), so their distance is 0.0
+        # (_direction(*_bisector(q2, b))), so their distance is 0.0
         b_hat = _half_angle_point(q1, a)
         # (1 + Q3x) A is proportional to C with the sign of lambda = 1 - Q2.Q1:
         # the exact relation is lambda (1 + Q3x) A = mu C with mu > 0

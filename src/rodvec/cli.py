@@ -400,7 +400,13 @@ def _cmd_figure(args) -> int:
         if args.x is None:
             raise MissingInput(f"{kind} needs --x")
         q = RodriguesVector(*_parse_floats(args.q, 3, "--q"))
-        scene = geometry.figure_scene(kind, q, x=Vec3(*_parse_floats(args.x, 3, "--x")))
+        x = _parse_floats(args.x, 3, "--x")
+        # a scene is linear in x and the renderer fits the view to the
+        # scene, so x is scaled, exactly, by the power of two that puts its
+        # largest component in [0.5, 1), where x + Q x x cannot overflow
+        # unless Q's own products do; the zero vector stays as it is
+        e = math.frexp(max(map(abs, x)))[1]
+        scene = geometry.figure_scene(kind, q, x=Vec3(*(math.ldexp(c, -e) for c in x)))
     else:
         if args.q1 is None or args.q2 is None:
             raise MissingInput(f"{kind} needs --q1 and --q2")

@@ -26,11 +26,11 @@ from rodvec._lifted import (
     _IDENTITY9,
     _axis_angle,
     _checked9,
+    _direction,
     _euler_rodrigues9,
     _flip_half_axis,
     _floats,
     _fold_angle,
-    _from_vec,
     _lift_axis_angle,
     _matmul9,
     _rotation9,
@@ -145,8 +145,8 @@ class UnitVector(Vec3):
 
     @classmethod
     def from_vec(cls, v: Vec3) -> "UnitVector":
-        """v/||v|| for any finite v of norm at least 1e-15."""
-        return cls(*_from_vec(v.x, v.y, v.z))
+        """v/||v|| for any finite nonzero v."""
+        return cls(*_direction(v.x, v.y, v.z))
 
     def __neg__(self) -> "UnitVector":
         return UnitVector(-self.x, -self.y, -self.z)

@@ -29,7 +29,6 @@ from rodvec._lifted import (
     _floats,
     _half_angle_point,
     _require_triangle,
-    _unit,
 )
 from rodvec.core import (
     RodriguesVector,
@@ -245,7 +244,8 @@ def _scene_fig1c(q: RodriguesVector, x: Vec3) -> FigureScene:
     else:
         a = UnitVector.from_vec(perp)
     meet = bisector_intersection(q, a)
-    h = UnitVector.from_vec(meet) if meet.norm() > 1e-12 else a
+    # a is a unit vector perpendicular to Q, so |meet| >= 1
+    h = UnitVector.from_vec(meet)
     prims = (
         Arc(origin, axis, a.vec, theta, "rotation-arc"),
         Segment(a.vec, meet, "tangent"),
@@ -288,7 +288,7 @@ def _triangle_arcs(a: UnitVector, b: UnitVector, c: UnitVector, role: str) -> li
         w = u.cross(v)
         if w.norm() <= 1e-12:
             continue
-        axis = UnitVector(*_unit(w.x, w.y, w.z))
+        axis = UnitVector.from_vec(w)
         arcs.append(Arc(origin, axis, u.vec, arc_angle(u, v), role))
     return arcs
 

@@ -176,11 +176,14 @@ class TestVecTypes:
             (Vec3(1e200, 0.0, 0.0), (1.0, 0.0, 0.0)),
             (Vec3(1.7e308, -1.7e308, 0.0), (2**-0.5, -(2**-0.5), 0.0)),
             (Vec3(0.0, 3e-15, -4e-15), (0.0, 0.6, -0.8)),
+            (Vec3(1e-16, 0.0, 0.0), (1.0, 0.0, 0.0)),
+            (Vec3(-5e-324, 0.0, 5e-324), (-(2**-0.5), 0.0, 2**-0.5)),
         ]:
             u = UnitVector.from_vec(v)
             assert (u.x, u.y, u.z) == pytest.approx(want, abs=1e-15)
-        with pytest.raises(ValueError):
-            UnitVector.from_vec(Vec3(1e-16, 0.0, 0.0))
+        assert UnitVector.from_vec(Vec3(1e-300, 0.0, 0.0)) == UnitVector(1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match=r"cannot normalize a \(near-\)zero vector"):
+            UnitVector.from_vec(Vec3(0.0, -0.0, 0.0))
 
     def test_half_turn_axis_canonicalized(self):
         h = HalfTurn(UnitVector(0.0, 0.0, -1.0))
