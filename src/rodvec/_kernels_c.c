@@ -19,7 +19,8 @@
  * the diagonal, the same operation on the same operands, and q_j q_i for
  * entry (j, i) with the operands of q_i q_j swapped, whose product is the
  * same and whose Dekker error adds its exact partial sums in the other
- * order.  Either way the bits are the same.
+ * order; inverse_residuals9 forms a product for each entry that uses it.
+ * Either way the bits are the same.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -294,40 +295,76 @@ dd_quotient(double n0, double n1, double d0, double d1, double dh, double dl)
 
 /* ---------------------------------------------------------------- kernels */
 
+/* (max |(1 - Qx) M - 1|, max |M (1 - Qx) - 1|), each NaN where one of its
+   entries is.  Each entry is the fsum of the two exact off-diagonal
+   products p + e and of M's own entry with the error term of its unit
+   product, 0.0 * ml: the terms of _kernels_py.inverse_residuals9, in its
+   order.  Where that file adds -p and -e of c*m, this one forms (-c)*m
+   from the split of -c: the same bits. */
 static PyObject *
-matmul_comp(PyObject *Py_UNUSED(module), PyObject *const *args,
-            Py_ssize_t nargs)
+inverse_residuals9(PyObject *Py_UNUSED(module), PyObject *const *args,
+                   Py_ssize_t nargs)
 {
-    double a[9], b[9], out[9];
-    if (check_nargs("matmul_comp", nargs, 2) || load(args[0], a, 9) ||
-        load(args[1], b, 9)) {
+    double q[3], m[9];
+    if (check_nargs("inverse_residuals9", nargs, 2) || load(args[0], q, 3) ||
+        load(args[1], m, 9)) {
         return NULL;
     }
-    /* u[0..2] are the rows of a, u[3..5] the columns of b */
-    double u[6][3], uh[6][3], ul[6][3];
-    for (int r = 0; r < 6; r++) {
-        for (int k = 0; k < 3; k++) {
-            double v = r < 3 ? a[3 * r + k] : b[3 * k + (r - 3)];
-            u[r][k] = v;
-            SPLIT_HI(v, uh[r][k]);
-            ul[r][k] = v - uh[r][k];
-        }
+    /* 1 - Qx, with a unit diagonal and -q or q off it */
+    const double a[9] = {1.0, q[2], -q[1], -q[2], 1.0, q[0], q[1], -q[0], 1.0};
+    double ah[9], al[9], mh[9], ml[9], u[9];
+    for (int i = 0; i < 9; i++) {
+        SPLIT_HI(a[i], ah[i]);
+        al[i] = a[i] - ah[i];
+        SPLIT_HI(m[i], mh[i]);
+        ml[i] = m[i] - mh[i];
+        u[i] = 0.0 * ml[i];
     }
-    for (int i = 0; i < 3; i++) {
-        for (int j = 3; j < 6; j++) {
-            double terms[6];
-            for (int k = 0; k < 3; k++) {
-                double p = u[i][k] * u[j][k];
-                terms[2 * k] = p;
-                terms[2 * k + 1] =
-                    prod_err(p, uh[i][k], ul[i][k], uh[j][k], ul[j][k]);
-            }
-            if (fsum(terms, 6, &out[3 * i + (j - 3)])) {
-                return NULL;
+    double out[2];
+    for (int side = 0; side < 2; side++) {
+        double d[9];
+        for (int i = 0; i < 3; i++) {
+            for (int j = 0; j < 3; j++) {
+                double terms[6], v;
+                for (int k = 0; k < 3; k++) {
+                    /* (1 - Qx) M sums a_ik m_kj, M (1 - Qx) sums m_ik a_kj */
+                    int ia = side ? 3 * k + j : 3 * i + k;
+                    int im = side ? 3 * i + k : 3 * k + j;
+                    if (ia % 4 == 0) {
+                        terms[2 * k] = m[im];
+                        terms[2 * k + 1] = u[im];
+                    }
+                    else {
+                        double p = a[ia] * m[im];
+                        terms[2 * k] = p;
+                        terms[2 * k + 1] =
+                            prod_err(p, ah[ia], al[ia], mh[im], ml[im]);
+                    }
+                }
+                if (fsum(terms, 6, &v)) {
+                    return NULL;
+                }
+                d[3 * i + j] = fabs(i == j ? v - 1.0 : v);
             }
         }
+        /* the sum is NaN exactly when a residual is; past that test the
+           residuals are +0.0 or larger, and the if-chain takes the bits
+           of the Python kernel */
+        double r = d[0];
+        for (int i = 1; i < 9; i++) {
+            r += d[i];
+        }
+        if (r == r) {
+            r = d[0];
+            for (int i = 1; i < 9; i++) {
+                if (d[i] > r) {
+                    r = d[i];
+                }
+            }
+        }
+        out[side] = r;
     }
-    return tuple_of(out, 9);
+    return tuple_of(out, 2);
 }
 
 static PyObject *
@@ -467,7 +504,7 @@ rot_residuals9(PyObject *Py_UNUSED(module), PyObject *const *args,
     }
 
 static PyMethodDef kernel_methods[] = {
-    KERNEL(matmul_comp),
+    KERNEL(inverse_residuals9),
     KERNEL(euler_rodrigues9),
     KERNEL(rot_from_rod9),
     KERNEL(cayley_inv9),

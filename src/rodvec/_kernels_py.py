@@ -12,15 +12,17 @@ write out the rest, such as every 3-vector dot, cross, norm and
 matrix-vector product, the plain 3x3 matrix product, the half-turn
 matrix 2 n n^T - 1 and the quotient of Shepperd's rule.
 
-The explicit Cayley inverse ``cayley_inv9`` and ``matmul_comp`` use
-compensated (double-double) arithmetic.  Each entry of (1 - Qx)^-1 is
-(q_i q_j + c)/(1 + Q.Q) with numerator and denominator in double-double,
-so it is accurate to about an ulp; the Cayley rotation 2 (1 - Qx)^-1 - 1 is
-formed from it, and so stays a cross-check of the direct rotation formula
-at large ||Q||.  An entry's quotient stops after two terms where the
-third cannot change the rounded entry, with the bits of the three-term
-quotient (``cayley_inv9`` gives the argument).  ``matmul_comp`` gives the
-residual products of the explicit-inverse check their exact sums.
+The explicit Cayley inverse ``cayley_inv9`` and its check
+``inverse_residuals9`` use compensated (double-double) arithmetic.  Each
+entry of (1 - Qx)^-1 is (q_i q_j + c)/(1 + Q.Q) with numerator and
+denominator in double-double, so it is accurate to about an ulp; the
+Cayley rotation 2 (1 - Qx)^-1 - 1 is formed from it, and so stays a
+cross-check of the direct rotation formula at large ||Q||.  An entry's
+quotient stops after two terms where the third cannot change the rounded
+entry, with the bits of the three-term quotient (``cayley_inv9`` gives
+the argument).  ``inverse_residuals9`` gives the products (1 - Qx) M and
+M (1 - Qx) of the explicit-inverse check their exact sums, from the
+structure of 1 - Qx: a unit diagonal and the components of Q off it.
 
 The double-double steps are written out inline rather than composed from
 helper calls, since in CPython the calls, not the flops, would dominate.
@@ -31,9 +33,10 @@ at most 26 significant bits, so p = a*b and its exact error
 Each distinct product is formed once per call, by the expression each of
 its uses would evaluate, so sharing it changes no bit: ``cayley_inv9``'s
 six exact products q_i q_j serve both entries (i, j) and (j, i), and its
-squares both 1 + Q.Q and the diagonal; ``matmul_comp`` splits each of its
-18 operands once and writes its nine entries out; ``rot_from_rod9`` and
-``euler_rodrigues9`` form each repeated product once.
+squares both 1 + Q.Q and the diagonal; ``inverse_residuals9``'s 24
+products of a component of Q and an entry of M serve each of the one or
+two entries that use them; ``rot_from_rod9`` and ``euler_rodrigues9``
+form each repeated product once.
 
 ``rot_residuals9`` takes the largest of its six entries with the C
 kernel's if-chain, each later entry replacing the running one only if it
@@ -53,77 +56,127 @@ _Q3_BOUND = 2.0**-45
 _EXIT_FLOOR = 1e-290
 
 
-def matmul_comp(a, b):
-    """Matrix product with exact per-entry accumulation (for residual checks).
+def inverse_residuals9(q, m):
+    """(max |(1 - Qx) M - 1|, max |M (1 - Qx) - 1|) for the explicit-inverse
+    check, each nan where one of its nine entries is.
 
-    Each entry is the correctly rounded fsum of the three exact products
-    p + e, with e the error of p = u*c from the Dekker splits of u and c.
-    Each of the 18 operands is split once, and each entry written out.
+    1 - Qx has a unit diagonal and the components of Q, of either sign, off
+    it.  An entry of either product is the correctly rounded fsum of the
+    terms the general compensated product sums, in its order: the exact
+    products c*m = p + e of the two off-diagonal terms, with e from the
+    Dekker splits of c and m, and M's own entry with the error term of its
+    unit product.  That term is +0.0 where the entry splits and nan where
+    it does not (an infinite or nan entry, or one beyond about 2**996,
+    where the split overflows); 0.0 * m_l takes those values, up to a
+    zero's sign, which fsum ignores.
+
+    Each product is formed from the splits of the component c and of m,
+    and a use that takes -c adds -p and -e, the bits (-c)*m would give.
+    The general product formed the products of M (1 - Qx) as m*c, whose
+    error adds ah*bl and al*bh in the other order; their partial sums are
+    exact, as in ``cayley_inv9``'s entry (j, i), so the bits are the same.
+    The 12 products that both residuals use are formed once, up front, and
+    the other 12 just before their entry, so that few floats are alive at
+    once and the float free list serves them: forming all 24 up front
+    raised the traced peak memory of ``check --n 100`` by 45 %.  A residual is nan where the sum of its nine |entry - delta| is,
+    since ``max()`` keeps a nan only in first place; past that test they
+    are +0.0 or larger, so the C kernel's if-chain takes the bits of
+    ``max()``.
     """
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    x, y, z = q
+    m0, m1, m2, m3, m4, m5, m6, m7, m8 = m
     fsum = math.fsum
-    a0h = (t := _SPLIT * a0) - (t - a0)
-    a1h = (t := _SPLIT * a1) - (t - a1)
-    a2h = (t := _SPLIT * a2) - (t - a2)
-    a0l, a1l, a2l = a0 - a0h, a1 - a1h, a2 - a2h
-    a3h = (t := _SPLIT * a3) - (t - a3)
-    a4h = (t := _SPLIT * a4) - (t - a4)
-    a5h = (t := _SPLIT * a5) - (t - a5)
-    a3l, a4l, a5l = a3 - a3h, a4 - a4h, a5 - a5h
-    a6h = (t := _SPLIT * a6) - (t - a6)
-    a7h = (t := _SPLIT * a7) - (t - a7)
-    a8h = (t := _SPLIT * a8) - (t - a8)
-    a6l, a7l, a8l = a6 - a6h, a7 - a7h, a8 - a8h
-    b0h = (t := _SPLIT * b0) - (t - b0)
-    b3h = (t := _SPLIT * b3) - (t - b3)
-    b6h = (t := _SPLIT * b6) - (t - b6)
-    b0l, b3l, b6l = b0 - b0h, b3 - b3h, b6 - b6h
-    b1h = (t := _SPLIT * b1) - (t - b1)
-    b4h = (t := _SPLIT * b4) - (t - b4)
-    b7h = (t := _SPLIT * b7) - (t - b7)
-    b1l, b4l, b7l = b1 - b1h, b4 - b4h, b7 - b7h
-    b2h = (t := _SPLIT * b2) - (t - b2)
-    b5h = (t := _SPLIT * b5) - (t - b5)
-    b8h = (t := _SPLIT * b8) - (t - b8)
-    b2l, b5l, b8l = b2 - b2h, b5 - b5h, b8 - b8h
-    p, q, r = a0 * b0, a1 * b3, a2 * b6
-    m0 = fsum((p, ((a0h * b0h - p) + a0h * b0l + a0l * b0h) + a0l * b0l,
-               q, ((a1h * b3h - q) + a1h * b3l + a1l * b3h) + a1l * b3l,
-               r, ((a2h * b6h - r) + a2h * b6l + a2l * b6h) + a2l * b6l))
-    p, q, r = a0 * b1, a1 * b4, a2 * b7
-    m1 = fsum((p, ((a0h * b1h - p) + a0h * b1l + a0l * b1h) + a0l * b1l,
-               q, ((a1h * b4h - q) + a1h * b4l + a1l * b4h) + a1l * b4l,
-               r, ((a2h * b7h - r) + a2h * b7l + a2l * b7h) + a2l * b7l))
-    p, q, r = a0 * b2, a1 * b5, a2 * b8
-    m2 = fsum((p, ((a0h * b2h - p) + a0h * b2l + a0l * b2h) + a0l * b2l,
-               q, ((a1h * b5h - q) + a1h * b5l + a1l * b5h) + a1l * b5l,
-               r, ((a2h * b8h - r) + a2h * b8l + a2l * b8h) + a2l * b8l))
-    p, q, r = a3 * b0, a4 * b3, a5 * b6
-    m3 = fsum((p, ((a3h * b0h - p) + a3h * b0l + a3l * b0h) + a3l * b0l,
-               q, ((a4h * b3h - q) + a4h * b3l + a4l * b3h) + a4l * b3l,
-               r, ((a5h * b6h - r) + a5h * b6l + a5l * b6h) + a5l * b6l))
-    p, q, r = a3 * b1, a4 * b4, a5 * b7
-    m4 = fsum((p, ((a3h * b1h - p) + a3h * b1l + a3l * b1h) + a3l * b1l,
-               q, ((a4h * b4h - q) + a4h * b4l + a4l * b4h) + a4l * b4l,
-               r, ((a5h * b7h - r) + a5h * b7l + a5l * b7h) + a5l * b7l))
-    p, q, r = a3 * b2, a4 * b5, a5 * b8
-    m5 = fsum((p, ((a3h * b2h - p) + a3h * b2l + a3l * b2h) + a3l * b2l,
-               q, ((a4h * b5h - q) + a4h * b5l + a4l * b5h) + a4l * b5l,
-               r, ((a5h * b8h - r) + a5h * b8l + a5l * b8h) + a5l * b8l))
-    p, q, r = a6 * b0, a7 * b3, a8 * b6
-    m6 = fsum((p, ((a6h * b0h - p) + a6h * b0l + a6l * b0h) + a6l * b0l,
-               q, ((a7h * b3h - q) + a7h * b3l + a7l * b3h) + a7l * b3l,
-               r, ((a8h * b6h - r) + a8h * b6l + a8l * b6h) + a8l * b6l))
-    p, q, r = a6 * b1, a7 * b4, a8 * b7
-    m7 = fsum((p, ((a6h * b1h - p) + a6h * b1l + a6l * b1h) + a6l * b1l,
-               q, ((a7h * b4h - q) + a7h * b4l + a7l * b4h) + a7l * b4l,
-               r, ((a8h * b7h - r) + a8h * b7l + a8l * b7h) + a8l * b7l))
-    p, q, r = a6 * b2, a7 * b5, a8 * b8
-    m8 = fsum((p, ((a6h * b2h - p) + a6h * b2l + a6l * b2h) + a6l * b2l,
-               q, ((a7h * b5h - q) + a7h * b5l + a7l * b5h) + a7l * b5l,
-               r, ((a8h * b8h - r) + a8h * b8l + a8l * b8h) + a8l * b8l))
-    return m0, m1, m2, m3, m4, m5, m6, m7, m8
+    xh = (t := _SPLIT * x) - (t - x)
+    yh = (t := _SPLIT * y) - (t - y)
+    zh = (t := _SPLIT * z) - (t - z)
+    xl, yl, zl = x - xh, y - yh, z - zh
+    m0h = (t := _SPLIT * m0) - (t - m0)
+    m1h = (t := _SPLIT * m1) - (t - m1)
+    m2h = (t := _SPLIT * m2) - (t - m2)
+    m0l, m1l, m2l = m0 - m0h, m1 - m1h, m2 - m2h
+    m3h = (t := _SPLIT * m3) - (t - m3)
+    m4h = (t := _SPLIT * m4) - (t - m4)
+    m5h = (t := _SPLIT * m5) - (t - m5)
+    m3l, m4l, m5l = m3 - m3h, m4 - m4h, m5 - m5h
+    m6h = (t := _SPLIT * m6) - (t - m6)
+    m7h = (t := _SPLIT * m7) - (t - m7)
+    m8h = (t := _SPLIT * m8) - (t - m8)
+    m6l, m7l, m8l = m6 - m6h, m7 - m7h, m8 - m8h
+    # the 12 products that both residuals use
+    xm4 = x * m4
+    exm4 = ((xh * m4h - xm4) + xh * m4l + xl * m4h) + xl * m4l
+    xm5 = x * m5
+    exm5 = ((xh * m5h - xm5) + xh * m5l + xl * m5h) + xl * m5l
+    xm7 = x * m7
+    exm7 = ((xh * m7h - xm7) + xh * m7l + xl * m7h) + xl * m7l
+    xm8 = x * m8
+    exm8 = ((xh * m8h - xm8) + xh * m8l + xl * m8h) + xl * m8l
+    ym0 = y * m0
+    eym0 = ((yh * m0h - ym0) + yh * m0l + yl * m0h) + yl * m0l
+    ym2 = y * m2
+    eym2 = ((yh * m2h - ym2) + yh * m2l + yl * m2h) + yl * m2l
+    ym6 = y * m6
+    eym6 = ((yh * m6h - ym6) + yh * m6l + yl * m6h) + yl * m6l
+    ym8 = y * m8
+    eym8 = ((yh * m8h - ym8) + yh * m8l + yl * m8h) + yl * m8l
+    zm0 = z * m0
+    ezm0 = ((zh * m0h - zm0) + zh * m0l + zl * m0h) + zl * m0l
+    zm1 = z * m1
+    ezm1 = ((zh * m1h - zm1) + zh * m1l + zl * m1h) + zl * m1l
+    zm3 = z * m3
+    ezm3 = ((zh * m3h - zm3) + zh * m3l + zl * m3h) + zl * m3l
+    zm4 = z * m4
+    ezm4 = ((zh * m4h - zm4) + zh * m4l + zl * m4h) + zl * m4l
+    # (1 - Qx) M, row by row: the rows of 1 - Qx are (1, z, -y),
+    # (-z, 1, x) and (y, -x, 1)
+    d0 = abs(fsum((m0, 0.0 * m0l, zm3, ezm3, -ym6, -eym6)) - 1.0)
+    p = y * m7
+    e = ((yh * m7h - p) + yh * m7l + yl * m7h) + yl * m7l
+    d1 = abs(fsum((m1, 0.0 * m1l, zm4, ezm4, -p, -e)))
+    p = z * m5
+    e = ((zh * m5h - p) + zh * m5l + zl * m5h) + zl * m5l
+    d2 = abs(fsum((m2, 0.0 * m2l, p, e, -ym8, -eym8)))
+    p = x * m6
+    e = ((xh * m6h - p) + xh * m6l + xl * m6h) + xl * m6l
+    d3 = abs(fsum((-zm0, -ezm0, m3, 0.0 * m3l, p, e)))
+    d4 = abs(fsum((-zm1, -ezm1, m4, 0.0 * m4l, xm7, exm7)) - 1.0)
+    p = z * m2
+    e = ((zh * m2h - p) + zh * m2l + zl * m2h) + zl * m2l
+    d5 = abs(fsum((-p, -e, m5, 0.0 * m5l, xm8, exm8)))
+    p = x * m3
+    e = ((xh * m3h - p) + xh * m3l + xl * m3h) + xl * m3l
+    d6 = abs(fsum((ym0, eym0, -p, -e, m6, 0.0 * m6l)))
+    p = y * m1
+    e = ((yh * m1h - p) + yh * m1l + yl * m1h) + yl * m1l
+    d7 = abs(fsum((p, e, -xm4, -exm4, m7, 0.0 * m7l)))
+    d8 = abs(fsum((ym2, eym2, -xm5, -exm5, m8, 0.0 * m8l)) - 1.0)
+    s = d0 + d1 + d2 + d3 + d4 + d5 + d6 + d7 + d8  # nan exactly when a d_i is
+    r1 = max(d0, d1, d2, d3, d4, d5, d6, d7, d8) if s == s else s
+    # M (1 - Qx), row by row: the columns of 1 - Qx are (1, -z, y),
+    # (z, 1, -x) and (-y, x, 1)
+    d0 = abs(fsum((m0, 0.0 * m0l, -zm1, -ezm1, ym2, eym2)) - 1.0)
+    p = x * m2
+    e = ((xh * m2h - p) + xh * m2l + xl * m2h) + xl * m2l
+    d1 = abs(fsum((zm0, ezm0, m1, 0.0 * m1l, -p, -e)))
+    p = x * m1
+    e = ((xh * m1h - p) + xh * m1l + xl * m1h) + xl * m1l
+    d2 = abs(fsum((-ym0, -eym0, p, e, m2, 0.0 * m2l)))
+    p = y * m5
+    e = ((yh * m5h - p) + yh * m5l + yl * m5h) + yl * m5l
+    d3 = abs(fsum((m3, 0.0 * m3l, -zm4, -ezm4, p, e)))
+    d4 = abs(fsum((zm3, ezm3, m4, 0.0 * m4l, -xm5, -exm5)) - 1.0)
+    p = y * m3
+    e = ((yh * m3h - p) + yh * m3l + yl * m3h) + yl * m3l
+    d5 = abs(fsum((-p, -e, xm4, exm4, m5, 0.0 * m5l)))
+    p = z * m7
+    e = ((zh * m7h - p) + zh * m7l + zl * m7h) + zl * m7l
+    d6 = abs(fsum((m6, 0.0 * m6l, -p, -e, ym8, eym8)))
+    p = z * m6
+    e = ((zh * m6h - p) + zh * m6l + zl * m6h) + zl * m6l
+    d7 = abs(fsum((p, e, m7, 0.0 * m7l, -xm8, -exm8)))
+    d8 = abs(fsum((-ym6, -eym6, xm7, exm7, m8, 0.0 * m8l)) - 1.0)
+    s = d0 + d1 + d2 + d3 + d4 + d5 + d6 + d7 + d8
+    return r1, max(d0, d1, d2, d3, d4, d5, d6, d7, d8) if s == s else s
 
 
 def euler_rodrigues9(n, theta):

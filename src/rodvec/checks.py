@@ -18,7 +18,7 @@ A sample's 3-vector arithmetic is written out, here and in those
 routines, each dot, cross, norm and matrix-vector product in one operation
 order (no backend has a kernel for them), and none is formed twice.  The
 five matrix kernels (Euler-Rodrigues, the Rodrigues matrix, the Cayley
-inverse and its compensated products, the SO(3) residuals) are called,
+inverse and its compensated residuals, the SO(3) residuals) are called,
 and each routine calls its general fallback, _unit or _direction among
 them, where a sum of squares leaves the normal float range or a
 composition overflows or is a half-turn.  A nan residual stays nan in its
@@ -42,7 +42,6 @@ from collections import namedtuple
 
 from rodvec._backend import kernels as _k
 from rodvec._lifted import (
-    _IDENTITY9,
     _cayley_inv9,
     _cayley_residuals,
     _cayley_rot9,
@@ -151,22 +150,7 @@ def _check_explicit_inverse(n: int, seed: int) -> DiagnosticResult:
     worst = 0.0
     for _ in range(n):
         q = _rand_rodrigues(rng, math.pi - 1e-3)
-        m = _cayley_inv9(*q)
-        x, y, z = q
-        # 1 - (Qx), each off-diagonal entry formed as 0.0 minus that of (Qx),
-        # so that a zero component of Q gives +0.0
-        one_minus_k = (
-            1.0, 0.0 - -z, 0.0 - y,
-            0.0 - z, 1.0, 0.0 - -x,
-            0.0 - -y, 0.0 - x, 1.0,
-        )
-        worst = _nan_max(
-            (
-                worst,
-                _max_diff9(_k.matmul_comp(one_minus_k, m), _IDENTITY9),
-                _max_diff9(_k.matmul_comp(m, one_minus_k), _IDENTITY9),
-            )
-        )
+        worst = _nan_max((worst, *_k.inverse_residuals9(q, _cayley_inv9(*q))))
     return DiagnosticResult("explicit-inverse", n, worst, 1e-12)
 
 

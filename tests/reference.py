@@ -295,6 +295,21 @@ def ref_matmul_comp(a, b):
     return tuple(out)
 
 
+def ref_inverse_residuals9(q, m):
+    """The explicit-inverse check as two general compensated products, as
+    it was formed before its kernel: the largest |entry - delta| of
+    (1 - Qx) M and of M (1 - Qx), nan where an entry is nan."""
+    x, y, z = q
+    # 1 - (Qx), each off-diagonal entry formed as 0.0 minus that of (Qx)
+    one_minus_k = (1.0, 0.0 - -z, 0.0 - y, 0.0 - z, 1.0, 0.0 - -x, 0.0 - -y, 0.0 - x, 1.0)
+    products = ref_matmul_comp(one_minus_k, m), ref_matmul_comp(m, one_minus_k)
+    out = []
+    for product in products:
+        d = [abs(v - (1.0 if i % 4 == 0 else 0.0)) for i, v in enumerate(product)]
+        out.append(math.nan if any(map(math.isnan, d)) else max(d))
+    return tuple(out)
+
+
 def ref_cayley_inv9(q):
     x, y, z = q
     den = den_dd(x, y, z)

@@ -555,7 +555,10 @@ class TestNanResiduals:
 
     @pytest.mark.parametrize("k", [0, 5, 9])
     def test_explicit_inverse(self, capsys, monkeypatch, k):
-        _nan_on_call(monkeypatch, _k, "matmul_comp", k, _nan_entry)
+        # residual k of the ten, two per sample: the first, one of a middle
+        # sample and the last
+        i = k % 2
+        _nan_on_call(monkeypatch, _k, "inverse_residuals9", k // 2, lambda r: (*r[:i], math.nan, *r[i + 1 :]))
         code, lines = self.run_check(capsys)
         assert code == 1
         self.assert_only_failure(lines, "explicit-inverse")

@@ -55,10 +55,10 @@ from reference import (
     ref_cross,
     ref_euler_rodrigues9,
     ref_half_turn9,
+    ref_inverse_residuals9,
     ref_law_residual,
     ref_lift_matrix9,
     ref_matmul9,
-    ref_matmul_comp,
     ref_rot_from_rod9,
     ref_rot_residuals9,
     ref_skew9,
@@ -205,15 +205,33 @@ def test_cayley_kernels_match_reference_bitwise():
         assert outcome(kp.cayley_inv9, q) == outcome(ref_cayley_inv9, q), q
 
 
-def test_matmul_comp_matches_reference_bitwise():
+def test_inverse_residuals9_matches_reference_bitwise():
+    # M the explicit inverse of Q, a rotation, entries log-uniform over
+    # 1e-200..1e200, and subnormal entries, for the Q of _qs and _mixed_qs
     rng = random.Random(12)
-    for q in _qs(13, 500):
-        m = ref_cayley_inv9(q)
-        k = ref_skew9(q)
-        one_minus_k = tuple((1.0 if i % 4 == 0 else 0.0) - k[i] for i in range(9))
+    for q in _qs(13, 500) + _mixed_qs(28, 500):
         wide = tuple(rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(-200.0, 200.0) for _ in range(9))
-        for a, b in ((one_minus_k, m), (m, one_minus_k), (kp.rot_from_rod9(q), wide), (wide, m)):
-            assert outcome(kp.matmul_comp, a, b) == outcome(ref_matmul_comp, a, b), (a, b)
+        tiny = tuple(rng.uniform(-1.0, 1.0) * 2.0**-1022 for _ in range(9))
+        for m in (ref_cayley_inv9(q), kp.rot_from_rod9(q), wide, tiny):
+            assert outcome(kp.inverse_residuals9, q, m) == outcome(ref_inverse_residuals9, q, m), (q, m)
+
+
+def test_inverse_residuals9_keeps_signed_zeros_and_nans():
+    # every sign of zero in Q and in M, and a nan in each component of Q and
+    # each entry of M, which makes both residuals nan
+    m = kp.cayley_inv9((0.3, -0.2, 1.1))
+    for signs in range(8):
+        q = tuple(-0.0 if signs >> i & 1 else 0.0 for i in range(3))
+        for mm in (m, tuple(-0.0 if v == 0.0 else v for v in _lifted._IDENTITY9), _lifted._IDENTITY9):
+            assert outcome(kp.inverse_residuals9, q, mm) == outcome(ref_inverse_residuals9, q, mm), (q, mm)
+        assert kp.inverse_residuals9(q, _lifted._IDENTITY9) == (0.0, 0.0)
+    for i in range(3):
+        q = [0.3, -0.2, 1.1]
+        q[i] = math.nan
+        assert all(map(math.isnan, kp.inverse_residuals9(q, m))), q
+    for i in range(9):
+        mm = m[:i] + (math.nan,) + m[i + 1 :]
+        assert all(map(math.isnan, kp.inverse_residuals9((0.3, -0.2, 1.1), mm))), i
 
 
 def test_rot_residuals9_matches_reference_bitwise():
@@ -243,25 +261,35 @@ def test_euler_rodrigues9_matches_the_deleted_formula_bitwise():
 
 def test_compensated_kernels_match_reference_bitwise_on_mixed_scales():
     # products that underflow to subnormals or zero, lose bits in the split
-    # or overflow, side by side in one call; a matmul_comp whose fsum
-    # overflows or meets inf - inf raises as the reference does
+    # or overflow, side by side in one call; an inverse_residuals9 whose
+    # fsum overflows or meets inf - inf raises as the reference does
     for q in _mixed_qs(22, 3000):
         assert outcome(kp.cayley_inv9, q) == outcome(ref_cayley_inv9, q), q
     for a, b in _mixed_operands(23, 3000):
-        assert outcome(kp.matmul_comp, a, b) == outcome(ref_matmul_comp, a, b), (a, b)
+        assert outcome(kp.inverse_residuals9, a[:3], b) == outcome(ref_inverse_residuals9, a[:3], b), (a, b)
+        assert outcome(kp.inverse_residuals9, b[6:], a) == outcome(ref_inverse_residuals9, b[6:], a), (a, b)
+    for m in _special_matrices():
+        for q in ((0.3, -1e200, 5e-324), (0.0, -0.0, 2.0), (math.inf, 1.0, -0.0), (1.0, math.nan, 1e300)):
+            assert outcome(kp.inverse_residuals9, q, m) == outcome(ref_inverse_residuals9, q, m), (q, m)
 
 
-def test_matmul_comp_entries_are_correctly_rounded():
-    # each entry is the fsum of three exact products, so it is the exact dot
+def test_inverse_residuals_are_those_of_the_correctly_rounded_products():
+    # each entry is the fsum of exact products, so it is the exact dot
     # product rounded once; exponents are kept where no product underflows
     rng = random.Random(16)
     for _ in range(300):
-        a = tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-60.0, 60.0) for _ in range(9))
-        b = tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-60.0, 60.0) for _ in range(9))
-        got = kp.matmul_comp(a, b)
-        for i in range(3):
-            for j in range(3):
-                assert got[3 * i + j] == float(exact_dot(a[3 * i : 3 * i + 3], b[j::3]))
+        q = x, y, z = tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-60.0, 60.0) for _ in range(3))
+        m = tuple(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-60.0, 60.0) for _ in range(9))
+        a = (1.0, z, -y, -z, 1.0, x, y, -x, 1.0)  # 1 - Qx
+        want = tuple(
+            max(
+                abs(float(exact_dot(u[3 * i : 3 * i + 3], v[j::3])) - (1.0 if i == j else 0.0))
+                for i in range(3)
+                for j in range(3)
+            )
+            for u, v in ((a, m), (m, a))
+        )
+        assert kp.inverse_residuals9(q, m) == want, (q, m)
 
 
 #: The largest error of an entry of rot_from_rod9(Q) against the exact
@@ -360,6 +388,21 @@ def test_third_quotient_term_is_within_its_bound(q):
                 assert abs(q3) <= 3.01 * u * abs(q2) + 2.0**-1071, (q, i, j)
 
 
+# --------------------------------------- inverse_residuals9 on any finite input
+
+
+@settings(max_examples=1000, deadline=None)
+@given(cayley_qs, st.tuples(*[st.one_of(_component, st.floats(-1.0, 1.0))] * 9))
+@example((1.0, 1.0, 1.0), (1.7e308, 1.0, 0.0, 1.0, -1.7e308, 1.0, -1.7e308, 1.0, -1.7e308))
+@example((1e300, -1e300, 1e300), (1e8,) * 9)
+@example((-0.0, 0.0, -0.0), (5e-324, -0.0, 0.0, -5e-324, 2.2250738585072014e-308, -0.0, 0.0, 1.0, -1.0))
+def test_inverse_residuals9_matches_reference_on_any_finite_input(q, m):
+    # Q and M over the whole finite range: an entry of M beyond about
+    # 2**996 does not split, its unit product's error term is nan, and the
+    # kernel must give the general product's nan or fsum error there too
+    assert outcome(kp.inverse_residuals9, q, m) == outcome(ref_inverse_residuals9, q, m), (q, m)
+
+
 # ---------------------------------------------------------------- lock-step
 
 
@@ -375,7 +418,7 @@ def test_backends_define_the_same_kernels():
     }
     assert len(compiled) == len(set(compiled))
     assert set(compiled) == python == {
-        "matmul_comp", "euler_rodrigues9", "rot_from_rod9", "cayley_inv9", "rot_residuals9"
+        "inverse_residuals9", "euler_rodrigues9", "rot_from_rod9", "cayley_inv9", "rot_residuals9"
     }
 
 
@@ -404,7 +447,8 @@ def test_compensated_kernel_parity(kc):
     # the edge cases of _qs
     for q in _qs(5, 1000):
         assert _backends_agree(kc, "cayley_inv9", q), q
-        assert _backends_agree(kc, "matmul_comp", kp.rot_from_rod9(q), kp.cayley_inv9(q)), q
+        assert _backends_agree(kc, "inverse_residuals9", q, kp.cayley_inv9(q)), q
+        assert _backends_agree(kc, "inverse_residuals9", q, kp.rot_from_rod9(q)), q
 
 
 def test_kernel_parity_on_mixed_scales(kc):
@@ -415,11 +459,13 @@ def test_kernel_parity_on_mixed_scales(kc):
     for n, theta in _axes_and_angles(qs, 25):
         assert _backends_agree(kc, "euler_rodrigues9", n, theta), (n, theta)
     for a, b in _mixed_operands(26, 2000):
-        assert _backends_agree(kc, "matmul_comp", a, b), (a, b)
+        assert _backends_agree(kc, "inverse_residuals9", a[:3], b), (a, b)
         assert _backends_agree(kc, "rot_residuals9", a), a
         assert _backends_agree(kc, "rot_residuals9", b), b
     for m in _special_matrices():
         assert _backends_agree(kc, "rot_residuals9", m), m
+        for q in ((0.3, -1e200, 5e-324), (math.inf, 1.0, -0.0), (1.0, math.nan, 1e300)):
+            assert _backends_agree(kc, "inverse_residuals9", q, m), (q, m)
 
 
 @settings(max_examples=1000, deadline=None)
@@ -428,24 +474,20 @@ def test_cayley_inv9_parity_over_the_full_range(kc, q):
     assert _backends_agree(kc, "cayley_inv9", q), q
 
 
-def test_matmul_comp_parity_on_explicit_inverse_products(kc):
-    # the (1 - Qx)·M products of check's explicit-inverse diagnostic, drawn
-    # as it draws them
+def test_inverse_residuals9_parity_on_explicit_inverse_draws(kc):
+    # the samples of check's explicit-inverse diagnostic, drawn as it draws
+    # them
     rng = random.Random(6)
     for _ in range(2000):
         q = checks._rand_rodrigues(rng, math.pi - 1e-3)
-        m = _lifted._cayley_inv9(*q)
-        k = ref_skew9(q)
-        one_minus_k = tuple((1.0 if i % 4 == 0 else 0.0) - k[i] for i in range(9))
-        assert _backends_agree(kc, "matmul_comp", one_minus_k, m), q
-        assert _backends_agree(kc, "matmul_comp", m, one_minus_k), q
+        assert _backends_agree(kc, "inverse_residuals9", q, _lifted._cayley_inv9(*q)), q
 
 
 _SPECIAL = (0.0, -0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan)
 
 #: the length of each kernel argument, 0 for a scalar
 _ARGS = {
-    "matmul_comp": (9, 9),
+    "inverse_residuals9": (3, 9),
     "euler_rodrigues9": (3, 0),
     "rot_from_rod9": (3,),
     "cayley_inv9": (3,),
@@ -480,10 +522,13 @@ def test_kernel_parity_over_the_float_range(kc, name):
     "name,args,error",
     [
         ("euler_rodrigues9", ((0.0, 0.0, 1.0), math.inf), ValueError),
-        ("matmul_comp", ((1e300,) * 9, (1e8,) * 9), OverflowError),
-        ("matmul_comp", ((math.inf, -math.inf, 0.0) * 3, (1.0,) * 9), ValueError),
+        # z m_1j and -y m_2j of (1 - Qx) M overflow together; inf - inf
+        ("inverse_residuals9", ((1e300, -1e300, 1e300), (1e8,) * 9), OverflowError),
+        ("inverse_residuals9", ((math.inf, math.inf, 0.0), (1.0,) * 9), ValueError),
         # every argument must have exactly its length
-        ("matmul_comp", ((1.0,) * 10, (1.0,) * 9), ValueError),
+        ("inverse_residuals9", ((1.0,) * 4, (1.0,) * 9), ValueError),
+        ("inverse_residuals9", ((1.0,) * 3, (1.0,) * 8), ValueError),
+        ("inverse_residuals9", ((1.0,) * 2, (1.0,) * 10), ValueError),
         ("rot_from_rod9", ((1.0, 2.0),), ValueError),
         ("rot_residuals9", ((1.0,) * 10,), ValueError),
     ],
