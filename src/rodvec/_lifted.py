@@ -58,6 +58,17 @@ UNIT_RENORM_TOL = 1e-6
 #: accurate to a few u.
 DEGENERACY_REL_TOL = 2.0**-51
 
+#: The inline steps of ``_compose_chain`` and ``_integrate`` keep a product
+#: of regular operands exactly when s^2 > this * (s^2 + ||v||^2).  By the
+#: norm identity of the Euler parameter product, s^2 + ||v||^2 =
+#: (1 + ||Q1||^2)(1 + ||Q2||^2) >= (1 + ||Q1|| ||Q2||)^2, the square of the
+#: scale above, so a step that passes has |s| > 2 * DEGENERACY_REL_TOL *
+#: scale, twice the margin of the test above, and ||v/s|| < 2**50, a finite
+#: quotient.  An overflowing or nan sum fails it (this * inf is inf), and
+#: every step that fails goes to ``_compose_lifted``, whose test above is
+#: the one definition of the half-turn branch.
+_INLINE_TOL2 = (2.0 * DEGENERACY_REL_TOL) ** 2
+
 FIRST_ORDER = "first-order"
 EXACT_STEP = "exact-step"
 SCHEMES = (FIRST_ORDER, EXACT_STEP)
@@ -421,7 +432,8 @@ def _lambda(x2: float, y2: float, z2: float, x1: float, y1: float, z1: float) ->
     divided by their largest components, so that lambda is +-inf past the
     float range, never nan; a non-finite operand raises ValueError.
     ``_compose_chain``, its one caller, calls it only for a step whose
-    product overflows: elsewhere lambda is the product's own scalar part.
+    product's scalar part is not finite: elsewhere lambda is that scalar
+    part, which has the same bits wherever 1 - Q2.Q1 is finite.
     """
     d = x2 * x1 + y2 * y1 + z2 * z1
     if not math.isfinite(d):
@@ -444,34 +456,31 @@ def _compose_chain(rotations):
     ``_lambda`` gives it, or None where an operand is a half-turn.  A step
     between regular operands is composed inline, with the operations of
     ``_compose_lifted(1, Q2, 1, Q1)`` in their order, so that it gives the
-    same bits, and its lambda is the product's scalar part.  It stays
-    inline while the sum of that scalar part, the vector v and the scale is
-    finite, the scalar part is not zero to rounding (DEGENERACY_REL_TOL)
-    and v over it has a finite sum.  Every other step (a half-turn operand,
-    an overflowing product, one landing on the half-turn branch) calls
-    ``_compose_lifted``; where the product overflowed, its lambda comes
-    from ``_lambda``.
+    same bits.  It stays inline exactly when its scalar part lambda and
+    vector v have lambda^2 > _INLINE_TOL2 * (lambda^2 + ||v||^2), a test
+    that needs no norm of an operand (see _INLINE_TOL2).  Every other step
+    (a half-turn operand, an overflowing product, one near or on the
+    half-turn branch) calls ``_compose_lifted``, which forms the same
+    lambda and v and decides the branch.  The lambda of a regular step is
+    the product's scalar part where that is finite, and ``_lambda``'s
+    rescaled value where it is not.
     """
     rotations = iter(rotations)
     s1, x1, y1, z1 = next(rotations)
     lams = []
+    tol2 = _INLINE_TOL2
     for s2, x2, y2, z2 in rotations:
         if s1 and s2:
             lam = 1.0 - (x2 * x1 + y2 * y1 + z2 * z1)
             vx = x1 + x2 + (y2 * z1 - z2 * y1)
             vy = y1 + y2 + (z2 * x1 - x2 * z1)
             vz = z1 + z2 + (x2 * y1 - y2 * x1)
-            scale = 1.0 + math.hypot(x1, y1, z1) * math.hypot(x2, y2, z2)
-            # a finite sum has finite terms
-            if math.isfinite(lam + vx + vy + vz + scale):
+            ll = lam * lam
+            if ll > tol2 * (ll + vx * vx + vy * vy + vz * vz):
                 lams.append(lam)
-                if abs(lam) > DEGENERACY_REL_TOL * scale:
-                    qx, qy, qz = vx / lam, vy / lam, vz / lam
-                    if math.isfinite(qx + qy + qz):
-                        x1, y1, z1 = qx, qy, qz
-                        continue
-            else:
-                lams.append(_lambda(x2, y2, z2, x1, y1, z1))
+                x1, y1, z1 = vx / lam, vy / lam, vz / lam
+                continue
+            lams.append(lam if math.isfinite(lam) else _lambda(x2, y2, z2, x1, y1, z1))
         else:
             lams.append(None)
         s1, x1, y1, z1 = _compose_lifted(s2, x2, y2, z2, s1, x1, y1, z1)
@@ -791,13 +800,13 @@ def _integrate(
     ``_increment`` and ``_compose_lifted(1, q, 1, Q)`` in their order, so
     that it gives the same bits.  It stays inline while, for exact-step,
     |w|^2 is a finite normal float and the step angle is finite, of any
-    number of turns; while the increment q = c w has c > 0; while the sum
-    of the product's scalar part d, its vector v and its scale is finite,
-    |d| > DEGENERACY_REL_TOL * scale, and v/d has a finite sum.  Every
-    other step (from a half-turn, of a zero, subnormal or overflowing |w|,
-    of an overflowing angle, underflowing to c = 0, overflowing, or ending
-    on the half-turn branch) calls ``_increment`` and then
-    ``_compose_lifted``, which check and raise.
+    number of turns; while the increment q = c w has c > 0; and while the
+    product's scalar part d and vector v have d^2 > _INLINE_TOL2 * (d^2 +
+    ||v||^2), compose's inline test.  Every other step (from a half-turn,
+    of a zero, subnormal or overflowing |w|, of an overflowing angle,
+    underflowing to c = 0, overflowing, or ending near or on the half-turn
+    branch) calls ``_increment`` and then ``_compose_lifted``, which check,
+    raise and decide the branch.
 
     Two sample times farther apart than the largest float (t1 - t0 is inf)
     have no step size: they raise ValueError, naming both times, before any
@@ -820,6 +829,7 @@ def _integrate(
         raise ValueError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     exact = scheme == EXACT_STEP
     inf = math.inf
+    tol2 = _INLINE_TOL2
 
     s, x, y, z = (1.0, 0.0, 0.0, 0.0) if start is None else start
     rows = [(times[0], s, x, y, z)]
@@ -861,13 +871,10 @@ def _integrate(
                     vy = y + qy + (qz * x - qx * z)
                     vz = z + qz + (qx * y - qy * x)
                     d = 1.0 - (qx * x + qy * y + qz * z)
-                    scale = 1.0 + math.hypot(x, y, z) * math.hypot(qx, qy, qz)
-                    # a finite sum has finite terms
-                    if math.isfinite(d + vx + vy + vz + scale) and abs(d) > DEGENERACY_REL_TOL * scale:
-                        qx, qy, qz = vx / d, vy / d, vz / d
-                        if math.isfinite(qx + qy + qz):
-                            x, y, z = qx, qy, qz
-                            continue
+                    dd = d * d
+                    if dd > tol2 * (dd + vx * vx + vy * vy + vz * vz):
+                        x, y, z = vx / d, vy / d, vz / d
+                        continue
             qx, qy, qz = _increment(wx, wy, wz, dt, exact)
             s, x, y, z = _compose_lifted(1.0, qx, qy, qz, s, x, y, z)
         rows.append((t1, s, x, y, z))

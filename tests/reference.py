@@ -23,6 +23,7 @@ import pytest
 from rodvec import _lifted, checks
 from rodvec._backend import kernels as _k
 from rodvec._lifted import (
+    DEGENERACY_REL_TOL,
     EXACT_STEP,
     SCHEMES,
     _compose_lifted,
@@ -454,6 +455,26 @@ def ref_compose_chain(rotations):
         lams.append(_lambda(x2, y2, z2, x1, y1, z1) if s1 and s2 else None)
         s1, x1, y1, z1 = _compose_lifted(s2, x2, y2, z2, s1, x1, y1, z1)
     return lams, (s1, x1, y1, z1)
+
+
+def ref_inline_step_accepts(q2, q1):
+    """Whether the inline step of _compose_chain and _integrate kept the
+    product of the regular (1, Q2) and (1, Q1) before it tested the norm
+    identity: a finite sum of lambda, v and the scale 1 + ||Q1|| ||Q2||,
+    then |lambda| > DEGENERACY_REL_TOL * scale, then a finite sum of
+    v/lambda."""
+    x2, y2, z2 = q2
+    x1, y1, z1 = q1
+    lam = 1.0 - (x2 * x1 + y2 * y1 + z2 * z1)
+    vx = x1 + x2 + (y2 * z1 - z2 * y1)
+    vy = y1 + y2 + (z2 * x1 - x2 * z1)
+    vz = z1 + z2 + (x2 * y1 - y2 * x1)
+    scale = 1.0 + math.hypot(x1, y1, z1) * math.hypot(x2, y2, z2)
+    return (
+        math.isfinite(lam + vx + vy + vz + scale)
+        and abs(lam) > DEGENERACY_REL_TOL * scale
+        and math.isfinite(vx / lam + vy / lam + vz / lam)
+    )
 
 
 def ref_integrate(times, rates, scheme, start, substeps):

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from rodvec import _lifted, cli
 from rodvec.cli import main
 
 pytest.importorskip("numpy")
@@ -59,3 +60,41 @@ def test_check_selftest_operations_pass_the_oracle(workloads, capsys):
         code = main(op.argv)
         out = capsys.readouterr().out
         assert op.check(code, out) is None
+
+
+def test_only_half_turn_steps_leave_the_inline_fold(workloads, monkeypatch, capsys, tmp_path):
+    """On the seeded compose chains and gyro logs, a step between regular
+    rotations is composed inline: _compose_lifted, the general law, runs
+    once for each step with a half-turn operand and for nothing else.  An
+    inline test made stricter by mistake keeps every output's bits, since
+    _compose_lifted gives the same ones, but loses the inline step's
+    speed: this fails once it declines a regular step of these workloads."""
+    calls = []
+    compose_lifted = _lifted._compose_lifted
+
+    def counted(*args):
+        calls.append(args)
+        return compose_lifted(*args)
+
+    half_turn_steps = 0
+    compose_chain = cli._compose_chain
+
+    def chain(rotations):
+        nonlocal half_turn_steps
+        lams, product = compose_chain(rotations)
+        # None marks a step with a half-turn operand
+        half_turn_steps += lams.count(None)
+        return lams, product
+
+    monkeypatch.setattr(_lifted, "_compose_lifted", counted)
+    monkeypatch.setattr(cli, "_compose_chain", chain)
+    for op in workloads.compose_chain(1001):
+        assert main(op.argv) == 0
+    assert half_turn_steps and len(calls) == half_turn_steps
+    # s = 0 is the half-turn, in either operand
+    assert all(s2 == 0.0 or s1 == 0.0 for s2, _, _, _, s1, _, _, _ in calls)
+    calls.clear()
+    for op in workloads.integrate_log(1001, tmp_path):
+        assert main(op.argv) == 0
+    assert calls == []
+    capsys.readouterr()

@@ -10,10 +10,11 @@ import math
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rodvec import (
     HalfTurn,
@@ -30,7 +31,7 @@ from rodvec import (
     rodrigues_from_matrix,
     skew,
 )
-from rodvec import _kernels_py
+from rodvec import _kernels_py, _lifted
 from rodvec._lifted import (
     EXACT_STEP,
     FIRST_ORDER,
@@ -76,6 +77,7 @@ from reference import (
     ref_double_arc_rotation9,
     ref_euler_rodrigues9,
     ref_half_angle_point,
+    ref_inline_step_accepts,
     ref_integrate,
     ref_matmul_comp,
     ref_require_triangle,
@@ -527,6 +529,10 @@ def integrator_runs(draw):
 # |w|^2 subnormal, and |w|^2 overflowing at a small step
 @example(([0.0, 1.0], [(1e-160, 0.0, -1e-161)] * 2, EXACT_STEP, None, 2))
 @example(([0.0, 1e-170], [(1e160, -1e159, 0.0)] * 2, EXACT_STEP, (1.0, 0.1, 0.2, 0.3), 1))
+# lambda = 1.5 * 2**-50, which the inline test declines and _compose_lifted
+# keeps off the half-turn branch, and lambda = 1e160, whose square overflows
+@example(([0.0, 1.0], [(0.0, 0.0, 1.9999999999999973)] * 2, FIRST_ORDER, (1.0, 0.0, 0.0, 1.0), 1))
+@example(([0.0, 1.0], [(-2e80, 0.0, 0.0)] * 2, FIRST_ORDER, (1.0, 1e80, 0.0, 0.0), 1))
 # a step at pi - 1e-3, where an earlier guard rejected the step, and one
 # just under it
 @example(([0.0, 1.0], [(math.pi - 1e-3, 0.0, 0.0)] * 2, EXACT_STEP, None, 1))
@@ -640,8 +646,70 @@ _QUARTER = math.tan(math.pi / 4)  # 0.9999999999999999
 @example([(0.0, 0.0, 0.0, 1.0), (1.0, 1.0, 2.0, 3.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0)])
 # signed zeros
 @example([(1.0, -0.0, 0.0, -0.0), (1.0, 0.0, -0.0, -0.0)])
+# lambda = 1.5 * 2**-50, which the inline test declines and _compose_lifted
+# keeps off the half-turn branch: Q3 is about 1.5e15
+@example([(1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, 0.9999999999999987)])
+# lambda = 1e160 is finite, but lambda^2 overflows
+@example([(1.0, 1e80, 0.0, 0.0), (1.0, -1e80, 1e-200, 0.0)])
 def test_compose_chain_matches_the_step_by_step_fold(rotations):
     assert outcome(_compose_chain, rotations) == outcome(ref_compose_chain, rotations)
+
+
+@st.composite
+def near_edge_pairs(draw):
+    """Regular (Q1, Q2) whose lambda = 1 - Q2.Q1 is drawn a few ulps either
+    side of one of two edges: 2**-51 times the scale 1 + ||Q1|| ||Q2||, the
+    half-turn test of _compose_lifted, or 2**-50 sqrt(lambda^2 + ||v||^2),
+    the inline test.  Q2 = a u + b w, for the unit u of Q1 and a unit w
+    perpendicular to it, has ||Q2|| = ||Q1|| where ||Q1|| >= 1, as often as
+    not: there the norm identity's bound on the scale is tight, and the
+    two edges are a factor of 2 apart."""
+    n = 10.0 ** draw(st.floats(-8.0, 150.0))
+    u = scaled_norm(draw(vectors.filter(any)))[1]
+    h, w = scaled_norm(cross(u, scaled_norm(draw(vectors.filter(any)))[1]))
+    assume(h > 1e-3)
+    m = max(n, 1.0 / n) * (10.0 ** draw(st.floats(0.0, 3.0)) if draw(st.booleans()) else 1.0)
+    if draw(st.booleans()):
+        edge = 2.0**-51 * (1.0 + n * m)
+    else:
+        edge = 2.0**-50 * math.sqrt(1.0 + n * n) * math.sqrt(1.0 + m * m)
+    lam = edge + draw(st.integers(-8, 8)) * 2.0**-53 * max(1.0, n * m)
+    a = (1.0 - lam) / n
+    b = math.sqrt(max(m * m - a * a, 0.0))
+    return tuple(n * c for c in u), tuple(a * c + b * d for c, d in zip(u, w))
+
+
+def _inline(f, *args):
+    """(f(*args), whether it kept every step inline: it never called
+    _compose_lifted)."""
+    with mock.patch.object(_lifted, "_compose_lifted", wraps=_compose_lifted) as spy:
+        result = f(*args)
+    return result, not spy.called
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.tuples(regular, regular).map(lambda t: (t[0][1:], t[1][1:])), near_edge_pairs()))
+# the two steps above that the inline test declines and the scale test keeps
+@example(((0.0, 0.0, 1.0), (0.0, 0.0, 0.9999999999999987)))
+@example(((1e80, 0.0, 0.0), (-1e80, 1e-200, 0.0)))
+def test_an_inline_step_is_one_the_scale_test_keeps(pair):
+    """Wherever compose's fold or the integrator keeps a step inline, the
+    scale test they made before (ref_inline_step_accepts) kept it too,
+    and v/lambda is finite; every other step goes to _compose_lifted,
+    which applies that test, so each output keeps its bits."""
+    q1, q2 = pair
+    (lams, product), inline = _inline(_compose_chain, [(1.0, *q1), (1.0, *q2)])
+    if inline:
+        assert ref_inline_step_accepts(q2, q1)
+        assert product[0] == 1.0 and all(map(math.isfinite, (*lams, *product)))
+    # a first-order step of dt = 1 at the rate 2 Q2 composes (1, Q2) after
+    # the state (1, Q1)
+    w = tuple(2.0 * c for c in q2)
+    if all(map(math.isfinite, w)):
+        rows, inline = _inline(_integrate, [0.0, 1.0], [w, w], FIRST_ORDER, (1.0, *q1), 1)
+        if inline:
+            assert ref_inline_step_accepts(q2, q1)
+            assert rows[-1][1] == 1.0 and all(map(math.isfinite, rows[-1]))
 
 
 @pytest.mark.parametrize(
